@@ -1,4 +1,4 @@
-// Shared pieces of the perfbench driver: run options, the raw record a
+// Shared pieces of the perfbench binary: run options, the raw record a
 // run writes for run.py (which turns it into the named metrics), the
 // answer check, and small timing helpers.
 //

@@ -7,7 +7,7 @@ metrics named in BENCHMARK.json, check answers, record the run.
     python3 perfbench/run.py --compare BASE.json CHANGE.json
     python3 perfbench/run.py --record
 
-A run builds the C++ driver (perfbench/CMakeLists.txt, against the
+A run builds the perfbench binary (perfbench/CMakeLists.txt, against the
 repository sources) into $CARGO_TARGET_DIR or .bench_build, runs it, and
 prints a human table followed by one JSON line:
 {"correct", "attempted", "failed", "metrics"}. --trace 0 reports the
@@ -41,7 +41,7 @@ def build_dir():
 
 
 def build():
-    """Configures (once) and builds the driver; returns its path or None."""
+    """Configures (once) and builds the binary; returns its path or None."""
     out = os.path.join(build_dir(), "perfbench")
     os.makedirs(out, exist_ok=True)
     log_path = os.path.join(out, "build.log")
@@ -269,7 +269,7 @@ def run(args):
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if not os.path.exists(raw_path):
-        print(f"perfbench: the driver wrote no record (exit {code})", file=sys.stderr)
+        print(f"perfbench: the binary wrote no record (exit {code})", file=sys.stderr)
         return 1
     with open(raw_path) as f:
         raw = json.load(f)
