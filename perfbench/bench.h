@@ -31,8 +31,9 @@ inline constexpr uint64_t kDefaultSeed = 1;
 /// second or so of a burst measurably slower.
 inline constexpr double kWarmupSeconds = 1.5;
 /// Set-up repeats for at least this long and this many times; setup_s
-/// is the median. Host speed drifts over seconds, so a longer span makes
-/// the median less dependent on the moment a run starts.
+/// is the fastest repeat. Set-up is fixed work, so load from other
+/// tenants of a shared host only adds to it (the rule mine_s follows),
+/// and a span of seconds gives a quiet moment a chance to occur.
 inline constexpr double kSetupSeconds = 2.0;
 inline constexpr std::size_t kSetupRepeats = 5;
 

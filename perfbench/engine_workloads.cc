@@ -138,13 +138,28 @@ Outcome Enumerate(const Instance& instance, bool parallel, uint32_t threads) {
   return outcome;
 }
 
+/// One timed pass over every instance; the outcomes go to `outcomes`.
+Round TimedPass(const std::vector<Instance>& instances, bool parallel,
+                uint32_t threads, std::vector<Outcome>& outcomes) {
+  Round round;
+  const int64_t pass_start = NowNanos();
+  for (const Instance& instance : instances) {
+    const int64_t start = NowNanos();
+    outcomes.push_back(Enumerate(instance, parallel, threads));
+    round.query_ms.push_back(SecondsSince(start) * 1e3);
+  }
+  round.seconds = SecondsSince(pass_start);
+  round.queries = 1;
+  return round;
+}
+
 /// A pass costed as the sum of each enumeration's fastest timed run
 /// (run.py costs mine_s the same way; see README.md).
-double BestPassSeconds(const RawRecord& record) {
+double BestPassSeconds(const std::vector<Round>& rounds) {
   double total = 0;
-  for (std::size_t i = 0; i < record.rounds.front().query_ms.size(); ++i) {
-    double fastest = record.rounds.front().query_ms[i];
-    for (const Round& round : record.rounds) fastest = std::min(fastest, round.query_ms[i]);
+  for (std::size_t i = 0; i < rounds.front().query_ms.size(); ++i) {
+    double fastest = rounds.front().query_ms[i];
+    for (const Round& round : rounds) fastest = std::min(fastest, round.query_ms[i]);
     total += fastest * 1e-3;
   }
   return total;
@@ -189,46 +204,41 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
   } while (SecondsSince(warmup_start) < kWarmupSeconds);
 
   // Timed loop, tracing off. A traced run spends half its budget here
-  // (for mine_s and the guard's reference) and half replaying.
+  // (for mine_s and the guard's reference) and half replaying. A traced
+  // parallel run follows each parallel pass with a sequential one, so
+  // both sides of parallel.speedup are costed by the same rule.
   const double budget = options.trace ? options.seconds / 2 : options.seconds;
   const int min_reps = options.trace ? 1 : 5;
+  const bool time_sequential = options.trace && workload.parallel;
   std::vector<std::vector<Outcome>> reps;
+  std::vector<Round> sequential_rounds;
   std::vector<double> spawns;
   const int64_t loop_start = NowNanos();
   while (static_cast<int>(reps.size()) < min_reps ||
          SecondsSince(loop_start) < budget) {
     std::vector<Outcome> outcomes;
-    Round round;
-    const int64_t rep_start = NowNanos();
-    for (const Instance& instance : instances) {
-      const int64_t start = NowNanos();
-      outcomes.push_back(Enumerate(instance, workload.parallel, record.threads));
-      round.query_ms.push_back(SecondsSince(start) * 1e3);
-    }
-    round.seconds = SecondsSince(rep_start);
-    round.queries = 1;
-    record.rounds.push_back(std::move(round));
+    record.rounds.push_back(
+        TimedPass(instances, workload.parallel, record.threads, outcomes));
     double rep_spawns = 0;
     for (const Outcome& outcome : outcomes) {
       rep_spawns += static_cast<double>(outcome.counters.timeout_spawns);
     }
     spawns.push_back(rep_spawns);
     reps.push_back(std::move(outcomes));
+    if (time_sequential) {
+      reps.emplace_back();
+      sequential_rounds.push_back(TimedPass(instances, false, 1, reps.back()));
+    }
   }
   record.peak_rss_kib = kplex::PeakRssKib();
 
   if (options.trace) {
     // The guard's reference is an untraced *sequential* run: the replay
     // mirrors the sequential driver, whose counters are deterministic.
-    std::vector<Outcome> sequential = reps.front();
-    double sequential_s = BestPassSeconds(record);
-    if (workload.parallel) {
-      const int64_t start = NowNanos();
-      for (std::size_t i = 0; i < instances.size(); ++i) {
-        sequential[i] = Enumerate(instances[i], false, 1);
-      }
-      sequential_s = SecondsSince(start);
-    }
+    const std::vector<Outcome>& sequential =
+        time_sequential ? reps[1] : reps.front();
+    const double sequential_s =
+        BestPassSeconds(time_sequential ? sequential_rounds : record.rounds);
     // Replays fill the rest of the budget; the fastest one reports, as
     // the fastest untraced pass does.
     std::vector<LayerSpans> replays;
@@ -255,7 +265,8 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
     if (workload.parallel) {
       layers.Begin("parallel")
           .Num("sequential_s", sequential_s)
-          .Num("parallel_s", BestPassSeconds(record))
+          .Num("parallel_s", BestPassSeconds(record.rounds))
+          .Int("passes", sequential_rounds.size())
           .Int("threads", record.threads)
           .Num("timeout_spawns", Quantile(spawns, 0.5))
           .End();

@@ -122,6 +122,12 @@ std::vector<Signature> Signatures(bool toy) {
   };
 }
 
+// The traffic shape is chosen, not measured: the repository holds no
+// recorded query trace to fit it to. The Zipf(1) popularity, the stream
+// share, the round length (20 cold requests in 1000, 2%) and the number
+// of restarts per round are assumptions. Cold requests take about 95% of
+// the clients' time in a round, so mine_s and qps mostly read the engine
+// under the service; warm_p50_us and disk_p50_ms read its own paths.
 constexpr double kStreamShare = 0.1;
 constexpr std::size_t kRequestsPerRound = 1000;
 constexpr int kRestartsPerRound = 3;
