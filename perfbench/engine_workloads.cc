@@ -266,7 +266,6 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
       layers.Begin("parallel")
           .Num("sequential_s", sequential_s)
           .Num("parallel_s", BestPassSeconds(record.rounds))
-          .Int("passes", sequential_rounds.size())
           .Int("threads", record.threads)
           .Num("timeout_spawns", Quantile(spawns, 0.5))
           .End();
