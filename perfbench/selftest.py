@@ -10,7 +10,9 @@ service requests), untraced and traced, and asserts that:
   - the traced replay reproduced the untraced run (a divergence makes the
     run fail, so a passing traced run is the proof);
   - a corrupted reference fingerprint makes the run fail with a non-zero
-    exit code and a non-zero fail_rate.
+    exit code and a non-zero fail_rate;
+  - --compare passes two identical sides, and fails a change side that
+    has runs with wrong answers, whose times stay out of the medians.
 Exit code 0 when every check passes.
 """
 
@@ -31,6 +33,28 @@ def run(workload, trace, out, *extra):
         capture_output=True, text=True, cwd=REPO_ROOT)
     lines = done.stdout.strip().splitlines()
     return done.returncode, json.loads(lines[-1]) if lines else None, done.stderr
+
+
+def compare(base_runs, change_runs, stem):
+    """Runs --compare on two results files made of the given runs."""
+    paths = [f"{stem}-base.json", f"{stem}-change.json"]
+    for path, runs in zip(paths, (base_runs, change_runs)):
+        with open(path, "w") as f:
+            json.dump({"runs": runs}, f)
+    try:
+        done = subprocess.run([sys.executable, RUN, "--compare", *paths],
+                              capture_output=True, text=True, cwd=REPO_ROOT)
+    finally:
+        for path in paths:
+            os.remove(path)
+    return done.returncode, done.stdout
+
+
+def service_mix_run(units, correct, seconds):
+    """A results-file run of service-mix whose every metric reads `seconds`."""
+    return {"workload": "service-mix", "trace": 0, "provenance": {"toy": False},
+            "correct": correct, "attempted": 100, "failed": 0 if correct else 1,
+            "metrics": {name: {"value": seconds, "unit": unit} for name, unit in units.items()}}
 
 
 def main():
@@ -66,6 +90,16 @@ def main():
         check(code != 0 and result is not None and not result["correct"]
               and result["failed"] > 0 and last["fail_rate"] > 0,
               "corrupted reference fingerprint: non-zero exit and fail_rate")
+
+        steady = [service_mix_run(declared[0], True, 1 + i / 100) for i in range(5)]
+        code, _ = compare(steady, steady, out)
+        check(code == 0, "--compare: identical sides pass")
+        # Three of five runs wrong: were they counted, the medians would
+        # read their 9 s and flag every metric.
+        wrong = steady[:2] + [service_mix_run(declared[0], False, 9.0)] * 3
+        code, text = compare(steady, wrong, out)
+        check(code == 1 and "FAILURES" in text and "WORSE" not in text,
+              "--compare: wrong answers fail the change and stay out of the medians")
     finally:
         if os.path.exists(out):
             os.remove(out)
