@@ -108,6 +108,42 @@ bool RecordAnswers(const RunOptions& options,
 void RunConcurrently(const std::vector<std::function<void()>>& tasks,
                      uint32_t threads);
 
+/// Wall time, in milliseconds, of one run of the benchmark's reference
+/// work: the maximal cliques of a fixed 128-vertex random graph, by
+/// Bron-Kerbosch with pivoting over bitsets. It is code of the benchmark's
+/// own, so no change to the program moves it; only the host's speed
+/// does. Timed work is interleaved with it, and run.py rescales the run's
+/// times by how fast the host ran it (see README.md).
+double ReferenceMillis();
+
+/// Moves timed work from CPU to CPU. A shared host slows single CPUs by
+/// 1.1-1.7x for seconds to tens of seconds at a time (another tenant
+/// busy on the same physical core) while the others run at full speed,
+/// so a run that stays on one CPU can be slow from start to end. Each
+/// repetition of a piece of fixed work takes the next turn, so over a
+/// run it meets every CPU, and the fastest-run rules in run.py keep the
+/// repetitions made on a quiet one. Affinity is set on the calling
+/// thread; threads it starts afterwards inherit it.
+class CpuTurns {
+ public:
+  CpuTurns();  ///< the CPUs this process may use now
+  std::size_t size() const { return cpus_.size(); }
+  /// Confines the calling thread to CPU number `turn` modulo size().
+  void Pin(std::size_t turn) const;
+  /// Every CPU but number `turn` modulo size(); every CPU when size() is 1.
+  void AllBut(std::size_t turn) const;
+  /// Every CPU again.
+  void All() const;
+
+ private:
+  void Set(const std::vector<int>& cpus) const;
+  std::vector<int> cpus_;
+};
+
+/// ReferenceMillis() once on each CPU of `turns`, in turn; the calling
+/// thread is left on the last one.
+std::vector<double> ReferenceOnEachCpu(const CpuTurns& turns);
+
 /// Minimal JSON writer for the raw record: objects, arrays, numbers
 /// printed with every digit, strings with the necessary escapes.
 class Json {
@@ -136,11 +172,12 @@ struct Round {
   double seconds = 0;
   double queries = 0;
   /// Engine: each instance's enumeration time, in instance order.
-  /// Service: every request's latency.
+  /// Service: every loop request's latency, in request order.
   std::vector<double> query_ms;
-  std::vector<double> cold_ms;   ///< service: first request of a signature
-  std::vector<double> warm_us;   ///< service: memory-cache hits
-  std::vector<double> disk_ms;   ///< service: restart-phase disk hits
+  std::vector<double> cold_ms;   ///< service: the signatures' first requests
+  std::vector<double> warm_us;   ///< service: the repeats (cache hits)
+  std::vector<double> disk_ms;   ///< service: restart-phase disk hits, in order
+  std::vector<double> ref_ms;    ///< ReferenceMillis() runs during the round
 };
 
 /// What every workload reports.

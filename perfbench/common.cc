@@ -1,5 +1,9 @@
+#include <sched.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
@@ -46,6 +50,118 @@ void RunConcurrently(const std::vector<std::function<void()>>& tasks,
     });
   }
   for (std::thread& worker : workers) worker.join();
+}
+
+namespace {
+
+constexpr int kReferenceVertices = 128;
+using ReferenceSet = std::array<uint64_t, kReferenceVertices / 64>;
+using ReferenceGraph = std::array<ReferenceSet, kReferenceVertices>;
+
+/// G(128, 1/2) from a fixed xorshift stream: the reference never changes.
+ReferenceGraph MakeReferenceGraph() {
+  ReferenceGraph graph{};
+  uint64_t state = 0x243f6a8885a308d3ULL;
+  for (int u = 0; u < kReferenceVertices; ++u) {
+    for (int v = u + 1; v < kReferenceVertices; ++v) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      if ((state & 0xff) < 128) {
+        graph[u][v / 64] |= uint64_t{1} << (v % 64);
+        graph[v][u / 64] |= uint64_t{1} << (u % 64);
+      }
+    }
+  }
+  return graph;
+}
+
+/// Maximal cliques extending the current clique with candidates `p` and
+/// excluded vertices `x`.
+uint64_t CountMaximalCliques(const ReferenceGraph& graph, ReferenceSet p,
+                             ReferenceSet x) {
+  auto meet = [](const ReferenceSet& a, const ReferenceSet& b) {
+    ReferenceSet out;
+    for (std::size_t w = 0; w < out.size(); ++w) out[w] = a[w] & b[w];
+    return out;
+  };
+  int pivot = -1;
+  int best = -1;
+  for (std::size_t w = 0; w < p.size(); ++w) {
+    for (uint64_t bits = p[w] | x[w]; bits != 0; bits &= bits - 1) {
+      const int u = static_cast<int>(w * 64) + std::countr_zero(bits);
+      int degree = 0;
+      for (std::size_t v = 0; v < p.size(); ++v) degree += std::popcount(p[v] & graph[u][v]);
+      if (degree > best) {
+        best = degree;
+        pivot = u;
+      }
+    }
+  }
+  if (pivot < 0) return 1;  // p and x empty: the clique is maximal
+  uint64_t count = 0;
+  for (std::size_t w = 0; w < p.size(); ++w) {
+    for (uint64_t bits = p[w] & ~graph[pivot][w]; bits != 0; bits &= bits - 1) {
+      const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
+      count += CountMaximalCliques(graph, meet(p, graph[v]), meet(x, graph[v]));
+      p[w] &= ~(uint64_t{1} << (v % 64));
+      x[w] |= uint64_t{1} << (v % 64);
+    }
+  }
+  return count;
+}
+
+}  // namespace
+
+double ReferenceMillis() {
+  static const ReferenceGraph graph = MakeReferenceGraph();
+  static volatile uint64_t sink = 0;
+  ReferenceSet all;
+  all.fill(~uint64_t{0});
+  const int64_t start = NowNanos();
+  sink = CountMaximalCliques(graph, all, ReferenceSet{});
+  return SecondsSince(start) * 1e3;
+}
+
+CpuTurns::CpuTurns() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus_.push_back(cpu);
+    }
+  }
+}
+
+void CpuTurns::Set(const std::vector<int>& cpus) const {
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  // Best effort: where affinity cannot be set, work stays where it is.
+  (void)sched_setaffinity(0, sizeof(set), &set);
+}
+
+void CpuTurns::Pin(std::size_t turn) const {
+  if (!cpus_.empty()) Set({cpus_[turn % cpus_.size()]});
+}
+
+void CpuTurns::AllBut(std::size_t turn) const {
+  if (cpus_.size() < 2) return All();
+  std::vector<int> cpus = cpus_;
+  cpus.erase(cpus.begin() + static_cast<std::ptrdiff_t>(turn % cpus.size()));
+  Set(cpus);
+}
+
+void CpuTurns::All() const { Set(cpus_); }
+
+std::vector<double> ReferenceOnEachCpu(const CpuTurns& turns) {
+  std::vector<double> millis;
+  for (std::size_t turn = 0; turn < std::max<std::size_t>(1, turns.size()); ++turn) {
+    turns.Pin(turn);
+    millis.push_back(ReferenceMillis());
+  }
+  return millis;
 }
 
 namespace {

@@ -139,22 +139,38 @@ Outcome Enumerate(const Instance& instance, bool parallel, uint32_t threads) {
 }
 
 /// One timed pass over every instance; the outcomes go to `outcomes`.
+/// Pass `pass` runs a sequential instance i on CPU turn pass + i, and a
+/// parallel pass on every CPU but turn `pass`, so over a run each
+/// instance meets every CPU (see CpuTurns). Before each instance the
+/// reference work runs, untimed, on the instance's CPU, or once on every
+/// CPU before a parallel instance.
 Round TimedPass(const std::vector<Instance>& instances, bool parallel,
-                uint32_t threads, std::vector<Outcome>& outcomes) {
+                uint32_t threads, const CpuTurns& turns, std::size_t pass,
+                std::vector<Outcome>& outcomes) {
   Round round;
-  const int64_t pass_start = NowNanos();
-  for (const Instance& instance : instances) {
+  double pass_seconds = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (parallel) {
+      const std::vector<double> millis = ReferenceOnEachCpu(turns);
+      round.ref_ms.insert(round.ref_ms.end(), millis.begin(), millis.end());
+      turns.AllBut(pass);
+    } else {
+      turns.Pin(pass + i);
+      round.ref_ms.push_back(ReferenceMillis());
+    }
     const int64_t start = NowNanos();
-    outcomes.push_back(Enumerate(instance, parallel, threads));
+    outcomes.push_back(Enumerate(instances[i], parallel, threads));
     round.query_ms.push_back(SecondsSince(start) * 1e3);
+    pass_seconds += round.query_ms.back() * 1e-3;
   }
-  round.seconds = SecondsSince(pass_start);
+  round.seconds = pass_seconds;
   round.queries = 1;
   return round;
 }
 
-/// A pass costed as the sum of each enumeration's fastest timed run
-/// (run.py costs mine_s the same way; see README.md).
+/// A pass costed as the sum of each enumeration's fastest timed run (as
+/// run.py costs a sequential mine_s; see README.md). Both sides of
+/// parallel.speedup use it, so they compare like with like.
 double BestPassSeconds(const std::vector<Round>& rounds) {
   double total = 0;
   for (std::size_t i = 0; i < rounds.front().query_ms.size(); ++i) {
@@ -177,14 +193,18 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
   record.threads =
       workload.parallel ? std::max<uint32_t>(1, options.nproc - 1) : 1;
 
-  // Set-up: generate every instance graph (see kSetupSeconds).
+  // Set-up: generate every instance graph (see kSetupSeconds), each
+  // repeat on the next CPU.
+  const CpuTurns turns;
   std::vector<Instance> instances;
   for (const int64_t first = NowNanos();
        record.setup_s.size() < kSetupRepeats || SecondsSince(first) < kSetupSeconds;) {
+    turns.Pin(record.setup_s.size());
     const int64_t start = NowNanos();
     instances = Generate(workload, options.seed);
     record.setup_s.push_back(SecondsSince(start));
   }
+  turns.All();
   std::vector<CheckedQuery> queries;
   for (const Instance& instance : instances) {
     queries.push_back({instance.key, &instance.graph, instance.options.k,
@@ -197,11 +217,9 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
 
   // Untimed warm-up (see kWarmupSeconds).
   const int64_t warmup_start = NowNanos();
-  do {
-    for (const Instance& instance : instances) {
-      Enumerate(instance, workload.parallel, record.threads);
-    }
-  } while (SecondsSince(warmup_start) < kWarmupSeconds);
+  for (std::size_t i = 0; i == 0 || SecondsSince(warmup_start) < kWarmupSeconds; ++i) {
+    Enumerate(instances[i % instances.size()], workload.parallel, record.threads);
+  }
 
   // Timed loop, tracing off. A traced run spends half its budget here
   // (for mine_s and the guard's reference) and half replaying. A traced
@@ -217,8 +235,8 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
   while (static_cast<int>(reps.size()) < min_reps ||
          SecondsSince(loop_start) < budget) {
     std::vector<Outcome> outcomes;
-    record.rounds.push_back(
-        TimedPass(instances, workload.parallel, record.threads, outcomes));
+    record.rounds.push_back(TimedPass(instances, workload.parallel, record.threads,
+                                      turns, record.rounds.size(), outcomes));
     double rep_spawns = 0;
     for (const Outcome& outcome : outcomes) {
       rep_spawns += static_cast<double>(outcome.counters.timeout_spawns);
@@ -227,7 +245,8 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
     reps.push_back(std::move(outcomes));
     if (time_sequential) {
       reps.emplace_back();
-      sequential_rounds.push_back(TimedPass(instances, false, 1, reps.back()));
+      sequential_rounds.push_back(TimedPass(instances, false, 1, turns,
+                                            sequential_rounds.size(), reps.back()));
     }
   }
   record.peak_rss_kib = kplex::PeakRssKib();
@@ -239,29 +258,30 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
         time_sequential ? reps[1] : reps.front();
     const double sequential_s =
         BestPassSeconds(time_sequential ? sequential_rounds : record.rounds);
-    // Replays fill the rest of the budget; the fastest one reports, as
-    // the fastest untraced pass does.
-    std::vector<LayerSpans> replays;
+    // Replays fill the rest of the budget, turning over the CPUs as the
+    // untraced passes do; each instance reports its fastest replay.
+    std::vector<LayerSpans> fastest(instances.size());
     const int64_t replay_start = NowNanos();
-    while (replays.empty() || SecondsSince(replay_start) < options.seconds / 2) {
-      LayerSpans total;
+    for (std::size_t replay = 0;
+         replay == 0 || SecondsSince(replay_start) < options.seconds / 2; ++replay) {
       for (std::size_t i = 0; i < instances.size(); ++i) {
+        turns.Pin(replay + i);
         LayerSpans spans = TracedReplay(instances[i].graph, instances[i].options);
         if (!(spans.answer == sequential[i].answer) ||
             !SameCounters(spans.counters, sequential[i].counters)) {
           record.Fail("traced replay diverged from the untraced run on " +
                       instances[i].key);
         }
-        total.Add(spans);
+        if (replay == 0 || spans.total_s < fastest[i].total_s) {
+          fastest[i] = std::move(spans);
+        }
       }
-      replays.push_back(std::move(total));
     }
-    const LayerSpans& fastest = *std::min_element(
-        replays.begin(), replays.end(),
-        [](const LayerSpans& a, const LayerSpans& b) { return a.total_s < b.total_s; });
+    LayerSpans total;
+    for (const LayerSpans& spans : fastest) total.Add(spans);
     Json layers;
     layers.Begin();
-    WriteReplay(layers, fastest, sequential_s);
+    WriteReplay(layers, total, sequential_s);
     if (workload.parallel) {
       layers.Begin("parallel")
           .Num("sequential_s", sequential_s)
@@ -275,6 +295,7 @@ RawRecord RunEngineWorkload(const RunOptions& options) {
   }
 
   // Answer check, after all timing: every enumeration of every rep.
+  turns.All();
   const std::map<std::string, Answer> reference =
       ReferenceAnswers(options, queries, record.errors);
   for (const std::vector<Outcome>& outcomes : reps) {

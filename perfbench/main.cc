@@ -8,8 +8,7 @@
 // Exit code 0 when every answer was right (and, when traced, the replay
 // reproduced the untraced run); 1 otherwise; 2 on bad usage.
 
-#include <sched.h>
-
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -26,13 +25,6 @@
 namespace perfbench {
 namespace {
 
-uint32_t UsableCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return std::max(1, CPU_COUNT(&set));
-}
-
 int Usage(const char* message) {
   std::fprintf(stderr, "perfbench: %s\n", message);
   return 2;
@@ -40,7 +32,7 @@ int Usage(const char* message) {
 
 int Main(int argc, char** argv) {
   RunOptions options;
-  options.nproc = UsableCpus();
+  options.nproc = static_cast<uint32_t>(std::max<std::size_t>(1, CpuTurns().size()));
   std::string raw_out;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -103,6 +95,7 @@ int Main(int argc, char** argv) {
         .Nums("cold_ms", round.cold_ms)
         .Nums("warm_us", round.warm_us)
         .Nums("disk_ms", round.disk_ms)
+        .Nums("ref_ms", round.ref_ms)
         .End();
   }
   json.EndArray();

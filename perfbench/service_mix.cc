@@ -352,14 +352,17 @@ RawRecord RunServiceMix(const RunOptions& options) {
   };
 
   // Set-up: generate, snapshot and open the store (see kSetupSeconds);
-  // each repetition rewrites the same files.
+  // each repetition rewrites the same files, on the next CPU.
+  const CpuTurns turns;
   Setup setup;
   for (const int64_t first = NowNanos();
        record.setup_s.size() < kSetupRepeats || SecondsSince(first) < kSetupSeconds;) {
+    turns.Pin(record.setup_s.size());
     const int64_t start = NowNanos();
     setup = MakeSetup(options, options.workdir + "/setup", record);
     record.setup_s.push_back(SecondsSince(start));
   }
+  turns.All();
 
   std::vector<CheckedQuery> queries;
   for (const Signature& sig : sigs) {
@@ -397,6 +400,7 @@ RawRecord RunServiceMix(const RunOptions& options) {
 
   struct TimedRound {
     double seconds = 0;
+    std::vector<double> ref_ms;
     std::vector<Reply> loop;
     std::vector<Reply> restart;
   };
@@ -410,7 +414,12 @@ RawRecord RunServiceMix(const RunOptions& options) {
          SecondsSince(loop_start) < budget) {
     const std::string store_dir = setup.dir + "/store" + std::to_string(rounds.size());
     restarted.reset();  // one ServiceApi at a time, as in a real process
+    // The reference work runs once on every CPU (untimed here); then
+    // every thread of the round (clients, dispatcher workers) runs on
+    // every CPU but this round's turn (see CpuTurns).
     TimedRound round;
+    round.ref_ms = ReferenceOnEachCpu(turns);
+    turns.AllBut(rounds.size());
     {
       auto api = MakeApi(setup, store_dir, clients, options.toy, record);
       const int64_t start = NowNanos();
@@ -442,25 +451,31 @@ RawRecord RunServiceMix(const RunOptions& options) {
     }
   }
   record.peak_rss_kib = kplex::PeakRssKib();
+  turns.All();
 
+  // Every round replays the same requests from the same empty state, so
+  // each request position is one piece of fixed work repeated once per
+  // round; the raw record keeps every latency in position order and
+  // run.py takes each position's fastest round. The first sigs.size()
+  // requests are the signatures' first (cold) requests; the repeats are
+  // memory-cache hits, or single-flight waits behind a cold request.
   const std::map<std::string, Answer> reference =
       ReferenceAnswers(options, queries, record.errors);
   for (const TimedRound& round : rounds) {
     Round& timed = record.rounds.emplace_back();
     timed.seconds = round.seconds;
+    timed.ref_ms = round.ref_ms;
     timed.queries = static_cast<double>(round.loop.size());
-    for (const Reply& reply : round.loop) {
+    for (std::size_t i = 0; i < round.loop.size(); ++i) {
+      const Reply& reply = round.loop[i];
       ++record.attempted;
       const std::string error = Check(reply, sigs[reply.signature], reference);
-      if (!error.empty()) {
-        record.Fail(error);
-        continue;
-      }
+      if (!error.empty()) record.Fail(error);
       timed.query_ms.push_back(reply.latency_s * 1e3);
-      if (reply.cached) {
-        timed.warm_us.push_back(reply.latency_s * 1e6);
-      } else {
+      if (i < sigs.size()) {
         timed.cold_ms.push_back(reply.latency_s * 1e3);
+      } else {
+        timed.warm_us.push_back(reply.latency_s * 1e6);
       }
     }
     for (const Reply& reply : round.restart) {
@@ -471,9 +486,8 @@ RawRecord RunServiceMix(const RunOptions& options) {
       } else if (!reply.cached) {
         record.Fail(sigs[reply.signature].Key() +
                     ": restart request was not served from the store");
-      } else {
-        timed.disk_ms.push_back(reply.latency_s * 1e3);
       }
+      timed.disk_ms.push_back(reply.latency_s * 1e3);
     }
   }
 
