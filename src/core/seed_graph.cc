@@ -1,79 +1,44 @@
 #include "core/seed_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 namespace kplex {
 namespace {
 
-// Iterated Corollary 5.2 pruning over a working adjacency restricted to
-// candidate V_i members. `alive` flags are indexed by position in
-// `members`; position 0 is the seed.
-//
-// For u in N_{G_i}(v_i):   prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k.
-// For u in N^2_{G_i}(v_i): prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k + 2.
-// The N^2 threshold is >= 1 for every legal q >= 2k - 1, so two-hop
-// vertices that lose their last N1 witness are pruned automatically,
-// i.e. the "distance <= 2 within G_i" restriction is re-established on
-// every round.
-void IteratePruning(const Graph& graph, uint32_t seed,
-                    std::vector<VertexId>& n1, std::vector<VertexId>& n2,
-                    uint32_t k, uint32_t q, bool use_seed_pruning,
-                    AlgoCounters* counters) {
-  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
-  const int64_t thr_n2 = thr_n1 + 2;
+// Per-vertex scratch, indexed by reduced vertex id. Each build stamps
+// the slots of its own two-hop neighbourhood with one of three stamps
+// from a range no earlier build used, so every other slot is stale and
+// nothing graph-sized is ever cleared.
+struct Slot {
+  uint32_t stamp = 0;
+  uint32_t value = 0;  ///< |N(v) ∩ N1| while pruning; then the local id
+};
 
-  DynamicBitset in_n1(graph.NumVertices());
-  for (VertexId v : n1) in_n1.Set(v);
+// Per-thread build state. Slots left by an earlier seed, or by an
+// earlier and larger graph, carry smaller stamps than the current build
+// and so read as stale; only a wrapped stamp range clears them.
+struct Scratch {
+  std::vector<Slot> slots;
+  uint32_t stamp_reached = 0;  ///< within two hops, not in N1
+  uint32_t stamp_n1 = 0;       ///< a surviving N1 member
+  uint32_t stamp_local = 0;    ///< in the local universe
+  std::vector<VertexId> n1, n2, near, far, peel, local_to_reduced;
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    if (use_seed_pruning && thr_n1 > 0) {
-      std::vector<VertexId> kept;
-      kept.reserve(n1.size());
-      for (VertexId u : n1) {
-        int64_t common = 0;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (in_n1.Test(w)) ++common;
-        }
-        if (common >= thr_n1) {
-          kept.push_back(u);
-        } else {
-          in_n1.Reset(u);
-          changed = true;
-          if (counters != nullptr) ++counters->seed_vertices_pruned;
-        }
-      }
-      n1.swap(kept);
+  void BeginBuild(std::size_t num_vertices) {
+    if (slots.size() < num_vertices) slots.resize(num_vertices);
+    if (stamp_local > std::numeric_limits<uint32_t>::max() - 3) {
+      for (Slot& slot : slots) slot.stamp = 0;
+      stamp_local = 0;
     }
-    {
-      std::vector<VertexId> kept;
-      kept.reserve(n2.size());
-      for (VertexId u : n2) {
-        int64_t common = 0;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (in_n1.Test(w)) ++common;
-        }
-        // Without Corollary 5.2 we still must keep N^2 vertices reachable
-        // through a surviving N1 witness (the set-enumeration search space
-        // is defined over N^2_{G_i}); threshold 1 encodes exactly that.
-        const int64_t thr = use_seed_pruning ? thr_n2 : 1;
-        if (common >= thr) {
-          kept.push_back(u);
-        } else {
-          changed = true;
-          if (counters != nullptr && use_seed_pruning) {
-            ++counters->seed_vertices_pruned;
-          }
-        }
-      }
-      n2.swap(kept);
-    }
-    if (!use_seed_pruning) break;  // N1 never shrinks; one N2 pass suffices
+    stamp_reached = stamp_local + 1;
+    stamp_n1 = stamp_local + 2;
+    stamp_local += 3;
   }
-  (void)seed;
-}
+  bool Stale(VertexId v) const { return slots[v].stamp < stamp_reached; }
+};
+
+thread_local Scratch tls_scratch;
 
 }  // namespace
 
@@ -87,9 +52,14 @@ std::optional<SeedGraph> BuildSeedGraph(
   auto is_later = [&](VertexId v) {
     return degeneracy.rank[v] > seed_rank;
   };
+  Scratch& s = tls_scratch;
+  auto common = [&](VertexId v) {
+    return static_cast<int64_t>(s.slots[v].value);
+  };
 
   // N1: later neighbors of the seed.
-  std::vector<VertexId> n1;
+  std::vector<VertexId>& n1 = s.n1;
+  n1.clear();
   for (VertexId u : graph.Neighbors(seed_vertex)) {
     if (is_later(u)) n1.push_back(u);
   }
@@ -97,97 +67,106 @@ std::optional<SeedGraph> BuildSeedGraph(
   // containing v_i satisfies |P| <= deg_{G_i}(v_i) + k <= |N1| + k.
   if (n1.size() + k < q) return std::nullopt;
 
-  // N2: later vertices reachable from the seed through an N1 vertex.
-  std::vector<char> mark(graph.NumVertices(), 0);
-  mark[seed_vertex] = 1;
-  for (VertexId u : n1) mark[u] = 1;
-  std::vector<VertexId> n2;
+  // Stamp the seed and its neighbors first: whatever the walk below
+  // reaches unstamped is two hops away, later (N2) or earlier (`far`).
+  // `near` holds the seed's earlier neighbors. The walk also counts
+  // |N(x) ∩ N1| for every vertex x it reaches.
+  s.BeginBuild(graph.NumVertices());
+  s.slots[seed_vertex] = {s.stamp_reached, 0};
+  std::vector<VertexId>& near = s.near;
+  near.clear();
+  for (VertexId x : graph.Neighbors(seed_vertex)) {
+    const bool later = is_later(x);
+    s.slots[x] = {later ? s.stamp_n1 : s.stamp_reached, 0};
+    if (!later) near.push_back(x);
+  }
+  std::vector<VertexId>& n2 = s.n2;
+  std::vector<VertexId>& far = s.far;
+  n2.clear();
+  far.clear();
   for (VertexId u : n1) {
     for (VertexId w : graph.Neighbors(u)) {
-      if (!mark[w] && is_later(w)) {
-        mark[w] = 1;
-        n2.push_back(w);
+      if (s.Stale(w)) {
+        s.slots[w] = {s.stamp_reached, 0};
+        (is_later(w) ? n2 : far).push_back(w);
       }
+      ++s.slots[w].value;
     }
   }
-  for (VertexId u : n1) mark[u] = 0;
-  for (VertexId u : n2) mark[u] = 0;
-  mark[seed_vertex] = 0;
 
-  IteratePruning(graph, seed_vertex, n1, n2, k, q, options.use_seed_pruning,
-                 counters);
+  // Corollary 5.2, iterated to its fixpoint:
+  //   u in N_{G_i}(v_i):   prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k,
+  //   u in N^2_{G_i}(v_i): prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k + 2.
+  // Peeling N1 keeps every count exact and ends at the greatest N1 that
+  // meets its threshold, which is unique. N2 removals change no count,
+  // so N2 is filtered once, from the final counts. N2 must also stay
+  // within two hops: while N1 is whole (always, without Corollary 5.2,
+  // or with q - 2k <= 0) every N2 vertex keeps its N1 witness, and once
+  // N1 loses a vertex the N2 threshold is >= 3, so a vertex left without
+  // one goes too.
+  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
+  const int64_t thr_n2 = thr_n1 + 2;
+  if (options.use_seed_pruning) {
+    std::vector<VertexId>& peel = s.peel;  // drained by the loop below
+    auto drop_if_short = [&](VertexId u) {
+      if (s.slots[u].stamp == s.stamp_n1 && common(u) < thr_n1) {
+        s.slots[u].stamp = s.stamp_reached;
+        peel.push_back(u);
+      }
+    };
+    for (VertexId u : n1) drop_if_short(u);
+    while (!peel.empty()) {
+      const VertexId u = peel.back();
+      peel.pop_back();
+      for (VertexId w : graph.Neighbors(u)) {
+        --s.slots[w].value;
+        drop_if_short(w);
+      }
+    }
+    auto dropped = [&](VertexId u) { return s.slots[u].stamp != s.stamp_n1; };
+    const std::size_t pruned =
+        std::erase_if(n1, dropped) +
+        std::erase_if(n2, [&](VertexId u) { return common(u) < thr_n2; });
+    if (counters != nullptr) counters->seed_vertices_pruned += pruned;
+  }
   if (n1.size() + k < q) return std::nullopt;
   if (1 + n1.size() + n2.size() < q) return std::nullopt;
-
-  std::sort(n1.begin(), n1.end());
-  std::sort(n2.begin(), n2.end());
 
   // Fringe V'_i: earlier vertices within two hops, filtered by the
   // Theorem 5.1 common-neighbor conditions (common neighbors restricted
   // to the surviving N1, which is where they must live in any extension
-  // of a result of this task).
-  DynamicBitset in_n1(graph.NumVertices());
-  for (VertexId v : n1) in_n1.Set(v);
-  auto common_with_n1 = [&](VertexId x) {
-    int64_t c = 0;
-    for (VertexId w : graph.Neighbors(x)) {
-      if (in_n1.Test(w)) ++c;
-    }
-    return c;
-  };
-  const int64_t thr_adj = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
-  const int64_t thr_nonadj = thr_adj + 2;
+  // of a result of this task): q - 2k for the seed's neighbors, q - 2k + 2
+  // for the rest, which as above also drops those left with no witness.
+  std::erase_if(near, [&](VertexId x) { return common(x) < thr_n1; });
+  std::erase_if(far, [&](VertexId x) { return common(x) < thr_n2; });
 
-  std::vector<VertexId> fringe;
-  {
-    std::vector<char> seen(graph.NumVertices(), 0);
-    // Earlier direct neighbors.
-    for (VertexId x : graph.Neighbors(seed_vertex)) {
-      if (is_later(x) || seen[x]) continue;
-      seen[x] = 1;
-      if (common_with_n1(x) >= thr_adj) fringe.push_back(x);
-    }
-    // Earlier two-hop vertices (witnessed by a surviving N1 vertex).
-    for (VertexId u : n1) {
-      for (VertexId x : graph.Neighbors(u)) {
-        if (x == seed_vertex || is_later(x) || seen[x]) continue;
-        if (graph.HasEdge(seed_vertex, x)) {
-          seen[x] = 1;
-          continue;  // already handled as a direct neighbor
-        }
-        seen[x] = 1;
-        if (common_with_n1(x) >= thr_nonadj) fringe.push_back(x);
-      }
-    }
-  }
-  std::sort(fringe.begin(), fringe.end());
-
-  // Assemble the local universe.
+  // Assemble the local universe: the seed, then N1, N2 and the fringe,
+  // each sorted.
   SeedGraph sg;
   sg.num_n1 = static_cast<uint32_t>(n1.size());
   sg.num_vi = static_cast<uint32_t>(1 + n1.size() + n2.size());
-  sg.universe = static_cast<uint32_t>(sg.num_vi + fringe.size());
+  sg.universe = static_cast<uint32_t>(sg.num_vi + near.size() + far.size());
   sg.vi_words = (sg.num_vi + 63) / 64;
 
-  std::vector<VertexId> local_to_reduced;
-  local_to_reduced.reserve(sg.universe);
-  local_to_reduced.push_back(seed_vertex);
-  local_to_reduced.insert(local_to_reduced.end(), n1.begin(), n1.end());
-  local_to_reduced.insert(local_to_reduced.end(), n2.begin(), n2.end());
-  local_to_reduced.insert(local_to_reduced.end(), fringe.begin(),
-                          fringe.end());
+  std::vector<VertexId>& local_to_reduced = s.local_to_reduced;
+  local_to_reduced.assign(1, seed_vertex);
+  for (const std::vector<VertexId>* part : {&n1, &n2, &near, &far}) {
+    local_to_reduced.insert(local_to_reduced.end(), part->begin(),
+                            part->end());
+  }
+  auto sort_range = [&](std::size_t from, std::size_t to) {
+    std::sort(local_to_reduced.begin() + from, local_to_reduced.begin() + to);
+  };
+  sort_range(1, 1 + sg.num_n1);
+  sort_range(1 + sg.num_n1, sg.num_vi);
+  sort_range(sg.num_vi, sg.universe);
 
   sg.to_global.resize(sg.universe);
   for (uint32_t i = 0; i < sg.universe; ++i) {
     const VertexId reduced = local_to_reduced[i];
     sg.to_global[i] =
         to_original.empty() ? reduced : to_original[reduced];
-  }
-
-  std::unordered_map<VertexId, uint32_t> local_id;
-  local_id.reserve(sg.universe * 2);
-  for (uint32_t i = 0; i < sg.universe; ++i) {
-    local_id.emplace(local_to_reduced[i], i);
+    s.slots[reduced] = {s.stamp_local, i};
   }
 
   sg.adj = LocalGraph(sg.universe);
@@ -195,8 +174,8 @@ std::optional<SeedGraph> BuildSeedGraph(
   // members so fringe-fringe edges are skipped.
   for (uint32_t i = 0; i < sg.num_vi; ++i) {
     for (VertexId w : graph.Neighbors(local_to_reduced[i])) {
-      auto it = local_id.find(w);
-      if (it != local_id.end()) sg.adj.AddEdge(i, it->second);
+      const Slot& slot = s.slots[w];
+      if (slot.stamp == s.stamp_local) sg.adj.AddEdge(i, slot.value);
     }
   }
 

@@ -221,21 +221,27 @@ void TcpServer::ServeConnection(Connection* connection) {
   // a crashed or abortively-closed client) counts as vanished; an
   // orderly half-close (FIN) is the normal "input done, still reading
   // responses" shape of `printf ... | nc` pipelines, whose in-flight
-  // work must run to completion. CancelOutstandingJobs is the one
+  // work must run to completion. Once the peer has vanished the watcher
+  // keeps cancelling until this thread is done: a job is recorded only
+  // after its submit returns, and by then it may already be running,
+  // so a single sweep can miss it. CancelOutstandingJobs is the one
   // session method that is cross-thread safe.
   std::atomic<bool> connection_done{false};
   std::thread watcher([this, connection, &session, &connection_done] {
+    bool vanished = false;
     while (!connection_done.load(std::memory_order_acquire) &&
            !stopping_.load(std::memory_order_acquire)) {
+      if (vanished) {
+        session.CancelOutstandingJobs();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       pollfd probe = {};
       probe.fd = connection->fd;
       probe.events = 0;  // error/hangup events are always reported
       const int ready = ::poll(&probe, 1, 100);
-      if (ready > 0 &&
-          (probe.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        session.CancelOutstandingJobs();
-        return;
-      }
+      vanished = ready > 0 &&
+                 (probe.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
     }
   });
 

@@ -11,10 +11,14 @@
 namespace kplex {
 namespace {
 
+// Named after the running test (ctest runs every case in its own
+// process), numbered within it.
 std::string WriteTemp(const std::string& contents) {
   static int counter = 0;
-  std::string path =
-      ::testing::TempDir() + "kplex_io_test_" + std::to_string(counter++);
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path = ::testing::TempDir() + "kplex_io_test_" +
+                     test->test_suite_name() + "_" + test->name() + "_" +
+                     std::to_string(counter++);
   std::ofstream out(path);
   out << contents;
   return path;

@@ -27,10 +27,12 @@ namespace {
 
 Graph TestGraph() { return GenerateErdosRenyi(120, 0.12, 42); }
 
+// Named after the running test: ctest runs every case in its own
+// process, so a per-process counter alone hands parallel cases one path.
 std::string FreshStoreDir() {
-  static int counter = 0;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
   std::string dir = ::testing::TempDir() + "kplex_engine_store_" +
-                    std::to_string(counter++);
+                    test->test_suite_name() + "_" + test->name();
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -1,12 +1,19 @@
 // Structural and soundness tests for seed subgraph construction:
-// layout invariants, Corollary 5.2 pruning at fixpoint, and — critically
-// — completeness: every maximal k-plex (>= q) must survive inside the
-// seed subgraph of its minimum-rank member.
+// layout invariants, Corollary 5.2 pruning at fixpoint, exactness
+// against the definitions, and — critically — completeness: every
+// maximal k-plex (>= q) must survive inside the seed subgraph of its
+// minimum-rank member. The build keeps per-thread scratch, so it is also
+// checked across graphs and threads and for a cost that follows the
+// seed's neighbourhood rather than the graph.
 
 #include "core/seed_graph.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "baselines/bk_naive.h"
@@ -15,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/kcore.h"
 #include "util/bitset_kernels.h"
+#include "util/timer.h"
 
 namespace kplex {
 namespace {
@@ -23,6 +31,112 @@ std::optional<SeedGraph> BuildFor(const Graph& g, VertexId seed,
                                   const EnumOptions& options) {
   DegeneracyResult degeneracy = ComputeDegeneracy(g);
   return BuildSeedGraph(g, {}, degeneracy, seed, options, nullptr);
+}
+
+// Two builds agree on every field, the adjacency and the pair matrix.
+void ExpectSameSeedGraph(const std::optional<SeedGraph>& a,
+                         const std::optional<SeedGraph>& b,
+                         const std::string& where) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << where;
+  if (!a.has_value()) return;
+  EXPECT_EQ(a->num_vi, b->num_vi) << where;
+  EXPECT_EQ(a->num_n1, b->num_n1) << where;
+  ASSERT_EQ(a->universe, b->universe) << where;
+  EXPECT_EQ(a->to_global, b->to_global) << where;
+  EXPECT_EQ(a->deg_vi, b->deg_vi) << where;
+  EXPECT_TRUE(a->vi_mask == b->vi_mask) << where;
+  EXPECT_TRUE(a->n1_mask == b->n1_mask) << where;
+  EXPECT_TRUE(a->n2_mask == b->n2_mask) << where;
+  EXPECT_TRUE(a->fringe_mask == b->fringe_mask) << where;
+  for (uint32_t u = 0; u < a->universe; ++u) {
+    for (uint32_t v = 0; v < a->universe; ++v) {
+      ASSERT_EQ(a->adj.HasEdge(u, v), b->adj.HasEdge(u, v))
+          << where << " edge " << u << "-" << v;
+    }
+  }
+  ASSERT_EQ(a->pairs.has_value(), b->pairs.has_value()) << where;
+  if (!a->pairs.has_value()) return;
+  EXPECT_EQ(a->pairs->num_pruned_pairs(), b->pairs->num_pruned_pairs())
+      << where;
+  for (uint32_t u = 0; u < a->num_vi; ++u) {
+    EXPECT_TRUE(a->pairs->Row(u) == b->pairs->Row(u))
+        << where << " T row " << u;
+  }
+}
+
+// The seed graph of `seed`, worked out from the definitions with plain
+// adjacency queries, in the order BuildSeedGraph lays it out.
+struct DefinedSeedGraph {
+  bool viable = false;
+  std::vector<VertexId> n1, n2, fringe;  // each ascending
+  uint64_t pruned = 0;  // Corollary 5.2 removals from N1 and N2
+};
+
+DefinedSeedGraph FromDefinitions(const Graph& g,
+                                 const DegeneracyResult& degeneracy,
+                                 VertexId seed, const EnumOptions& options) {
+  const int64_t k = options.k;
+  const int64_t q = options.q;
+  const int64_t thr_n1 = q - 2 * k;
+  const int64_t thr_n2 = thr_n1 + 2;
+  auto later = [&](VertexId v) {
+    return degeneracy.rank[v] > degeneracy.rank[seed];
+  };
+  auto common = [&](VertexId x, const std::vector<VertexId>& set) {
+    return static_cast<int64_t>(std::count_if(
+        set.begin(), set.end(), [&](VertexId w) { return g.HasEdge(x, w); }));
+  };
+  // At distance exactly two from the seed through `via`.
+  auto two_hop = [&](VertexId x, const std::vector<VertexId>& via) {
+    return x != seed && !g.HasEdge(seed, x) && common(x, via) >= 1;
+  };
+
+  DefinedSeedGraph out;
+  std::vector<VertexId> n1;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (later(v) && g.HasEdge(seed, v)) n1.push_back(v);
+  }
+  if (static_cast<int64_t>(n1.size()) + k < q) return out;
+  std::vector<VertexId> n2_unpruned;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (later(v) && two_hop(v, n1)) n2_unpruned.push_back(v);
+  }
+  const std::size_t n1_unpruned = n1.size();
+  if (options.use_seed_pruning) {
+    // The greatest subset of N1 whose members each have >= q - 2k
+    // neighbours inside it: drop one short member at a time.
+    for (bool dropped = true; dropped;) {
+      dropped = false;
+      for (auto it = n1.begin(); it != n1.end(); ++it) {
+        if (common(*it, n1) < thr_n1) {
+          n1.erase(it);
+          dropped = true;
+          break;
+        }
+      }
+    }
+  }
+  for (VertexId v : n2_unpruned) {
+    if (!options.use_seed_pruning ||
+        (two_hop(v, n1) && common(v, n1) >= thr_n2)) {
+      out.n2.push_back(v);
+    }
+  }
+  out.pruned =
+      (n1_unpruned - n1.size()) + (n2_unpruned.size() - out.n2.size());
+  out.viable = static_cast<int64_t>(n1.size()) + k >= q &&
+               static_cast<int64_t>(1 + n1.size() + out.n2.size()) >= q;
+  // Theorem 5.1 on the earlier vertices within two hops, counted against
+  // the surviving N1.
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (v == seed || later(v)) continue;
+    if (g.HasEdge(seed, v) ? common(v, n1) >= thr_n1
+                           : two_hop(v, n1) && common(v, n1) >= thr_n2) {
+      out.fringe.push_back(v);
+    }
+  }
+  out.n1 = std::move(n1);
+  return out;
 }
 
 TEST(SeedGraph, LayoutInvariants) {
@@ -90,6 +204,161 @@ TEST(SeedGraph, Corollary52Fixpoint) {
   }
 }
 
+// Corollary52Fixpoint shows the survivors meet the thresholds; this also
+// shows nothing else was pruned or kept. Layout, masks and the pruning
+// count must match the definitions over a (k, q) grid down to
+// q = 2k - 1, where q - 2k < 0 lets an earlier neighbour of the seed
+// with no N1 neighbour into the fringe.
+TEST(SeedGraph, MatchesTheDefinitions) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"er", GenerateErdosRenyi(36, 0.3, 5)},
+      {"er-dense", GenerateErdosRenyi(28, 0.5, 6)},
+      {"ba", GenerateBarabasiAlbert(50, 4, 7)}};
+  uint64_t fringe_without_n1_neighbour = 0;
+  for (const auto& [name, g] : graphs) {
+    const DegeneracyResult degeneracy = ComputeDegeneracy(g);
+    for (uint32_t k = 1; k <= 3; ++k) {
+      for (uint32_t q : {2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 3}) {
+        for (bool seed_pruning : {true, false}) {
+          EnumOptions options = EnumOptions::Ours(k, q);
+          options.use_seed_pruning = seed_pruning;
+          for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
+            const std::string where =
+                name + " k=" + std::to_string(k) + " q=" + std::to_string(q) +
+                (seed_pruning ? "" : " no-cor52") + " seed " +
+                std::to_string(seed);
+            const DefinedSeedGraph want =
+                FromDefinitions(g, degeneracy, seed, options);
+            AlgoCounters counters;
+            const auto sg =
+                BuildSeedGraph(g, {}, degeneracy, seed, options, &counters);
+            EXPECT_EQ(counters.seed_vertices_pruned, want.pruned) << where;
+            ASSERT_EQ(sg.has_value(), want.viable) << where;
+            if (!sg.has_value()) continue;
+
+            std::vector<VertexId> layout = {seed};
+            for (const auto* part : {&want.n1, &want.n2, &want.fringe}) {
+              layout.insert(layout.end(), part->begin(), part->end());
+            }
+            EXPECT_EQ(sg->to_global, layout) << where;
+            const std::size_t n1_end = 1 + want.n1.size();
+            const std::size_t vi_end = n1_end + want.n2.size();
+            auto bits = [&](std::size_t from, std::size_t to) {
+              DynamicBitset mask(layout.size());
+              mask.SetRange(from, to);
+              return mask;
+            };
+            EXPECT_TRUE(sg->vi_mask == bits(0, vi_end)) << where;
+            EXPECT_TRUE(sg->n1_mask == bits(1, n1_end)) << where;
+            EXPECT_TRUE(sg->n2_mask == bits(n1_end, vi_end)) << where;
+            EXPECT_TRUE(sg->fringe_mask == bits(vi_end, layout.size()))
+                << where;
+            sg->fringe_mask.ForEach([&](std::size_t v) {
+              const auto local = static_cast<uint32_t>(v);
+              if (sg->adj.HasEdge(SeedGraph::kSeed, local) &&
+                  !sg->adj.Row(local).Intersects(sg->n1_mask)) {
+                ++fringe_without_n1_neighbour;
+              }
+            });
+          }
+        }
+      }
+    }
+  }
+  // The grid must reach the q = 2k - 1 case the comment above describes.
+  EXPECT_GT(fringe_without_n1_neighbour, 0u);
+}
+
+// Scratch a thread keeps between builds must not leak from one graph
+// into the next. Builds on one thread over a large graph, a smaller one,
+// the large one again, and then the two alternating seed by seed, each
+// match a build on a fresh thread.
+TEST(SeedGraph, ScratchReuseAcrossGraphsMatchesFreshThreads) {
+  const std::vector<Graph> graphs = {GenerateBarabasiAlbert(400, 6, 21),
+                                     GenerateErdosRenyi(60, 0.2, 22)};
+  const std::vector<DegeneracyResult> orders = {ComputeDegeneracy(graphs[0]),
+                                                ComputeDegeneracy(graphs[1])};
+  const EnumOptions options = EnumOptions::Ours(2, 6);
+  std::vector<std::pair<std::size_t, VertexId>> builds;  // (graph, seed)
+  for (std::size_t g : {0, 1, 0}) {
+    for (VertexId seed = 0; seed < graphs[g].NumVertices(); ++seed) {
+      builds.emplace_back(g, seed);
+    }
+  }
+  for (VertexId seed = 0; seed < graphs[1].NumVertices(); ++seed) {
+    builds.emplace_back(0, seed);
+    builds.emplace_back(1, seed);
+  }
+  for (std::size_t i = 0; i < builds.size(); ++i) {
+    const auto [g, seed] = builds[i];
+    const std::string where = "build " + std::to_string(i) + ": graph " +
+                              std::to_string(g) + " seed " +
+                              std::to_string(seed);
+    AlgoCounters reused_counters;
+    const auto reused = BuildSeedGraph(graphs[g], {}, orders[g], seed,
+                                       options, &reused_counters);
+    AlgoCounters fresh_counters;
+    std::optional<SeedGraph> fresh;
+    std::thread([&] {
+      fresh = BuildSeedGraph(graphs[g], {}, orders[g], seed, options,
+                             &fresh_counters);
+    }).join();
+    ExpectSameSeedGraph(reused, fresh, where);
+    EXPECT_EQ(reused_counters.seed_graphs, fresh_counters.seed_graphs)
+        << where;
+    EXPECT_EQ(reused_counters.seed_vertices_pruned,
+              fresh_counters.seed_vertices_pruned)
+        << where;
+    EXPECT_EQ(reused_counters.pair_edges_pruned,
+              fresh_counters.pair_edges_pruned)
+        << where;
+  }
+}
+
+// A seed's build costs its two-hop neighbourhood, not the graph. The
+// first 5000 seeds of a 12-regular ring lattice have the same
+// neighbourhoods at 10k and at 320k vertices, so the larger ring must not
+// take more than twice as long; graph-sized work arrays per seed once
+// made it ~4x. Each side is the fastest of five repeats, and the repeats
+// alternate so a burst of host load slows both sides alike.
+TEST(SeedGraph, BuildCostDoesNotGrowWithGraphSize) {
+  constexpr uint32_t kSeeds = 5000;
+  const EnumOptions options = EnumOptions::Ours(2, 8);
+  struct Ring {
+    Graph graph;
+    DegeneracyResult degeneracy;
+    double fastest = std::numeric_limits<double>::infinity();
+    uint64_t universe_total = 0;
+  };
+  std::vector<Ring> rings;
+  for (std::size_t n : {10000, 320000}) {
+    Graph graph = GenerateWattsStrogatz(n, 12, 0.0, 1);
+    DegeneracyResult degeneracy = ComputeDegeneracy(graph);
+    rings.push_back({std::move(graph), std::move(degeneracy)});
+  }
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    for (Ring& ring : rings) {
+      ring.universe_total = 0;
+      WallTimer timer;
+      for (uint32_t i = 0; i < kSeeds; ++i) {
+        const auto sg =
+            BuildSeedGraph(ring.graph, {}, ring.degeneracy,
+                           ring.degeneracy.order[i], options, nullptr);
+        if (sg.has_value()) ring.universe_total += sg->universe;
+      }
+      ring.fastest = std::min(ring.fastest, timer.ElapsedSeconds());
+    }
+  }
+  const Ring& small = rings[0];
+  const Ring& large = rings[1];
+  ASSERT_GT(small.universe_total, 0u);
+  ASSERT_EQ(small.universe_total, large.universe_total)
+      << "the two rings must do equal work";
+  EXPECT_LE(large.fastest, 2.0 * small.fastest)
+      << "10k ring: " << small.fastest << " s, 320k ring: " << large.fastest
+      << " s";
+}
+
 // Completeness: the union over seeds of "k-plexes representable in the
 // seed graph" must cover all ground-truth results.
 TEST(SeedGraph, EveryGroundTruthPlexSurvivesInItsSeedGraph) {
@@ -150,15 +419,7 @@ TEST(SeedGraph, ConstructionIdenticalUnderForcedBaseline) {
     kernels::SetActiveForTest(nullptr);
     auto dispatched = BuildSeedGraph(g, {}, degeneracy, seed, options,
                                      nullptr);
-    ASSERT_EQ(baseline.has_value(), dispatched.has_value()) << seed;
-    if (!baseline.has_value()) continue;
-    EXPECT_EQ(baseline->num_vi, dispatched->num_vi) << seed;
-    EXPECT_EQ(baseline->universe, dispatched->universe) << seed;
-    EXPECT_EQ(baseline->to_global, dispatched->to_global) << seed;
-    EXPECT_EQ(baseline->deg_vi, dispatched->deg_vi) << seed;
-    EXPECT_TRUE(baseline->vi_mask == dispatched->vi_mask) << seed;
-    EXPECT_TRUE(baseline->n1_mask == dispatched->n1_mask) << seed;
-    EXPECT_TRUE(baseline->fringe_mask == dispatched->fringe_mask) << seed;
+    ExpectSameSeedGraph(baseline, dispatched, "seed " + std::to_string(seed));
   }
 }
 
