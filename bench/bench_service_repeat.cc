@@ -397,7 +397,7 @@ int Run() {
               "warm): %s\n", contended_ok ? "yes" : "NO (BUG)");
 
   // ---------------------------------------------- sharded seed space
-  // Sharded mining v1 (docs/SHARDING.md) inside one process: the same
+  // Sharded mining (docs/SHARDING.md) inside one process: the same
   // query as 1 shard vs 4 seed-range shards on a 4-worker dispatcher.
   // The merged 4-shard fingerprint must equal the single-shard run —
   // the same check the TCP coordinator applies across machines.

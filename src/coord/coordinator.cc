@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/protocol.h"
-#include "service/shard_coordinator.h"
 #include "service/tcp_client.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -48,52 +47,6 @@ Histogram& CoordChunkSeconds() {
   static Histogram& histogram =
       MetricsRegistry::Global().GetHistogram("kplex_coord_chunk_seconds");
   return histogram;
-}
-
-/// "host:port" splitter (same grammar ParseEndpointList validates).
-Status SplitEndpoint(const std::string& endpoint, std::string* host,
-                     uint16_t* port) {
-  const std::size_t colon = endpoint.rfind(':');
-  Status malformed = Status::InvalidArgument(
-      "endpoint must be host:port (port 1..65535), got '" + endpoint + "'");
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= endpoint.size()) {
-    return malformed;
-  }
-  uint32_t parsed = 0;
-  for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-    const char c = endpoint[i];
-    if (c < '0' || c > '9') return malformed;
-    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
-    if (parsed > 65535) return malformed;
-  }
-  if (parsed < 1) return malformed;
-  *host = endpoint.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return Status::Ok();
-}
-
-Status ConnectWorker(TcpClient& client, const std::string& endpoint,
-                     double timeout_seconds) {
-  std::string host;
-  uint16_t port = 0;
-  KPLEX_RETURN_IF_ERROR(SplitEndpoint(endpoint, &host, &port));
-  KPLEX_RETURN_IF_ERROR(client.Connect(host, port, timeout_seconds));
-  KPLEX_RETURN_IF_ERROR(client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersionCoordination) +
-      " mode=framed"));
-  auto hello = client.ReadLine();
-  if (!hello.ok()) return hello.status();
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) return version.status();
-  if (*version < kProtocolVersionCoordination) {
-    return Status::FailedPrecondition(
-        "worker " + endpoint + " negotiated protocol v" +
-        std::to_string(*version) + " but coordination needs v" +
-        std::to_string(kProtocolVersionCoordination) +
-        " (upgrade the worker)");
-  }
-  return Status::Ok();
 }
 
 /// One framed round trip keeping socket failures (chunk may not have
@@ -140,7 +93,9 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
                   double timeout_seconds) {
   Probe probe;
   TcpClient client;
-  Status connected = ConnectWorker(client, endpoint, timeout_seconds);
+  Status connected =
+      ConnectFramed(client, endpoint, timeout_seconds,
+                    kProtocolVersionCoordination, "coordination");
   if (!connected.ok()) {
     probe.transport_failed = true;
     probe.transport_error = connected;
@@ -204,7 +159,9 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
 Status SendShardStop(const std::string& endpoint, uint64_t remote_job,
                      double timeout_seconds) {
   TcpClient client;
-  KPLEX_RETURN_IF_ERROR(ConnectWorker(client, endpoint, timeout_seconds));
+  KPLEX_RETURN_IF_ERROR(ConnectFramed(client, endpoint, timeout_seconds,
+                                      kProtocolVersionCoordination,
+                                      "coordination"));
   Request request;
   request.id = 2;
   ShardStopRequest stop;
@@ -239,6 +196,13 @@ struct Coordinator::JobRun {
   struct PendingChunk {
     uint32_t begin = 0;
     uint32_t end = 0;
+    /// Minimum age before this range may be stolen, beyond
+    /// steal_min_seconds. A steal that covered no seed landed before
+    /// enumeration began (during the worker's reduction); stealing the
+    /// requeued range as early again would livelock whenever the
+    /// reduction outlasts a steal round trip. So it waits at least as
+    /// long as the missed attempt ran, and twice its previous wait.
+    int64_t steal_min_nanos = 0;
   };
   std::deque<PendingChunk> queue;
 
@@ -249,6 +213,7 @@ struct Coordinator::JobRun {
     std::string endpoint;
     uint64_t remote_job = 0;  ///< 0 until the shardsubmit ack lands
     int64_t started_nanos = 0;
+    int64_t steal_min_nanos = 0;  ///< the chunk's PendingChunk value
     bool steal_requested = false;
   };
   std::map<uint64_t, InFlight> in_flight;  // key: local ticket
@@ -280,6 +245,22 @@ struct Coordinator::JobRun {
            laned_workers.end();
   }
 
+  /// Folds the complete answer `result` for seeds [begin, end) into the
+  /// merge and records its outcome.
+  void MergeLocked(uint32_t begin, uint32_t end, const std::string& endpoint,
+                   const ParsedShardResult& result, bool yielded) {
+    MergeableResult piece;
+    piece.count = result.plexes;
+    piece.xor_hash = result.fingerprint_xor;
+    piece.max_plex_size = static_cast<std::size_t>(result.max_size);
+    merged.Merge(piece);
+    covered.emplace_back(begin, end);
+    outcomes.push_back(
+        {begin, end, endpoint, result.plexes, result.seconds, yielded});
+    ++chunk_count;
+    CoordChunksTotal().Increment();
+  }
+
   void FailLocked(Status status) {
     if (!failed) {
       failed = true;
@@ -296,6 +277,43 @@ Coordinator::Coordinator(CoordinatorOptions options)
 }
 
 Coordinator::~Coordinator() { Stop(); }
+
+Status ValidateCoordinatedQuery(const QueryRequest& query) {
+  if (query.algo == QueryAlgo::kFp) {
+    return Status::InvalidArgument(
+        "the fp baseline does not support seed ranges (pick another algo)");
+  }
+  if (query.max_results > 0) {
+    return Status::InvalidArgument(
+        "max-results does not compose with a coordinated mine: each worker "
+        "would stop after the cap within its own shard, so the merged total "
+        "would depend on the shard split. Coordinated mines are count-exact; "
+        "run a single-process mine for a truncated answer");
+  }
+  if (query.collect_bodies || query.chunk_size > 0) {
+    return Status::InvalidArgument(
+        "results=stream does not compose with a coordinated mine: shards "
+        "return mergeable summaries (count + fingerprint), not plex bodies. "
+        "Stream from a single worker instead");
+  }
+  if (query.HasFilter() || query.top_k > 0) {
+    return Status::InvalidArgument(
+        "server-side selection (filter/contain/top) does not compose with a "
+        "coordinated mine: the merge algebra is exact only over the full "
+        "result set of each shard");
+  }
+  if (query.maximum) {
+    return Status::InvalidArgument(
+        "mode=maximum does not compose with a coordinated mine: the maximum "
+        "search is not seed-range partitionable. Run it against one worker");
+  }
+  if (query.has_cursor) {
+    return Status::InvalidArgument(
+        "cursor resume does not compose with a coordinated mine: cursors "
+        "describe a sequential single-process enumeration order");
+  }
+  return Status::Ok();
+}
 
 StatusOr<uint64_t> Coordinator::AddWorker(const std::string& endpoint) {
   std::string host;
@@ -606,7 +624,8 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
                            uint64_t worker_id, std::string endpoint) {
   TcpClient client;
   Status connected =
-      ConnectWorker(client, endpoint, run->options.io_timeout_seconds);
+      ConnectFramed(client, endpoint, run->options.io_timeout_seconds,
+                    kProtocolVersionCoordination, "coordination");
   std::unique_lock<std::mutex> lock(run->mutex);
   if (!connected.ok()) {
     pool_.MarkDead(worker_id);
@@ -642,6 +661,7 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
       flight.worker_id = worker_id;
       flight.endpoint = endpoint;
       flight.started_nanos = WallTimer::NowNanos();
+      flight.steal_min_nanos = chunk.steal_min_nanos;
       run->in_flight.emplace(ticket, flight);
       pool_.MarkBusy(worker_id);
 
@@ -753,28 +773,19 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         const uint32_t split =
             static_cast<uint32_t>(result->covered_end);
         if (split > chunk.begin) {
-          MergeableResult piece;
-          piece.count = result->plexes;
-          piece.xor_hash = result->fingerprint_xor;
-          piece.max_plex_size = static_cast<std::size_t>(result->max_size);
-          run->merged.Merge(piece);
-          run->covered.emplace_back(chunk.begin, split);
-          CoordChunkOutcome outcome;
-          outcome.begin = chunk.begin;
-          outcome.end = split;
-          outcome.endpoint = endpoint;
-          outcome.plexes = result->plexes;
-          outcome.seconds = result->seconds;
-          outcome.yielded = true;
-          run->outcomes.push_back(std::move(outcome));
-          ++run->chunk_count;
+          run->MergeLocked(chunk.begin, split, endpoint, *result,
+                           /*yielded=*/true);
           ++run->steals;
-          CoordChunksTotal().Increment();
           CoordStealsTotal().Increment();
           pool_.NoteChunkDone(worker_id);
         }
+        if (split == chunk.begin) {
+          chunk.steal_min_nanos =
+              std::max(2 * chunk.steal_min_nanos,
+                       WallTimer::NowNanos() - flight.started_nanos);
+        }
         if (split < chunk.end) {
-          run->queue.push_back({split, chunk.end});
+          run->queue.push_back({split, chunk.end, chunk.steal_min_nanos});
         }
         pool_.MarkIdle(worker_id);
         run->cv.notify_all();
@@ -792,21 +803,8 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
             " is not a complete answer (" + how + ")"));
         break;
       }
-      MergeableResult piece;
-      piece.count = result->plexes;
-      piece.xor_hash = result->fingerprint_xor;
-      piece.max_plex_size = static_cast<std::size_t>(result->max_size);
-      run->merged.Merge(piece);
-      run->covered.emplace_back(chunk.begin, chunk.end);
-      CoordChunkOutcome outcome;
-      outcome.begin = chunk.begin;
-      outcome.end = chunk.end;
-      outcome.endpoint = endpoint;
-      outcome.plexes = result->plexes;
-      outcome.seconds = result->seconds;
-      run->outcomes.push_back(std::move(outcome));
-      ++run->chunk_count;
-      CoordChunksTotal().Increment();
+      run->MergeLocked(chunk.begin, chunk.end, endpoint, *result,
+                       /*yielded=*/false);
       pool_.NoteChunkDone(worker_id);
       pool_.MarkIdle(worker_id);
       run->cv.notify_all();
@@ -817,39 +815,39 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
     // Queue empty, chunks still running: steal from the
     // longest-running un-stolen chunk so its tail lands back on the
     // queue for this idle lane.
-    if (run->options.enable_stealing) {
-      uint64_t victim_ticket = 0;
-      const JobRun::InFlight* victim = nullptr;
-      const int64_t now = WallTimer::NowNanos();
-      const int64_t min_age = static_cast<int64_t>(
-          run->options.steal_min_seconds * 1e9);
-      for (const auto& [ticket, flight] : run->in_flight) {
-        if (flight.remote_job == 0 || flight.steal_requested) continue;
-        if (now - flight.started_nanos < min_age) continue;
-        if (victim == nullptr ||
-            flight.started_nanos < victim->started_nanos) {
-          victim = &flight;
-          victim_ticket = ticket;
-        }
-      }
-      if (victim != nullptr) {
-        run->in_flight[victim_ticket].steal_requested = true;
-        const std::string victim_endpoint = victim->endpoint;
-        const uint64_t victim_job = victim->remote_job;
-        lock.unlock();
-        Status stopped = SendShardStop(victim_endpoint, victim_job,
-                                       run->options.io_timeout_seconds);
-        lock.lock();
-        if (!stopped.ok()) {
-          // The victim may have finished or died; either way its lane
-          // settles the chunk. Allow future steal attempts on it.
-          auto it = run->in_flight.find(victim_ticket);
-          if (it != run->in_flight.end()) {
-            it->second.steal_requested = false;
-          }
-        }
+    uint64_t victim_ticket = 0;
+    const JobRun::InFlight* victim = nullptr;
+    const int64_t now = WallTimer::NowNanos();
+    const int64_t min_age =
+        static_cast<int64_t>(run->options.steal_min_seconds * 1e9);
+    for (const auto& [ticket, flight] : run->in_flight) {
+      if (flight.remote_job == 0 || flight.steal_requested) continue;
+      if (now - flight.started_nanos <
+          std::max(min_age, flight.steal_min_nanos)) {
         continue;
       }
+      if (victim == nullptr || flight.started_nanos < victim->started_nanos) {
+        victim = &flight;
+        victim_ticket = ticket;
+      }
+    }
+    if (victim != nullptr) {
+      run->in_flight[victim_ticket].steal_requested = true;
+      const std::string victim_endpoint = victim->endpoint;
+      const uint64_t victim_job = victim->remote_job;
+      lock.unlock();
+      Status stopped = SendShardStop(victim_endpoint, victim_job,
+                                     run->options.io_timeout_seconds);
+      lock.lock();
+      if (!stopped.ok()) {
+        // The victim may have finished or died; either way its lane
+        // settles the chunk. Allow future steal attempts on it.
+        auto it = run->in_flight.find(victim_ticket);
+        if (it != run->in_flight.end()) {
+          it->second.steal_requested = false;
+        }
+      }
+      continue;
     }
     run->cv.wait_for(lock, std::chrono::milliseconds(20));
   }

@@ -1,8 +1,8 @@
-// Coordinator: the scheduling brain of the coordinator daemon
-// (`kplex_cli coordinate`, sharded mining v2). Where the v1
-// ShardCoordinator is a one-shot client — W equal ranges, one per
-// lane, merge, exit — this class is a long-lived service that owns a
-// WorkerPool and runs submitted mines as *two-level chunked* work:
+// Coordinator: the one scheduler of sharded mining. The coordinator
+// daemon (`kplex_cli coordinate`) keeps one alive as a service;
+// `kplex_cli mine --endpoints` runs one in process for a single job
+// (add the endpoints, submit, wait, stop). It owns a WorkerPool and
+// runs submitted mines as *two-level chunked* work:
 //
 //  1. Plan. A `plan` probe against one worker returns the seed-space
 //     size, the admission content hash, and per-seed cost signals
@@ -67,13 +67,20 @@ struct CoordinatorOptions {
   /// Per-socket-operation timeout for lane connections, seconds
   /// (0 = none; a hung worker then pins its lane until it answers).
   double io_timeout_seconds = 0;
-  /// Work-stealing. Off, a drained queue just waits for in-flight
-  /// chunks to finish (v1 behavior with better planning).
-  bool enable_stealing = true;
   /// A chunk younger than this is never stolen — it is about to finish
   /// anyway, and the steal round trip would cost more than it saves.
   double steal_min_seconds = 0.02;
 };
+
+/// Checks that `query` is one a coordinated mine can answer exactly.
+/// Coordinated mines are count-exact by construction (the merge algebra
+/// needs every chunk's complete result set), so options that truncate
+/// or reshape the served set — max-results, results=stream, filters,
+/// top=K, mode=maximum, cursors — are rejected with a structured
+/// InvalidArgument explaining the incompatibility, as is the fp
+/// baseline (no seed ranges). Exposed so the CLI can surface the
+/// explanation before opening any connection.
+Status ValidateCoordinatedQuery(const QueryRequest& query);
 
 /// Terminal record of one chunk assignment that merged.
 struct CoordChunkOutcome {
@@ -123,8 +130,8 @@ class Coordinator {
   std::vector<WorkerRecord> Workers() const;
 
   /// Enqueues one coordinated mine; returns its job id. The query is
-  /// validated like v1 (ValidateCoordinatedQuery) and must not carry
-  /// its own seed range — the coordinator owns the split.
+  /// validated (ValidateCoordinatedQuery) and must not carry its own
+  /// seed range — the coordinator owns the split.
   StatusOr<uint64_t> Submit(const QueryRequest& query);
 
   /// Blocks until the job is terminal; NotFound for unknown ids.

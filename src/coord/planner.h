@@ -1,11 +1,11 @@
-// Chunk planner of the coordinator daemon (sharded mining v2). The v1
-// client splits the seed space into W equal index ranges — fine when
-// per-seed work is uniform, terrible on skewed graphs where one hub
-// seed costs 100x its neighbors. The v2 planner instead cuts the space
-// into *many more chunks than workers* (so the queue itself absorbs
-// skew) and sizes each cut by estimated cost, not seed count, using
-// the `plan` probe's per-seed signals (core/seed_plan.h: forward
-// degree and coreness in the canonical order).
+// Chunk planner of the coordinator. Splitting the seed space into W
+// equal index ranges is fine when per-seed work is uniform, terrible on
+// skewed graphs where one hub seed costs 100x its neighbors. The
+// planner instead cuts the space into *many more chunks than workers*
+// (so the queue itself absorbs skew) and sizes each cut by estimated
+// cost, not seed count, using the `plan` probe's per-seed signals
+// (core/seed_plan.h: forward degree and coreness in the canonical
+// order).
 //
 // Correctness does not depend on the estimates: any set of chunks that
 // partitions [0, total_seeds) merges to the exact single-run

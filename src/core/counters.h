@@ -26,6 +26,8 @@ struct AlgoCounters {
   uint64_t orderings_precomputed = 0;  ///< seed orderings restricted from
                                        ///< a stored degeneracy order
 
+  bool operator==(const AlgoCounters&) const = default;
+
   void MergeFrom(const AlgoCounters& o) {
     seed_graphs += o.seed_graphs;
     seed_vertices_pruned += o.seed_vertices_pruned;

@@ -108,7 +108,7 @@ struct EnumOptions {
   /// may be shared by many concurrent runs.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Cooperative yield hook (sharded mining v2 work-stealing): when
+  /// Cooperative yield hook (coordinator work-stealing): when
   /// non-null, the *sequential* driver checks the flag at every seed
   /// boundary and, once set, stops cleanly before the next seed. Unlike
   /// cancel, a yielded run is a complete answer for the seeds it did

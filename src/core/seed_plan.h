@@ -1,4 +1,4 @@
-// Seed-plan probe: the planning half of sharded mining v2. A
+// Seed-plan probe: the planning half of coordinated mining. A
 // coordinator that wants cost-balanced chunks needs per-seed cost
 // signals *without* enumerating anything. ComputeSeedPlan runs only the
 // shared reduction front half (core/reduction.h — (q-k)-core or CTCP

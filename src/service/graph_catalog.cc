@@ -190,6 +190,30 @@ StatusOr<CatalogGraph> GraphCatalog::GetFull(const std::string& name) {
   return MaterializeWithLock(lock, name);
 }
 
+StatusOr<CatalogGraph> GraphCatalog::GetWithSections(
+    const std::string& name) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto full = MaterializeWithLock(lock, name);
+  if (!full.ok() || full->precompute != nullptr) return full;
+  // Compute outside the lock under the loading latch: a concurrent
+  // request for this graph waits in MaterializeWithLock and then finds
+  // the sections attached, and nothing can evict the entry meanwhile.
+  entries_.at(name).loading = true;
+  lock.unlock();
+  auto sections = std::make_shared<const GraphPrecompute>(
+      ComputeGraphPrecompute(*full->graph, {}));
+  lock.lock();
+  Entry& entry = entries_.at(name);
+  entry.loading = false;
+  load_cv_.notify_all();
+  entry.precompute = sections;
+  entry.memory_bytes += sections->MemoryBytes();
+  resident_bytes_ += sections->MemoryBytes();
+  OwnedBytesGauge().Set(static_cast<int64_t>(resident_bytes_));
+  EvictOverBudget(name);
+  return CatalogGraph{entry.graph, entry.precompute};
+}
+
 StatusOr<std::string> GraphCatalog::PrecomputeTag(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -253,6 +277,7 @@ void GraphCatalog::EvictOverBudget(const std::string& keep) {
       if (*it == keep) continue;
       const Entry& entry = entries_.at(*it);
       if (entry.kind == SourceKind::kPinned) continue;
+      if (entry.loading) continue;  // its sections are being computed
       if (entry.memory_bytes == 0) continue;  // evicting frees nothing
       victim = &*it;
       break;

@@ -8,7 +8,8 @@
 //
 // Memory accounting distinguishes two kinds of resident bytes:
 //  - owned bytes: private heap (parsed edge lists, legacy snapshots,
-//    in-process-computed precompute). These count against the budget.
+//    sections computed in process by GetWithSections). These count
+//    against the budget.
 //  - mapped bytes: mmap'ed v2 snapshot pages served zero-copy — the
 //    CSR and any precompute sections, which are views into the same
 //    whole-file mapping and count here, not as owned heap. The
@@ -105,6 +106,16 @@ class GraphCatalog {
   /// precompute when the source has none).
   StatusOr<CatalogGraph> GetFull(const std::string& name);
 
+  /// GetFull for coordinator traffic (a `plan` probe or a seed-ranged
+  /// chunk), which runs the reduction once per request: when the source
+  /// carries no sections, the first such request computes the order and
+  /// coreness sections (ComputeGraphPrecompute) and the entry keeps
+  /// them, so every later chunk skips the full-graph reduction.
+  /// Concurrent first requests compute once (the loading latch). The
+  /// sections count as owned bytes and go with the resident copy on
+  /// eviction; PrecomputeTag keeps reporting what the source carried.
+  StatusOr<CatalogGraph> GetWithSections(const std::string& name);
+
   /// Precompute availability tag for the signature of queries against
   /// `name` ("unknown" until the first materialization, then sticky —
   /// eviction does not reset it). NotFound for unknown names.
@@ -161,9 +172,10 @@ class GraphCatalog {
     uint64_t loads = 0;
     double last_load_seconds = 0;
     uint64_t sequence = 0;  // registration order for Entries()
-    // Loading latch: true while one thread materializes this entry
-    // outside the lock. Other Gets wait on load_cv_; mutators (Evict,
-    // Unregister) wait too, so the entry cannot vanish mid-load.
+    // Loading latch: true while one thread materializes this entry (or
+    // computes its sections) outside the lock. Other Gets wait on
+    // load_cv_; mutators (Evict, Unregister, budget eviction) wait or
+    // skip, so the entry cannot vanish mid-load.
     bool loading = false;
   };
 

@@ -69,8 +69,7 @@ namespace kplex {
 /// v6 added the durable result-store verbs (store / store evict).
 inline constexpr uint32_t kProtocolVersion = 6;
 
-/// First protocol version that speaks mineshard/shard_result; what a
-/// shard coordinator requires its workers to negotiate.
+/// First protocol version that speaks mineshard/shard_result.
 inline constexpr uint32_t kProtocolVersionSharding = 2;
 
 /// First protocol version that streams result bodies and understands
@@ -80,7 +79,7 @@ inline constexpr uint32_t kProtocolVersionStreaming = 4;
 
 /// First protocol version with the coordination vocabulary (plan /
 /// shardsubmit / shardwait / shardstop and the worker-lifecycle verbs);
-/// what the v2 coordinator daemon requires its workers to negotiate.
+/// what the coordinator requires its workers to negotiate.
 inline constexpr uint32_t kProtocolVersionCoordination = 5;
 
 /// First protocol version with the durable result-store verbs (store /

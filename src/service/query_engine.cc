@@ -381,13 +381,24 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
           "already positions the seed space)");
     }
   }
+  if (request.HasSeedRange() && request.algo == QueryAlgo::kFp) {
+    // The fp baseline has its own search order; a range over the
+    // canonical degeneracy seed order means nothing to it.
+    return Status::InvalidArgument(
+        "the fp baseline does not support seed ranges");
+  }
   StatusOr<CatalogGraph> resolved = Status::Internal("unreachable");
   {
     // Usually resident (the signature resolution above materialized
-    // it), in which case this records a near-zero span.
+    // it), in which case this records a near-zero span. A seed-ranged
+    // query is one chunk of a coordinated mine: it asks for sections so
+    // the worker reduces the graph once, not once per chunk (ctcp is a
+    // different reduction and cannot use them).
     TraceSpan load_span(trace_id, "catalog_load", &CatalogLoadSeconds());
     load_span.AddAttr("graph", request.graph);
-    resolved = catalog_.GetFull(request.graph);
+    resolved = request.HasSeedRange() && !request.use_ctcp
+                   ? catalog_.GetWithSections(request.graph)
+                   : catalog_.GetFull(request.graph);
   }
   if (!resolved.ok()) return resolved.status();
   const std::shared_ptr<const Graph>& graph = resolved->graph;
@@ -452,12 +463,6 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
   options.precompute = precompute.get();
   options.seed_range.begin = request.seed_begin;
   options.seed_range.end = request.seed_end;
-  if (request.HasSeedRange() && request.algo == QueryAlgo::kFp) {
-    // The fp driver has its own search order; a range over the
-    // canonical degeneracy seed order means nothing to it.
-    return Status::InvalidArgument(
-        "the fp baseline does not support seed ranges");
-  }
 
   // Cursor resume: restart at the cursor's seed, drop the emissions a
   // previous page already delivered, and lift the cap by the same

@@ -212,7 +212,7 @@ ResponsePayload ServiceApi::Handle(const PlanRequest& plan) {
         "plan does not support ctcp (its seed order differs from the "
         "core ordering); probe with an empty-range mineshard instead")};
   }
-  auto resolved = catalog_.GetFull(plan.graph);
+  auto resolved = catalog_.GetWithSections(plan.graph);
   if (!resolved.ok()) return ErrorResponse{resolved.status()};
   auto hash = catalog_.ContentHash(plan.graph);
   if (!hash.ok()) return ErrorResponse{hash.status()};

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "service/protocol.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define KPLEX_TCP_CLIENT_SOCKETS 1
 #include <arpa/inet.h>
@@ -177,5 +179,75 @@ StatusOr<std::string> TcpClient::ReadLine() {
 }
 
 #endif  // KPLEX_TCP_CLIENT_SOCKETS
+
+Status SplitEndpoint(const std::string& endpoint, std::string* host,
+                     uint16_t* port) {
+  const std::size_t colon = endpoint.rfind(':');
+  Status malformed = Status::InvalidArgument(
+      "endpoint must be host:port (port 1..65535), got '" + endpoint + "'");
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 >= endpoint.size()) {
+    return malformed;
+  }
+  uint32_t parsed = 0;
+  for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
+    const char c = endpoint[i];
+    if (c < '0' || c > '9') return malformed;
+    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
+    if (parsed > 65535) return malformed;  // also stops overflow
+  }
+  if (parsed < 1) return malformed;
+  *host = endpoint.substr(0, colon);
+  *port = static_cast<uint16_t>(parsed);
+  return Status::Ok();
+}
+
+StatusOr<std::vector<std::string>> ParseEndpointList(
+    const std::string& list) {
+  std::vector<std::string> endpoints;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    const std::string token =
+        list.substr(start, comma == std::string::npos ? std::string::npos
+                                                      : comma - start);
+    if (!token.empty()) {
+      std::string host;
+      uint16_t port = 0;
+      KPLEX_RETURN_IF_ERROR(SplitEndpoint(token, &host, &port));
+      endpoints.push_back(token);
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  if (endpoints.empty()) {
+    return Status::InvalidArgument("endpoint list is empty");
+  }
+  return endpoints;
+}
+
+Status ConnectFramed(TcpClient& client, const std::string& endpoint,
+                     double timeout_seconds, uint32_t min_version,
+                     const std::string& feature) {
+  std::string host;
+  uint16_t port = 0;
+  KPLEX_RETURN_IF_ERROR(SplitEndpoint(endpoint, &host, &port));
+  KPLEX_RETURN_IF_ERROR(client.Connect(host, port, timeout_seconds));
+  // The session starts in text mode; the handshake line is text, the
+  // response already framed.
+  KPLEX_RETURN_IF_ERROR(client.SendLine(
+      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed"));
+  auto hello = client.ReadLine();
+  if (!hello.ok()) return hello.status();
+  auto version = ParseFramedHelloVersion(*hello);
+  if (!version.ok()) return version.status();
+  if (*version < min_version) {
+    return Status::FailedPrecondition(
+        endpoint + " negotiated protocol v" + std::to_string(*version) +
+        " but " + feature + " needs v" + std::to_string(min_version) +
+        " (upgrade it)");
+  }
+  return Status::Ok();
+}
 
 }  // namespace kplex

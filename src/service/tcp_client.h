@@ -1,11 +1,15 @@
 // TcpClient: the client half of the service's TCP plumbing — a
 // blocking, line-oriented connection to a `serve --listen` process.
-// The shard coordinator runs one per worker endpoint; tests and tools
-// can use it to script a server. Deliberately minimal: connect, send a
-// line, read a line. An optional timeout guards both directions so a
-// hung worker can surface as a structured error instead of a stuck
-// coordinator (timeouts report TIMED_OUT, disconnects IO_ERROR — the
-// coordinator retries the shard elsewhere either way).
+// The coordinator runs one per worker lane; the CLI's remote commands
+// and tests use it to script a server. Deliberately minimal: connect,
+// send a line, read a line. An optional timeout guards both directions
+// so a hung worker can surface as a structured error instead of a
+// stuck coordinator (timeouts report TIMED_OUT, disconnects IO_ERROR —
+// the coordinator requeues the chunk elsewhere either way).
+//
+// Beside the class live the one "host:port" grammar every remote
+// command shares (SplitEndpoint / ParseEndpointList) and the one framed
+// handshake (ConnectFramed).
 //
 // POSIX sockets only, like TcpServer; Connect reports Unimplemented on
 // other platforms. Not thread-safe: one thread drives one client.
@@ -16,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "util/status.h"
 
@@ -62,6 +67,23 @@ class TcpClient {
   /// stay single-threaded).
   std::mutex fd_mutex_;
 };
+
+/// Splits "host:port" with a port in 1..65535; InvalidArgument names
+/// the malformed endpoint.
+Status SplitEndpoint(const std::string& endpoint, std::string* host,
+                     uint16_t* port);
+
+/// Splits "host:port,host:port,..." into endpoint strings, validating
+/// each (empty items are skipped; an empty list is an error).
+StatusOr<std::vector<std::string>> ParseEndpointList(const std::string& list);
+
+/// Connects `client` to `endpoint`, switches the session to the framed
+/// wire with `hello`, and refuses (FAILED_PRECONDITION) a server that
+/// negotiates a protocol below `min_version`; `feature` names what
+/// needs it in that refusal.
+Status ConnectFramed(TcpClient& client, const std::string& endpoint,
+                     double timeout_seconds, uint32_t min_version,
+                     const std::string& feature);
 
 }  // namespace kplex
 

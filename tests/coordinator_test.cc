@@ -1,10 +1,12 @@
-// End-to-end tests of the coordinator daemon (src/coord/): a
-// coordinated chunked mine over in-process TCP workers must reproduce
-// a single-process run bit-exactly; a cost-skewed seed space triggers
+// End-to-end tests of the coordinator (src/coord/): a coordinated
+// chunked mine over in-process TCP workers must reproduce a
+// single-process run bit-exactly; a cost-skewed seed space triggers
 // work-stealing whose merged prefix + requeued tail stays exact; a
-// worker killed mid-chunk is requeued on the survivor; a worker that
-// registers mid-job joins it; and the CoordSession speaks the daemon
-// verbs over a real socket.
+// worker killed mid-chunk is requeued on the survivor, and a lone
+// worker's death fails the job; a timed-out chunk or a worker holding
+// different bytes never merges; a worker that registers mid-job joins
+// it; a repeated endpoint is one worker; and the CoordSession speaks
+// the daemon verbs over a real socket.
 
 #include "coord/coordinator.h"
 
@@ -85,6 +87,34 @@ QueryRequest MakeQuery(uint32_t k, uint32_t q) {
   return query;
 }
 
+/// Submits `query` and blocks until its job is terminal.
+CoordJobInfo SubmitAndWait(Coordinator& coordinator,
+                           const QueryRequest& query) {
+  auto id = coordinator.Submit(query);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  if (!id.ok()) return {};
+  auto job = coordinator.Wait(*id);
+  EXPECT_TRUE(job.ok()) << job.status().ToString();
+  return job.ok() ? *job : CoordJobInfo{};
+}
+
+/// Polls `worker` until it runs a real chunk (a non-empty seed range,
+/// not a planning probe); false after two minutes.
+bool WaitForRunningChunk(const Worker& worker) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const JobInfo& job : worker.api->dispatcher().Jobs()) {
+      if (job.state == JobState::kRunning &&
+          job.request.seed_end > job.request.seed_begin) {
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
 /// A seed-cost adversary: a dense Erdos-Renyi block (expensive seeds,
 /// last in degeneracy order) glued to a long 4-regular ring whose seeds
 /// survive the (q-k)-core at q=5 but emit nothing — hundreds of
@@ -107,37 +137,45 @@ Graph BuildSkewedGraph(std::size_t dense, std::size_t ring, uint64_t seed) {
 }
 
 TEST(Coordinator, ChunkedMineMatchesSingleProcessRun) {
-  const Graph graph = GenerateErdosRenyi(220, 0.08, 11);
-  Worker a, b, c;
-  ASSERT_TRUE(a.StartWith("g", graph).ok());
-  ASSERT_TRUE(b.StartWith("g", graph).ok());
-  ASSERT_TRUE(c.StartWith("g", graph).ok());
-  const Reference reference = FullRun(graph, 2, 5);
+  // Two inputs, an Erdos-Renyi and a Barabasi-Albert graph, mined at
+  // different (k, q).
+  const struct {
+    Graph graph;
+    uint32_t k, q;
+  } datasets[] = {
+      {GenerateErdosRenyi(220, 0.08, 11), 2, 5},
+      {GenerateBarabasiAlbert(300, 8, 7), 2, 6},
+  };
+  for (const auto& dataset : datasets) {
+    Worker a, b, c;
+    ASSERT_TRUE(a.StartWith("g", dataset.graph).ok());
+    ASSERT_TRUE(b.StartWith("g", dataset.graph).ok());
+    ASSERT_TRUE(c.StartWith("g", dataset.graph).ok());
+    const Reference reference = FullRun(dataset.graph, dataset.k, dataset.q);
 
-  Coordinator coordinator;
-  ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
-  ASSERT_TRUE(coordinator.AddWorker(b.endpoint()).ok());
-  ASSERT_TRUE(coordinator.AddWorker(c.endpoint()).ok());
+    Coordinator coordinator;
+    ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
+    ASSERT_TRUE(coordinator.AddWorker(b.endpoint()).ok());
+    ASSERT_TRUE(coordinator.AddWorker(c.endpoint()).ok());
 
-  auto id = coordinator.Submit(MakeQuery(2, 5));
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  auto job = coordinator.Wait(*id);
-  ASSERT_TRUE(job.ok()) << job.status().ToString();
-  ASSERT_EQ(job->state, "done") << job->status.ToString();
-  EXPECT_EQ(job->num_plexes, reference.count);
-  EXPECT_EQ(job->fingerprint, reference.fingerprint);
-  EXPECT_EQ(job->max_plex_size, reference.max_size);
-  EXPECT_TRUE(job->cost_planned);
-  EXPECT_NE(job->content_hash, 0u);
-  // Two-level scheduling: many more chunks than workers.
-  EXPECT_GT(job->chunks, 3u);
-  EXPECT_EQ(job->requeues, 0u);
-  // The merged outcomes partition implies the counts add up.
-  uint64_t outcome_sum = 0;
-  for (const CoordChunkOutcome& outcome : job->outcomes) {
-    outcome_sum += outcome.plexes;
+    const CoordJobInfo job =
+        SubmitAndWait(coordinator, MakeQuery(dataset.k, dataset.q));
+    ASSERT_EQ(job.state, "done") << job.status.ToString();
+    EXPECT_EQ(job.num_plexes, reference.count);
+    EXPECT_EQ(job.fingerprint, reference.fingerprint);
+    EXPECT_EQ(job.max_plex_size, reference.max_size);
+    EXPECT_TRUE(job.cost_planned);
+    EXPECT_NE(job.content_hash, 0u);
+    // Two-level scheduling: many more chunks than workers.
+    EXPECT_GT(job.chunks, 3u);
+    EXPECT_EQ(job.requeues, 0u);
+    // The merged outcomes partition implies the counts add up.
+    uint64_t outcome_sum = 0;
+    for (const CoordChunkOutcome& outcome : job.outcomes) {
+      outcome_sum += outcome.plexes;
+    }
+    EXPECT_EQ(outcome_sum, reference.count);
   }
-  EXPECT_EQ(outcome_sum, reference.count);
 }
 
 TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
@@ -181,6 +219,43 @@ TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
   EXPECT_TRUE(saw_yielded_outcome);
 }
 
+TEST(Coordinator, StealsLandingInTheReductionStillFinish) {
+  // Every chunk of a ctcp mine re-runs the CTCP reduction, which on a
+  // long ring outlasts a steal round trip. A steal that lands there
+  // covers no seed; stealing that range again would repeat it forever.
+  const Graph graph = BuildSkewedGraph(95, 100000, 17);
+  const Reference reference = FullRun(graph, 2, 5);
+  Worker a, b, c, d;
+  for (Worker* worker : {&a, &b, &c, &d}) {
+    ASSERT_TRUE(worker->StartWith("g", graph).ok());
+  }
+  CoordinatorOptions options;
+  options.chunks_per_worker = 2;
+  options.steal_min_seconds = 0.0;
+  Coordinator coordinator(options);
+  for (Worker* worker : {&a, &b, &c, &d}) {
+    ASSERT_TRUE(coordinator.AddWorker(worker->endpoint()).ok());
+  }
+  QueryRequest query = MakeQuery(2, 5);
+  query.use_ctcp = true;
+  auto id = coordinator.Submit(query);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  // The livelock shows as a job still running after two minutes; Stop
+  // then fails it, so the test reports instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (coordinator.Jobs().front().state == "running" ||
+         coordinator.Jobs().front().state == "queued") {
+    if (std::chrono::steady_clock::now() > deadline) coordinator.Stop();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  auto job = coordinator.Wait(*id);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_EQ(job->state, "done") << job->status.ToString();
+  EXPECT_EQ(job->num_plexes, reference.count);
+  EXPECT_EQ(job->fingerprint, reference.fingerprint);
+}
+
 TEST(Coordinator, KilledWorkerMidChunkRequeuesOnTheSurvivor) {
   // Slow enough (~2.5s single-threaded) that worker B is mid-chunk
   // when killed. Stop() closes B's sockets before cancelling its jobs,
@@ -202,18 +277,7 @@ TEST(Coordinator, KilledWorkerMidChunkRequeuesOnTheSurvivor) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   // Kill B once it is running a real chunk (not the admission probe).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  bool b_running_chunk = false;
-  while (!b_running_chunk && std::chrono::steady_clock::now() < deadline) {
-    for (const JobInfo& job : b.api->dispatcher().Jobs()) {
-      b_running_chunk =
-          b_running_chunk || (job.state == JobState::kRunning &&
-                              job.request.seed_end > job.request.seed_begin);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(b_running_chunk) << "worker B never picked up a chunk";
+  ASSERT_TRUE(WaitForRunningChunk(b)) << "worker B never picked up a chunk";
   b.server->Stop();
 
   auto job = coordinator.Wait(*id);
@@ -246,18 +310,7 @@ TEST(Coordinator, LateRegisteredWorkerJoinsTheRunningJob) {
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   // Register B once A is actually mining, so B provably joins late.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  bool a_running_chunk = false;
-  while (!a_running_chunk && std::chrono::steady_clock::now() < deadline) {
-    for (const JobInfo& job : a.api->dispatcher().Jobs()) {
-      a_running_chunk =
-          a_running_chunk || (job.state == JobState::kRunning &&
-                              job.request.seed_end > job.request.seed_begin);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(a_running_chunk) << "worker A never picked up a chunk";
+  ASSERT_TRUE(WaitForRunningChunk(a)) << "worker A never picked up a chunk";
   ASSERT_TRUE(coordinator.AddWorker(b.endpoint()).ok());
 
   auto job = coordinator.Wait(*id);
@@ -272,6 +325,127 @@ TEST(Coordinator, LateRegisteredWorkerJoinsTheRunningJob) {
     b_participated = b_participated || outcome.endpoint == b.endpoint();
   }
   EXPECT_TRUE(b_participated);
+}
+
+TEST(Coordinator, LoneWorkerKilledMidChunkFailsWithIoError) {
+  // With one worker, a transport failure leaves its requeued chunk no
+  // lane to run on: the job fails with IO_ERROR instead of waiting.
+  Graph graph = GenerateBarabasiAlbert(1000, 12, 9);
+  Worker solo;
+  ASSERT_TRUE(solo.StartWith("g", graph).ok());
+  Coordinator coordinator;
+  ASSERT_TRUE(coordinator.AddWorker(solo.endpoint()).ok());
+
+  auto id = coordinator.Submit(MakeQuery(3, 6));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(WaitForRunningChunk(solo)) << "the worker never ran a chunk";
+  solo.server->Stop();
+
+  auto job = coordinator.Wait(*id);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(job->state, "failed");
+  EXPECT_EQ(job->status.code(), StatusCode::kIoError)
+      << job->status.ToString();
+}
+
+TEST(Coordinator, TimedOutChunkNeverEntersTheMerge) {
+  // A chunk cut short by the time limit is a partial answer: the job
+  // fails and reports no merged total.
+  Worker a;
+  ASSERT_TRUE(a.StartWith("g", GenerateErdosRenyi(220, 0.08, 11)).ok());
+  Coordinator coordinator;
+  ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
+
+  QueryRequest query = MakeQuery(2, 4);
+  query.time_limit_seconds = 1e-9;  // trips after the first seed
+  const CoordJobInfo job = SubmitAndWait(coordinator, query);
+  EXPECT_EQ(job.state, "failed");
+  EXPECT_EQ(job.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(job.status.message().find("not a complete answer"),
+            std::string::npos)
+      << job.status.ToString();
+  EXPECT_NE(job.status.message().find("time limit hit"), std::string::npos)
+      << job.status.ToString();
+  EXPECT_EQ(job.num_plexes, 0u);
+  EXPECT_EQ(job.fingerprint, 0u);
+  EXPECT_TRUE(job.outcomes.empty());
+}
+
+TEST(Coordinator, MismatchedWorkerNeverMergesAChunk) {
+  // B holds different bytes under the same name. The probe runs on the
+  // first-registered worker, so A's hash is the admission hash: B's
+  // chunks are refused and requeued, B is retired, and the answer is
+  // exactly A's single-process run.
+  const Graph graph = GenerateBarabasiAlbert(1000, 12, 9);
+  Worker a, b;
+  ASSERT_TRUE(a.StartWith("g", graph).ok());
+  ASSERT_TRUE(b.StartWith("g", GenerateBarabasiAlbert(1000, 12, 10)).ok());
+  const Reference reference = FullRun(graph, 2, 6);
+
+  Coordinator coordinator;
+  ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
+  ASSERT_TRUE(coordinator.AddWorker(b.endpoint()).ok());
+  const CoordJobInfo job = SubmitAndWait(coordinator, MakeQuery(2, 6));
+  ASSERT_EQ(job.state, "done") << job.status.ToString();
+  EXPECT_EQ(job.num_plexes, reference.count);
+  EXPECT_EQ(job.fingerprint, reference.fingerprint);
+  EXPECT_EQ(job.max_plex_size, reference.max_size);
+  for (const CoordChunkOutcome& outcome : job.outcomes) {
+    EXPECT_EQ(outcome.endpoint, a.endpoint());
+  }
+  EXPECT_GE(job.requeues, 1u);
+  EXPECT_EQ(coordinator.Workers()[1].state, WorkerState::kDead);
+}
+
+TEST(Coordinator, UnknownGraphFailsWithNotFound) {
+  Worker a;
+  ASSERT_TRUE(a.StartWith("g", GenerateErdosRenyi(100, 0.1, 3)).ok());
+  Coordinator coordinator;
+  ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
+  QueryRequest query = MakeQuery(2, 5);
+  query.graph = "nope";
+  const CoordJobInfo job = SubmitAndWait(coordinator, query);
+  EXPECT_EQ(job.state, "failed");
+  EXPECT_EQ(job.status.code(), StatusCode::kNotFound)
+      << job.status.ToString();
+}
+
+TEST(Coordinator, UnreachableLoneWorkerIsAnIoError) {
+  Coordinator coordinator;
+  // Port 1 on loopback: reliably refused.
+  ASSERT_TRUE(coordinator.AddWorker("127.0.0.1:1").ok());
+  const CoordJobInfo job = SubmitAndWait(coordinator, MakeQuery(2, 5));
+  EXPECT_EQ(job.state, "failed");
+  EXPECT_EQ(job.status.code(), StatusCode::kIoError)
+      << job.status.ToString();
+}
+
+TEST(Coordinator, FpBaselineIsRejectedAtSubmit) {
+  Coordinator coordinator;
+  QueryRequest query = MakeQuery(2, 5);
+  query.algo = QueryAlgo::kFp;
+  EXPECT_EQ(coordinator.Submit(query).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Coordinator, RepeatedEndpointIsOneWorkerAndStaysExact) {
+  Graph graph = GenerateErdosRenyi(220, 0.08, 29);
+  Worker solo(/*dispatcher_workers=*/4);
+  ASSERT_TRUE(solo.StartWith("g", graph).ok());
+  const Reference reference = FullRun(graph, 2, 4);
+
+  Coordinator coordinator;
+  auto first = coordinator.AddWorker(solo.endpoint());
+  auto second = coordinator.AddWorker(solo.endpoint());
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ(coordinator.Workers().size(), 1u);
+
+  const CoordJobInfo job = SubmitAndWait(coordinator, MakeQuery(2, 4));
+  ASSERT_EQ(job.state, "done") << job.status.ToString();
+  EXPECT_EQ(job.num_plexes, reference.count);
+  EXPECT_EQ(job.fingerprint, reference.fingerprint);
+  EXPECT_EQ(job.max_plex_size, reference.max_size);
 }
 
 TEST(Coordinator, StructuralRefusals) {

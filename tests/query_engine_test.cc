@@ -1,8 +1,9 @@
 // Unit tests for the QueryEngine: cache hits/misses, canonical
 // signatures, correctness of cached answers against a direct engine
-// run, cancellation semantics, cache invalidation, and the durable
-// result store tier (disk hits, persistence gating, cross-engine
-// sharing).
+// run, cancellation semantics, cache invalidation, the one reduction
+// per worker graph that seed-ranged (coordinator) queries share, and
+// the durable result store tier (disk hits, persistence gating,
+// cross-engine sharing).
 
 #include "service/query_engine.h"
 
@@ -17,7 +18,9 @@
 
 #include "core/enumerator.h"
 #include "core/sink.h"
+#include "graph/edge_list_io.h"
 #include "graph/generators.h"
+#include "graph/precompute.h"
 #include "obs/metrics.h"
 #include "service/graph_catalog.h"
 #include "store/result_store.h"
@@ -458,6 +461,110 @@ TEST(QueryEngine, UnknownGraphAndBadOptionsPropagate) {
   request.q = 2;  // violates q >= 2k - 1
   EXPECT_EQ(engine.Run(request).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+QueryRequest RangedQuery(uint32_t begin, uint32_t end) {
+  QueryRequest request;
+  request.graph = "g";
+  request.k = 2;
+  request.q = 5;
+  request.seed_begin = begin;
+  request.seed_end = end;
+  return request;
+}
+
+TEST(QueryEngine, SeedRangedQueriesReduceTheGraphOnce) {
+  // Seed-ranged queries are coordinator chunks. On a graph whose source
+  // carries no sections, the first one computes order + coreness
+  // sections, and every later chunk serves its reduction from them.
+  const Graph graph = TestGraph();
+  const std::size_t section_bytes =
+      ComputeGraphPrecompute(graph, {}).MemoryBytes();
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.RegisterGraph("g", graph).ok());
+  const std::size_t graph_bytes = catalog.ResidentBytes();
+  QueryEngine engine(catalog, /*cache_capacity=*/0);
+
+  // A whole-graph query computes nothing, and neither does a ctcp
+  // chunk (CTCP is a different reduction and cannot use the sections).
+  auto whole = engine.Run(RangedQuery(0, UINT32_MAX));
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_FALSE(whole->reduction_precomputed);
+  QueryRequest ctcp = RangedQuery(0, 10);
+  ctcp.use_ctcp = true;
+  ASSERT_TRUE(engine.Run(ctcp).ok());
+  EXPECT_EQ(catalog.ResidentBytes(), graph_bytes);
+  EXPECT_EQ(catalog.GetFull("g")->precompute, nullptr);
+
+  const uint32_t half = static_cast<uint32_t>(whole->total_seeds / 2);
+  auto low = engine.Run(RangedQuery(0, half));
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  EXPECT_EQ(catalog.ResidentBytes(), graph_bytes + section_bytes);
+  auto high = engine.Run(RangedQuery(half, UINT32_MAX));
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  EXPECT_TRUE(high->reduction_precomputed);
+  EXPECT_EQ(catalog.ResidentBytes(), graph_bytes + section_bytes);
+  // The signature keeps the tag the source carried.
+  EXPECT_EQ(*catalog.PrecomputeTag("g"), "none");
+  EXPECT_NE(high->signature.find("|pre=none"), std::string::npos);
+
+  MergeableResult merged;
+  for (const QueryResult* part : {&*low, &*high}) {
+    EXPECT_EQ(part->total_seeds, whole->total_seeds);
+    merged.Merge({part->num_plexes, part->fingerprint_xor,
+                  part->max_plex_size});
+  }
+  EXPECT_EQ(merged.count, whole->num_plexes);
+  EXPECT_EQ(merged.fingerprint(), whole->fingerprint);
+  EXPECT_EQ(merged.max_plex_size, whole->max_plex_size);
+}
+
+TEST(QueryEngine, EvictedGraphReloadsWithoutSections) {
+  const std::string path = ::testing::TempDir() + "kplex_engine_sections.txt";
+  ASSERT_TRUE(SaveEdgeList(TestGraph(), path).ok());
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
+  QueryEngine engine(catalog, /*cache_capacity=*/0);
+  ASSERT_TRUE(engine.Run(RangedQuery(0, 10)).ok());
+  ASSERT_NE(catalog.GetFull("g")->precompute, nullptr);
+
+  // Eviction drops the sections with the graph; the reload starts over.
+  ASSERT_TRUE(catalog.Evict("g").ok());
+  EXPECT_EQ(catalog.ResidentBytes(), 0u);
+  auto reloaded = catalog.GetFull("g");
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded->precompute, nullptr);
+  EXPECT_EQ(catalog.ResidentBytes(), reloaded->graph->MemoryBytes());
+  auto again = engine.Run(RangedQuery(0, 10));
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->reduction_precomputed);
+  std::remove(path.c_str());
+}
+
+TEST(QueryEngine, ConcurrentFirstChunksAttachSectionsOnce) {
+  // Four chunks race on a graph without sections: one computes them,
+  // the rest wait for it, and the bytes are counted once.
+  const Graph graph = TestGraph();
+  const std::size_t section_bytes =
+      ComputeGraphPrecompute(graph, {}).MemoryBytes();
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.RegisterGraph("g", graph).ok());
+  const std::size_t graph_bytes = catalog.ResidentBytes();
+  QueryEngine engine(catalog, /*cache_capacity=*/0);
+  std::vector<QueryResult> results(4);
+  std::vector<std::thread> threads;
+  for (uint32_t i = 0; i < 4; ++i) {
+    threads.emplace_back([&engine, &results, i] {
+      auto result = engine.Run(RangedQuery(i * 10, (i + 1) * 10));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      results[i] = *std::move(result);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const QueryResult& result : results) {
+    EXPECT_TRUE(result.reduction_precomputed);
+  }
+  EXPECT_EQ(catalog.ResidentBytes(), graph_bytes + section_bytes);
 }
 
 TEST(QueryEngineStore, DiskHitServesFreshEngineWithoutEnumerating) {

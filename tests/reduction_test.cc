@@ -149,9 +149,25 @@ TEST(Reduction, EnumerationResultsIdenticalWithPrecompute) {
     EXPECT_EQ(h1.fingerprint(), h2.fingerprint());
     EXPECT_EQ(fast->counters.core_reductions_precomputed, 1u);
     EXPECT_EQ(fast->counters.orderings_precomputed, 1u);
-    // Identical ordering implies identical traversal: branch counters
-    // agree too.
-    EXPECT_EQ(base->counters.branch_calls, fast->counters.branch_calls);
+    // Identical ordering implies identical traversal: every counter but
+    // the two *_precomputed ones agrees, on the whole seed space and on
+    // each half of it (a coordinator chunk).
+    const uint32_t half = static_cast<uint32_t>(base->total_seeds / 2);
+    for (const SeedRange range :
+         {SeedRange{}, SeedRange{0, half}, SeedRange{half, UINT32_MAX}}) {
+      EnumOptions ranged = plain;
+      ranged.seed_range = range;
+      EnumOptions ranged_pre = with_pre;
+      ranged_pre.seed_range = range;
+      CountingSink c1, c2;
+      auto peeled = EnumerateMaximalKPlexes(graph, ranged, c1);
+      auto served = EnumerateMaximalKPlexes(graph, ranged_pre, c2);
+      ASSERT_TRUE(peeled.ok() && served.ok());
+      AlgoCounters expected = peeled->counters;
+      expected.core_reductions_precomputed = 1;
+      expected.orderings_precomputed = 1;
+      EXPECT_TRUE(served->counters == expected);
+    }
 
     ParallelOptions parallel;
     parallel.num_threads = 4;

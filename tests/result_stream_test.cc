@@ -16,13 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "coord/coordinator.h"
 #include "core/max_kplex.h"
 #include "graph/generators.h"
 #include "service/graph_catalog.h"
 #include "service/protocol.h"
 #include "service/query_engine.h"
 #include "service/service_session.h"
-#include "service/shard_coordinator.h"
 
 namespace kplex {
 namespace {

@@ -3,7 +3,8 @@
 // serial run, the text and framed wires both work over a real socket,
 // a client disconnect mid-job cancels its outstanding work through the
 // per-job cancel flags, connections past the cap are refused with a
-// structured error, and shutdown is graceful even mid-query.
+// structured error, and shutdown is graceful even mid-query. The
+// client side's endpoint-list parser is checked here too.
 
 #include "service/tcp_server.h"
 
@@ -28,9 +29,24 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "service/service_session.h"
+#include "service/tcp_client.h"
 
 namespace kplex {
 namespace {
+
+TEST(ShardEndpoints, ParseEndpointList) {
+  auto two = ParseEndpointList("127.0.0.1:4000,worker-2:5000");
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two->size(), 2u);
+  EXPECT_EQ((*two)[0], "127.0.0.1:4000");
+  EXPECT_FALSE(ParseEndpointList("").ok());
+  EXPECT_FALSE(ParseEndpointList("noport").ok());
+  EXPECT_FALSE(ParseEndpointList("host:").ok());
+  EXPECT_FALSE(ParseEndpointList(":123").ok());
+  EXPECT_FALSE(ParseEndpointList("host:0").ok());
+  EXPECT_FALSE(ParseEndpointList("host:99999").ok());
+  EXPECT_FALSE(ParseEndpointList("ok:1,bad").ok());
+}
 
 #if KPLEX_TEST_SOCKETS
 

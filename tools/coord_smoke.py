@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Coordinator-daemon smoke test (sharded mining v2): boots THREE
-`kplex_cli serve --listen` workers and one `kplex_cli coordinate`
-daemon, runs a coordinated mine through `mine --coordinator`, SIGKILLs
-one worker while its chunk is running, registers a fourth worker
-mid-job through `coordctl`, and asserts the merged result is
-byte-identical to a single-process run.
+"""Coordinator smoke test: boots THREE `kplex_cli serve --listen`
+workers and one `kplex_cli coordinate` daemon, runs a coordinated mine
+through `mine --coordinator`, SIGKILLs one worker while its chunk is
+running, registers a fourth worker mid-job through `coordctl`, and
+asserts the merged result is byte-identical to a single-process run —
+then runs the same mine through `mine --endpoints` (an in-process
+coordinator) over the live workers.
 
 Usage: coord_smoke.py path/to/kplex_cli
 
@@ -18,10 +19,16 @@ Checks (any failure exits non-zero):
   4. `mine --coordinator` still reports exactly the single-process
      count, max size, and fingerprint;
   5. `coordctl workers` shows B dead and D schedulable;
-  6. daemon and surviving workers shut down cleanly on SIGTERM.
+  6. `mine --endpoints A,C,D` reports the same count, max size, and
+     fingerprint;
+  7. `mine` refuses a flag only another mine mode reads: a local mine
+     with --graph/--io-timeout, and `--endpoints` with --store (whose
+     directory must never be created);
+  8. daemon and surviving workers shut down cleanly on SIGTERM.
 """
 
 import json
+import os
 import re
 import signal
 import socket
@@ -133,6 +140,39 @@ def coordctl(cli, daemon_port, *args):
     return json.loads(run.stdout)
 
 
+def parse_verdict(output):
+    match = re.search(
+        r"coordinated mine .*: (\d+) plexes, max size (\d+), "
+        r"fingerprint (0x[0-9a-f]{16})", output)
+    if not match:
+        fail(f"cannot parse coordinated mine output: {output!r}")
+    return (int(match.group(1)), int(match.group(2)), match.group(3))
+
+
+def check_mode_refusals(cli):
+    """A mine mode refuses the flags only another mode reads."""
+    karate = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "data", "karate.txt")
+    local = subprocess.run(
+        [cli, "mine", "--input", karate, "--k", "2", "--q", "6",
+         "--graph", "foo", "--io-timeout", "5"],
+        capture_output=True, text=True, timeout=60)
+    if local.returncode == 0 or "does not apply" not in local.stderr:
+        fail(f"local mine accepted --graph/--io-timeout: "
+             f"{local.stdout!r} {local.stderr!r}")
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        store = os.path.join(tmp_dir, "store")
+        remote = subprocess.run(
+            [cli, "mine", "--endpoints", "127.0.0.1:1", "--graph", GRAPH,
+             "--k", "2", "--q", "6", "--store", store],
+            capture_output=True, text=True, timeout=60)
+        if remote.returncode == 0 or "does not apply" not in remote.stderr:
+            fail(f"mine --endpoints accepted --store: "
+                 f"{remote.stdout!r} {remote.stderr!r}")
+        if os.path.exists(store):
+            fail("mine --endpoints --store created the store directory")
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: coord_smoke.py path/to/kplex_cli")
@@ -186,12 +226,7 @@ def main():
         output = mine.communicate(timeout=600)[0]
         if mine.returncode != 0:
             fail(f"coordinated mine exited {mine.returncode}: {output!r}")
-        match = re.search(
-            r"coordinated mine .*: (\d+) plexes, max size (\d+), "
-            r"fingerprint (0x[0-9a-f]{16})", output)
-        if not match:
-            fail(f"cannot parse coordinated mine output: {output!r}")
-        got = (int(match.group(1)), int(match.group(2)), match.group(3))
+        got = parse_verdict(output)
         if got != (plexes, max_size, fingerprint):
             fail(f"coordinated {got} != single-process "
                  f"({plexes}, {max_size}, {fingerprint})")
@@ -206,6 +241,24 @@ def main():
         if states.get(f"127.0.0.1:{port_d}") not in ("idle", "busy"):
             fail(f"late worker D not schedulable: {states!r}")
         print("coord_smoke: roster shows B dead, D joined")
+
+        endpoints = ",".join(f"127.0.0.1:{port}"
+                             for port in (port_a, port_c, port_d))
+        run = subprocess.run(
+            [cli, "mine", "--endpoints", endpoints, "--graph", GRAPH,
+             "--k", str(K), "--q", str(Q)],
+            capture_output=True, text=True, timeout=600)
+        if run.returncode != 0:
+            fail(f"mine --endpoints exited {run.returncode}: "
+                 f"{run.stdout!r} {run.stderr!r}")
+        got = parse_verdict(run.stdout)
+        if got != (plexes, max_size, fingerprint):
+            fail(f"mine --endpoints {got} != single-process "
+                 f"({plexes}, {max_size}, {fingerprint})")
+        print("coord_smoke: mine --endpoints == single process")
+
+        check_mode_refusals(cli)
+        print("coord_smoke: mine modes refuse each other's flags")
 
         for process in (daemon, a, c, d):
             process.send_signal(signal.SIGTERM)

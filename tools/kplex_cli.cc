@@ -5,7 +5,7 @@
 //             [--max-results N] [--time-limit S] [--ctcp]
 //             [--seed-range B:E]
 //   kplex_cli mine --endpoints host:port,... --graph NAME --k K --q Q
-//             [--shards W] [other mine options]   (coordinated, sharded)
+//             [--io-timeout S] [other mine options]   (coordinated)
 //   kplex_cli max --input G.txt --k 2
 //   kplex_cli report --input G.txt
 //   kplex_cli snapshot --input G.txt --output G.kpx [--precompute]
@@ -14,7 +14,7 @@
 //             [--workers N] [--listen PORT] [--host H] [--max-connections N]
 //   kplex_cli coordinate --listen PORT [--host H]
 //             [--workers host:port,...] [--chunks-per-worker N]
-//             [--io-timeout S] [--no-steal] [--steal-min-ms T]
+//             [--io-timeout S] [--steal-min-ms T]
 //   kplex_cli coordctl HOST:PORT VERB [ARGS...]
 //   kplex_cli datasets
 //
@@ -22,17 +22,15 @@
 // serves the same protocol (docs/SERVE.md) to TCP clients until SIGINT/
 // SIGTERM, running --script first to preload the shared catalog.
 //
-// `mine --endpoints` runs the sharded path (docs/SHARDING.md): the seed
-// space is split into --shards ranges, fanned out as `mineshard`
-// requests over framed TCP connections to the listed `serve --listen`
-// workers (--graph names the graph in *their* catalogs), and the
-// returned shard fingerprints are merged into one verified total.
-// `--seed-range B:E` instead mines one shard locally (manual runs).
+// `mine --endpoints` runs the sharded path (docs/SHARDING.md) in
+// process: a Coordinator over the listed `serve --listen` workers
+// (--graph names the graph in *their* catalogs) plans cost-balanced
+// chunks from a `plan` probe, work-steals stragglers, and merges the
+// chunk fingerprints into one verified total. `--seed-range B:E`
+// instead mines one shard locally (manual runs).
 //
-// `coordinate` is the long-lived version of that coordinator (sharded
-// mining v2, docs/SHARDING.md): a daemon that owns a worker pool,
-// plans cost-balanced chunks from a `plan` probe, and work-steals
-// stragglers. `mine --coordinator H:P` submits a mine to it;
+// `coordinate` keeps that coordinator alive as a daemon that owns a
+// worker pool. `mine --coordinator H:P` submits a mine to it;
 // `coordctl` speaks any single coordinator verb (register, drain,
 // workers, jobs, ...) as one framed round trip.
 //
@@ -78,7 +76,6 @@
 #include "parallel/parallel_enumerator.h"
 #include "service/query_engine.h"
 #include "service/service_session.h"
-#include "service/shard_coordinator.h"
 #include "store/result_store.h"
 #include "service/tcp_client.h"
 #include "service/tcp_server.h"
@@ -93,7 +90,7 @@ int Usage() {
                "usage:\n"
                "  kplex_cli mine --input G.txt --k K --q Q [options]\n"
                "  kplex_cli mine --endpoints host:port,... --graph NAME\n"
-               "            --k K --q Q [--shards W] [options]\n"
+               "            --k K --q Q [--io-timeout S] [options]\n"
                "  kplex_cli max --input G.txt --k K\n"
                "  kplex_cli report --input G.txt\n"
                "  kplex_cli snapshot --input G.txt --output G.kpx\n"
@@ -106,7 +103,7 @@ int Usage() {
                "                  [--store DIR] [--store-budget-mb N]\n"
                "  kplex_cli coordinate --listen PORT [--host H]\n"
                "            [--workers host:port,...] [--chunks-per-worker N]\n"
-               "            [--io-timeout S] [--no-steal] [--steal-min-ms T]\n"
+               "            [--io-timeout S] [--steal-min-ms T]\n"
                "  kplex_cli mine --coordinator host:port --graph NAME\n"
                "            --k K --q Q [mine options]\n"
                "  kplex_cli coordctl HOST:PORT VERB [ARGS...] [--io-timeout S]\n"
@@ -139,13 +136,12 @@ int Usage() {
                "  --store DIR       durable result store: a repeat of the\n"
                "                    same mine (even from a new process) is\n"
                "                    answered from DIR without enumerating\n"
-               "options for sharded mine (--endpoints):\n"
+               "options for coordinated mine (--endpoints, --coordinator):\n"
                "  --graph NAME      graph name in the workers' catalogs\n"
-               "  --shards W        seed ranges to fan out (default 4)\n"
-               "  --max-attempts N  dispatches per shard before giving up\n"
+               "  --threads N       threads per chunk on its worker\n"
                "  --io-timeout S    per-socket-op timeout; a hung worker\n"
-               "                    becomes a retryable failure (default:\n"
-               "                    none — set above the slowest shard)\n"
+               "                    becomes a requeued chunk (default:\n"
+               "                    none — set above the slowest chunk)\n"
                "options for query (protocol v4 selection):\n"
                "  --stream          print every plex body (streamed in\n"
                "                    bounded chunks from a remote worker)\n"
@@ -186,30 +182,14 @@ StatusOr<Graph> LoadInput(const FlagParser& flags) {
   return std::move(loaded->graph);
 }
 
-/// Splits "host:port" with a 1..65535 port (the grammar every remote
-/// command shares).
-StatusOr<std::pair<std::string, uint16_t>> SplitHostPort(
-    const std::string& endpoint) {
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    return Status::InvalidArgument("expected host:port (port 1..65535), "
-                                   "got '" + endpoint + "'");
-  }
-  return std::make_pair(endpoint.substr(0, colon),
-                        static_cast<uint16_t>(port));
+/// Prints `status` to stderr; the exit code of a failed command.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
-/// Builds the QueryRequest of a coordinated mine (v1 --endpoints or v2
-/// --coordinator) from the mine flags. The seed split stays with the
-/// coordinator, so --seed-range and the local-input flags are refused.
+/// Builds the QueryRequest of a coordinated mine (--endpoints or
+/// --coordinator) from the mine flags.
 StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   QueryRequest query;
   query.graph = flags.GetString("graph", "");
@@ -217,13 +197,6 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
     return Status::InvalidArgument(
         "a coordinated mine needs --graph NAME (the graph's name in the "
         "workers' catalogs)");
-  }
-  if (flags.Has("input") || flags.Has("dataset") || flags.Has("output") ||
-      flags.Has("seed-range")) {
-    return Status::InvalidArgument(
-        "--input/--dataset/--output/--seed-range do not apply to a "
-        "coordinated mine (the workers hold the graph; the coordinator "
-        "plans the ranges)");
   }
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
@@ -255,153 +228,103 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   return query;
 }
 
-/// Coordinated sharded mine over TCP workers (docs/SHARDING.md).
-int RunShardedMine(const FlagParser& flags) {
-  ShardCoordinatorOptions options;
-  auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  options.query = *std::move(query);
-  auto endpoints = ParseEndpointList(flags.GetString("endpoints", ""));
-  if (!endpoints.ok()) {
-    std::fprintf(stderr, "%s\n", endpoints.status().ToString().c_str());
-    return 1;
-  }
-  options.endpoints = *std::move(endpoints);
-
-  auto shards = flags.GetInt("shards", 4);
-  auto max_attempts = flags.GetInt("max-attempts", 3);
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  for (const Status& s :
-       {shards.status(), max_attempts.status(), io_timeout.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*shards < 1 || *max_attempts < 1) {
-    std::fprintf(stderr, "--shards and --max-attempts must be >= 1\n");
-    return 1;
-  }
-  options.shards = static_cast<uint32_t>(*shards);
-  options.max_attempts = static_cast<uint32_t>(*max_attempts);
-  if (*io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be >= 0\n");
-    return 1;
-  }
-  options.io_timeout_seconds = *io_timeout;
-
-  auto result = CoordinateShardedMine(options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-
-  TablePrinter table({"shard", "seeds", "worker", "attempts", "plexes",
-                      "seconds"});
-  for (const ShardOutcome& shard : result->shards) {
-    table.AddRow({std::to_string(shard.index),
-                  std::to_string(shard.begin) + ":" +
-                      std::to_string(shard.end),
-                  shard.endpoint, std::to_string(shard.attempts),
-                  FormatCount(shard.plexes), FormatSeconds(shard.seconds)});
-  }
-  table.Print(std::cout);
-  // The merged line is machine-read by tools/shard_smoke.py; keep its
-  // shape stable.
-  std::printf("coordinated mine %s k=%u q=%u: %llu plexes, max size %zu, "
-              "fingerprint 0x%016llx, hash 0x%016llx, %u shards over %zu "
-              "endpoints, %u retries, %.3fs\n",
-              options.query.graph.c_str(), options.query.k, options.query.q,
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<std::size_t>(result->max_plex_size),
-              static_cast<unsigned long long>(result->fingerprint),
-              static_cast<unsigned long long>(result->content_hash),
-              options.shards, options.endpoints.size(), result->retries,
-              result->seconds);
-  return 0;
+/// The verdict line of a coordinated mine, shared by --endpoints and
+/// --coordinator. Machine-read by tools/coord_smoke.py; keep its shape
+/// stable.
+void PrintCoordinatedVerdict(const QueryRequest& query,
+                             const std::string& via, uint64_t plexes,
+                             uint64_t max_size, uint64_t fingerprint,
+                             double seconds) {
+  std::printf("coordinated mine %s k=%u q=%u via %s: %llu plexes, max size "
+              "%llu, fingerprint 0x%016llx, %.3fs\n",
+              query.graph.c_str(), query.k, query.q, via.c_str(),
+              static_cast<unsigned long long>(plexes),
+              static_cast<unsigned long long>(max_size),
+              static_cast<unsigned long long>(fingerprint), seconds);
 }
 
-/// `mine --coordinator H:P`: submit the mine to a coordinator daemon
-/// (docs/SHARDING.md v2) and print its merged verdict. The daemon's
-/// mine verb answers with a plain protocol mine frame, so this is the
-/// remote-mine client pointed at a different server.
-int RunCoordinatorMine(const FlagParser& flags, const std::string& endpoint) {
-  auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
+/// Adds every endpoint of the comma-separated `list` to `coordinator`
+/// (a repeated endpoint is one worker).
+Status AddWorkers(Coordinator& coordinator, const std::string& list) {
+  auto endpoints = ParseEndpointList(list);
+  if (!endpoints.ok()) return endpoints.status();
+  for (const std::string& endpoint : *endpoints) {
+    KPLEX_RETURN_IF_ERROR(coordinator.AddWorker(endpoint).status());
   }
+  return Status::Ok();
+}
+
+/// `mine --endpoints A,B,...`: an in-process Coordinator over the listed
+/// workers (docs/SHARDING.md). Each endpoint becomes one worker (a
+/// repeated endpoint is the same worker); the job runs as cost-planned
+/// chunks with requeue and work stealing, and prints the merged chunk
+/// table plus the verdict `mine --coordinator` prints.
+int RunEndpointsMine(const FlagParser& flags) {
+  auto query = BuildCoordinatedMineQuery(flags);
+  if (!query.ok()) return Fail(query.status());
   auto io_timeout = flags.GetDouble("io-timeout", 0);
   if (!io_timeout.ok() || *io_timeout < 0) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  auto split = SplitHostPort(endpoint);
-  if (!split.ok()) {
-    std::fprintf(stderr, "--coordinator: %s\n",
-                 split.status().ToString().c_str());
-    return 1;
-  }
 
+  CoordinatorOptions options;
+  options.io_timeout_seconds = *io_timeout;
+  Coordinator coordinator(options);
+  const std::string list = flags.GetString("endpoints", "");
+  Status added = AddWorkers(coordinator, list);
+  if (!added.ok()) return Fail(added);
+  auto id = coordinator.Submit(*query);
+  if (!id.ok()) return Fail(id.status());
+  auto job = coordinator.Wait(*id);
+  coordinator.Stop();
+  if (!job.ok()) return Fail(job.status());
+  if (job->state != "done") return Fail(job->status);
+
+  TablePrinter table({"seeds", "worker", "plexes", "seconds", "stolen"});
+  for (const CoordChunkOutcome& chunk : job->outcomes) {
+    table.AddRow({std::to_string(chunk.begin) + ":" +
+                      std::to_string(chunk.end),
+                  chunk.endpoint, FormatCount(chunk.plexes),
+                  FormatSeconds(chunk.seconds), chunk.yielded ? "yes" : "-"});
+  }
+  table.Print(std::cout);
+  PrintCoordinatedVerdict(*query, list, job->num_plexes, job->max_plex_size,
+                          job->fingerprint, job->seconds);
+  return 0;
+}
+
+/// `mine --coordinator H:P`: submit the mine to a coordinator daemon
+/// (docs/SHARDING.md) and print its merged verdict. The daemon's mine
+/// verb answers with a plain protocol mine frame, so this is the
+/// remote-mine client pointed at a different server.
+int RunCoordinatorMine(const FlagParser& flags) {
+  auto query = BuildCoordinatedMineQuery(flags);
+  if (!query.ok()) return Fail(query.status());
+  auto io_timeout = flags.GetDouble("io-timeout", 0);
+  if (!io_timeout.ok() || *io_timeout < 0) {
+    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
+    return 1;
+  }
+  const std::string endpoint = flags.GetString("coordinator", "");
   TcpClient client;
-  Status connected = client.Connect(split->first, split->second, *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionCoordination) {
-    std::fprintf(stderr, "coordinator %s negotiated protocol v%u but "
-                         "coordinated mining needs v%u (upgrade it)\n",
-                 endpoint.c_str(), *version, kProtocolVersionCoordination);
-    return 1;
-  }
+  Status connected =
+      ConnectFramed(client, endpoint, *io_timeout,
+                    kProtocolVersionCoordination, "coordinated mining");
+  if (!connected.ok()) return Fail(connected);
 
   Request request;
   request.id = 2;
   request.payload = MineRequest{*query};
-  sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  Status sent = client.SendLine(FormatFramedRequest(request));
+  if (!sent.ok()) return Fail(sent);
   auto line = client.ReadLine();
-  if (!line.ok()) {
-    std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-    return 1;
-  }
+  if (!line.ok()) return Fail(line.status());
   auto verdict = ParseFramedMineResult(*line);
-  if (!verdict.ok()) {
-    std::fprintf(stderr, "%s\n", verdict.status().ToString().c_str());
-    return 1;
-  }
-  // The merged line is machine-read by tools/coord_smoke.py; keep its
-  // shape stable.
-  std::printf("coordinated mine %s k=%u q=%u via %s: %llu plexes, max size "
-              "%llu, fingerprint 0x%016llx, %.3fs\n",
-              query->graph.c_str(), query->k, query->q, endpoint.c_str(),
-              static_cast<unsigned long long>(verdict->plexes),
-              static_cast<unsigned long long>(verdict->max_size),
-              static_cast<unsigned long long>(verdict->fingerprint),
-              verdict->seconds);
+  if (!verdict.ok()) return Fail(verdict.status());
+  PrintCoordinatedVerdict(*query, endpoint, verdict->plexes,
+                          verdict->max_size, verdict->fingerprint,
+                          verdict->seconds);
   return verdict->state == "done" ? 0 : 1;
 }
 
@@ -413,12 +336,6 @@ int RunCoordinatorMine(const FlagParser& flags, const std::string& endpoint) {
 /// hash* plus the canonical signature, so two invocations share an
 /// entry iff they mined the same bytes with the same parameters.
 int RunStoreMine(const FlagParser& flags) {
-  if (flags.Has("output")) {
-    std::fprintf(stderr, "--output does not combine with --store (the "
-                         "store path reports counts and fingerprints; "
-                         "write bodies with a plain mine)\n");
-    return 1;
-  }
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
   auto threads = flags.GetInt("threads", 0);
@@ -524,17 +441,8 @@ int RunStoreMine(const FlagParser& flags) {
   return result->timed_out || result->cancelled ? 1 : 0;
 }
 
-int RunMine(const FlagParser& flags) {
-  const std::string coordinator = flags.GetString("coordinator", "");
-  if (flags.Has("endpoints") && !coordinator.empty()) {
-    std::fprintf(stderr, "--endpoints (one-shot fan-out) and --coordinator "
-                         "(daemon) are two different coordinators; pick "
-                         "one\n");
-    return 1;
-  }
-  if (!coordinator.empty()) return RunCoordinatorMine(flags, coordinator);
-  if (flags.Has("endpoints")) return RunShardedMine(flags);
-  if (flags.Has("store")) return RunStoreMine(flags);
+/// A plain mine of a local graph file or dataset.
+int RunLocalMine(const FlagParser& flags) {
   auto loaded = LoadInputFull(flags);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -661,6 +569,52 @@ int RunMine(const FlagParser& flags) {
   }
   if (!output.empty()) std::printf("results written to %s\n", output.c_str());
   return 0;
+}
+
+/// Flags every command accepts.
+const std::vector<std::string>& GlobalFlags() {
+  static const std::vector<std::string> flags = {"log-level", "log-json",
+                                                 "trace", "metrics-dump"};
+  return flags;
+}
+
+/// `mine` has four modes. Each refuses the flags only another mode
+/// reads, the way Main refuses another command's flags: a --store on a
+/// coordinated mine, or a --graph on a local one, is a mistake the user
+/// should hear about, not a no-op.
+int RunMine(const FlagParser& flags) {
+  std::vector<std::string> accepted = {"k",           "q",          "algo",
+                                       "threads",     "tau-ms",     "ctcp",
+                                       "max-results", "time-limit"};
+  accepted.insert(accepted.end(), GlobalFlags().begin(), GlobalFlags().end());
+  const char* mode = nullptr;
+  int (*run)(const FlagParser&) = nullptr;
+  if (flags.Has("coordinator")) {
+    mode = "mine --coordinator";
+    accepted.insert(accepted.end(), {"coordinator", "graph", "io-timeout"});
+    run = RunCoordinatorMine;
+  } else if (flags.Has("endpoints")) {
+    mode = "mine --endpoints";
+    accepted.insert(accepted.end(), {"endpoints", "graph", "io-timeout"});
+    run = RunEndpointsMine;
+  } else if (flags.Has("store")) {
+    mode = "mine --store";
+    accepted.insert(accepted.end(), {"store", "store-budget-mb", "input",
+                                     "dataset", "seed-range"});
+    run = RunStoreMine;
+  } else {
+    mode = "a local mine (--input/--dataset)";
+    accepted.insert(accepted.end(),
+                    {"input", "dataset", "output", "seed-range"});
+    run = RunLocalMine;
+  }
+  const std::vector<std::string> stray = flags.UnknownFlags(accepted);
+  if (!stray.empty()) {
+    std::fprintf(stderr, "--%s does not apply to %s\n",
+                 stray.front().c_str(), mode);
+    return 1;
+  }
+  return run(flags);
 }
 
 int RunMax(const FlagParser& flags) {
@@ -970,26 +924,13 @@ int RunCoordinate(const FlagParser& flags) {
   CoordinatorOptions options;
   options.chunks_per_worker = static_cast<uint32_t>(*chunks_per_worker);
   options.io_timeout_seconds = *io_timeout;
-  options.enable_stealing = !flags.Has("no-steal");
   options.steal_min_seconds = *steal_min_ms / 1000.0;
   auto coordinator = std::make_shared<Coordinator>(options);
 
-  std::size_t registered = 0;
   const std::string workers = flags.GetString("workers", "");
   if (!workers.empty()) {
-    auto endpoints = ParseEndpointList(workers);
-    if (!endpoints.ok()) {
-      std::fprintf(stderr, "%s\n", endpoints.status().ToString().c_str());
-      return 1;
-    }
-    for (const std::string& endpoint : *endpoints) {
-      auto id = coordinator->AddWorker(endpoint);
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-        return 1;
-      }
-      ++registered;
-    }
+    Status added = AddWorkers(*coordinator, workers);
+    if (!added.ok()) return Fail(added);
   }
 
   TcpServerOptions server_options;
@@ -1020,9 +961,9 @@ int RunCoordinate(const FlagParser& flags) {
   // The port line is machine-read by clients started with --listen 0
   // (CI smoke script): keep its shape stable and flush it immediately.
   std::printf("coordinating on %s:%u (protocol v%u, %zu workers "
-              "registered, stealing %s)\n",
+              "registered)\n",
               server_options.host.c_str(), server.port(), kProtocolVersion,
-              registered, options.enable_stealing ? "on" : "off");
+              coordinator->Workers().size());
   std::fflush(stdout);
 
   char byte = 0;
@@ -1054,11 +995,6 @@ int RunCoordctl(const FlagParser& flags) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  auto split = SplitHostPort(positional[1]);
-  if (!split.ok()) {
-    std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-    return 1;
-  }
   std::string command = positional[2];
   for (std::size_t i = 3; i < positional.size(); ++i) {
     command += ' ';
@@ -1071,46 +1007,16 @@ int RunCoordctl(const FlagParser& flags) {
   }
 
   TcpClient client;
-  Status connected = client.Connect(split->first, split->second, *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionCoordination) {
-    std::fprintf(stderr, "daemon %s negotiated protocol v%u but the "
-                         "coordinator verbs need v%u (upgrade it)\n",
-                 positional[1].c_str(), *version,
-                 kProtocolVersionCoordination);
-    return 1;
-  }
+  Status connected =
+      ConnectFramed(client, positional[1], *io_timeout,
+                    kProtocolVersionCoordination, "the coordinator verbs");
+  if (!connected.ok()) return Fail(connected);
 
   request->id = 2;
-  sent = client.SendLine(FormatFramedRequest(*request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  Status sent = client.SendLine(FormatFramedRequest(*request));
+  if (!sent.ok()) return Fail(sent);
   auto line = client.ReadLine();
-  if (!line.ok()) {
-    std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-    return 1;
-  }
+  if (!line.ok()) return Fail(line.status());
   auto type = PeekFramedResponseType(*line);
   if (!type.ok()) {
     // An {"ok":false,...} frame parses as its embedded structured
@@ -1144,66 +1050,19 @@ int RunMetrics(const FlagParser& flags) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "--endpoint must be host:port (port 1..65535), "
-                         "got '%s'\n", endpoint.c_str());
-    return 1;
-  }
 
   TcpClient client;
-  Status connected =
-      client.Connect(endpoint.substr(0, colon),
-                     static_cast<uint16_t>(port), *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-
   if (format == "json") {
-    Status sent = client.SendLine(
-        "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-    if (!sent.ok()) {
-      std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-      return 1;
-    }
-    auto hello = client.ReadLine();
-    if (!hello.ok()) {
-      std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-      return 1;
-    }
-    auto version = ParseFramedHelloVersion(*hello);
-    if (!version.ok()) {
-      std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-      return 1;
-    }
-    if (*version < 3) {
-      std::fprintf(stderr, "worker %s negotiated protocol v%u but the "
-                           "metrics verb needs v3 (upgrade the worker)\n",
-                   endpoint.c_str(), *version);
-      return 1;
-    }
+    Status connected = ConnectFramed(client, endpoint, *io_timeout,
+                                     /*min_version=*/3, "the metrics verb");
+    if (!connected.ok()) return Fail(connected);
     Request request;
     request.id = 2;
     request.payload = MetricsRequest{};
-    sent = client.SendLine(FormatFramedRequest(request));
-    if (!sent.ok()) {
-      std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-      return 1;
-    }
+    Status sent = client.SendLine(FormatFramedRequest(request));
+    if (!sent.ok()) return Fail(sent);
     auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
+    if (!line.ok()) return Fail(line.status());
     if (line->find("\"type\":\"error\"") != std::string::npos) {
       std::fprintf(stderr, "%s\n", line->c_str());
       return 1;
@@ -1212,17 +1071,17 @@ int RunMetrics(const FlagParser& flags) {
     return 0;
   }
 
+  std::string host;
+  uint16_t port = 0;
+  Status split = SplitEndpoint(endpoint, &host, &port);
+  if (!split.ok()) return Fail(split);
+  Status connected = client.Connect(host, port, *io_timeout);
+  if (!connected.ok()) return Fail(connected);
   Status sent = client.SendLine(format == "prom" ? "metrics format=prom"
                                                  : "metrics");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  if (!sent.ok()) return Fail(sent);
   auto header = client.ReadLine();
-  if (!header.ok()) {
-    std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
-    return 1;
-  }
+  if (!header.ok()) return Fail(header.status());
   // The body length is announced up front ("metrics N series" /
   // "metrics prom N lines"), so the scrape knows exactly how many lines
   // to drain — no sentinel, no read-until-close.
@@ -1238,10 +1097,7 @@ int RunMetrics(const FlagParser& flags) {
   }
   for (unsigned long long i = 0; i < body_lines; ++i) {
     auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
+    if (!line.ok()) return Fail(line.status());
     std::printf("%s\n", line->c_str());
   }
   return 0;
@@ -1338,59 +1194,17 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "--endpoint must be host:port (port 1..65535), "
-                         "got '%s'\n", endpoint.c_str());
-    return 1;
-  }
-
   TcpClient client;
-  Status connected = client.Connect(endpoint.substr(0, colon),
-                                    static_cast<uint16_t>(port), *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionStreaming) {
-    std::fprintf(stderr, "worker %s negotiated protocol v%u but streamed "
-                         "queries need v%u (upgrade the worker)\n",
-                 endpoint.c_str(), *version, kProtocolVersionStreaming);
-    return 1;
-  }
+  Status connected =
+      ConnectFramed(client, endpoint, *io_timeout, kProtocolVersionStreaming,
+                    "streamed queries");
+  if (!connected.ok()) return Fail(connected);
 
   Request request;
   request.id = 2;
   request.payload = MineRequest{*query};
-  sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  Status sent = client.SendLine(FormatFramedRequest(request));
+  if (!sent.ok()) return Fail(sent);
 
   uint64_t streamed = 0;
   uint64_t expected_seq = 0;
@@ -1567,8 +1381,8 @@ int Main(int argc, char** argv) {
   if (command == "mine") {
     known = {"input", "dataset", "k", "q", "algo", "threads", "tau-ms",
              "output", "max-results", "time-limit", "ctcp", "seed-range",
-             "endpoints", "graph", "shards", "max-attempts", "io-timeout",
-             "coordinator", "store", "store-budget-mb"};
+             "endpoints", "graph", "io-timeout", "coordinator", "store",
+             "store-budget-mb"};
     run = RunMine;
   } else if (command == "max") {
     known = {"input", "dataset", "k"};
@@ -1587,7 +1401,7 @@ int Main(int argc, char** argv) {
     run = RunServe;
   } else if (command == "coordinate") {
     known = {"listen", "host", "max-connections", "workers",
-             "chunks-per-worker", "io-timeout", "no-steal", "steal-min-ms"};
+             "chunks-per-worker", "io-timeout", "steal-min-ms"};
     run = RunCoordinate;
   } else if (command == "coordctl") {
     known = {"io-timeout"};
@@ -1606,8 +1420,7 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  known.insert(known.end(),
-               {"log-level", "log-json", "trace", "metrics-dump"});
+  known.insert(known.end(), GlobalFlags().begin(), GlobalFlags().end());
   auto unknown = flags.UnknownFlags(known);
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag --%s for '%s'\n",
@@ -1617,7 +1430,7 @@ int Main(int argc, char** argv) {
   const int exit_code = run(flags);
   if (flags.Has("metrics-dump")) {
     // To stderr, after the command's own output: stdout stays the
-    // machine-readable surface (shard_smoke parses it), and a failed
+    // machine-readable surface (coord_smoke parses it), and a failed
     // command still reports what its counters saw.
     const std::string dump =
         RenderMetricsPrometheus(MetricsRegistry::Global().Snapshot());

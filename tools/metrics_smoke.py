@@ -2,8 +2,8 @@
 """Observability smoke test: boots `kplex_cli serve --listen`, drives
 real traffic through it, and asserts the metrics surface reports that
 traffic in all three forms — text table, Prometheus exposition, and the
-framed-JSON `metrics` verb — plus the coordinator-side shard metrics
-via `--metrics-dump`.
+framed-JSON `metrics` verb — plus the coordinator-side metrics via
+`--metrics-dump`.
 
 Usage: metrics_smoke.py path/to/kplex_cli
 
@@ -16,9 +16,10 @@ Checks (any failure exits non-zero):
      Prometheus text format (counter samples, histogram _bucket/_count);
   3. `kplex_cli metrics --endpoint` renders all three --format modes;
   4. a coordinated mine against the live worker plus a fake worker that
-     drops its connection mid-shard completes correctly anyway, and the
-     coordinator's `--metrics-dump` shows kplex_shard_retries_total >= 1
-     and a non-empty kplex_shard_seconds histogram;
+     drops its connection on its first chunk completes with the same
+     answer anyway, and the coordinator's `--metrics-dump` shows
+     kplex_coord_requeues_total >= 1, kplex_coord_workers_left_total
+     >= 1, and a non-empty kplex_coord_chunk_seconds histogram;
   5. the server still shuts down cleanly on SIGTERM (exit 0).
 """
 
@@ -107,13 +108,12 @@ def prom_samples(lines):
 
 
 class FakeWorker(threading.Thread):
-    """A sharding worker that answers the planning probe with the right
-    content hash, then drops the connection on its first real shard —
-    forcing the coordinator down the retry path."""
+    """A coordination worker that answers `hello`, then drops the
+    connection on its first `shardsubmit` — forcing the coordinator to
+    requeue that chunk on the live worker and retire this one."""
 
-    def __init__(self, content_hash):
+    def __init__(self):
         super().__init__(daemon=True)
-        self.content_hash = content_hash
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(1)
@@ -128,16 +128,11 @@ class FakeWorker(threading.Thread):
         conn.settimeout(60)
         try:
             file = conn.makefile("rw", encoding="utf-8", newline="\n")
-            file.readline()  # "hello proto=2 mode=framed"
-            file.write('{"id":0,"ok":true,"type":"hello","proto":2,'
+            file.readline()  # "hello proto=N mode=framed"
+            file.write('{"id":0,"ok":true,"type":"hello","proto":6,'
                        '"mode":"framed"}\n')
             file.flush()
-            probe = json.loads(file.readline())
-            file.write(json.dumps({
-                "id": probe.get("id", 1), "ok": True, "type": "shard_result",
-                "state": "done", "content_hash": self.content_hash}) + "\n")
-            file.flush()
-            file.readline()  # the first real shard: never answered
+            file.readline()  # the first shardsubmit: never answered
         except OSError:
             pass
         finally:
@@ -145,12 +140,11 @@ class FakeWorker(threading.Thread):
             self.listener.close()
 
 
-def coordinated_mine(cli, endpoints, metrics_dump=False):
-    argv = [cli, "mine", "--endpoints", ",".join(endpoints),
-            "--graph", "kc", "--k", "2", "--q", "6", "--shards", "4"]
-    if metrics_dump:
-        argv.append("--metrics-dump")
-    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+def coordinated_mine(cli, endpoints):
+    return subprocess.run(
+        [cli, "mine", "--endpoints", ",".join(endpoints), "--graph", "kc",
+         "--k", "2", "--q", "6", "--metrics-dump"],
+        capture_output=True, text=True, timeout=300)
 
 
 def main():
@@ -261,50 +255,46 @@ def main():
             fail("framed scrape lacks the mine latency histogram")
         print("metrics_smoke: kplex_cli metrics renders table, prom, json")
 
-        # 4. Coordinator metrics: first a clean run to learn the graph's
-        # content hash, then a run with a fake worker that drops its
-        # connection mid-shard, forcing a retry the --metrics-dump
-        # output must account for.
+        # 4. Coordinator metrics: the live worker is listed first, so it
+        # answers the planning probe; the fake worker drops its lane on
+        # the first chunk it pops, which --metrics-dump must account for.
         clean = coordinated_mine(cli, [endpoint])
         if clean.returncode != 0:
             fail(f"clean coordinated mine: rc={clean.returncode} "
                  f"{clean.stdout!r} {clean.stderr!r}")
-        match = re.search(r"hash (0x[0-9a-f]{16})", clean.stdout)
-        if not match:
-            fail(f"cannot find content hash in: {clean.stdout!r}")
-        content_hash = match.group(1)
+        answer = re.search(r": (\d+ plexes, max size \d+, fingerprint "
+                           r"0x[0-9a-f]{16})", clean.stdout)
+        if not answer:
+            fail(f"cannot parse the coordinated verdict: {clean.stdout!r}")
 
-        retried = None
+        requeued = None
         for _ in range(3):
-            fake = FakeWorker(content_hash)
+            fake = FakeWorker()
             fake.start()
-            run = coordinated_mine(
-                cli, [endpoint, f"127.0.0.1:{fake.port}"],
-                metrics_dump=True)
+            run = coordinated_mine(cli, [endpoint, f"127.0.0.1:{fake.port}"])
             fake.join(timeout=60)
             if run.returncode != 0:
-                fail(f"retry-path coordinated mine: rc={run.returncode} "
+                fail(f"requeue-path coordinated mine: rc={run.returncode} "
                      f"{run.stdout!r} {run.stderr!r}")
             dump = prom_samples(run.stderr.splitlines())
-            # The fake lane almost always pops a shard before the live
+            # The fake lane almost always pops a chunk before the live
             # lane drains the queue; retry the attempt if it lost that
-            # race and the run went through without a retry.
-            if dump.get("kplex_shard_retries_total", 0) >= 1:
-                retried = (run, dump)
+            # race and the run went through without a requeue.
+            if dump.get("kplex_coord_requeues_total", 0) >= 1:
+                requeued = (run, dump)
                 break
-        if retried is None:
-            fail("no attempt produced a shard retry")
-        run, dump = retried
-        if "1 plexes" not in run.stdout:
-            fail(f"retried mine result drifted: {run.stdout!r}")
-        if dump.get("kplex_shard_attempts_total", 0) < 5:
-            fail(f"shard attempts: {dump.get('kplex_shard_attempts_total')}")
-        if dump.get("kplex_shard_transport_failures_total", 0) < 1:
-            fail("transport failure was not counted")
-        if dump.get("kplex_shard_seconds_count", 0) < 4:
-            fail(f"shard histogram count: "
-                 f"{dump.get('kplex_shard_seconds_count')}")
-        print("metrics_smoke: shard retry accounted for in --metrics-dump")
+        if requeued is None:
+            fail("no attempt produced a chunk requeue")
+        run, dump = requeued
+        if answer.group(1) not in run.stdout:
+            fail(f"requeued mine result drifted: {run.stdout!r} vs "
+                 f"{answer.group(1)!r}")
+        if dump.get("kplex_coord_workers_left_total", 0) < 1:
+            fail("the retired fake worker was not counted as left")
+        if dump.get("kplex_coord_chunk_seconds_count", 0) < 1:
+            fail(f"chunk histogram count: "
+                 f"{dump.get('kplex_coord_chunk_seconds_count')}")
+        print("metrics_smoke: chunk requeue accounted for in --metrics-dump")
 
         server.send_signal(signal.SIGTERM)
         try:
