@@ -175,6 +175,13 @@ TEST(Coordinator, ChunkedMineMatchesSingleProcessRun) {
       outcome_sum += outcome.plexes;
     }
     EXPECT_EQ(outcome_sum, reference.count);
+    // Every merged chunk ran on a registered worker.
+    for (const CoordChunkOutcome& outcome : job.outcomes) {
+      EXPECT_TRUE(outcome.endpoint == a.endpoint() ||
+                  outcome.endpoint == b.endpoint() ||
+                  outcome.endpoint == c.endpoint())
+          << outcome.endpoint;
+    }
   }
 }
 
@@ -285,6 +292,7 @@ TEST(Coordinator, KilledWorkerMidChunkRequeuesOnTheSurvivor) {
   ASSERT_EQ(job->state, "done") << job->status.ToString();
   EXPECT_EQ(job->num_plexes, reference.count);
   EXPECT_EQ(job->fingerprint, reference.fingerprint);
+  EXPECT_EQ(job->max_plex_size, reference.max_size);
   EXPECT_GE(job->requeues, 1u);
   // B is dead in the roster; its chunk finished on A.
   for (const WorkerRecord& worker : coordinator.Workers()) {
