@@ -17,7 +17,7 @@
 //   metrics [FMT]     the daemon's metrics registry
 //   hello/help/quit   as on a worker
 //
-// Everything else (load, mineshard, plan, cancel, stats, ...) is
+// Everything else (load, shardsubmit, plan, cancel, stats, ...) is
 // refused with a structured InvalidArgument naming the daemon — a
 // coordinator schedules work, it does not hold graphs.
 //

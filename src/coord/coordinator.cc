@@ -87,8 +87,8 @@ struct Probe {
 };
 
 /// Probes one worker: `plan` for per-seed costs, or (for ctcp, whose
-/// seed order the plan probe refuses) an empty-range mineshard that
-/// returns only the hash and the seed-space size.
+/// seed order the plan probe refuses) an empty-range shardsubmit +
+/// shardwait that returns only the hash and the seed-space size.
 Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
                   double timeout_seconds) {
   Probe probe;
@@ -127,16 +127,28 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
   }
   // ctcp: the canonical seed order differs from the core ordering, so
   // cost signals are unavailable — an empty shard still reports the
-  // admission hash and the seed-space size of the *ctcp* pipeline.
+  // admission hash (in the shardsubmit ack) and the seed-space size of
+  // the *ctcp* pipeline (in the shard_result).
   Request request;
   request.id = 1;
-  MineShardRequest shard;
+  ShardSubmitRequest shard;
   shard.query = query;
   shard.query.seed_begin = 0;
   shard.query.seed_end = 0;
-  shard.expected_hash = 0;
   request.payload = std::move(shard);
   RoundTrip trip = RoundTripLine(client, FormatFramedRequest(request));
+  if (trip.transport_failed) {
+    probe.transport_failed = true;
+    probe.transport_error = trip.transport_error;
+    return probe;
+  }
+  auto submitted = ParseFramedShardSubmit(trip.line);
+  if (!submitted.ok()) {
+    probe.verdict = submitted.status();
+    return probe;
+  }
+  request.payload = ShardWaitRequest{submitted->job};
+  trip = RoundTripLine(client, FormatFramedRequest(request));
   if (trip.transport_failed) {
     probe.transport_failed = true;
     probe.transport_error = trip.transport_error;
@@ -147,7 +159,7 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
     probe.verdict = parsed.status();
     return probe;
   }
-  probe.content_hash = parsed->content_hash;
+  probe.content_hash = submitted->content_hash;
   probe.total_seeds = parsed->total_seeds;
   return probe;
 }

@@ -10,7 +10,8 @@
 //     space into chunks_per_worker x workers cost-balanced chunks —
 //     many more chunks than workers, so the queue absorbs most skew.
 //     A ctcp mine (whose seed order the probe cannot serve) falls back
-//     to uniform chunks from an empty-range mineshard probe.
+//     to uniform chunks from an empty-range shardsubmit + shardwait
+//     probe.
 //
 //  2. Execute. One lane thread per schedulable worker pops chunks and
 //     round-trips them as shardsubmit + shardwait. When the queue

@@ -29,14 +29,16 @@
 //      leak its host layout through strerror strings).
 //
 // Version/compat policy: kProtocolVersion bumps when the message
-// vocabulary grows (additive — v2 added mineshard/shard_result) and is
+// vocabulary grows (additive — v5 added the coordination verbs) and is
 // how a client discovers a capability: `hello proto=N` negotiates
-// min(N, kProtocolVersion), so a coordinator that needs the sharding
-// vocabulary sends proto=2 and refuses a server that negotiates down
-// to 1. Message *shapes*, once shipped, never change (breaking changes
-// would require a new command name); unknown *fields* in framed
-// requests are rejected (typo safety), unknown *commands* report
-// INVALID_ARGUMENT — a v1 client can always talk to a v1+ server. See
+// min(N, kProtocolVersion), so a coordinator that needs the
+// coordination vocabulary sends proto=5 and refuses a server that
+// negotiates down to 4. Message *shapes*, once shipped, never change
+// (breaking changes would require a new command name); unknown
+// *fields* in framed requests are rejected (typo safety), unknown
+// *commands* report INVALID_ARGUMENT. A verb with no remaining sender
+// may be removed without a version bump (v2's `mineshard` was, once
+// the coordinator probed with shardsubmit + shardwait). See
 // docs/SERVE.md for the full message reference and wire examples.
 
 #ifndef KPLEX_SERVICE_PROTOCOL_H_
@@ -58,7 +60,8 @@
 namespace kplex {
 
 /// Current protocol version (see the compat policy above). v2 added the
-/// sharded-mining vocabulary (mineshard / shard_result); v3 added the
+/// sharded-mining vocabulary (shard_result frames, via the since-removed
+/// mineshard verb); v3 added the
 /// `metrics` scrape verb; v4 added streamed result bodies
 /// (results=stream / result_chunk frames / cursor resume) and the
 /// server-side selection options (filter / contain / top / mode); v5
@@ -69,9 +72,6 @@ namespace kplex {
 /// v6 added the durable result-store verbs (store / store evict).
 inline constexpr uint32_t kProtocolVersion = 6;
 
-/// First protocol version that speaks mineshard/shard_result.
-inline constexpr uint32_t kProtocolVersionSharding = 2;
-
 /// First protocol version that streams result bodies and understands
 /// the selection options; what a streaming client requires its server
 /// to negotiate.
@@ -81,10 +81,6 @@ inline constexpr uint32_t kProtocolVersionStreaming = 4;
 /// shardsubmit / shardwait / shardstop and the worker-lifecycle verbs);
 /// what the coordinator requires its workers to negotiate.
 inline constexpr uint32_t kProtocolVersionCoordination = 5;
-
-/// First protocol version with the durable result-store verbs (store /
-/// store evict); what a client managing the disk tier requires.
-inline constexpr uint32_t kProtocolVersionStore = 6;
 
 /// Wire encoding of a session. Text is the default; framed is opted
 /// into through the hello handshake.
@@ -141,22 +137,6 @@ struct SubmitRequest {
   QueryRequest query;
 };
 
-/// `mineshard NAME K Q [seed-range=B:E] [hash=0xH] [key=value ...]` —
-/// one shard of a coordinated enumeration: a synchronous mine
-/// restricted to the query's seed range (QueryRequest::seed_begin/
-/// seed_end — half-open indices into the canonical seed order of the
-/// reduced graph; see docs/SHARDING.md). When `expected_hash` is
-/// non-zero the worker first compares it against its own content hash
-/// of the named graph and refuses a mismatched snapshot with
-/// FAILED_PRECONDITION — the admission check that makes a merged
-/// result trustworthy. An empty range ([0:0)) is the coordinator's
-/// planning probe: it returns the content hash and the seed-space size
-/// without enumerating anything.
-struct MineShardRequest {
-  QueryRequest query;
-  uint64_t expected_hash = 0;  ///< 0 skips the admission check
-};
-
 /// `plan NAME K Q [ctcp]` — the coordinator's cost-estimate probe (v5):
 /// returns the seed-space size plus, per canonical seed index, the
 /// forward degree (neighbors later in degeneracy order — a proxy for
@@ -170,28 +150,36 @@ struct PlanRequest {
   uint32_t k = 2;
   uint32_t q = 4;
   /// Mirrors QueryRequest::use_ctcp so the probe validates the same
-  /// option set a subsequent mineshard will carry. CTCP replaces the
+  /// option set a subsequent shardsubmit will carry. CTCP replaces the
   /// core reduction (different seed order and count), so workers refuse
   /// a ctcp plan with INVALID_ARGUMENT; coordinators fall back to
-  /// uniform chunking over an empty-range mineshard probe instead.
+  /// uniform chunking over an empty-range shardsubmit probe instead.
   bool use_ctcp = false;
 };
 
 /// `shardsubmit NAME K Q [seed-range=B:E] [hash=0xH] [key=value ...]` —
-/// asynchronous mineshard (v5): runs the same admission check as
-/// MineShardRequest, then submits the shard and responds immediately
-/// with the job id and verified content hash instead of blocking until
-/// the shard finishes. The split round trip is what makes work-stealing
-/// possible: while the submitting connection waits in `shardwait`, a
-/// second connection can `shardstop` the job to make it yield.
+/// one shard of a coordinated enumeration (v5): a mine restricted to
+/// the query's seed range (QueryRequest::seed_begin/seed_end —
+/// half-open indices into the canonical seed order of the reduced
+/// graph; see docs/SHARDING.md). When `expected_hash` is non-zero the
+/// worker first compares it against its own content hash of the named
+/// graph and refuses a mismatched snapshot with FAILED_PRECONDITION —
+/// the admission check that makes a merged result trustworthy. The
+/// shard is then submitted and the response carries the job id and
+/// verified content hash immediately; `shardwait` delivers the result.
+/// The split round trip is what makes work-stealing possible: while the
+/// submitting connection waits in `shardwait`, a second connection can
+/// `shardstop` the job to make it yield. An empty range ([0:0)) followed
+/// by `shardwait` is the coordinator's ctcp planning probe: it reports
+/// the content hash and the seed-space size without enumerating.
 struct ShardSubmitRequest {
   QueryRequest query;
   uint64_t expected_hash = 0;  ///< 0 skips the admission check
 };
 
 /// `shardwait ID` — block until shard job ID is terminal, then respond
-/// with its shard_result frame (same shape a synchronous mineshard
-/// produces, including the covered seed range of a yielded run).
+/// with its shard_result frame (including the covered seed range of a
+/// yielded run).
 struct ShardWaitRequest {
   uint64_t job = 0;
 };
@@ -280,7 +268,7 @@ struct QuitRequest {};
 
 using RequestPayload =
     std::variant<HelloRequest, LoadRequest, DatasetRequest, SnapshotRequest,
-                 MineRequest, SubmitRequest, MineShardRequest, PlanRequest,
+                 MineRequest, SubmitRequest, PlanRequest,
                  ShardSubmitRequest, ShardWaitRequest, ShardStopRequest,
                  RegisterRequest, HeartbeatRequest, DrainRequest,
                  WorkersRequest, CancelRequest, JobsRequest, WaitRequest,
@@ -330,7 +318,7 @@ struct SubmitResponse {
   QueryRequest query;  ///< as submitted (echoed in the confirmation)
 };
 
-/// Terminal outcome of one shard (MineShardRequest). The job's request
+/// Terminal outcome of one shard (`shardwait`). The job's request
 /// echoes the seed range; its result carries the mergeable pieces — the
 /// plex count, the raw XOR fingerprint half (fingerprint_xor), and the
 /// seed-space size (total_seeds) — plus the content hash the worker

@@ -164,53 +164,16 @@ ResponsePayload ServiceApi::Handle(const MineRequest& mine) {
   return MineResponse{*std::move(info)};
 }
 
-StatusOr<ServiceApi::ShardSubmission> ServiceApi::SubmitShard(
-    const MineShardRequest& shard) {
-  // Shard admission: before any work, prove this worker holds the same
-  // graph bytes the coordinator planned against. The error carries both
-  // hashes so a mismatched-snapshot refusal is diagnosable from logs.
-  auto hash = catalog_.ContentHash(shard.query.graph);
-  if (!hash.ok()) return hash.status();
-  if (shard.expected_hash != 0 && *hash != shard.expected_hash) {
-    char expected[24], actual[24];
-    std::snprintf(expected, sizeof(expected), "0x%016llx",
-                  static_cast<unsigned long long>(shard.expected_hash));
-    std::snprintf(actual, sizeof(actual), "0x%016llx",
-                  static_cast<unsigned long long>(*hash));
-    return Status::FailedPrecondition(
-        "graph content hash mismatch for '" + shard.query.graph +
-        "': coordinator expected " + expected + ", this worker has " +
-        std::string(actual) + " (mismatched snapshot?)");
-  }
-  // Same execution path as a synchronous mine: submit (+ wait in the
-  // caller) on the shared dispatcher, so shard jobs are cancellable and
-  // visible in `jobs` like any other work.
-  auto id = dispatcher_->Submit(shard.query);
-  if (!id.ok()) return id.status();
-  return ShardSubmission{*id, *hash};
-}
-
-ResponsePayload ServiceApi::Handle(const MineShardRequest& shard) {
-  auto submitted = SubmitShard(shard);
-  if (!submitted.ok()) return ErrorResponse{submitted.status()};
-  auto info = dispatcher_->Wait(submitted->job);
-  if (!info.ok()) return ErrorResponse{info.status()};
-  // A failed job rides inside the shard response (state "failed" +
-  // error), like mine/wait outcomes, so session error accounting stays
-  // one-per-job.
-  return ShardResultResponse{*std::move(info), submitted->content_hash};
-}
-
 ResponsePayload ServiceApi::Handle(const PlanRequest& plan) {
   if (plan.use_ctcp) {
     // CTCP replaces the core reduction, so its seed order (and seed
     // count) differ from the (q-k)-core ordering this probe reports.
     // Serving core-order estimates for a ctcp mine would misalign the
     // coordinator's chunk boundaries; refuse and let it fall back to
-    // uniform chunking over an empty-range mineshard probe.
+    // uniform chunking over an empty-range shardsubmit probe.
     return ErrorResponse{Status::InvalidArgument(
         "plan does not support ctcp (its seed order differs from the "
-        "core ordering); probe with an empty-range mineshard instead")};
+        "core ordering); probe with an empty-range shardsubmit instead")};
   }
   auto resolved = catalog_.GetWithSections(plan.graph);
   if (!resolved.ok()) return ErrorResponse{resolved.status()};
@@ -234,10 +197,28 @@ ResponsePayload ServiceApi::Handle(const PlanRequest& plan) {
 }
 
 ResponsePayload ServiceApi::Handle(const ShardSubmitRequest& shard) {
-  auto submitted =
-      SubmitShard(MineShardRequest{shard.query, shard.expected_hash});
-  if (!submitted.ok()) return ErrorResponse{submitted.status()};
-  return ShardSubmitResponse{submitted->job, submitted->content_hash};
+  // Shard admission: before any work, prove this worker holds the same
+  // graph bytes the coordinator planned against. The error carries both
+  // hashes so a mismatched-snapshot refusal is diagnosable from logs.
+  auto hash = catalog_.ContentHash(shard.query.graph);
+  if (!hash.ok()) return ErrorResponse{hash.status()};
+  if (shard.expected_hash != 0 && *hash != shard.expected_hash) {
+    char expected[24], actual[24];
+    std::snprintf(expected, sizeof(expected), "0x%016llx",
+                  static_cast<unsigned long long>(shard.expected_hash));
+    std::snprintf(actual, sizeof(actual), "0x%016llx",
+                  static_cast<unsigned long long>(*hash));
+    return ErrorResponse{Status::FailedPrecondition(
+        "graph content hash mismatch for '" + shard.query.graph +
+        "': coordinator expected " + expected + ", this worker has " +
+        std::string(actual) + " (mismatched snapshot?)")};
+  }
+  // Same execution path as a mine: submit on the shared dispatcher, so
+  // shard jobs are cancellable and visible in `jobs` like any other
+  // work; `shardwait` delivers the result.
+  auto id = dispatcher_->Submit(shard.query);
+  if (!id.ok()) return ErrorResponse{id.status()};
+  return ShardSubmitResponse{*id, *hash};
 }
 
 ResponsePayload ServiceApi::Handle(const ShardWaitRequest& wait) {

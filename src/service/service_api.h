@@ -64,18 +64,6 @@ class ServiceApi {
   /// Cancels every queued/running dispatcher job (server shutdown).
   void CancelAllJobs();
 
-  /// Shard admission + submission: verifies the coordinator's expected
-  /// content hash against this worker's graph (FAILED_PRECONDITION with
-  /// both hashes on a mismatched snapshot) and enqueues the shard's
-  /// query. Used by the MineShardRequest handler and by ServiceSession,
-  /// which must record the job id *before* blocking in Wait so a
-  /// dropped coordinator connection can cancel the running shard.
-  struct ShardSubmission {
-    uint64_t job = 0;
-    uint64_t content_hash = 0;  ///< this worker's hash of the graph
-  };
-  StatusOr<ShardSubmission> SubmitShard(const MineShardRequest& shard);
-
   GraphCatalog& catalog() { return catalog_; }
   QueryEngine& engine() { return engine_; }
   ServiceDispatcher& dispatcher() { return *dispatcher_; }
@@ -96,7 +84,6 @@ class ServiceApi {
   ResponsePayload Handle(const SnapshotRequest& snapshot);
   ResponsePayload Handle(const MineRequest& mine);
   ResponsePayload Handle(const SubmitRequest& submit);
-  ResponsePayload Handle(const MineShardRequest& shard);
   ResponsePayload Handle(const PlanRequest& plan);
   ResponsePayload Handle(const ShardSubmitRequest& shard);
   ResponsePayload Handle(const ShardWaitRequest& wait);

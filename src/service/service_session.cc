@@ -16,11 +16,11 @@ Histogram& SerializeSeconds() {
   return histogram;
 }
 
-// The session decomposes the logical mine/mineshard verbs into
-// submit + wait before they reach ServiceApi::Execute (the job id must
-// be visible to the disconnect watcher between the two). Execute's
-// per-verb accounting therefore only sees the transport verbs; the
-// logical verbs are counted here, at the decomposition point.
+// The session decomposes the logical mine verb into submit + wait
+// before it reaches ServiceApi::Execute (the job id must be visible to
+// the disconnect watcher between the two). Execute's per-verb
+// accounting therefore only sees the transport verbs; the logical verb
+// is counted here, at the decomposition point.
 Counter& MineRequestsTotal() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("kplex_requests_mine_total");
@@ -29,16 +29,6 @@ Counter& MineRequestsTotal() {
 Histogram& MineSeconds() {
   static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
       "kplex_request_mine_seconds");
-  return histogram;
-}
-Counter& MineShardRequestsTotal() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("kplex_requests_mineshard_total");
-  return counter;
-}
-Histogram& MineShardSeconds() {
-  static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
-      "kplex_request_mineshard_seconds");
   return histogram;
 }
 Counter& StreamChunksTotal() {
@@ -127,9 +117,6 @@ bool ServiceSession::Dispatch(const Request& request) {
   Response response;
   if (const auto* mine = std::get_if<MineRequest>(&request.payload)) {
     response = ExecuteMine(request.id, *mine);
-  } else if (const auto* shard =
-                 std::get_if<MineShardRequest>(&request.payload)) {
-    response = ExecuteMineShard(request.id, *shard);
   } else {
     response = api_->Execute(request);
   }
@@ -226,32 +213,6 @@ Response ServiceSession::ExecuteMine(uint64_t request_id,
     waited.payload = MineResponse{std::move(outcome->job)};
   }
   MineSeconds().Observe(timer.ElapsedSeconds());
-  return waited;
-}
-
-Response ServiceSession::ExecuteMineShard(uint64_t request_id,
-                                          const MineShardRequest& shard) {
-  MineShardRequestsTotal().Increment();
-  WallTimer timer;
-  Response response;
-  response.request_id = request_id;
-  auto submitted = api_->SubmitShard(shard);
-  if (!submitted.ok()) {
-    response.payload = ErrorResponse{SanitizeErrorStatus(submitted.status())};
-    return response;
-  }
-  // The job id is visible to the disconnect watcher before this thread
-  // blocks, exactly like a synchronous mine.
-  RecordSubmittedJob(submitted->job);
-  Request wait;
-  wait.id = request_id;
-  wait.payload = WaitRequest{submitted->job};
-  Response waited = api_->Execute(wait);
-  if (auto* outcome = std::get_if<WaitResponse>(&waited.payload)) {
-    waited.payload =
-        ShardResultResponse{std::move(outcome->job), submitted->content_hash};
-  }
-  MineShardSeconds().Observe(timer.ElapsedSeconds());
   return waited;
 }
 

@@ -103,11 +103,6 @@ class ServiceSession : public WireSession {
   /// offers no such window). Output is shaped exactly like
   /// ServiceApi's MineResponse.
   Response ExecuteMine(uint64_t request_id, const MineRequest& mine);
-  /// Same tracked submit + wait shape for a shard (the admission check
-  /// runs in ServiceApi::SubmitShard): a coordinator that disconnects
-  /// mid-shard gets its running shard cancelled like any other job.
-  Response ExecuteMineShard(uint64_t request_id,
-                            const MineShardRequest& shard);
   void RecordSubmittedJob(uint64_t id);
   /// Prints "error: ..." in the current mode and counts it. In framed
   /// mode the response carries `request_id` (the client's correlation

@@ -58,10 +58,6 @@ const std::vector<GoldenPair>& GoldenPairs() {
       {"mine web 2 12 seed-range=100:250",
        R"({"cmd":"mine","graph":"web","k":2,"q":12,"seed_begin":100,)"
        R"("seed_end":250})"},
-      {"mineshard web 2 12 threads=4 seed-range=0:1000 "
-       "hash=0xbe7c0cfa5f1eee74",
-       R"({"cmd":"mineshard","graph":"web","k":2,"q":12,"threads":4,)"
-       R"("seed_begin":0,"seed_end":1000,"hash":"0xbe7c0cfa5f1eee74"})"},
       {"mine web 2 12 max-results=50 results=stream chunk=7 "
        "filter=size>=13,size<=20 contain=33",
        R"({"cmd":"mine","graph":"web","k":2,"q":12,"max_results":50,)"
@@ -76,9 +72,6 @@ const std::vector<GoldenPair>& GoldenPairs() {
       {"mine web 2 12 max-results=7 results=stream cursor=17:4",
        R"({"cmd":"mine","graph":"web","k":2,"q":12,"max_results":7,)"
        R"("results":"stream","cursor":"17:4"})"},
-      {"mineshard web 2 12 seed-range=0:0",
-       R"({"cmd":"mineshard","graph":"web","k":2,"q":12,"seed_begin":0,)"
-       R"("seed_end":0})"},
       {"plan web 2 12", R"({"cmd":"plan","graph":"web","k":2,"q":12})"},
       {"plan web 2 12 ctcp",
        R"({"cmd":"plan","graph":"web","k":2,"q":12,"ctcp":true})"},
@@ -191,11 +184,11 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
       {"mine g 2 5 seed-range=x:9", "malformed value for seed-range: 'x'"},
       {"mine g 2 5 seed-range=9:3",
        "seed-range begin must be <= end (got '9:3')"},
-      {"mineshard g 2 5 hash=beef",
+      {"shardsubmit g 2 5 hash=beef",
        "malformed value for hash: 'beef' (expected 0xHEX)"},
-      {"mineshard g 2 5 hash=0xzz",
+      {"shardsubmit g 2 5 hash=0xzz",
        "malformed value for hash: '0xzz' (expected 0xHEX)"},
-      {"mineshard g 2 5 bogus=1", "unknown mineshard option 'bogus'"},
+      {"shardsubmit g 2 5 bogus=1", "unknown shardsubmit option 'bogus'"},
       {"mine g 2 5 results=maybe", "results must be stream or count"},
       {"mine g 2 5 chunk=0", "chunk must be >= 1"},
       {"mine g 2 5 chunk=999999",
@@ -279,12 +272,12 @@ TEST(ProtocolFramed, MalformedFramesAreStructuredErrorsNeverCrashes) {
        "field 'seed_begin' must be " + kUint32},
       {R"({"cmd":"mine","graph":"g","k":2,"q":5,"hash":"0xbeef"})",
        "unknown field 'hash' for 'mine'"},  // hash is shard-only
-      {R"({"cmd":"mineshard","graph":"g","k":2,"q":5,"hash":"beef"})",
+      {R"({"cmd":"shardsubmit","graph":"g","k":2,"q":5,"hash":"beef"})",
        "malformed value for hash: 'beef' (expected 0xHEX)"},  // missing 0x
-      {R"({"cmd":"mineshard","graph":"g","k":2,"q":5,"hash":12})",
+      {R"({"cmd":"shardsubmit","graph":"g","k":2,"q":5,"hash":12})",
        "field 'hash' must be a string"},
-      {R"({"cmd":"mineshard","graph":"g"})",  // missing k/q
-       "'mineshard' requires fields graph, k, q"},
+      {R"({"cmd":"shardsubmit","graph":"g"})",  // missing k/q
+       "'shardsubmit' requires fields graph, k, q"},
       {R"({"cmd":"mine","graph":"g","k":2,"q":5,"results":"maybe"})",
        "results must be stream or count"},
       {R"({"cmd":"mine","graph":"g","k":2,"q":5,"chunk":0})",

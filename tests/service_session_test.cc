@@ -105,11 +105,11 @@ TEST(ServiceSession, EndToEndScriptWithCachedRepeatQuery) {
 }
 
 TEST(ServiceSession, MineShardTextFlowAndStatsHashColumn) {
-  // The sharded-mining session surface: a probe reports the seed-space
-  // size and content hash, disjoint shards partition the full mine's
-  // count, a wrong hash is refused with both hashes in the error, and
-  // `stats` reports the content hash once the admission check computed
-  // it (the diagnosability satellite of ISSUE 5).
+  // The sharded-mining session surface, as shardsubmit + shardwait: an
+  // empty-range probe reports the seed-space size and content hash,
+  // disjoint shards partition the full mine's count, a wrong hash is
+  // refused with both hashes in the error, and `stats` reports the
+  // content hash once the admission check computed it.
   Graph graph = GenerateErdosRenyi(150, 0.1, 21);
   std::ostringstream out;
   ServiceSession session(out);
@@ -119,10 +119,19 @@ TEST(ServiceSession, MineShardTextFlowAndStatsHashColumn) {
   EXPECT_TRUE(session.ExecuteLine("stats"));
   EXPECT_EQ(out.str().find("0x"), std::string::npos) << out.str();
 
+  // Submits one shard and waits for it; returns its shard_result line.
+  auto mine_shard = [&](const std::string& args) {
+    EXPECT_TRUE(session.ExecuteLine("shardsubmit g 2 5 " + args));
+    const std::string ack = Lines(out.str()).back();
+    EXPECT_EQ(ack.find("shard job "), 0u) << ack;
+    const uint64_t job = std::stoull(ack.substr(10));
+    EXPECT_TRUE(session.ExecuteLine("shardwait " + std::to_string(job)));
+    return Lines(out.str()).back();
+  };
+
   EXPECT_TRUE(session.ExecuteLine("mine g 2 5"));
-  EXPECT_TRUE(session.ExecuteLine("mineshard g 2 5 seed-range=0:0"));
-  std::vector<std::string> lines = Lines(out.str());
-  const std::string probe = lines.back();
+  const uint64_t full_count = PlexCountOf(Lines(out.str()).back());
+  const std::string probe = mine_shard("seed-range=0:0");
   ASSERT_EQ(probe.find("shard g k=2 q=5 algo=ours seeds=0:0: 0 plexes"),
             0u) << probe;
   // Parse "total seeds N" and "hash 0x..." out of the probe line.
@@ -136,21 +145,16 @@ TEST(ServiceSession, MineShardTextFlowAndStatsHashColumn) {
 
   // Two disjoint shards carrying the right hash partition the count.
   const uint64_t half = total_seeds / 2;
-  EXPECT_TRUE(session.ExecuteLine("mineshard g 2 5 seed-range=0:" +
-                                  std::to_string(half) + " hash=" + hash));
-  EXPECT_TRUE(session.ExecuteLine("mineshard g 2 5 seed-range=" +
-                                  std::to_string(half) + ":end hash=" +
-                                  hash));
-  lines = Lines(out.str());
-  const uint64_t full_count = PlexCountOf(lines[lines.size() - 4]);
-  const uint64_t lo_count = PlexCountOf(lines[lines.size() - 2]);
-  const uint64_t hi_count = PlexCountOf(lines[lines.size() - 1]);
+  const uint64_t lo_count = PlexCountOf(
+      mine_shard("seed-range=0:" + std::to_string(half) + " hash=" + hash));
+  const uint64_t hi_count = PlexCountOf(mine_shard(
+      "seed-range=" + std::to_string(half) + ":end hash=" + hash));
   EXPECT_EQ(lo_count + hi_count, full_count);
 
   // A wrong hash is refused, and the error names both hashes.
   EXPECT_TRUE(session.ExecuteLine(
-      "mineshard g 2 5 seed-range=0:5 hash=0x0000000000000001"));
-  lines = Lines(out.str());
+      "shardsubmit g 2 5 seed-range=0:5 hash=0x0000000000000001"));
+  std::vector<std::string> lines = Lines(out.str());
   EXPECT_EQ(lines.back().find("error: FAILED_PRECONDITION: graph content "
                               "hash mismatch for 'g'"),
             0u) << lines.back();
