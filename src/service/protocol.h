@@ -497,12 +497,6 @@ bool IsBlankOrComment(const std::string& line);
 /// first).
 StatusOr<Request> ParseTextRequest(const std::string& line);
 
-/// Canonical command line for a request — the inverse of
-/// ParseTextRequest for every request whose strings contain no
-/// whitespace (the text grammar tokenizes; use the framed codec for
-/// arbitrary strings). Defaulted options are omitted.
-std::string FormatTextRequest(const Request& request);
-
 /// Writes the human text rendering of a response — byte-identical to
 /// the historical ServiceSession output (ByeResponse prints nothing).
 void FormatTextResponse(const Response& response, std::ostream& out);

@@ -15,6 +15,8 @@
 #include <variant>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace kplex {
 namespace {
 
@@ -166,7 +168,8 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
                      "[levels=C1,C2,...]"},
       {"snapshot g p bogus", "unknown snapshot option 'bogus'"},
       {"mine", "usage: mine NAME K Q [algo=...] [threads=N] "
-               "[max-results=N] [time-limit=S] [tau-ms=T] [cache=on|off] "
+               "[max-results=N] [time-limit=S] [tau-ms=T] [ctcp=on|off] "
+               "[cache=on|off] "
                "[seed-range=B:E] [results=stream|count] [chunk=N] "
                "[filter=size>=S,size<=T] [contain=V] [top=K] "
                "[mode=enumerate|maximum] [cursor=S:O]"},
@@ -339,6 +342,168 @@ TEST(ProtocolFramed, FingerprintsAreExactUint64) {
   EXPECT_FALSE(ParseFramedRequest("{\"cmd\":\"cancel\",\"job\":"
                                   "18446744073709551616}")
                    .ok());
+}
+
+TEST(ProtocolFramed, SnapshotLevelsImplyPrecomputeInEitherFieldOrder) {
+  // "levels implies precompute" applies once every field is read, as
+  // on the text wire: a precompute:false on either side of the levels
+  // cannot drop the sections the levels ask for.
+  auto levels_first = ParseFramedRequest(
+      R"({"cmd":"snapshot","name":"kc","path":"p","levels":[4],)"
+      R"("precompute":false})");
+  auto levels_last = ParseFramedRequest(
+      R"({"cmd":"snapshot","name":"kc","path":"p","precompute":false,)"
+      R"("levels":[4]})");
+  ASSERT_TRUE(levels_first.ok()) << levels_first.status().ToString();
+  ASSERT_TRUE(levels_last.ok()) << levels_last.status().ToString();
+  EXPECT_TRUE(
+      std::get<SnapshotRequest>(levels_first->payload).include_precompute);
+  const std::string canonical =
+      R"({"cmd":"snapshot","name":"kc","path":"p","precompute":true,)"
+      R"("levels":[4]})";
+  EXPECT_EQ(FormatFramedRequest(*levels_first), canonical);
+  EXPECT_EQ(FormatFramedRequest(*levels_last), canonical);
+}
+
+TEST(ProtocolFramed, RequestDoublesSurviveTheFramedCodec) {
+  // Request doubles travel in their shortest exact form, so a
+  // coordinator forwards a query to its workers unrounded (and the
+  // response echo shows what was asked for).
+  auto parsed = ParseTextRequest(
+      "mine g 2 5 time-limit=2.0000000000000004 tau-ms=0.1000000000001");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string frame = FormatFramedRequest(*parsed);
+  EXPECT_EQ(frame,
+            R"({"cmd":"mine","graph":"g","k":2,"q":5,)"
+            R"("time_limit":2.0000000000000004,"tau_ms":0.1000000000001})");
+  auto round = ParseFramedRequest(frame);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  const QueryRequest& query = std::get<MineRequest>(round->payload).query;
+  EXPECT_EQ(query.time_limit_seconds, 2.0000000000000004);
+  EXPECT_EQ(query.tau_ms, 0.1000000000001);
+
+  Response response;
+  response.payload = SubmitResponse{1, query};
+  EXPECT_NE(FormatFramedResponse(response).find("\"tau_ms\":0.1000000000001"),
+            std::string::npos);
+
+  // inf and nan have no JSON spelling, so the text grammar refuses them.
+  auto infinite = ParseTextRequest("mine g 2 5 time-limit=inf");
+  ASSERT_FALSE(infinite.ok());
+  EXPECT_EQ(infinite.status().message(),
+            "malformed value for time-limit: 'inf'");
+  EXPECT_FALSE(ParseTextRequest("mine g 2 5 tau-ms=nan").ok());
+}
+
+// ------------------------------------------------------- mutation fuzzing
+
+/// The codec properties over one input line: parsing never crashes, a
+/// rejection is a non-empty INVALID_ARGUMENT, and an accepted request's
+/// framed encoding is a fixpoint of the framed codec.
+void CheckCodecProperties(const std::string& line) {
+  for (const bool framed : {false, true}) {
+    auto parsed = framed ? ParseFramedRequest(line) : ParseTextRequest(line);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+      EXPECT_FALSE(parsed.status().message().empty()) << line;
+      continue;
+    }
+    const std::string wire = FormatFramedRequest(*parsed);
+    auto reparsed = ParseFramedRequest(wire);
+    ASSERT_TRUE(reparsed.ok()) << line << " -> " << wire << ": "
+                               << reparsed.status().ToString();
+    EXPECT_EQ(FormatFramedRequest(*reparsed), wire) << line;
+  }
+}
+
+/// Splits on `separator`, keeping empty pieces.
+std::vector<std::string> Split(const std::string& line, char separator) {
+  std::vector<std::string> pieces(1);
+  for (char c : line) {
+    if (c == separator) {
+      pieces.emplace_back();
+    } else {
+      pieces.back() += c;
+    }
+  }
+  return pieces;
+}
+
+std::string Join(const std::vector<std::string>& pieces, char separator) {
+  std::string line;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (i > 0) line += separator;
+    line += pieces[i];
+  }
+  return line;
+}
+
+/// One random mutation of `line`: a bit flip, a byte insert or delete,
+/// a truncation, a dropped or duplicated token, or a splice with
+/// `other`.
+std::string Mutate(std::string line, const std::string& other, Rng& rng) {
+  static const std::string kBytes = "\"{}[]:,= \\0123456789-.exu#";
+  switch (rng.NextBounded(7)) {
+    case 0:
+      if (!line.empty()) {
+        line[rng.NextBounded(line.size())] ^=
+            static_cast<char>(1u << rng.NextBounded(8));
+      }
+      return line;
+    case 1: {
+      const char byte = rng.NextBernoulli(0.7)
+                            ? kBytes[rng.NextBounded(kBytes.size())]
+                            : static_cast<char>(rng.NextBounded(256));
+      line.insert(line.begin() + rng.NextBounded(line.size() + 1), byte);
+      return line;
+    }
+    case 2:
+      if (!line.empty()) line.erase(rng.NextBounded(line.size()), 1);
+      return line;
+    case 3:
+      return line.substr(0, rng.NextBounded(line.size() + 1));
+    case 4:
+    case 5: {  // drop or duplicate one token (words, or frame members)
+      const char separator = !line.empty() && line[0] == '{' ? ',' : ' ';
+      std::vector<std::string> tokens = Split(line, separator);
+      const std::size_t at = rng.NextBounded(tokens.size());
+      if (tokens.size() > 1 && rng.NextBounded(2) == 0) {
+        tokens.erase(tokens.begin() + at);
+      } else {
+        tokens.insert(tokens.begin() + at, tokens[at]);
+      }
+      return Join(tokens, separator);
+    }
+    default:
+      return line.substr(0, rng.NextBounded(line.size() + 1)) +
+             other.substr(rng.NextBounded(other.size() + 1));
+  }
+}
+
+TEST(ProtocolFuzz, MutatedRequestsFailStructuredOrReencodeToAFixpoint) {
+  std::vector<std::string> seeds = {
+      // Fixed cases: a field order and a double the framed encoding
+      // once lost, and a value it cannot spell.
+      R"({"cmd":"snapshot","name":"kc","path":"p","levels":[4],)"
+      R"("precompute":false})",
+      "mine g 2 5 tau-ms=0.1000000000001",
+      "mine g 2 5 time-limit=inf",
+  };
+  for (const GoldenPair& pair : GoldenPairs()) {
+    seeds.push_back(pair.text);
+    seeds.push_back(pair.framed);
+  }
+  for (const std::string& seed : seeds) CheckCodecProperties(seed);
+
+  Rng rng(20260417);
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    std::string line = seeds[rng.NextBounded(seeds.size())];
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations; ++m) {
+      line = Mutate(line, seeds[rng.NextBounded(seeds.size())], rng);
+    }
+    CheckCodecProperties(line);
+  }
 }
 
 // ------------------------------------------------------- response goldens
