@@ -1,11 +1,10 @@
 #include "coord/coord_session.h"
 
-#include <algorithm>
 #include <utility>
 #include <variant>
 
-#include "obs/metrics.h"
 #include "service/dispatcher.h"
+#include "service/service_api.h"
 
 namespace kplex {
 namespace {
@@ -59,69 +58,32 @@ CoordSession::CoordSession(std::ostream& out,
 
 void CoordSession::Fail(const Status& status, uint64_t request_id) {
   ++errors_;
-  if (mode_ == WireMode::kText) {
-    out_ << "error: " << status.ToString() << "\n";
-  } else {
-    Response response;
-    response.request_id = request_id;
-    response.payload = ErrorResponse{status};
-    out_ << FormatFramedResponse(response) << "\n";
-  }
+  WriteResponse({request_id, ErrorResponse{status}}, mode_, out_);
 }
 
 bool CoordSession::ExecuteLine(const std::string& line) {
-  if (mode_ == WireMode::kText) {
-    if (IsBlankOrComment(line)) return true;
-    auto request = ParseTextRequest(line);
-    if (!request.ok()) {
-      Fail(request.status());
-      return true;
-    }
-    return Dispatch(*request);
-  }
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
   uint64_t error_id = 0;
-  auto request = ParseFramedRequest(line, &error_id);
-  if (!request.ok()) {
-    Fail(request.status(), error_id);
+  auto request = ParseSessionLine(line, mode_, &error_id);
+  if (!request.has_value()) return true;
+  if (!request->ok()) {
+    Fail(request->status(), error_id);
     return true;
   }
-  return Dispatch(*request);
+  return Dispatch(**request);
 }
 
 bool CoordSession::Dispatch(const Request& request) {
-  // Match the worker session's quit shape: silent close in text mode,
-  // a bye frame in framed mode.
-  if (std::holds_alternative<QuitRequest>(request.payload) &&
-      mode_ == WireMode::kText) {
-    return false;
-  }
-  Response response;
-  response.request_id = request.id;
-  response.payload = Execute(request.payload);
+  if (EndsSessionSilently(request, mode_)) return false;
+  const Response response{request.id, Execute(request.payload)};
   if (std::holds_alternative<ErrorResponse>(response.payload)) ++errors_;
-  if (const auto* hello = std::get_if<HelloResponse>(&response.payload)) {
-    if (hello->mode.has_value()) mode_ = *hello->mode;
-  }
-  if (mode_ == WireMode::kText) {
-    FormatTextResponse(response, out_);
-  } else {
-    out_ << FormatFramedResponse(response) << "\n";
-  }
+  mode_ = ModeAfter(response, mode_);
+  WriteResponse(response, mode_, out_);
   return !std::holds_alternative<ByeResponse>(response.payload);
 }
 
 ResponsePayload CoordSession::Execute(const RequestPayload& payload) {
   if (const auto* hello = std::get_if<HelloRequest>(&payload)) {
-    if (hello->version == 0) {
-      return ErrorResponse{Status::InvalidArgument(
-          "unsupported protocol version 0 (this daemon speaks 1.." +
-          std::to_string(kProtocolVersion) + ")")};
-    }
-    HelloResponse response;
-    response.version = std::min(hello->version, kProtocolVersion);
-    response.mode = hello->mode;
-    return response;
+    return ServiceApi::AnswerHello(*hello, "daemon");
   }
   if (const auto* mine = std::get_if<MineRequest>(&payload)) {
     auto id = coordinator_->Submit(mine->query);
@@ -152,14 +114,7 @@ ResponsePayload CoordSession::Execute(const RequestPayload& payload) {
     return response;
   }
   if (const auto* metrics = std::get_if<MetricsRequest>(&payload)) {
-    if (!metrics->format.empty() && metrics->format != "table" &&
-        metrics->format != "prom") {
-      return ErrorResponse{Status::InvalidArgument(
-          "unknown metrics format '" + metrics->format +
-          "' (expected table or prom)")};
-    }
-    return MetricsResponse{metrics->format,
-                           MetricsRegistry::Global().Snapshot()};
+    return ServiceApi::AnswerMetrics(*metrics);
   }
   if (const auto* join = std::get_if<RegisterRequest>(&payload)) {
     auto id = coordinator_->AddWorker(join->endpoint);

@@ -487,14 +487,11 @@ struct Response {
 
 // -------------------------------------------------------------- text codec
 
-/// True for lines the text grammar skips silently (blank / '#' comment).
-bool IsBlankOrComment(const std::string& line);
-
 /// Parses one line of the session grammar into a typed request.
 /// Returns InvalidArgument with the historical error strings ("usage:
 /// ...", "unknown command '...' (try 'help')") on malformed input.
-/// `line` must not be blank or a comment (check IsBlankOrComment
-/// first).
+/// `line` must not be blank or a comment (ParseSessionLine skips
+/// those).
 StatusOr<Request> ParseTextRequest(const std::string& line);
 
 /// Writes the human text rendering of a response — byte-identical to
@@ -517,6 +514,30 @@ std::string FormatFramedRequest(const Request& request);
 
 /// One-line JSON encoding of a response (no trailing newline).
 std::string FormatFramedResponse(const Response& response);
+
+// ----------------------------------------------------------- session rules
+// The wire rules every session shares: the worker's ServiceSession and
+// the coordinator daemon's CoordSession.
+
+/// Parses one session line in `mode`. Returns std::nullopt for a line
+/// the mode skips: text skips blank lines and '#' comments, framed only
+/// whitespace-only keep-alives ('#' is no comment there, so every
+/// non-blank frame gets a correlated response). A rejected frame's
+/// correlation id, when readable, lands in `error_id`.
+std::optional<StatusOr<Request>> ParseSessionLine(const std::string& line,
+                                                  WireMode mode,
+                                                  uint64_t* error_id);
+
+/// Writes `response` in `mode`: its text rendering, or one framed line.
+void WriteResponse(const Response& response, WireMode mode, std::ostream& out);
+
+/// The quit rule: on the text wire `quit` ends the session without a
+/// response; the framed wire acknowledges it with a bye frame.
+bool EndsSessionSilently(const Request& request, WireMode mode);
+
+/// The hello rule: a hello response that carries a mode switches the
+/// session to it, and is itself written in the new mode.
+WireMode ModeAfter(const Response& response, WireMode mode);
 
 // ------------------------------------------- framed client-side decode
 // The shard coordinator is a protocol *client*: it reads framed

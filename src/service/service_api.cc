@@ -90,16 +90,21 @@ void ServiceApi::CancelAllJobs() {
   }
 }
 
-ResponsePayload ServiceApi::Handle(const HelloRequest& hello) {
+ResponsePayload ServiceApi::AnswerHello(const HelloRequest& hello,
+                                        const char* endpoint) {
   if (hello.version == 0) {
     return ErrorResponse{Status::InvalidArgument(
-        "unsupported protocol version 0 (this server speaks 1.." +
-        std::to_string(kProtocolVersion) + ")")};
+        std::string("unsupported protocol version 0 (this ") + endpoint +
+        " speaks 1.." + std::to_string(kProtocolVersion) + ")")};
   }
   HelloResponse response;
   response.version = std::min(hello.version, kProtocolVersion);
   response.mode = hello.mode;
   return response;
+}
+
+ResponsePayload ServiceApi::Handle(const HelloRequest& hello) {
+  return AnswerHello(hello, "server");
 }
 
 ResponsePayload ServiceApi::Handle(const LoadRequest& load) {
@@ -345,7 +350,7 @@ ResponsePayload ServiceApi::Handle(const StoreRequest& store) {
   return response;
 }
 
-ResponsePayload ServiceApi::Handle(const MetricsRequest& metrics) {
+ResponsePayload ServiceApi::AnswerMetrics(const MetricsRequest& metrics) {
   if (!metrics.format.empty() && metrics.format != "table" &&
       metrics.format != "prom") {
     return ErrorResponse{Status::InvalidArgument(
@@ -354,6 +359,10 @@ ResponsePayload ServiceApi::Handle(const MetricsRequest& metrics) {
   }
   return MetricsResponse{metrics.format,
                          MetricsRegistry::Global().Snapshot()};
+}
+
+ResponsePayload ServiceApi::Handle(const MetricsRequest& metrics) {
+  return AnswerMetrics(metrics);
 }
 
 ResponsePayload ServiceApi::Handle(const EvictRequest& evict) {

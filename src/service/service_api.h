@@ -64,6 +64,16 @@ class ServiceApi {
   /// Cancels every queued/running dispatcher job (server shutdown).
   void CancelAllJobs();
 
+  /// The hello answer of any endpoint: the negotiated version
+  /// min(N, kProtocolVersion), or INVALID_ARGUMENT for version 0, whose
+  /// message names the `endpoint` ("server", "daemon").
+  static ResponsePayload AnswerHello(const HelloRequest& hello,
+                                     const char* endpoint);
+
+  /// A scrape of the process-wide metrics registry; INVALID_ARGUMENT for
+  /// a format other than table or prom.
+  static ResponsePayload AnswerMetrics(const MetricsRequest& metrics);
+
   GraphCatalog& catalog() { return catalog_; }
   QueryEngine& engine() { return engine_; }
   ServiceDispatcher& dispatcher() { return *dispatcher_; }

@@ -70,50 +70,25 @@ ServiceSession::ServiceSession(std::ostream& out,
 
 void ServiceSession::Fail(const Status& status, uint64_t request_id) {
   ++errors_;
-  if (mode_ == WireMode::kText) {
-    out_ << "error: " << status.ToString() << "\n";
-  } else {
-    Response response;
-    response.request_id = request_id;
-    response.payload = ErrorResponse{status};
-    out_ << FormatFramedResponse(response) << "\n";
-  }
+  WriteResponse({request_id, ErrorResponse{status}}, mode_, out_);
 }
 
 bool ServiceSession::ExecuteLine(const std::string& line) {
-  if (mode_ == WireMode::kText) {
-    if (IsBlankOrComment(line)) return true;
-    if (echo_) out_ << "> " << line << "\n";
-    auto request = ParseTextRequest(line);
-    if (!request.ok()) {
-      Fail(request.status());
-      return true;
-    }
-    return Dispatch(*request);
-  }
-  // Framed mode tolerates truly blank keep-alive lines only; '#' is
-  // not a comment marker here — every non-blank frame gets a
-  // correlated response, or request/response clients would hang.
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
   uint64_t error_id = 0;
-  auto request = ParseFramedRequest(line, &error_id);
-  if (!request.ok()) {
+  auto request = ParseSessionLine(line, mode_, &error_id);
+  if (!request.has_value()) return true;
+  if (echo_ && mode_ == WireMode::kText) out_ << "> " << line << "\n";
+  if (!request->ok()) {
     // A rejected frame still answers under the client's id when one
     // was readable, so pipelining clients never orphan the failure.
-    Fail(request.status(), error_id);
+    Fail(request->status(), error_id);
     return true;
   }
-  return Dispatch(*request);
+  return Dispatch(**request);
 }
 
 bool ServiceSession::Dispatch(const Request& request) {
-  // The historical text grammar ends the session on `quit` without
-  // printing anything; the framed wire acknowledges with a bye frame so
-  // clients can distinguish a clean close from a dropped connection.
-  if (std::holds_alternative<QuitRequest>(request.payload) &&
-      mode_ == WireMode::kText) {
-    return false;
-  }
+  if (EndsSessionSilently(request, mode_)) return false;
   Response response;
   if (const auto* mine = std::get_if<MineRequest>(&request.payload)) {
     response = ExecuteMine(request.id, *mine);
@@ -121,11 +96,7 @@ bool ServiceSession::Dispatch(const Request& request) {
     response = api_->Execute(request);
   }
   NoteResponse(response);
-  // A hello that switches the wire mode is answered in the *new* mode,
-  // so a framed client's very first read is already a JSON frame.
-  if (const auto* hello = std::get_if<HelloResponse>(&response.payload)) {
-    if (hello->mode.has_value()) mode_ = *hello->mode;
-  }
+  mode_ = ModeAfter(response, mode_);
   // Streamed delivery: a results=stream mine's plex bodies travel as
   // bounded result_chunk frames ahead of the final verdict frame.
   // Backpressure is the transport's: each chunk is a blocking write, so
@@ -140,11 +111,7 @@ bool ServiceSession::Dispatch(const Request& request) {
     }
   }
   WallTimer serialize_timer;
-  if (mode_ == WireMode::kText) {
-    FormatTextResponse(response, out_);
-  } else {
-    out_ << FormatFramedResponse(response) << "\n";
-  }
+  WriteResponse(response, mode_, out_);
   SerializeSeconds().Observe(serialize_timer.ElapsedSeconds());
   return !std::holds_alternative<ByeResponse>(response.payload);
 }
@@ -172,23 +139,13 @@ void ServiceSession::EmitResultChunks(uint64_t request_id,
     offset += take;
     chunk.last = offset == plexes.size();
     const uint64_t plex_count = chunk.plexes.size();
-    Response response;
-    response.request_id = request_id;
-    response.payload = std::move(chunk);
-    std::size_t bytes = 0;
-    if (mode_ == WireMode::kText) {
-      std::ostringstream rendered;
-      FormatTextResponse(response, rendered);
-      bytes = rendered.str().size();
-      out_ << rendered.str();
-    } else {
-      const std::string line = FormatFramedResponse(response);
-      bytes = line.size() + 1;
-      out_ << line << "\n";
-    }
+    std::ostringstream rendered;
+    WriteResponse({request_id, std::move(chunk)}, mode_, rendered);
+    const std::string bytes = rendered.str();
+    out_ << bytes;
     StreamChunksTotal().Increment();
     StreamPlexesTotal().Increment(plex_count);
-    StreamBytesTotal().Increment(bytes);
+    StreamBytesTotal().Increment(bytes.size());
   } while (offset < plexes.size());
   StreamWriteSeconds().Observe(timer.ElapsedSeconds());
 }
