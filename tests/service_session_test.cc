@@ -174,6 +174,35 @@ TEST(ServiceSession, MineShardTextFlowAndStatsHashColumn) {
   EXPECT_EQ(session.errors(), 1u);  // exactly the refused shard
 }
 
+TEST(ServiceSession, FramedSnapshotAnswersPrecomputeInEitherFieldOrder) {
+  // Levels imply precompute however the frame orders its fields: the
+  // answer says so, and the written file loads with its sections.
+  std::ostringstream out;
+  ServiceSession session(out);
+  ASSERT_TRUE(session.ExecuteLine("dataset kc karate"));
+  ASSERT_TRUE(session.ExecuteLine("hello mode=framed"));
+  const std::vector<std::string> orders = {
+      R"("levels":[4],"precompute":false)",
+      R"("precompute":false,"levels":[4])"};
+  for (std::size_t i = 0; i < orders.size(); ++i) {
+    const std::string path = TempPath("levels_order");
+    ASSERT_TRUE(session.ExecuteLine(
+        R"({"cmd":"snapshot","name":"kc","path":")" + path + "\"," +
+        orders[i] + "}"));
+    const std::string answer = Lines(out.str()).back();
+    EXPECT_NE(answer.find("\"precompute\":true"), std::string::npos)
+        << answer;
+    const std::string name = "reloaded" + std::to_string(i);
+    ASSERT_TRUE(session.catalog().RegisterFile(name, path).ok());
+    ASSERT_TRUE(session.catalog().Get(name).ok());
+    for (const CatalogEntryInfo& info : session.catalog().Entries()) {
+      if (info.name == name) EXPECT_EQ(info.precompute, "order+core+masks");
+    }
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(session.errors(), 0u) << out.str();
+}
+
 TEST(ServiceSession, SnapshotReloadFasterThanEdgeListParse) {
   // The snapshot exists to beat re-parsing; assert it actually does on a
   // graph big enough that the margin is far from timer noise (~200k
