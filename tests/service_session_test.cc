@@ -196,7 +196,9 @@ TEST(ServiceSession, FramedSnapshotAnswersPrecomputeInEitherFieldOrder) {
     ASSERT_TRUE(session.catalog().RegisterFile(name, path).ok());
     ASSERT_TRUE(session.catalog().Get(name).ok());
     for (const CatalogEntryInfo& info : session.catalog().Entries()) {
-      if (info.name == name) EXPECT_EQ(info.precompute, "order+core+masks");
+      if (info.name == name) {
+        EXPECT_EQ(info.precompute, "order+core+masks");
+      }
     }
     std::remove(path.c_str());
   }
