@@ -20,7 +20,10 @@
 //          survive framing; the text grammar cannot express them.
 //      A session starts in text mode; the `hello` handshake
 //      (HelloRequest) negotiates the protocol version and may switch
-//      the connection to framed mode.
+//      the connection to framed mode. One verb table in protocol.cc
+//      lists every request's fields once and drives the text parser,
+//      the framed parser and the framed encoder, so the two encodings
+//      cannot drift apart.
 //   3. *Errors*: every failure is a structured Status (code + message)
 //      echoed with the request id — formatted as "error: CODE: msg" on
 //      the text wire and as {"ok":false,"code":...} on the framed wire.
