@@ -5,8 +5,8 @@
 //
 //   mine QUERY        run a coordinated mine synchronously (submit +
 //                     wait; the response is a normal mine verdict, so
-//                     `kplex_cli mine --coordinator` reuses the plain
-//                     remote-mine client path unchanged)
+//                     `kplex_cli mine --endpoint` is the same client for
+//                     a daemon as for a worker)
 //   submit QUERY      enqueue a coordinated mine, return its job id
 //   wait ID           block until the coordinated job is terminal
 //   jobs              list every coordinated job

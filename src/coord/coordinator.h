@@ -79,8 +79,8 @@ struct CoordinatorOptions {
 /// or reshape the served set — max-results, results=stream, filters,
 /// top=K, mode=maximum, cursors — are rejected with a structured
 /// InvalidArgument explaining the incompatibility, as is the fp
-/// baseline (no seed ranges). Exposed so the CLI can surface the
-/// explanation before opening any connection.
+/// baseline (no seed ranges). Coordinator::Submit runs it before any
+/// connection opens, so the explanation reaches the caller first.
 Status ValidateCoordinatedQuery(const QueryRequest& query);
 
 /// Terminal record of one chunk assignment that merged.

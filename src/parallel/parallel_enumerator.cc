@@ -43,6 +43,13 @@ class ParallelRunner {
                            ? static_cast<int64_t>(
                                  parallel_options.timeout_ms * 1e6)
                            : 0),
+        // One deadline for the whole run, set on every engine and
+        // checked before each seed and task (0: no time limit).
+        global_deadline_(options.time_limit_seconds > 0
+                             ? WallTimer::NowNanos() +
+                                   static_cast<int64_t>(
+                                       options.time_limit_seconds * 1e9)
+                             : 0),
         // Sharded mining: the stage loop walks only this shard's slice
         // [range_begin_, range_end_) of the canonical seed order, so
         // disjoint ranges partition the result set exactly as in the
@@ -83,6 +90,10 @@ class ParallelRunner {
     return stopped_early_.load(std::memory_order_relaxed);
   }
 
+  /// True when the run skipped or aborted work because
+  /// options.time_limit_seconds passed.
+  bool timed_out() const { return timed_out_.load(std::memory_order_relaxed); }
+
  private:
   struct StageReset {
     ParallelRunner* runner;
@@ -122,6 +133,16 @@ class ParallelRunner {
     return true;
   }
 
+  // The time-limit twin of Cancelled(): true (and recorded) once the
+  // global deadline has passed.
+  bool TimedOut() {
+    if (global_deadline_ == 0 || WallTimer::NowNanos() <= global_deadline_) {
+      return false;
+    }
+    timed_out_.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
   static uint32_t ResolveBatch(uint32_t requested, std::size_t n,
                                uint32_t threads) {
     if (requested > 0) return requested;
@@ -143,9 +164,10 @@ class ParallelRunner {
         const uint32_t offset = stage * per_stage + b * num_threads_ + tid;
         if (offset >= n) break;
         const uint32_t seed_index = range_begin_ + offset;
-        // Only consult the cancel flag when there is a seed to skip —
-        // an observation with no work left would taint a complete run.
-        if (Cancelled() || stopped_early()) break;
+        // Only consult the cancel flag and the deadline when there is
+        // a seed to skip — an observation with no work left would
+        // taint a complete run.
+        if (Cancelled() || stopped_early() || TimedOut()) break;
         PopulateSeed(tid, seed_index);
       }
       // Draining starts as soon as this worker finishes its own builds —
@@ -178,10 +200,12 @@ class ParallelRunner {
       // termination check below.
       active_.fetch_add(1, std::memory_order_acq_rel);
       if (PopOrSteal(tid, task)) {
-        // On cancellation or a hit result cap, pending tasks are popped
-        // and dropped so the queues empty out and the termination
-        // condition fires quickly.
-        if (!Cancelled() && !stopped_early()) Execute(tid, std::move(task));
+        // On cancellation, a hit result cap or a passed time limit,
+        // pending tasks are popped and dropped so the queues empty out
+        // and the termination condition fires quickly.
+        if (!Cancelled() && !stopped_early() && !TimedOut()) {
+          Execute(tid, std::move(task));
+        }
         active_.fetch_sub(1, std::memory_order_acq_rel);
         continue;
       }
@@ -216,9 +240,12 @@ class ParallelRunner {
         queues_[tid].queue.Push(ParallelTask{seed_graph, std::move(state)});
       });
     }
+    if (global_deadline_ > 0) engine.SetGlobalDeadline(global_deadline_);
     engine.Run(task.state);
     if (engine.cancelled()) {
       observed_cancel_.store(true, std::memory_order_relaxed);
+    } else if (engine.aborted()) {
+      timed_out_.store(true, std::memory_order_relaxed);
     }
     if (engine.stopped_early()) {
       stopped_early_.store(true, std::memory_order_relaxed);
@@ -239,6 +266,7 @@ class ParallelRunner {
   ResultSink& sink_;
   const uint32_t num_threads_;
   const int64_t timeout_nanos_;
+  const int64_t global_deadline_;
   const uint32_t range_begin_;  // clamped shard slice of the seed order
   const uint32_t range_end_;
   const uint32_t seeds_per_stage_;
@@ -249,6 +277,7 @@ class ParallelRunner {
   std::atomic<uint32_t> populate_done_{0};
   std::atomic<bool> observed_cancel_{false};
   std::atomic<bool> stopped_early_{false};
+  std::atomic<bool> timed_out_{false};
   // Only the barrier-completion thread touches it (one at a time),
   // matching the throttle's single-threaded contract.
   ProgressThrottle progress_throttle_{options_.progress_min_interval_ms};
@@ -280,6 +309,7 @@ StatusOr<EnumResult> ParallelEnumerateMaximalKPlexes(
   result.counters.MergeFrom(runner.Run());
   result.cancelled = runner.observed_cancel();
   result.stopped_early = runner.stopped_early();
+  result.timed_out = runner.timed_out();
   result.num_plexes = result.counters.outputs;
   result.seconds = timer.ElapsedSeconds();
   return result;

@@ -351,7 +351,44 @@ void QueryEngine::FinishInFlight(const std::string& signature,
 
 StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
                                            uint64_t trace_id) {
-  // Reject non-composing v4 selection options before any graph work.
+  StatusOr<CatalogGraph> resolved = Status::Internal("unreachable");
+  {
+    // Usually resident (the signature resolution above materialized
+    // it), in which case this records a near-zero span. A seed-ranged
+    // query is one chunk of a coordinated mine: it asks for sections so
+    // the worker reduces the graph once, not once per chunk (ctcp is a
+    // different reduction and cannot use them).
+    TraceSpan load_span(trace_id, "catalog_load", &CatalogLoadSeconds());
+    load_span.AddAttr("graph", request.graph);
+    resolved = request.HasSeedRange() && !request.use_ctcp
+                   ? catalog_.GetWithSections(request.graph)
+                   : catalog_.GetFull(request.graph);
+  }
+  if (!resolved.ok()) return resolved.status();
+  // The graph and its sections stay alive for the whole run through
+  // `resolved` (eviction-safe). Bodies are buffered: the caches keep
+  // them and the session streams them once the verdict is known.
+  const bool want_bodies =
+      request.collect_bodies || request.top_k > 0 || request.maximum;
+  CollectingSink collecting;
+  auto result =
+      ExecuteQuery(*resolved->graph, resolved->precompute.get(), request,
+                   want_bodies ? &collecting : nullptr, trace_id);
+  if (!result.ok() || !want_bodies) return result;
+  // Sequential runs keep enumeration order so cursor pages concatenate;
+  // parallel emission order is racy, so sort for a deterministic
+  // (cacheable) body list. top=K already arrives best-first.
+  result->plexes = std::make_shared<const std::vector<std::vector<VertexId>>>(
+      request.threads > 0 && request.top_k == 0 ? collecting.SortedResults()
+                                                : collecting.Results());
+  return result;
+}
+
+StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
+                                   const GraphPrecompute* precompute,
+                                   const QueryRequest& request,
+                                   ResultSink* bodies, uint64_t trace_id) {
+  // Reject non-composing v4 selection options before any search work.
   if (request.maximum &&
       (request.HasFilter() || request.top_k > 0 || request.has_cursor ||
        request.max_results > 0 || request.HasSeedRange())) {
@@ -387,24 +424,6 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     return Status::InvalidArgument(
         "the fp baseline does not support seed ranges");
   }
-  StatusOr<CatalogGraph> resolved = Status::Internal("unreachable");
-  {
-    // Usually resident (the signature resolution above materialized
-    // it), in which case this records a near-zero span. A seed-ranged
-    // query is one chunk of a coordinated mine: it asks for sections so
-    // the worker reduces the graph once, not once per chunk (ctcp is a
-    // different reduction and cannot use them).
-    TraceSpan load_span(trace_id, "catalog_load", &CatalogLoadSeconds());
-    load_span.AddAttr("graph", request.graph);
-    resolved = request.HasSeedRange() && !request.use_ctcp
-                   ? catalog_.GetWithSections(request.graph)
-                   : catalog_.GetFull(request.graph);
-  }
-  if (!resolved.ok()) return resolved.status();
-  const std::shared_ptr<const Graph>& graph = resolved->graph;
-  // Holds the sections alive for the whole run (eviction-safe).
-  const std::shared_ptr<const GraphPrecompute>& precompute =
-      resolved->precompute;
 
   if (request.maximum) {
     // mode=maximum serves the maximum-k-plex solver: the answer is the
@@ -416,24 +435,21 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
       enumerate_span.AddAttr("graph", request.graph);
       enumerate_span.AddAttr("k", std::to_string(request.k));
       enumerate_span.AddAttr("mode", "maximum");
-      found = FindMaximumKPlex(*graph, request.k);
+      found = FindMaximumKPlex(graph, request.k);
     }
     if (!found.ok()) return found.status();
     QueryResult result;
     result.compute_seconds = found->seconds;
-    std::vector<std::vector<VertexId>> bodies;
     if (found->found) {
+      const std::span<const VertexId> plex(found->plex);
       MeasuringSink measure;
-      measure.Emit(std::span<const VertexId>(found->plex));
+      measure.Emit(plex);
+      if (bodies != nullptr) bodies->Emit(plex);
       result.num_plexes = 1;
       result.max_plex_size = found->plex.size();
       result.fingerprint = measure.fingerprint();
       result.fingerprint_xor = measure.xor_hash();
-      bodies.push_back(std::move(found->plex));
     }
-    result.plexes =
-        std::make_shared<const std::vector<std::vector<VertexId>>>(
-            std::move(bodies));
     return result;
   }
 
@@ -460,7 +476,7 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
   options.use_ctcp_preprocess = request.use_ctcp;
   options.cancel = request.cancel;
   options.yield = request.yield;
-  options.precompute = precompute.get();
+  options.precompute = precompute;
   options.seed_range.begin = request.seed_begin;
   options.seed_range.end = request.seed_end;
 
@@ -483,22 +499,21 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     }
   }
 
-  // The sink chain (innermost first): a measuring/collecting target,
-  // wrapped by the server-side filter, wrapped by the cursor skip. The
-  // measuring sink sits after the filter, so the reported count and
-  // fingerprint describe exactly the served set.
-  const bool want_bodies = request.collect_bodies || request.top_k > 0;
+  // The sink chain (innermost first): the measuring sink (teed into
+  // `bodies`) or the top-K selection, wrapped by the server-side
+  // filter, wrapped by the cursor skip. Measuring sits after the
+  // filter, so the reported count and fingerprint describe exactly the
+  // served set.
   MeasuringSink measuring;
-  CollectingSink collecting;
   TopKSink topk(static_cast<std::size_t>(request.top_k));
   CallbackSink tee([&](std::span<const VertexId> plex) {
     measuring.Emit(plex);
-    collecting.Emit(plex);
+    bodies->Emit(plex);
   });
   ResultSink* target = &measuring;
   if (request.top_k > 0) {
     target = &topk;
-  } else if (want_bodies) {
+  } else if (bodies != nullptr) {
     target = &tee;
   }
   PlexFilter filter;
@@ -519,54 +534,35 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     enumerate_span.AddAttr("q", std::to_string(request.q));
     enumerate_span.AddAttr("algo", QueryAlgoName(request.algo));
     if (request.algo == QueryAlgo::kFp) {
-      run = FpEnumerate(*graph, request.k, request.q, sink);
+      run = FpEnumerate(graph, request.k, request.q, sink);
     } else if (request.threads > 0) {
       ParallelOptions parallel;
       parallel.num_threads = request.threads;
       parallel.timeout_ms = request.tau_ms;
-      run = ParallelEnumerateMaximalKPlexes(*graph, options, parallel, sink);
+      run = ParallelEnumerateMaximalKPlexes(graph, options, parallel, sink);
     } else {
-      run = EnumerateMaximalKPlexes(*graph, options, sink);
+      run = EnumerateMaximalKPlexes(graph, options, sink);
     }
   }
   if (!run.ok()) return run.status();
 
   QueryResult result;
   if (request.top_k > 0) {
-    // The selection is finalized only after the run; measure the
-    // winners so count/max/fingerprint describe the served set.
-    auto selected = topk.Selected();
-    MeasuringSink selected_measure;
-    for (const auto& plex : selected) {
-      selected_measure.Emit(std::span<const VertexId>(plex));
+    // The selection is final only after the run; measure the winners
+    // so count/max/fingerprint describe the served set.
+    for (const std::vector<VertexId>& plex : topk.Selected()) {
+      measuring.Emit(plex);
+      if (bodies != nullptr) bodies->Emit(plex);
     }
-    result.num_plexes = selected_measure.count();
-    result.max_plex_size = selected_measure.max_size();
-    result.fingerprint = selected_measure.fingerprint();
-    result.fingerprint_xor = selected_measure.xor_hash();
-    result.plexes =
-        std::make_shared<const std::vector<std::vector<VertexId>>>(
-            std::move(selected));
-  } else {
-    result.num_plexes = measuring.count();
-    result.max_plex_size = measuring.max_size();
-    result.fingerprint = measuring.fingerprint();
-    result.fingerprint_xor = measuring.xor_hash();
-    if (want_bodies) {
-      // Sequential runs keep enumeration order so cursor pages
-      // concatenate; parallel emission order is racy, so sort for a
-      // deterministic (cacheable) body list.
-      result.plexes =
-          std::make_shared<const std::vector<std::vector<VertexId>>>(
-              request.threads > 0 ? collecting.SortedResults()
-                                  : collecting.Results());
-    }
-    if (run->has_resume && request.threads == 0) {
-      result.has_cursor = true;
-      result.cursor_seed = run->resume_seed;
-      result.cursor_ordinal = run->resume_ordinal;
-    }
+  } else if (run->has_resume && request.threads == 0) {
+    result.has_cursor = true;
+    result.cursor_seed = run->resume_seed;
+    result.cursor_ordinal = run->resume_ordinal;
   }
+  result.num_plexes = measuring.count();
+  result.max_plex_size = measuring.max_size();
+  result.fingerprint = measuring.fingerprint();
+  result.fingerprint_xor = measuring.xor_hash();
   result.total_seeds = run->total_seeds;
   result.compute_seconds = run->seconds;
   result.timed_out = run->timed_out;
@@ -584,6 +580,7 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
                          request.seed_end, run->total_seeds));
   result.reduction_precomputed =
       run->counters.core_reductions_precomputed > 0;
+  result.counters = run->counters;
   return result;
 }
 

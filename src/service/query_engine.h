@@ -1,8 +1,9 @@
 // QueryEngine: the request front end of the query service. A request
 // names a catalog graph plus the enumeration parameters; the engine
-// resolves the graph through the GraphCatalog, dispatches to the
-// sequential or parallel enumerator (or a baseline driver), and caches
-// the outcome in an LRU result cache keyed by the canonical query
+// resolves the graph through the GraphCatalog, runs the request
+// through ExecuteQuery (the sequential or parallel enumerator, a
+// baseline driver, or the maximum-k-plex solver), and caches the
+// outcome in an LRU result cache keyed by the canonical query
 // signature. The signature covers exactly the parameters that determine
 // the result *set* (graph, k, q, algo, max_results) — thread count and
 // time limits only affect how fast the same answer is produced, so a
@@ -172,6 +173,9 @@ struct QueryResult {
   /// True when the run consumed precomputed snapshot sections instead
   /// of peeling the (q-k)-core itself (counters prove the skip).
   bool reduction_precomputed = false;
+  /// The engine counters of the run that produced the answer (a cache
+  /// hit keeps the original run's; a disk hit has none).
+  AlgoCounters counters;
   /// The plex bodies of the answer, present iff the request asked for
   /// them (collect_bodies / top_k / maximum). Shared so cache copies
   /// stay O(1). Sequential enumeration keeps emission order (the order
@@ -186,6 +190,22 @@ struct QueryResult {
   uint64_t cursor_ordinal = 0;
   std::string signature;
 };
+
+/// The request->driver half of QueryEngine, callable without a catalog
+/// or a cache: checks that the request's options compose, then serves
+/// mode=maximum through FindMaximumKPlex, or maps the algo onto
+/// EnumOptions and runs the fp, parallel or sequential driver behind
+/// the filter/cursor/top sink chain, and assembles the QueryResult.
+/// `precompute` may be null. When `bodies` is non-null every served
+/// plex goes to it: as it is emitted for plain, filtered and cursor
+/// runs (so a FileSink streams the answer without holding it),
+/// best-first after the run for top=K, and the one plex of maximum
+/// mode. QueryResult::plexes, signature, seconds and the cache flags
+/// are left to the caller.
+StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
+                                   const GraphPrecompute* precompute,
+                                   const QueryRequest& request,
+                                   ResultSink* bodies, uint64_t trace_id);
 
 class QueryEngine {
  public:

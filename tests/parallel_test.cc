@@ -93,6 +93,33 @@ TEST(Parallel, NoTimeoutNeverSpawns) {
   EXPECT_EQ(result->counters.timeout_spawns, 0u);
 }
 
+TEST(Parallel, TimeLimitStopsTheRunAndReportsTimedOut) {
+  // The wiki-vote-syn recipe at k=3 q=11: 229,572 plexes and about half
+  // a CPU-second of search, so a 50 ms limit stops it well short.
+  Graph g = GenerateBarabasiAlbert(1200, 18, 0xA004);
+  EnumOptions options = EnumOptions::Ours(3, 11);
+  options.time_limit_seconds = 0.05;
+  CountingSink sink;
+  ParallelOptions parallel;
+  parallel.num_threads = 2;
+  auto limited = ParallelEnumerateMaximalKPlexes(g, options, parallel, sink);
+  ASSERT_TRUE(limited.ok());
+  EXPECT_TRUE(limited->timed_out);
+  EXPECT_FALSE(limited->cancelled);
+  EXPECT_LT(limited->num_plexes, 229572u);
+
+  // A limit the run never reaches leaves the answer whole and unflagged.
+  Graph small = GenerateBarabasiAlbert(150, 6, 888);
+  EnumOptions roomy = EnumOptions::Ours(2, 5);
+  roomy.time_limit_seconds = 600;
+  CollectingSink collected;
+  auto whole = ParallelEnumerateMaximalKPlexes(small, roomy, parallel,
+                                               collected);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_FALSE(whole->timed_out);
+  EXPECT_EQ(collected.SortedResults(), RunEngine(small, roomy));
+}
+
 TEST(Parallel, MoreThreadsThanSeeds) {
   Graph g = GenerateErdosRenyi(12, 0.6, 779);
   EnumOptions options = EnumOptions::Ours(2, 4);

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Coordinator smoke test: boots THREE `kplex_cli serve --listen`
 workers and one `kplex_cli coordinate` daemon, runs a coordinated mine
-through `mine --coordinator`, SIGKILLs one worker while its chunk is
-running, registers a fourth worker mid-job through `coordctl`, and
+through `mine --endpoint DAEMON`, SIGKILLs one worker while its chunk
+is running, registers a fourth worker mid-job through `coordctl`, and
 asserts the merged result is byte-identical to a single-process run —
 then runs the same mine through `mine --endpoints` (an in-process
 coordinator) over the live workers.
@@ -16,7 +16,7 @@ Checks (any failure exits non-zero):
      plex count, max size, and fingerprint;
   3. during the coordinated mine, worker B is SIGKILLed while a real
      chunk is running on it, and worker D registers late via coordctl;
-  4. `mine --coordinator` still reports exactly the single-process
+  4. `mine --endpoint DAEMON` still reports exactly the single-process
      count, max size, and fingerprint;
   5. `coordctl workers` shows B dead and D schedulable;
   6. `mine --endpoints A,C,D` reports the same count, max size, and
@@ -142,10 +142,10 @@ def coordctl(cli, daemon_port, *args):
 
 def parse_verdict(output):
     match = re.search(
-        r"coordinated mine .*: (\d+) plexes, max size (\d+), "
-        r"fingerprint (0x[0-9a-f]{16})", output)
+        r"^mine .* via .*: (\d+) plexes, max size (\d+), "
+        r"fingerprint (0x[0-9a-f]{16})", output, re.MULTILINE)
     if not match:
-        fail(f"cannot parse coordinated mine output: {output!r}")
+        fail(f"cannot parse the mine verdict: {output!r}")
     return (int(match.group(1)), int(match.group(2)), match.group(3))
 
 
@@ -200,7 +200,7 @@ def main():
               f"{fingerprint}")
 
         mine = subprocess.Popen(
-            [cli, "mine", "--coordinator", f"127.0.0.1:{daemon_port}",
+            [cli, "mine", "--endpoint", f"127.0.0.1:{daemon_port}",
              "--graph", GRAPH, "--k", str(K), "--q", str(Q)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         processes.append(mine)

@@ -1,12 +1,12 @@
 // kplex_cli — the command-line front end of the library.
 //
-//   kplex_cli mine --input G.txt --k 2 --q 12 [--algo ours|ours_p|basic|
-//             listplex|fp] [--threads N] [--tau-ms 0.1] [--output F]
-//             [--max-results N] [--time-limit S] [--ctcp]
-//             [--seed-range B:E]
+//   kplex_cli mine {--input G.txt | --dataset NAME} --k 2 --q 12
+//             [--algo ours|ours_p|basic|listplex|fp] [--threads N]
+//             [--tau-ms 0.1] [--max-results N] [--time-limit S] [--ctcp]
+//             [--seed-range B:E] [selection] [--output F | --stream]
+//   kplex_cli mine --store DIR {--input G.txt | --dataset NAME} ...
+//   kplex_cli mine --endpoint host:port --graph NAME --k K --q Q ...
 //   kplex_cli mine --endpoints host:port,... --graph NAME --k K --q Q
-//             [--io-timeout S] [other mine options]   (coordinated)
-//   kplex_cli max --input G.txt --k 2
 //   kplex_cli report --input G.txt
 //   kplex_cli snapshot --input G.txt --output G.kpx [--precompute]
 //             [--core-levels C1,C2,...] [--format v1|v2]
@@ -16,37 +16,49 @@
 //             [--workers host:port,...] [--chunks-per-worker N]
 //             [--io-timeout S] [--steal-min-ms T]
 //   kplex_cli coordctl HOST:PORT VERB [ARGS...]
+//   kplex_cli metrics --endpoint host:port [--format table|prom|json]
 //   kplex_cli datasets
+//
+// `mine` is the one query command. Its flags build one QueryRequest
+// (the selection options of docs/SERVE.md included: --top, --contain,
+// --min-size, --max-size, --maximum, --cursor) and one verdict line
+// reports it, whichever of four modes answers:
+//   - a local mine runs the request through ExecuteQuery in process;
+//     --output F and --stream write each plex as it is emitted;
+//   - --store DIR runs it through a QueryEngine with a durable result
+//     store attached, so a repeat (even from a new process) is answered
+//     from DIR without enumerating;
+//   - --endpoint H:P sends it as one framed mine to a `serve --listen`
+//     worker or a `coordinate` daemon (streamed bodies included);
+//   - --endpoints A,B,... runs the sharded path (docs/SHARDING.md) in
+//     process: a Coordinator over the listed workers (--graph names the
+//     graph in *their* catalogs) plans cost-balanced chunks, work-steals
+//     stragglers, and merges the chunk fingerprints into one verified
+//     total. `--seed-range B:E` instead mines one shard (manual runs).
 //
 // `serve` without --listen is the stdin/script session; with --listen it
 // serves the same protocol (docs/SERVE.md) to TCP clients until SIGINT/
 // SIGTERM, running --script first to preload the shared catalog.
-//
-// `mine --endpoints` runs the sharded path (docs/SHARDING.md) in
-// process: a Coordinator over the listed `serve --listen` workers
-// (--graph names the graph in *their* catalogs) plans cost-balanced
-// chunks from a `plan` probe, work-steals stragglers, and merges the
-// chunk fingerprints into one verified total. `--seed-range B:E`
-// instead mines one shard locally (manual runs).
-//
-// `coordinate` keeps that coordinator alive as a daemon that owns a
-// worker pool. `mine --coordinator H:P` submits a mine to it;
-// `coordctl` speaks any single coordinator verb (register, drain,
+// `coordinate` keeps a coordinator alive as a daemon that owns a worker
+// pool; `coordctl` speaks any single coordinator verb (register, drain,
 // workers, jobs, ...) as one framed round trip.
 //
-// --dataset NAME may replace --input to mine a registry dataset.
 // Graphs are SNAP-format edge lists ('#' comments, "u v" per line) or
 // binary CSR snapshots (auto-detected; see docs/SNAPSHOT_FORMAT.md).
 // Mining a v2 snapshot that carries precomputed reduction sections
 // (--precompute at snapshot time) skips the (q-k)-core peel and the
 // degeneracy ordering on every subsequent run.
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,15 +68,11 @@
 #include <unistd.h>
 #endif
 
-#include "baselines/fp.h"
-#include "baselines/listplex.h"
 #include "bench_common/dataset_registry.h"
 #include "bench_common/table_printer.h"
 #include "coord/coord_session.h"
 #include "coord/coordinator.h"
-#include "core/enumerator.h"
 #include "core/file_sink.h"
-#include "core/max_kplex.h"
 #include "core/sink.h"
 #include "graph/connectivity.h"
 #include "graph/edge_list_io.h"
@@ -73,7 +81,6 @@
 #include "graph/triangles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_enumerator.h"
 #include "service/query_engine.h"
 #include "service/service_session.h"
 #include "store/result_store.h"
@@ -88,10 +95,15 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  kplex_cli mine --input G.txt --k K --q Q [options]\n"
-               "  kplex_cli mine --endpoints host:port,... --graph NAME\n"
+               "  kplex_cli mine {--input G.txt | --dataset NAME} --k K --q Q\n"
+               "            [options]\n"
+               "  kplex_cli mine --store DIR {--input G.txt | --dataset NAME}\n"
+               "            --k K --q Q [--store-budget-mb N] [options]\n"
+               "  kplex_cli mine --endpoint host:port --graph NAME\n"
                "            --k K --q Q [--io-timeout S] [options]\n"
-               "  kplex_cli max --input G.txt --k K\n"
+               "  kplex_cli mine --endpoints host:port,... --graph NAME\n"
+               "            --k K --q Q [--io-timeout S] [--algo A]\n"
+               "            [--threads N] [--tau-ms T] [--ctcp]\n"
                "  kplex_cli report --input G.txt\n"
                "  kplex_cli snapshot --input G.txt --output G.kpx\n"
                "            [--precompute] [--core-levels C1,C2,...]\n"
@@ -104,16 +116,9 @@ int Usage() {
                "  kplex_cli coordinate --listen PORT [--host H]\n"
                "            [--workers host:port,...] [--chunks-per-worker N]\n"
                "            [--io-timeout S] [--steal-min-ms T]\n"
-               "  kplex_cli mine --coordinator host:port --graph NAME\n"
-               "            --k K --q Q [mine options]\n"
                "  kplex_cli coordctl HOST:PORT VERB [ARGS...] [--io-timeout S]\n"
                "  kplex_cli metrics --endpoint host:port\n"
                "            [--format table|prom|json] [--io-timeout S]\n"
-               "  kplex_cli query {--endpoint host:port --graph NAME |\n"
-               "            --input G.txt} --k K --q Q [--stream] [--chunk N]\n"
-               "            [--top K] [--contain V] [--min-size S]\n"
-               "            [--max-size T] [--maximum] [--max-results N]\n"
-               "            [--cursor S:O] [mine options]\n"
                "  kplex_cli datasets\n"
                "global options (any command):\n"
                "  --log-level L     debug, info, warning or error\n"
@@ -126,34 +131,32 @@ int Usage() {
                "  --algo NAME       ours (default), ours_p, basic, listplex, fp\n"
                "  --threads N       parallel mining with N workers\n"
                "  --tau-ms T        straggler timeout (default 0.1; parallel only)\n"
-               "  --output FILE     write k-plexes (one line each) to FILE\n"
                "  --max-results N   stop after N results\n"
                "  --time-limit S    soft wall-clock budget in seconds\n"
                "  --ctcp            CTCP preprocessing instead of the "
                "(q-k)-core\n"
                "  --seed-range B:E  mine one shard of the seed space "
                "(E may be 'end')\n"
-               "  --store DIR       durable result store: a repeat of the\n"
-               "                    same mine (even from a new process) is\n"
-               "                    answered from DIR without enumerating\n"
-               "options for coordinated mine (--endpoints, --coordinator):\n"
-               "  --graph NAME      graph name in the workers' catalogs\n"
-               "  --threads N       threads per chunk on its worker\n"
-               "  --io-timeout S    per-socket-op timeout; a hung worker\n"
-               "                    becomes a requeued chunk (default:\n"
-               "                    none — set above the slowest chunk)\n"
-               "options for query (protocol v4 selection):\n"
-               "  --stream          print every plex body (streamed in\n"
-               "                    bounded chunks from a remote worker)\n"
-               "  --chunk N         plexes per result chunk (default 32)\n"
+               "  --output FILE     write each plex (one line each) to FILE\n"
+               "  --stream          print each plex to stdout\n"
                "  --top K           only the K largest plexes, best first\n"
                "  --contain V       only plexes containing vertex V\n"
                "  --min-size S      only plexes with >= S vertices\n"
                "  --max-size T      only plexes with <= T vertices\n"
-               "  --maximum         the single largest k-plex (max verb\n"
-               "                    through the service stack)\n"
+               "  --maximum         the single largest k-plex (no --q)\n"
                "  --cursor S:O      resume a max-results-truncated\n"
-               "                    sequential query where it stopped\n");
+               "                    sequential mine where it stopped\n"
+               "  --store DIR       durable result store: a repeat of the\n"
+               "                    same mine (even from a new process) is\n"
+               "                    answered from DIR without enumerating\n"
+               "  --endpoint H:P    send the mine to a `serve --listen`\n"
+               "                    worker or a `coordinate` daemon\n"
+               "  --endpoints LIST  coordinate the mine over these workers\n"
+               "  --graph NAME      graph name in the server's catalog\n"
+               "  --io-timeout S    per-socket-op timeout; a hung worker\n"
+               "                    becomes a requeued chunk (default:\n"
+               "                    none — set above the slowest chunk)\n"
+               "--top and --maximum print their plexes without --stream.\n");
   return 2;
 }
 
@@ -188,59 +191,273 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Builds the QueryRequest of a coordinated mine (--endpoints or
-/// --coordinator) from the mine flags.
-StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
+/// Integer flag `name` in 0..max. A negative value is refused by name
+/// rather than wrapped to 2^32 - 1 by the cast to the request field.
+StatusOr<uint64_t> GetCount(const FlagParser& flags, const std::string& name,
+                            int64_t default_value, uint64_t max = INT64_MAX) {
+  auto value = flags.GetInt(name, default_value);
+  if (!value.ok()) return value.status();
+  if (*value < 0 || static_cast<uint64_t>(*value) > max) {
+    return Status::InvalidArgument("--" + name + " must be in 0.." +
+                                   std::to_string(max) + ", got " +
+                                   std::to_string(*value));
+  }
+  return static_cast<uint64_t>(*value);
+}
+
+/// Duration flag `name` (seconds or milliseconds, as the flag says),
+/// refusing negative and non-finite values by name.
+StatusOr<double> GetDuration(const FlagParser& flags, const std::string& name,
+                             double default_value) {
+  auto value = flags.GetDouble(name, default_value);
+  if (!value.ok()) return value.status();
+  if (!std::isfinite(*value) || *value < 0) {
+    return Status::InvalidArgument("--" + name + " must be a finite number "
+                                   ">= 0, got '" +
+                                   flags.GetString(name, "") + "'");
+  }
+  return *value;
+}
+
+/// Flags every command accepts.
+const std::vector<std::string>& GlobalFlags() {
+  static const std::vector<std::string> flags = {"log-level", "log-json",
+                                                 "trace", "metrics-dump"};
+  return flags;
+}
+
+/// Where a mine runs; see the file comment.
+enum class MineMode { kLocal, kStore, kEndpoint, kEndpoints };
+
+const char* MineModeName(MineMode mode) {
+  switch (mode) {
+    case MineMode::kLocal: return "a local mine (--input/--dataset)";
+    case MineMode::kStore: return "mine --store";
+    case MineMode::kEndpoint: return "mine --endpoint";
+    case MineMode::kEndpoints: return "mine --endpoints";
+  }
+  return "?";
+}
+
+/// The flags `mode` reads. Each mode refuses the flags only another
+/// mode reads, the way Main refuses another command's flags: a --store
+/// on a coordinated mine, or a --graph on a local one, is a mistake the
+/// user should hear about, not a no-op. A coordinated mine is
+/// count-exact by construction, so it takes no selection flags.
+std::vector<std::string> MineFlags(MineMode mode) {
+  std::vector<std::string> flags = {"k",           "q",          "algo",
+                                    "threads",     "tau-ms",     "ctcp",
+                                    "max-results", "time-limit"};
+  flags.insert(flags.end(), GlobalFlags().begin(), GlobalFlags().end());
+  if (mode != MineMode::kEndpoints) {
+    flags.insert(flags.end(),
+                 {"seed-range", "output", "stream", "top", "contain",
+                  "min-size", "max-size", "maximum", "cursor"});
+  }
+  switch (mode) {
+    case MineMode::kStore:
+      flags.insert(flags.end(), {"store", "store-budget-mb"});
+      [[fallthrough]];
+    case MineMode::kLocal:
+      flags.insert(flags.end(), {"input", "dataset"});
+      break;
+    case MineMode::kEndpoint:
+      flags.insert(flags.end(), {"endpoint", "graph", "io-timeout"});
+      break;
+    case MineMode::kEndpoints:
+      flags.insert(flags.end(), {"endpoints", "graph", "io-timeout"});
+      break;
+  }
+  return flags;
+}
+
+/// The one flags -> QueryRequest builder of every mine mode. The graph
+/// is --graph for a remote mine, and the dataset or input file (the
+/// verdict's label) for an in-process one.
+StatusOr<QueryRequest> BuildMineRequest(const FlagParser& flags,
+                                        MineMode mode) {
   QueryRequest query;
-  query.graph = flags.GetString("graph", "");
+  const bool remote =
+      mode == MineMode::kEndpoint || mode == MineMode::kEndpoints;
+  query.graph = remote ? flags.GetString("graph", "")
+                       : flags.GetString("dataset",
+                                         flags.GetString("input", ""));
   if (query.graph.empty()) {
     return Status::InvalidArgument(
-        "a coordinated mine needs --graph NAME (the graph's name in the "
-        "workers' catalogs)");
+        remote ? "a remote mine needs --graph NAME (the graph's name in "
+                 "the server's catalog)"
+               : "one of --input or --dataset is required");
   }
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
+  auto k = GetCount(flags, "k", 2, UINT32_MAX);
+  auto q = GetCount(flags, "q", 0, UINT32_MAX);
+  auto threads = GetCount(flags, "threads", 0, UINT32_MAX);
+  auto contain = GetCount(flags, "contain", 0, UINT32_MAX);
+  auto max_results = GetCount(flags, "max-results", 0);
+  auto top = GetCount(flags, "top", 0);
+  auto min_size = GetCount(flags, "min-size", 0);
+  auto max_size = GetCount(flags, "max-size", 0);
+  auto tau = GetDuration(flags, "tau-ms", 0.1);
+  auto time_limit = GetDuration(flags, "time-limit", 0);
+  auto algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
   for (const Status& s :
-       {k.status(), q.status(), threads.status(), tau.status(),
-        max_results.status(), time_limit.status()}) {
+       {k.status(), q.status(), threads.status(), contain.status(),
+        max_results.status(), top.status(), min_size.status(),
+        max_size.status(), tau.status(), time_limit.status(),
+        algo.status()}) {
     if (!s.ok()) return s;
   }
-  if (*q == 0) {
+  query.maximum = flags.Has("maximum");
+  if (*q == 0 && !query.maximum) {
     return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
   }
   query.k = static_cast<uint32_t>(*k);
   query.q = static_cast<uint32_t>(*q);
+  query.algo = *algo;
   query.threads = static_cast<uint32_t>(*threads);
   query.tau_ms = *tau;
-  query.max_results = static_cast<uint64_t>(*max_results);
+  query.max_results = *max_results;
   query.time_limit_seconds = *time_limit;
   query.use_ctcp = flags.Has("ctcp");
-  auto parsed_algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
-  if (!parsed_algo.ok()) return parsed_algo.status();
-  query.algo = *parsed_algo;
-  // Surface option incompatibilities (max-results, filters, streaming)
-  // as their structured explanations before opening any connection.
-  KPLEX_RETURN_IF_ERROR(ValidateCoordinatedQuery(query));
+  query.top_k = *top;
+  query.has_contain = flags.Has("contain");
+  query.contain = static_cast<uint32_t>(*contain);
+  query.filter_min_size = *min_size;
+  query.filter_max_size = *max_size;
+  const std::string seed_range = flags.GetString("seed-range", "");
+  if (!seed_range.empty()) {
+    auto range = ParseSeedRangeText(seed_range);
+    if (!range.ok()) return range.status();
+    query.seed_begin = range->begin;
+    query.seed_end = range->end;
+  }
+  const std::string cursor = flags.GetString("cursor", "");
+  if (!cursor.empty()) {
+    auto parsed = ParseCursorText(cursor);
+    if (!parsed.ok()) return parsed.status();
+    query.has_cursor = true;
+    query.cursor_seed = parsed->seed;
+    query.cursor_ordinal = parsed->ordinal;
+  }
+  if (flags.Has("stream") && flags.Has("output")) {
+    return Status::InvalidArgument(
+        "--stream prints the plexes and --output writes them to a file: "
+        "pass one of them");
+  }
+  // Bodies travel whenever the user sees them: streamed, written to
+  // --output, or asked for by --top or --maximum. A bare mine is a
+  // count-only probe.
+  query.collect_bodies = flags.Has("stream") || flags.Has("output") ||
+                         query.top_k > 0 || query.maximum;
   return query;
 }
 
-/// The verdict line of a coordinated mine, shared by --endpoints and
-/// --coordinator. Machine-read by tools/coord_smoke.py; keep its shape
-/// stable.
-void PrintCoordinatedVerdict(const QueryRequest& query,
-                             const std::string& via, uint64_t plexes,
-                             uint64_t max_size, uint64_t fingerprint,
-                             double seconds) {
-  std::printf("coordinated mine %s k=%u q=%u via %s: %llu plexes, max size "
-              "%llu, fingerprint 0x%016llx, %.3fs\n",
-              query.graph.c_str(), query.k, query.q, via.c_str(),
-              static_cast<unsigned long long>(plexes),
-              static_cast<unsigned long long>(max_size),
-              static_cast<unsigned long long>(fingerprint), seconds);
+void PrintPlexLine(std::span<const VertexId> plex) {
+  for (std::size_t i = 0; i < plex.size(); ++i) {
+    std::printf("%s%u", i == 0 ? "" : " ", plex[i]);
+  }
+  std::printf("\n");
+}
+
+/// `mine --store DIR`: the query runs through the service stack —
+/// GraphCatalog + QueryEngine with a ResultStore attached. The graph is
+/// registered under the fixed catalog name "cli"; store entries key on
+/// the graph's *content hash* plus the canonical signature, so two
+/// invocations share an entry iff they mined the same bytes with the
+/// same parameters. `stats` receives the store's size after the run.
+StatusOr<QueryResult> StoreMine(const FlagParser& flags, QueryRequest query,
+                                ResultSink* bodies,
+                                ResultStore::Stats* stats) {
+  auto budget_mb = GetCount(flags, "store-budget-mb", 0, UINT64_MAX >> 20);
+  if (!budget_mb.ok()) return budget_mb.status();
+  GraphCatalog catalog;
+  const std::string dataset = flags.GetString("dataset", "");
+  KPLEX_RETURN_IF_ERROR(
+      dataset.empty()
+          ? catalog.RegisterFile("cli", flags.GetString("input", ""))
+          : catalog.RegisterDataset("cli", dataset));
+  StoreOptions store_options;
+  store_options.directory = flags.GetString("store", "");
+  store_options.byte_budget = *budget_mb << 20;
+  auto store = ResultStore::Open(std::move(store_options));
+  if (!store.ok()) {
+    return Status::IoError("cannot open result store: " +
+                           store.status().message());
+  }
+  QueryEngine engine(catalog);
+  engine.AttachStore(store->get());
+  query.graph = "cli";
+  auto result = engine.Run(query);
+  if (!result.ok()) return result.status();
+  if (bodies != nullptr && result->plexes != nullptr) {
+    for (const std::vector<VertexId>& plex : *result->plexes) {
+      bodies->Emit(plex);
+    }
+  }
+  *stats = (*store)->stats();
+  return result;
+}
+
+/// `mine --endpoint H:P`: one framed mine round trip. A `serve --listen`
+/// worker answers it, and so does a `coordinate` daemon (its mine verb
+/// replies with the same plain mine frame). Streamed result_chunk
+/// frames arrive before the verdict frame and go to `bodies` in order.
+StatusOr<QueryResult> RemoteMine(const std::string& endpoint,
+                                 double io_timeout, const QueryRequest& query,
+                                 ResultSink* bodies) {
+  TcpClient client;
+  KPLEX_RETURN_IF_ERROR(ConnectFramed(client, endpoint, io_timeout,
+                                      kProtocolVersionStreaming,
+                                      "mine --endpoint"));
+  Request request;
+  request.id = 2;
+  request.payload = MineRequest{query};
+  KPLEX_RETURN_IF_ERROR(client.SendLine(FormatFramedRequest(request)));
+  uint64_t streamed = 0;
+  StatusOr<ParsedMineResult> verdict = Status::Internal("unreachable");
+  for (uint64_t expected_seq = 0;; ++expected_seq) {
+    auto line = client.ReadLine();
+    if (!line.ok()) return line.status();
+    auto type = PeekFramedResponseType(*line);
+    if (!type.ok()) return type.status();
+    if (*type == "mine") {
+      verdict = ParseFramedMineResult(*line);
+      break;
+    }
+    if (*type != "result_chunk") {
+      return Status::Internal("unexpected '" + *type + "' frame mid-stream");
+    }
+    auto chunk = ParseFramedResultChunk(*line);
+    if (!chunk.ok()) return chunk.status();
+    if (chunk->seq != expected_seq) {
+      return Status::Internal(
+          "stream out of order: expected chunk " +
+          std::to_string(expected_seq) + ", got " + std::to_string(chunk->seq));
+    }
+    for (const std::vector<VertexId>& plex : chunk->plexes) {
+      if (bodies != nullptr) bodies->Emit(plex);
+      ++streamed;
+    }
+  }
+  if (!verdict.ok()) return verdict.status();
+  if (query.collect_bodies && verdict->bodies != streamed) {
+    return Status::Internal("stream truncated: the server buffered " +
+                            std::to_string(verdict->bodies) +
+                            " bodies but " + std::to_string(streamed) +
+                            " arrived");
+  }
+  QueryResult result;
+  result.num_plexes = verdict->plexes;
+  result.max_plex_size = static_cast<std::size_t>(verdict->max_size);
+  result.fingerprint = verdict->fingerprint;
+  result.seconds = verdict->seconds;
+  result.from_cache = verdict->cached;
+  result.timed_out = verdict->timed_out;
+  result.stopped_early = verdict->stopped_early;
+  result.cancelled = verdict->cancelled || verdict->state != "done";
+  result.has_cursor = verdict->has_cursor;
+  result.cursor_seed = verdict->cursor_seed;
+  result.cursor_ordinal = verdict->cursor_ordinal;
+  return result;
 }
 
 /// Adds every endpoint of the comma-separated `list` to `coordinator`
@@ -255,31 +472,22 @@ Status AddWorkers(Coordinator& coordinator, const std::string& list) {
 }
 
 /// `mine --endpoints A,B,...`: an in-process Coordinator over the listed
-/// workers (docs/SHARDING.md). Each endpoint becomes one worker (a
-/// repeated endpoint is the same worker); the job runs as cost-planned
-/// chunks with requeue and work stealing, and prints the merged chunk
-/// table plus the verdict `mine --coordinator` prints.
-int RunEndpointsMine(const FlagParser& flags) {
-  auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) return Fail(query.status());
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
-
+/// workers (docs/SHARDING.md). The job runs as cost-planned chunks with
+/// requeue and work stealing; the merged chunk table prints before the
+/// verdict.
+StatusOr<QueryResult> CoordinatedMine(const std::string& list,
+                                      double io_timeout,
+                                      const QueryRequest& query) {
   CoordinatorOptions options;
-  options.io_timeout_seconds = *io_timeout;
+  options.io_timeout_seconds = io_timeout;
   Coordinator coordinator(options);
-  const std::string list = flags.GetString("endpoints", "");
-  Status added = AddWorkers(coordinator, list);
-  if (!added.ok()) return Fail(added);
-  auto id = coordinator.Submit(*query);
-  if (!id.ok()) return Fail(id.status());
+  KPLEX_RETURN_IF_ERROR(AddWorkers(coordinator, list));
+  auto id = coordinator.Submit(query);
+  if (!id.ok()) return id.status();
   auto job = coordinator.Wait(*id);
   coordinator.Stop();
-  if (!job.ok()) return Fail(job.status());
-  if (job->state != "done") return Fail(job->status);
+  if (!job.ok()) return job.status();
+  if (job->state != "done") return job->status;
 
   TablePrinter table({"seeds", "worker", "plexes", "seconds", "stolen"});
   for (const CoordChunkOutcome& chunk : job->outcomes) {
@@ -289,363 +497,141 @@ int RunEndpointsMine(const FlagParser& flags) {
                   FormatSeconds(chunk.seconds), chunk.yielded ? "yes" : "-"});
   }
   table.Print(std::cout);
-  PrintCoordinatedVerdict(*query, list, job->num_plexes, job->max_plex_size,
-                          job->fingerprint, job->seconds);
-  return 0;
+  QueryResult result;
+  result.num_plexes = job->num_plexes;
+  result.max_plex_size = static_cast<std::size_t>(job->max_plex_size);
+  result.fingerprint = job->fingerprint;
+  result.seconds = job->seconds;
+  return result;
 }
 
-/// `mine --coordinator H:P`: submit the mine to a coordinator daemon
-/// (docs/SHARDING.md) and print its merged verdict. The daemon's mine
-/// verb answers with a plain protocol mine frame, so this is the
-/// remote-mine client pointed at a different server.
-int RunCoordinatorMine(const FlagParser& flags) {
-  auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) return Fail(query.status());
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
-  const std::string endpoint = flags.GetString("coordinator", "");
-  TcpClient client;
-  Status connected =
-      ConnectFramed(client, endpoint, *io_timeout,
-                    kProtocolVersionCoordination, "coordinated mining");
-  if (!connected.ok()) return Fail(connected);
-
-  Request request;
-  request.id = 2;
-  request.payload = MineRequest{*query};
-  Status sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) return Fail(sent);
-  auto line = client.ReadLine();
-  if (!line.ok()) return Fail(line.status());
-  auto verdict = ParseFramedMineResult(*line);
-  if (!verdict.ok()) return Fail(verdict.status());
-  PrintCoordinatedVerdict(*query, endpoint, verdict->plexes,
-                          verdict->max_size, verdict->fingerprint,
-                          verdict->seconds);
-  return verdict->state == "done" ? 0 : 1;
-}
-
-/// `mine --store DIR`: the query runs through the service stack —
-/// GraphCatalog + QueryEngine with a ResultStore attached — so a repeat
-/// of the same mine, even from a fresh process, is answered from the
-/// durable store without enumerating. The graph is registered under the
-/// fixed catalog name "cli"; store entries key on the graph's *content
-/// hash* plus the canonical signature, so two invocations share an
-/// entry iff they mined the same bytes with the same parameters.
-int RunStoreMine(const FlagParser& flags) {
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
-  auto store_budget_mb = flags.GetInt("store-budget-mb", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), tau.status(),
-        max_results.status(), time_limit.status(),
-        store_budget_mb.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*q == 0) {
-    std::fprintf(stderr, "--q is required (must be >= 2k - 1)\n");
-    return 1;
-  }
-  if (*store_budget_mb < 0) {
-    std::fprintf(stderr, "--store-budget-mb must be >= 0\n");
-    return 1;
-  }
-  auto algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
-  if (!algo.ok()) {
-    std::fprintf(stderr, "%s\n", algo.status().ToString().c_str());
-    return 1;
-  }
-
-  GraphCatalog catalog;
-  const std::string name = "cli";
-  const std::string dataset = flags.GetString("dataset", "");
-  const std::string input = flags.GetString("input", "");
-  Status registered = Status::Ok();
-  if (!dataset.empty()) {
-    registered = catalog.RegisterDataset(name, dataset);
-  } else if (!input.empty()) {
-    registered = catalog.RegisterFile(name, input);
-  } else {
-    std::fprintf(stderr, "one of --input or --dataset is required\n");
-    return 1;
-  }
-  if (!registered.ok()) {
-    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
-    return 1;
-  }
-
-  StoreOptions store_options;
-  store_options.directory = flags.GetString("store", "");
-  store_options.byte_budget = static_cast<uint64_t>(*store_budget_mb) << 20;
-  auto store = ResultStore::Open(std::move(store_options));
-  if (!store.ok()) {
-    std::fprintf(stderr, "cannot open result store: %s\n",
-                 store.status().ToString().c_str());
-    return 1;
-  }
-
-  QueryEngine engine(catalog);
-  engine.AttachStore(store->get());
-
-  QueryRequest request;
-  request.graph = name;
-  request.k = static_cast<uint32_t>(*k);
-  request.q = static_cast<uint32_t>(*q);
-  request.algo = *algo;
-  request.threads = static_cast<uint32_t>(*threads);
-  request.tau_ms = *tau;
-  request.max_results = static_cast<uint64_t>(*max_results);
-  request.time_limit_seconds = *time_limit;
-  request.use_ctcp = flags.Has("ctcp");
-  const std::string seed_range = flags.GetString("seed-range", "");
-  if (!seed_range.empty()) {
-    auto parsed_range = ParseSeedRangeText(seed_range);
-    if (!parsed_range.ok()) {
-      std::fprintf(stderr, "%s\n", parsed_range.status().ToString().c_str());
-      return 1;
-    }
-    request.seed_begin = parsed_range->begin;
-    request.seed_end = parsed_range->end;
-  }
-
-  auto result = engine.Run(request);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%llu maximal %lld-plexes with >= %lld vertices in %.3fs%s%s\n",
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<long long>(*k), static_cast<long long>(*q),
-              result->seconds, result->timed_out ? " (time limit hit)" : "",
-              result->stopped_early ? " (result cap hit)" : "");
-  const ResultStore::Stats stats = (*store)->stats();
-  // Machine-read by tools/store_smoke.py: keep the shape stable.
-  std::printf("store tier: %s, fingerprint 0x%016llx "
-              "(%llu entries, %llu bytes)\n",
-              result->from_store        ? "disk"
-              : result->from_cache      ? "memory"
-                                        : "computed",
-              static_cast<unsigned long long>(result->fingerprint),
-              static_cast<unsigned long long>(stats.entries),
-              static_cast<unsigned long long>(stats.bytes));
-  return result->timed_out || result->cancelled ? 1 : 0;
-}
-
-/// A plain mine of a local graph file or dataset.
-int RunLocalMine(const FlagParser& flags) {
-  auto loaded = LoadInputFull(flags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const Graph& graph = loaded->graph;
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), tau.status(),
-        max_results.status(), time_limit.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*q == 0) {
-    std::fprintf(stderr, "--q is required (must be >= 2k - 1)\n");
-    return 1;
-  }
-
-  const std::string algo = flags.GetString("algo", "ours");
-  EnumOptions options;
-  bool use_fp_driver = false;
-  if (algo == "ours") {
-    options = EnumOptions::Ours(*k, *q);
-  } else if (algo == "ours_p") {
-    options = EnumOptions::OursP(*k, *q);
-  } else if (algo == "basic") {
-    options = EnumOptions::Basic(*k, *q);
-  } else if (algo == "listplex") {
-    options = ListPlexOptions(*k, *q);
-  } else if (algo == "fp") {
-    options = EnumOptions::Ours(*k, *q);  // validated below; driver differs
-    use_fp_driver = true;
-  } else {
-    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
-    return 1;
-  }
-  options.max_results = static_cast<uint64_t>(*max_results);
-  options.time_limit_seconds = *time_limit;
-  options.use_ctcp_preprocess = flags.Has("ctcp");
-  if (!loaded->precompute.empty()) {
-    options.precompute = &loaded->precompute;
-  }
-  const std::string seed_range = flags.GetString("seed-range", "");
-  if (!seed_range.empty()) {
-    if (algo == "fp") {
-      std::fprintf(stderr,
-                   "--seed-range does not apply to the fp baseline\n");
-      return 1;
-    }
-    auto parsed_range = ParseSeedRangeText(seed_range);
-    if (!parsed_range.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   parsed_range.status().ToString().c_str());
-      return 1;
-    }
-    options.seed_range = *parsed_range;
-  }
-
-  const std::string output = flags.GetString("output", "");
-  CountingSink counting;
-  std::unique_ptr<FileSink> file_sink;
-  ResultSink* sink = &counting;
-  if (!output.empty()) {
-    file_sink = std::make_unique<FileSink>(output);
-    if (!file_sink->status().ok()) {
-      std::fprintf(stderr, "%s\n", file_sink->status().ToString().c_str());
-      return 1;
-    }
-    sink = file_sink.get();
-  }
-
-  StatusOr<EnumResult> result = Status::Internal("unreachable");
-  if (use_fp_driver) {
-    result = FpEnumerate(graph, static_cast<uint32_t>(*k),
-                         static_cast<uint32_t>(*q), *sink);
-  } else if (*threads > 0) {
-    ParallelOptions parallel;
-    parallel.num_threads = static_cast<uint32_t>(*threads);
-    parallel.timeout_ms = *tau;
-    result = ParallelEnumerateMaximalKPlexes(graph, options, parallel, *sink);
-  } else {
-    result = EnumerateMaximalKPlexes(graph, options, *sink);
-  }
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  if (file_sink != nullptr) {
-    Status io = file_sink->Finish();
-    if (!io.ok()) {
-      std::fprintf(stderr, "%s\n", io.ToString().c_str());
-      return 1;
-    }
-  }
-  std::printf("%llu maximal %lld-plexes with >= %lld vertices in %.3fs%s%s\n",
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<long long>(*k), static_cast<long long>(*q),
-              result->seconds, result->timed_out ? " (time limit hit)" : "",
-              result->stopped_early ? " (result cap hit)" : "");
-  if (!seed_range.empty()) {
-    std::printf("seed shard %s of %llu total seeds (merge shards per "
-                "docs/SHARDING.md)\n",
-                seed_range.c_str(),
-                static_cast<unsigned long long>(result->total_seeds));
-  }
-  std::printf("branch calls: %llu, sub-tasks: %llu (R1-pruned: %llu), "
-              "ub-prunes: %llu\n",
-              static_cast<unsigned long long>(result->counters.branch_calls),
-              static_cast<unsigned long long>(result->counters.subtasks),
-              static_cast<unsigned long long>(
-                  result->counters.subtasks_pruned_r1),
-              static_cast<unsigned long long>(result->counters.ub_prunes));
-  if (result->counters.core_reductions_precomputed > 0) {
-    std::printf("reduction served from snapshot sections (core%s)\n",
-                result->counters.orderings_precomputed > 0 ? " + ordering"
-                                                           : "");
-  }
-  if (!output.empty()) std::printf("results written to %s\n", output.c_str());
-  return 0;
-}
-
-/// Flags every command accepts.
-const std::vector<std::string>& GlobalFlags() {
-  static const std::vector<std::string> flags = {"log-level", "log-json",
-                                                 "trace", "metrics-dump"};
-  return flags;
-}
-
-/// `mine` has four modes. Each refuses the flags only another mode
-/// reads, the way Main refuses another command's flags: a --store on a
-/// coordinated mine, or a --graph on a local one, is a mistake the user
-/// should hear about, not a no-op.
-int RunMine(const FlagParser& flags) {
-  std::vector<std::string> accepted = {"k",           "q",          "algo",
-                                       "threads",     "tau-ms",     "ctcp",
-                                       "max-results", "time-limit"};
-  accepted.insert(accepted.end(), GlobalFlags().begin(), GlobalFlags().end());
-  const char* mode = nullptr;
-  int (*run)(const FlagParser&) = nullptr;
-  if (flags.Has("coordinator")) {
-    mode = "mine --coordinator";
-    accepted.insert(accepted.end(), {"coordinator", "graph", "io-timeout"});
-    run = RunCoordinatorMine;
-  } else if (flags.Has("endpoints")) {
-    mode = "mine --endpoints";
-    accepted.insert(accepted.end(), {"endpoints", "graph", "io-timeout"});
-    run = RunEndpointsMine;
-  } else if (flags.Has("store")) {
-    mode = "mine --store";
-    accepted.insert(accepted.end(), {"store", "store-budget-mb", "input",
-                                     "dataset", "seed-range"});
-    run = RunStoreMine;
-  } else {
-    mode = "a local mine (--input/--dataset)";
-    accepted.insert(accepted.end(),
-                    {"input", "dataset", "output", "seed-range"});
-    run = RunLocalMine;
-  }
-  const std::vector<std::string> stray = flags.UnknownFlags(accepted);
-  if (!stray.empty()) {
-    std::fprintf(stderr, "--%s does not apply to %s\n",
-                 stray.front().c_str(), mode);
-    return 1;
-  }
-  return run(flags);
-}
-
-int RunMax(const FlagParser& flags) {
-  auto graph = LoadInput(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  auto k = flags.GetInt("k", 2);
-  if (!k.ok()) {
-    std::fprintf(stderr, "%s\n", k.status().ToString().c_str());
-    return 1;
-  }
-  auto result = FindMaximumKPlex(*graph, static_cast<uint32_t>(*k));
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  if (!result->found) {
-    std::printf("no %lld-plex with >= %lld vertices exists\n",
-                static_cast<long long>(*k), static_cast<long long>(2 * *k - 1));
-    return 0;
-  }
-  std::printf("maximum %lld-plex has %zu vertices (%u passes, %.3fs):\n",
-              static_cast<long long>(*k), result->plex.size(), result->passes,
-              result->seconds);
-  for (std::size_t i = 0; i < result->plex.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : " ", result->plex[i]);
+/// The verdict of every mine mode: one line with the count, max size
+/// and fingerprint — machine-read by tools/cli_smoke.py, coord_smoke.py
+/// and metrics_smoke.py, so keep its shape stable — then what only an
+/// in-process run knows, the store's state, and where --output went.
+void PrintVerdict(const FlagParser& flags, MineMode mode,
+                  const QueryRequest& query, const QueryResult& result,
+                  const ResultStore::Stats* store) {
+  // Only the remote modes accept --endpoint and --endpoints.
+  const std::string server =
+      flags.GetString("endpoints", flags.GetString("endpoint", ""));
+  const std::string via = server.empty() ? "" : " via " + server;
+  std::printf("mine %s%s k=%u q=%u: %llu plexes, max size %zu, "
+              "fingerprint 0x%016llx, %.3fs%s%s%s%s",
+              query.graph.c_str(), via.c_str(), query.k, query.q,
+              static_cast<unsigned long long>(result.num_plexes),
+              result.max_plex_size,
+              static_cast<unsigned long long>(result.fingerprint),
+              result.seconds, result.from_cache ? " [cached]" : "",
+              result.timed_out ? " [time limit hit]" : "",
+              result.stopped_early ? " [result cap hit]" : "",
+              result.cancelled ? " [cancelled]" : "");
+  if (result.has_cursor) {
+    std::printf(" [cursor %s]", FormatCursorValue(result.cursor_seed,
+                                                  result.cursor_ordinal)
+                                    .c_str());
   }
   std::printf("\n");
-  return 0;
+  const bool in_process = mode == MineMode::kLocal || mode == MineMode::kStore;
+  if (in_process && query.HasSeedRange()) {
+    std::printf("seed shard %s of %llu total seeds (merge shards per "
+                "docs/SHARDING.md)\n",
+                flags.GetString("seed-range", "").c_str(),
+                static_cast<unsigned long long>(result.total_seeds));
+  }
+  if (in_process && !result.from_cache && !query.maximum) {
+    const AlgoCounters& counters = result.counters;
+    std::printf("branch calls: %llu, sub-tasks: %llu (R1-pruned: %llu), "
+                "ub-prunes: %llu\n",
+                static_cast<unsigned long long>(counters.branch_calls),
+                static_cast<unsigned long long>(counters.subtasks),
+                static_cast<unsigned long long>(counters.subtasks_pruned_r1),
+                static_cast<unsigned long long>(counters.ub_prunes));
+    if (counters.core_reductions_precomputed > 0) {
+      std::printf("reduction served from snapshot sections (core%s)\n",
+                  counters.orderings_precomputed > 0 ? " + ordering" : "");
+    }
+  }
+  if (store != nullptr) {
+    // Machine-read by tools/cli_smoke.py: keep the shape stable.
+    std::printf("store tier: %s, fingerprint 0x%016llx "
+                "(%llu entries, %llu bytes)\n",
+                result.from_store   ? "disk"
+                : result.from_cache ? "memory"
+                                    : "computed",
+                static_cast<unsigned long long>(result.fingerprint),
+                static_cast<unsigned long long>(store->entries),
+                static_cast<unsigned long long>(store->bytes));
+  }
+  const std::string output = flags.GetString("output", "");
+  if (!output.empty()) std::printf("results written to %s\n", output.c_str());
+}
+
+int RunMine(const FlagParser& flags) {
+  const MineMode mode = flags.Has("endpoints")  ? MineMode::kEndpoints
+                        : flags.Has("endpoint") ? MineMode::kEndpoint
+                        : flags.Has("store")    ? MineMode::kStore
+                                                : MineMode::kLocal;
+  const std::vector<std::string> stray = flags.UnknownFlags(MineFlags(mode));
+  if (!stray.empty()) {
+    std::fprintf(stderr, "--%s does not apply to %s\n", stray.front().c_str(),
+                 MineModeName(mode));
+    return 1;
+  }
+  auto query = BuildMineRequest(flags, mode);
+  if (!query.ok()) return Fail(query.status());
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
+
+  // Bodies go to --output, or to stdout when the request carries them;
+  // both sinks take each plex as it arrives, from any engine thread.
+  const std::string output = flags.GetString("output", "");
+  std::unique_ptr<FileSink> file;
+  std::mutex stdout_mutex;
+  CallbackSink to_stdout([&](std::span<const VertexId> plex) {
+    std::lock_guard<std::mutex> lock(stdout_mutex);
+    PrintPlexLine(plex);
+  });
+  ResultSink* bodies = query->collect_bodies ? &to_stdout : nullptr;
+  if (!output.empty()) {
+    file = std::make_unique<FileSink>(output);
+    if (!file->status().ok()) return Fail(file->status());
+    bodies = file.get();
+  }
+
+  StatusOr<QueryResult> result = Status::Internal("unreachable");
+  ResultStore::Stats store_stats;
+  switch (mode) {
+    case MineMode::kLocal: {
+      auto loaded = LoadInputFull(flags);
+      if (!loaded.ok()) return Fail(loaded.status());
+      const GraphPrecompute* precompute =
+          loaded->precompute.empty() ? nullptr : &loaded->precompute;
+      result = ExecuteQuery(loaded->graph, precompute, *query, bodies,
+                            NextTraceId());
+      if (result.ok()) result->seconds = result->compute_seconds;
+      break;
+    }
+    case MineMode::kStore:
+      result = StoreMine(flags, *query, bodies, &store_stats);
+      break;
+    case MineMode::kEndpoint:
+      result = RemoteMine(flags.GetString("endpoint", ""), *io_timeout,
+                          *query, bodies);
+      break;
+    case MineMode::kEndpoints:
+      result = CoordinatedMine(flags.GetString("endpoints", ""), *io_timeout,
+                               *query);
+      break;
+  }
+  if (!result.ok()) return Fail(result.status());
+  if (file != nullptr) {
+    Status io = file->Finish();
+    if (!io.ok()) return Fail(io);
+  }
+  PrintVerdict(flags, mode, *query, *result,
+               mode == MineMode::kStore ? &store_stats : nullptr);
+  return result->cancelled ? 1 : 0;
 }
 
 int RunReport(const FlagParser& flags) {
@@ -718,8 +704,8 @@ int RunSnapshot(const FlagParser& flags) {
 }
 
 #if defined(__unix__) || defined(__APPLE__)
-// Self-pipe for signal-driven serve shutdown: the handler performs one
-// async-signal-safe write; the serve loop blocks on the read end.
+// Self-pipe for signal-driven shutdown: the handler performs one
+// async-signal-safe write; ServeUntilSignal blocks on the read end.
 int g_shutdown_pipe[2] = {-1, -1};
 
 void HandleShutdownSignal(int) {
@@ -730,13 +716,54 @@ void HandleShutdownSignal(int) {
 }
 #endif
 
+/// The one shutdown loop of `serve --listen` and `coordinate`: starts
+/// `server`, prints its banner, serves until SIGINT/SIGTERM, then stops
+/// it and prints "<command>: shutdown complete (...)". The banner line
+/// is machine-read by clients started with --listen 0 (the smoke
+/// scripts parse the port from it): keep its shape stable; it is
+/// flushed immediately.
+int ServeUntilSignal(TcpServer& server, const char* command,
+                     const std::function<void()>& print_banner) {
+#if !defined(__unix__) && !defined(__APPLE__)
+  std::fprintf(stderr, "%s --listen requires POSIX sockets on this platform\n",
+               command);
+  return 1;
+#else
+  Status started = server.Start();
+  if (!started.ok()) return Fail(started);
+  if (pipe(g_shutdown_pipe) != 0) {
+    std::fprintf(stderr, "cannot create the shutdown pipe\n");
+    server.Stop();
+    return 1;
+  }
+  struct sigaction action = {};
+  action.sa_handler = HandleShutdownSignal;
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  print_banner();
+  std::fflush(stdout);
+
+  char byte = 0;
+  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+  }
+  server.Stop();
+  const TcpServer::Stats stats = server.stats();
+  std::printf("%s: shutdown complete (%llu connections served, "
+              "%llu refused)\n",
+              command, static_cast<unsigned long long>(stats.accepted),
+              static_cast<unsigned long long>(stats.refused));
+  return 0;
+#endif  // POSIX
+}
+
 int RunServe(const FlagParser& flags) {
-  auto budget_mb = flags.GetInt("memory-budget-mb", 0);
-  auto cache_capacity = flags.GetInt("cache-capacity", 64);
+  auto budget_mb = GetCount(flags, "memory-budget-mb", 0, SIZE_MAX >> 20);
+  auto cache_capacity = GetCount(flags, "cache-capacity", 64);
   auto workers = flags.GetInt("workers", 1);
   auto listen = flags.GetInt("listen", -1);
   auto max_connections = flags.GetInt("max-connections", 64);
-  auto store_budget_mb = flags.GetInt("store-budget-mb", 0);
+  auto store_budget_mb =
+      GetCount(flags, "store-budget-mb", 0, UINT64_MAX >> 20);
   for (const Status& s :
        {budget_mb.status(), cache_capacity.status(), workers.status(),
         listen.status(), max_connections.status(),
@@ -746,18 +773,8 @@ int RunServe(const FlagParser& flags) {
       return 1;
     }
   }
-  if (*budget_mb < 0 || *cache_capacity < 0) {
-    std::fprintf(stderr,
-                 "--memory-budget-mb and --cache-capacity must be >= 0\n");
-    return 1;
-  }
   if (*workers < 1 || *workers > 1024) {
     std::fprintf(stderr, "--workers must be between 1 and 1024\n");
-    return 1;
-  }
-  if (static_cast<uint64_t>(*budget_mb) > (SIZE_MAX >> 20)) {
-    std::fprintf(stderr, "--memory-budget-mb %lld overflows the byte budget\n",
-                 static_cast<long long>(*budget_mb));
     return 1;
   }
   const bool network = flags.Has("listen");
@@ -775,24 +792,17 @@ int RunServe(const FlagParser& flags) {
     return 1;
   }
   const std::string store_dir = flags.GetString("store", "");
-  if (*store_budget_mb < 0) {
-    std::fprintf(stderr, "--store-budget-mb must be >= 0\n");
-    return 1;
-  }
   if (store_dir.empty() && flags.Has("store-budget-mb")) {
     std::fprintf(stderr, "--store-budget-mb requires --store DIR\n");
     return 1;
   }
 
   ServiceApiOptions api_options;
-  api_options.memory_budget_bytes =
-      static_cast<std::size_t>(*budget_mb) * (std::size_t{1} << 20);
-  api_options.result_cache_capacity =
-      static_cast<std::size_t>(*cache_capacity);
+  api_options.memory_budget_bytes = static_cast<std::size_t>(*budget_mb) << 20;
+  api_options.result_cache_capacity = static_cast<std::size_t>(*cache_capacity);
   api_options.workers = static_cast<uint32_t>(*workers);
   api_options.store_dir = store_dir;
-  api_options.store_byte_budget =
-      static_cast<uint64_t>(*store_budget_mb) << 20;
+  api_options.store_byte_budget = *store_budget_mb << 20;
   auto api = std::make_shared<ServiceApi>(api_options);
   // A requested-but-broken store is a config error, not something to
   // silently run without.
@@ -828,50 +838,16 @@ int RunServe(const FlagParser& flags) {
     return 1;
   }
 
-#if !defined(__unix__) && !defined(__APPLE__)
-  std::fprintf(stderr,
-               "serve --listen requires POSIX sockets on this platform\n");
-  return 1;
-#else
   TcpServerOptions server_options;
   server_options.host = flags.GetString("host", "127.0.0.1");
   server_options.port = static_cast<uint16_t>(*listen);
   server_options.max_connections = static_cast<uint32_t>(*max_connections);
   TcpServer server(api, server_options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  if (pipe(g_shutdown_pipe) != 0) {
-    std::fprintf(stderr, "cannot create the shutdown pipe\n");
-    server.Stop();
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // The port line is machine-read by clients started with --listen 0
-  // (CI smoke script): keep its shape stable and flush it immediately.
-  std::printf("serving on %s:%u (protocol v%u, %lld workers)\n",
-              server_options.host.c_str(), server.port(),
-              kProtocolVersion, static_cast<long long>(*workers));
-  std::fflush(stdout);
-
-  char byte = 0;
-  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
-  server.Stop();
-  const TcpServer::Stats stats = server.stats();
-  std::printf("serve: shutdown complete (%llu connections served, "
-              "%llu refused)\n",
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.refused));
-  return 0;
-#endif  // POSIX
+  return ServeUntilSignal(server, "serve", [&] {
+    std::printf("serving on %s:%u (protocol v%u, %lld workers)\n",
+                server_options.host.c_str(), server.port(), kProtocolVersion,
+                static_cast<long long>(*workers));
+  });
 }
 
 /// The coordinator daemon (docs/SHARDING.md v2): a TCP server whose
@@ -882,8 +858,8 @@ int RunCoordinate(const FlagParser& flags) {
   auto listen = flags.GetInt("listen", -1);
   auto max_connections = flags.GetInt("max-connections", 64);
   auto chunks_per_worker = flags.GetInt("chunks-per-worker", 8);
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  auto steal_min_ms = flags.GetDouble("steal-min-ms", 20.0);
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  auto steal_min_ms = GetDuration(flags, "steal-min-ms", 20.0);
   for (const Status& s :
        {listen.status(), max_connections.status(),
         chunks_per_worker.status(), io_timeout.status(),
@@ -911,16 +887,7 @@ int RunCoordinate(const FlagParser& flags) {
     std::fprintf(stderr, "--chunks-per-worker must be between 1 and 1024\n");
     return 1;
   }
-  if (*io_timeout < 0 || *steal_min_ms < 0) {
-    std::fprintf(stderr, "--io-timeout and --steal-min-ms must be >= 0\n");
-    return 1;
-  }
 
-#if !defined(__unix__) && !defined(__APPLE__)
-  std::fprintf(stderr,
-               "coordinate requires POSIX sockets on this platform\n");
-  return 1;
-#else
   CoordinatorOptions options;
   options.chunks_per_worker = static_cast<uint32_t>(*chunks_per_worker);
   options.io_timeout_seconds = *io_timeout;
@@ -942,41 +909,12 @@ int RunCoordinate(const FlagParser& flags) {
         return std::make_unique<CoordSession>(out, coordinator);
       },
       [coordinator] { coordinator->Stop(); }, server_options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  if (pipe(g_shutdown_pipe) != 0) {
-    std::fprintf(stderr, "cannot create the shutdown pipe\n");
-    server.Stop();
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // The port line is machine-read by clients started with --listen 0
-  // (CI smoke script): keep its shape stable and flush it immediately.
-  std::printf("coordinating on %s:%u (protocol v%u, %zu workers "
-              "registered)\n",
-              server_options.host.c_str(), server.port(), kProtocolVersion,
-              coordinator->Workers().size());
-  std::fflush(stdout);
-
-  char byte = 0;
-  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
-  server.Stop();
-  const TcpServer::Stats stats = server.stats();
-  std::printf("coordinate: shutdown complete (%llu connections served, "
-              "%llu refused)\n",
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.refused));
-  return 0;
-#endif  // POSIX
+  return ServeUntilSignal(server, "coordinate", [&] {
+    std::printf("coordinating on %s:%u (protocol v%u, %zu workers "
+                "registered)\n",
+                server_options.host.c_str(), server.port(), kProtocolVersion,
+                coordinator->Workers().size());
+  });
 }
 
 /// `coordctl HOST:PORT VERB [ARGS...]`: one framed round trip against
@@ -990,11 +928,8 @@ int RunCoordctl(const FlagParser& flags) {
                  "usage: kplex_cli coordctl HOST:PORT VERB [ARGS...]\n");
     return 2;
   }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   std::string command = positional[2];
   for (std::size_t i = 3; i < positional.size(); ++i) {
     command += ' ';
@@ -1045,11 +980,8 @@ int RunMetrics(const FlagParser& flags) {
                  format.c_str());
     return 1;
   }
-  auto io_timeout = flags.GetDouble("io-timeout", 5.0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  auto io_timeout = GetDuration(flags, "io-timeout", 5.0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
 
   TcpClient client;
   if (format == "json") {
@@ -1103,239 +1035,6 @@ int RunMetrics(const FlagParser& flags) {
   return 0;
 }
 
-/// Builds the QueryRequest of a `query` invocation from its flags (the
-/// selection surface of protocol v4: bodies, filters, top-K, maximum
-/// mode, cursors). `graph` is the catalog name the request carries.
-StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
-                                         const std::string& graph) {
-  QueryRequest query;
-  query.graph = graph;
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
-  auto chunk = flags.GetInt("chunk", 0);
-  auto top = flags.GetInt("top", 0);
-  auto contain = flags.GetInt("contain", -1);
-  auto min_size = flags.GetInt("min-size", 0);
-  auto max_size = flags.GetInt("max-size", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), max_results.status(),
-        time_limit.status(), chunk.status(), top.status(), contain.status(),
-        min_size.status(), max_size.status()}) {
-    if (!s.ok()) return s;
-  }
-  query.maximum = flags.Has("maximum");
-  if (*q == 0 && !query.maximum) {
-    return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
-  }
-  query.k = static_cast<uint32_t>(*k);
-  query.q = static_cast<uint32_t>(*q);
-  query.threads = static_cast<uint32_t>(*threads);
-  query.max_results = static_cast<uint64_t>(*max_results);
-  query.time_limit_seconds = *time_limit;
-  query.use_ctcp = flags.Has("ctcp");
-  query.chunk_size = static_cast<uint32_t>(*chunk);
-  query.top_k = static_cast<uint64_t>(*top);
-  if (flags.Has("contain")) {
-    if (*contain < 0) {
-      return Status::InvalidArgument("--contain must be a vertex id >= 0");
-    }
-    query.has_contain = true;
-    query.contain = static_cast<uint32_t>(*contain);
-  }
-  query.filter_min_size = static_cast<uint64_t>(*min_size);
-  query.filter_max_size = static_cast<uint64_t>(*max_size);
-  const std::string algo = flags.GetString("algo", "ours");
-  auto parsed_algo = ParseQueryAlgo(algo);
-  if (!parsed_algo.ok()) return parsed_algo.status();
-  query.algo = *parsed_algo;
-  const std::string cursor = flags.GetString("cursor", "");
-  if (!cursor.empty()) {
-    auto parsed_cursor = ParseCursorText(cursor);
-    if (!parsed_cursor.ok()) return parsed_cursor.status();
-    query.has_cursor = true;
-    query.cursor_seed = parsed_cursor->seed;
-    query.cursor_ordinal = parsed_cursor->ordinal;
-  }
-  // The query verb exists to show plexes: stream mode, top-K and
-  // maximum mode all ask the server for bodies. A bare `query` (none of
-  // the three) is a count-only probe.
-  query.collect_bodies =
-      flags.Has("stream") || query.top_k > 0 || query.maximum;
-  return query;
-}
-
-void PrintPlexLine(const std::vector<VertexId>& plex) {
-  for (std::size_t i = 0; i < plex.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : " ", plex[i]);
-  }
-  std::printf("\n");
-}
-
-/// `query` against a live `serve --listen` worker: framed protocol v4
-/// streaming client. The chunk frames arrive before the verdict frame;
-/// each plex prints as one line, then the summary (cursor included).
-int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
-  const std::string graph = flags.GetString("graph", "");
-  if (graph.empty()) {
-    std::fprintf(stderr, "--endpoint requires --graph NAME (the graph's "
-                         "name in the worker's catalog)\n");
-    return 1;
-  }
-  auto query = BuildQueryRequest(flags, graph);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
-  TcpClient client;
-  Status connected =
-      ConnectFramed(client, endpoint, *io_timeout, kProtocolVersionStreaming,
-                    "streamed queries");
-  if (!connected.ok()) return Fail(connected);
-
-  Request request;
-  request.id = 2;
-  request.payload = MineRequest{*query};
-  Status sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) return Fail(sent);
-
-  uint64_t streamed = 0;
-  uint64_t expected_seq = 0;
-  for (;;) {
-    auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
-    auto type = PeekFramedResponseType(*line);
-    if (!type.ok()) {
-      std::fprintf(stderr, "%s\n", type.status().ToString().c_str());
-      return 1;
-    }
-    if (*type == "result_chunk") {
-      auto chunk = ParseFramedResultChunk(*line);
-      if (!chunk.ok()) {
-        std::fprintf(stderr, "%s\n", chunk.status().ToString().c_str());
-        return 1;
-      }
-      if (chunk->seq != expected_seq) {
-        std::fprintf(stderr, "stream out of order: expected chunk %llu, "
-                             "got %llu\n",
-                     static_cast<unsigned long long>(expected_seq),
-                     static_cast<unsigned long long>(chunk->seq));
-        return 1;
-      }
-      ++expected_seq;
-      for (const std::vector<VertexId>& plex : chunk->plexes) {
-        PrintPlexLine(plex);
-        ++streamed;
-      }
-      continue;
-    }
-    if (*type == "mine") {
-      auto verdict = ParseFramedMineResult(*line);
-      if (!verdict.ok()) {
-        std::fprintf(stderr, "%s\n", verdict.status().ToString().c_str());
-        return 1;
-      }
-      if (query->collect_bodies && verdict->bodies != streamed) {
-        std::fprintf(stderr, "stream truncated: server buffered %llu "
-                             "bodies but %llu arrived\n",
-                     static_cast<unsigned long long>(verdict->bodies),
-                     static_cast<unsigned long long>(streamed));
-        return 1;
-      }
-      std::printf("query %s k=%u q=%u: %llu plexes, max size %llu, "
-                  "fingerprint 0x%016llx, %.3fs%s%s%s",
-                  graph.c_str(), query->k, query->q,
-                  static_cast<unsigned long long>(verdict->plexes),
-                  static_cast<unsigned long long>(verdict->max_size),
-                  static_cast<unsigned long long>(verdict->fingerprint),
-                  verdict->seconds, verdict->cached ? " [cached]" : "",
-                  verdict->timed_out ? " [time limit hit]" : "",
-                  verdict->stopped_early ? " [result cap hit]" : "");
-      if (verdict->has_cursor) {
-        std::printf(" [cursor %s]",
-                    FormatCursorValue(verdict->cursor_seed,
-                                      verdict->cursor_ordinal).c_str());
-      }
-      std::printf("\n");
-      return verdict->state == "done" ? 0 : 1;
-    }
-    std::fprintf(stderr, "unexpected '%s' frame mid-stream\n",
-                 type->c_str());
-    return 1;
-  }
-}
-
-/// `query` against a local graph file/dataset: same selection surface,
-/// served by an in-process QueryEngine (no server round trip).
-int RunLocalQuery(const FlagParser& flags) {
-  auto loaded = LoadInput(flags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  GraphCatalog catalog;
-  Status registered = catalog.RegisterGraph("input", *std::move(loaded));
-  if (!registered.ok()) {
-    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
-    return 1;
-  }
-  auto query = BuildQueryRequest(flags, "input");
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  QueryEngine engine(catalog, /*cache_capacity=*/0);
-  auto result = engine.Run(*query);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  if (result->plexes != nullptr) {
-    for (const std::vector<VertexId>& plex : *result->plexes) {
-      PrintPlexLine(plex);
-    }
-  }
-  std::printf("query %s k=%u q=%u: %llu plexes, max size %zu, "
-              "fingerprint 0x%016llx, %.3fs%s%s",
-              flags.GetString("input", flags.GetString("dataset", "")).c_str(),
-              query->k, query->q,
-              static_cast<unsigned long long>(result->num_plexes),
-              result->max_plex_size,
-              static_cast<unsigned long long>(result->fingerprint),
-              result->seconds,
-              result->timed_out ? " [time limit hit]" : "",
-              result->stopped_early ? " [result cap hit]" : "");
-  if (result->has_cursor) {
-    std::printf(" [cursor %s]",
-                FormatCursorValue(result->cursor_seed,
-                                  result->cursor_ordinal).c_str());
-  }
-  std::printf("\n");
-  return 0;
-}
-
-int RunQuery(const FlagParser& flags) {
-  const std::string endpoint = flags.GetString("endpoint", "");
-  const bool local = flags.Has("input") || flags.Has("dataset");
-  if (endpoint.empty() != local) {
-    std::fprintf(stderr, "query needs exactly one of --endpoint host:port "
-                         "(remote) or --input/--dataset (local)\n");
-    return 1;
-  }
-  return endpoint.empty() ? RunLocalQuery(flags)
-                          : RunRemoteQuery(flags, endpoint);
-}
-
 int RunDatasets() {
   TablePrinter table({"name", "stands for", "category", "recipe"});
   for (const auto& spec : AllDatasets()) {
@@ -1379,14 +1078,13 @@ int Main(int argc, char** argv) {
   std::vector<std::string> known;
   int (*run)(const FlagParser&) = nullptr;
   if (command == "mine") {
-    known = {"input", "dataset", "k", "q", "algo", "threads", "tau-ms",
-             "output", "max-results", "time-limit", "ctcp", "seed-range",
-             "endpoints", "graph", "io-timeout", "coordinator", "store",
-             "store-budget-mb"};
+    // The store mode reads every flag of the local mode.
+    for (MineMode mode : {MineMode::kStore, MineMode::kEndpoint,
+                          MineMode::kEndpoints}) {
+      const std::vector<std::string> flags_of_mode = MineFlags(mode);
+      known.insert(known.end(), flags_of_mode.begin(), flags_of_mode.end());
+    }
     run = RunMine;
-  } else if (command == "max") {
-    known = {"input", "dataset", "k"};
-    run = RunMax;
   } else if (command == "report") {
     known = {"input", "dataset"};
     run = RunReport;
@@ -1409,12 +1107,6 @@ int Main(int argc, char** argv) {
   } else if (command == "metrics") {
     known = {"endpoint", "format", "io-timeout"};
     run = RunMetrics;
-  } else if (command == "query") {
-    known = {"endpoint", "graph", "input", "dataset", "k", "q", "algo",
-             "threads", "max-results", "time-limit", "ctcp", "stream",
-             "chunk", "top", "contain", "min-size", "max-size", "maximum",
-             "cursor", "io-timeout"};
-    run = RunQuery;
   } else if (command == "datasets") {
     run = [](const FlagParser&) { return RunDatasets(); };
   } else {
