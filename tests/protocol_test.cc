@@ -713,6 +713,453 @@ TEST(ProtocolFramed, ResponseShape) {
   EXPECT_NE(error.find("\"message\":\"nope\""), std::string::npos) << error;
 }
 
+// ----------------------------------------------- framed response goldens
+
+/// One pinned response frame: the struct and its exact framed bytes.
+struct FramedGolden {
+  const char* name;
+  Response response;
+  std::string frame;
+};
+
+Response Framed(uint64_t id, ResponsePayload payload) {
+  Response response;
+  response.request_id = id;
+  response.payload = std::move(payload);
+  return response;
+}
+
+/// A mine job as the dispatcher reports it: the echoed query with a few
+/// non-default options, and a result wherever the state carries one.
+JobInfo GoldenJob(uint64_t id, JobState state) {
+  JobInfo job;
+  job.id = id;
+  job.request.graph = "web";
+  job.request.k = 2;
+  job.request.q = 12;
+  job.request.threads = 4;
+  job.request.tau_ms = 0.25;
+  job.request.use_cache = false;
+  job.state = state;
+  job.started = state != JobState::kQueued;
+  job.result.num_plexes = 2566;
+  job.result.max_plex_size = 14;
+  job.result.fingerprint = 0x0123456789abcdefULL;
+  job.result.fingerprint_xor = 0x00000000deadbeefULL;
+  job.result.total_seeds = 5000;
+  job.result.seconds = 1.8102;
+  job.result.compute_seconds = 1.75;
+  job.result.reduction_precomputed = true;
+  if (state == JobState::kFailed) {
+    job.status = Status::NotFound("no graph named 'web' is registered");
+  }
+  return job;
+}
+
+/// The response side's wire contract: one framed response per
+/// ResponsePayload alternative, job frames in every state a client
+/// sees, and a yielded shard, each pinned byte for byte.
+const std::vector<FramedGolden>& FramedResponseGoldens() {
+  static const std::vector<FramedGolden> goldens = [] {
+    std::vector<FramedGolden> out;
+    HelloResponse hello;
+    hello.mode = WireMode::kFramed;
+    out.push_back({"hello", Framed(0, hello),
+                   R"({"id":0,"ok":true,"type":"hello","proto":6,)"
+                   R"("mode":"framed"})"});
+
+    LoadResponse loaded;
+    loaded.name = "web";
+    loaded.num_vertices = 875713;
+    loaded.num_edges = 4322051;
+    loaded.load_seconds = 0.0021;
+    out.push_back({"load", Framed(1, loaded),
+                   R"({"id":1,"ok":true,"type":"load","name":"web",)"
+                   R"("vertices":875713,"edges":4322051,"seconds":0.0021})"});
+    loaded.name = "kc";
+    loaded.dataset_key = "karate";
+    out.push_back({"load dataset", Framed(2, loaded),
+                   R"({"id":2,"ok":true,"type":"load","name":"kc",)"
+                   R"("vertices":875713,"edges":4322051,"seconds":0.0021,)"
+                   R"("dataset":"karate"})"});
+
+    SnapshotResponse snapshot;
+    snapshot.name = "web";
+    snapshot.path = "/tmp/web \"snap\".kpx";
+    snapshot.with_precompute = true;
+    out.push_back({"snapshot", Framed(3, snapshot),
+                   R"({"id":3,"ok":true,"type":"snapshot",)"
+                   R"("name":"web","path":"/tmp/web \"snap\".kpx",)"
+                   R"("precompute":true})"});
+
+    JobInfo done = GoldenJob(3, JobState::kDone);
+    done.result.from_cache = true;
+    done.result.timed_out = true;
+    out.push_back({"mine done", Framed(4, MineResponse{done}),
+                   R"({"id":4,"ok":true,"type":"mine","job":3,)"
+                   R"("query":{"graph":"web","k":2,"q":12,)"
+                   R"("algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"done","started":true,)"
+                   R"("plexes":2566,"max_size":14,"fingerprint":"0x01234567)"
+                   R"(89abcdef","seconds":1.8102,"compute_seconds":1.75,)"
+                   R"("cached":true,"precomputed":true,"timed_out":true,)"
+                   R"("stopped_early":false,"cancelled":false})"});
+
+    JobInfo paged = GoldenJob(5, JobState::kDone);
+    paged.request.collect_bodies = true;
+    paged.request.max_results = 3;
+    paged.result.num_plexes = 3;
+    paged.result.stopped_early = true;
+    paged.result.plexes =
+        std::make_shared<std::vector<std::vector<VertexId>>>(
+            std::vector<std::vector<VertexId>>{{1, 2}, {3, 4}, {5, 6}});
+    paged.result.has_cursor = true;
+    paged.result.cursor_seed = 17;
+    paged.result.cursor_ordinal = 4;
+    out.push_back({"mine done with a cursor and bodies",
+                   Framed(5, MineResponse{paged}),
+                   R"({"id":5,"ok":true,"type":"mine","job":5,)"
+                   R"("query":{"graph":"web","k":2,"q":12,)"
+                   R"("algo":"ours","threads":4,"max_results":3,)"
+                   R"("tau_ms":0.25,"cache":false},"state":"done",)"
+                   R"("started":true,"plexes":3,"max_size":14,)"
+                   R"("fingerprint":"0x0123456789abcdef",)"
+                   R"("seconds":1.8102,"compute_seconds":1.75,)"
+                   R"("cached":false,"precomputed":true,"timed_out":false,)"
+                   R"("stopped_early":true,"cancelled":false,)"
+                   R"("bodies":3,"cursor":"17:4"})"});
+
+    out.push_back({"mine failed",
+                   Framed(6, MineResponse{GoldenJob(6, JobState::kFailed)}),
+                   R"({"id":6,"ok":true,"type":"mine","job":6,)"
+                   R"("query":{"graph":"web","k":2,"q":12,)"
+                   R"("algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"failed","started":true,)"
+                   R"("error":{"code":"NOT_FOUND","message":"no graph named)"
+                   R"( 'web' is registered"}})"});
+
+    SubmitResponse submit;
+    submit.job = 7;
+    submit.query = done.request;
+    submit.query.seed_begin = 10;
+    submit.query.seed_end = 20;
+    submit.query.time_limit_seconds = 2.5;
+    out.push_back({"submitted", Framed(7, submit),
+                   R"({"id":7,"ok":true,"type":"submitted",)"
+                   R"("job":7,"query":{"graph":"web","k":2,)"
+                   R"("q":12,"algo":"ours","threads":4,"time_limit":2.5,)"
+                   R"("tau_ms":0.25,"cache":false,"seed_begin":10,)"
+                   R"("seed_end":20}})"});
+
+    JobInfo shard = GoldenJob(8, JobState::kDone);
+    shard.request.seed_begin = 100;
+    shard.request.seed_end = 200;
+    out.push_back({"shard_result",
+                   Framed(8, ShardResultResponse{shard, 0xc0ffee00ULL}),
+                   R"({"id":8,"ok":true,"type":"shard_result",)"
+                   R"("job":8,"query":{"graph":"web","k":2,)"
+                   R"("q":12,"algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false,"seed_begin":100,"seed_end":200},)"
+                   R"("state":"done","started":true,"plexes":2566,)"
+                   R"("max_size":14,"fingerprint":"0x0123456789abcdef",)"
+                   R"("seconds":1.8102,"compute_seconds":1.75,)"
+                   R"("cached":false,"precomputed":true,"timed_out":false,)"
+                   R"("stopped_early":false,"cancelled":false,)"
+                   R"("fingerprint_xor":"0x00000000deadbeef",)"
+                   R"("total_seeds":5000,"content_hash":"0x00000000c0ffee00)"
+                   R"("})"});
+    shard.result.yielded = true;
+    shard.result.covered_begin = 100;
+    shard.result.covered_end = 150;
+    out.push_back({"shard_result yielded",
+                   Framed(9, ShardResultResponse{shard, 0xc0ffee00ULL}),
+                   R"({"id":9,"ok":true,"type":"shard_result",)"
+                   R"("job":8,"query":{"graph":"web","k":2,)"
+                   R"("q":12,"algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false,"seed_begin":100,"seed_end":200},)"
+                   R"("state":"done","started":true,"plexes":2566,)"
+                   R"("max_size":14,"fingerprint":"0x0123456789abcdef",)"
+                   R"("seconds":1.8102,"compute_seconds":1.75,)"
+                   R"("cached":false,"precomputed":true,"timed_out":false,)"
+                   R"("stopped_early":false,"cancelled":false,)"
+                   R"("fingerprint_xor":"0x00000000deadbeef",)"
+                   R"("total_seeds":5000,"yielded":true,"covered_begin":100)"
+                   R"(,"covered_end":150,"content_hash":"0x00000000c0ffee00)"
+                   R"("})"});
+
+    PlanResponse plan;
+    plan.graph = "web";
+    plan.total_seeds = 3;
+    plan.content_hash = 0xc0ffee00ULL;
+    plan.degeneracy = 7;
+    plan.degrees = {5, 0, 4294967295u};
+    plan.coreness = {7, 1, 2};
+    plan.precomputed = true;
+    plan.seconds = 0.0005;
+    out.push_back({"plan", Framed(10, plan),
+                   R"({"id":10,"ok":true,"type":"plan","graph":"web",)"
+                   R"("total_seeds":3,"content_hash":"0x00000000c0ffee00",)"
+                   R"("degeneracy":7,"precomputed":true,"seconds":0.0005,)"
+                   R"("degrees":[5,0,4294967295],"coreness":[7,)"
+                   R"(1,2]})"});
+
+    out.push_back({"shard_submitted",
+                   Framed(11, ShardSubmitResponse{12, 0xc0ffee00ULL}),
+                   R"({"id":11,"ok":true,"type":"shard_submitted",)"
+                   R"("job":12,"content_hash":"0x00000000c0ffee00"})"});
+    out.push_back({"shard_stopping", Framed(12, ShardStopResponse{12}),
+                   R"({"id":12,"ok":true,"type":"shard_stopping",)"
+                   R"("job":12})"});
+    out.push_back({"worker_ack",
+                   Framed(13, WorkerAckResponse{2, "draining"}),
+                   R"({"id":13,"ok":true,"type":"worker_ack",)"
+                   R"("worker":2,"state":"draining"})"});
+
+    WorkersResponse workers;
+    workers.workers = {{1, "127.0.0.1:7001", "idle", 12, 0},
+                       {2, "10.0.0.2:7002", "dead", 3, 1}};
+    out.push_back({"workers", Framed(14, workers),
+                   R"({"id":14,"ok":true,"type":"workers",)"
+                   R"("workers":[{"worker":1,"endpoint":"127.0.0.1:7001",)"
+                   R"("state":"idle","chunks_done":12,"chunks_failed":0},)"
+                   R"({"worker":2,"endpoint":"10.0.0.2:7002",)"
+                   R"("state":"dead","chunks_done":3,"chunks_failed":1}]})"});
+
+    ResultChunkResponse chunk;
+    chunk.job = 5;
+    chunk.seq = 1;
+    chunk.last = true;
+    chunk.plexes = {{1, 2, 3}, {}, {4294967295u}};
+    out.push_back({"result_chunk", Framed(15, chunk),
+                   R"({"id":15,"ok":true,"type":"result_chunk",)"
+                   R"("job":5,"seq":1,"last":true,"plexes":[[1,)"
+                   R"(2,3],[],[4294967295]]})"});
+
+    out.push_back({"cancelling", Framed(16, CancelResponse{4}),
+                   R"({"id":16,"ok":true,"type":"cancelling",)"
+                   R"("job":4})"});
+
+    JobsResponse jobs;
+    jobs.jobs = {GoldenJob(1, JobState::kQueued),
+                 GoldenJob(2, JobState::kRunning), done};
+    out.push_back({"jobs queued, running, done", Framed(17, jobs),
+                   R"({"id":17,"ok":true,"type":"jobs","jobs":[{"job":1,)"
+                   R"("query":{"graph":"web","k":2,"q":12,)"
+                   R"("algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"queued","started":false},)"
+                   R"({"job":2,"query":{"graph":"web","k":2,)"
+                   R"("q":12,"algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"running","started":true},)"
+                   R"({"job":3,"query":{"graph":"web","k":2,)"
+                   R"("q":12,"algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"done","started":true,)"
+                   R"("plexes":2566,"max_size":14,"fingerprint":"0x01234567)"
+                   R"(89abcdef","seconds":1.8102,"compute_seconds":1.75,)"
+                   R"("cached":true,"precomputed":true,"timed_out":true,)"
+                   R"("stopped_early":false,"cancelled":false}]})"});
+
+    JobInfo never_ran = GoldenJob(4, JobState::kCancelled);
+    never_ran.started = false;
+    out.push_back({"wait cancelled before it started",
+                   Framed(18, WaitResponse{never_ran}),
+                   R"({"id":18,"ok":true,"type":"wait","job":4,)"
+                   R"("query":{"graph":"web","k":2,"q":12,)"
+                   R"("algo":"ours","threads":4,"tau_ms":0.25,)"
+                   R"("cache":false},"state":"cancelled",)"
+                   R"("started":false})"});
+
+    WaitAllResponse all;
+    all.counts.done = 2;
+    all.counts.cancelled = 1;
+    all.counts.failed = 1;
+    all.failed_jobs = {9};
+    out.push_back({"wait_all", Framed(19, all),
+                   R"({"id":19,"ok":true,"type":"wait_all",)"
+                   R"("done":2,"cancelled":1,"failed":1,"failed_jobs":[9]})"});
+
+    StatsResponse stats;
+    CatalogEntryInfo graph;
+    graph.name = "web";
+    graph.source = "file:web.kpx";
+    graph.resident = true;
+    graph.evictable = true;
+    graph.mapped = true;
+    graph.num_vertices = 875713;
+    graph.num_edges = 4322051;
+    graph.memory_bytes = 1024;
+    graph.mapped_bytes = 52428800;
+    graph.precompute = "order+core";
+    graph.content_hash = 0xc0ffee00ULL;
+    graph.loads = 2;
+    graph.last_load_seconds = 0.125;
+    stats.graphs.push_back(graph);
+    graph.name = "kc";
+    graph.source = "dataset:karate";
+    graph.resident = false;
+    graph.mapped = false;
+    graph.precompute = "unknown";
+    graph.content_hash = 0;
+    stats.graphs.push_back(graph);
+    stats.resident_bytes = 1024;
+    stats.mapped_resident_bytes = 52428800;
+    stats.memory_budget_bytes = 1 << 30;
+    stats.cache = {5, 3, 2, 64};
+    stats.jobs = {1, 2, 3, 4, 5};
+    stats.workers = 4;
+    stats.store.enabled = true;
+    stats.store.entries = 3;
+    stats.store.bytes = 2048;
+    stats.store.byte_budget = 4 << 20;
+    stats.store.hits = 7;
+    stats.store.misses = 2;
+    stats.store.writes = 5;
+    stats.store.evictions = 1;
+    out.push_back({"stats", Framed(20, stats),
+                   R"({"id":20,"ok":true,"type":"stats","graphs":[{"name":")"
+                   R"(web","source":"file:web.kpx","resident":true,)"
+                   R"("evictable":true,"mapped":true,"vertices":875713,)"
+                   R"("edges":4322051,"owned_bytes":1024,)"
+                   R"("mapped_bytes":52428800,"precompute":"order+core",)"
+                   R"("content_hash":"0x00000000c0ffee00",)"
+                   R"("loads":2,"load_seconds":0.125},{"name":"kc",)"
+                   R"("source":"dataset:karate","resident":false,)"
+                   R"("evictable":true,"mapped":false,"vertices":875713,)"
+                   R"("edges":4322051,"owned_bytes":1024,)"
+                   R"("mapped_bytes":52428800,"precompute":"unknown",)"
+                   R"("loads":2,"load_seconds":0.125}],"resident_bytes":102)"
+                   R"(4,"mapped_resident_bytes":52428800,)"
+                   R"("budget_bytes":1073741824,"cache":{"entries":2,)"
+                   R"("capacity":64,"hits":5,"misses":3},)"
+                   R"("dispatcher":{"workers":4,"queued":1,)"
+                   R"("running":2,"done":3,"cancelled":4,)"
+                   R"("failed":5},"store":{"enabled":true,)"
+                   R"("entries":3,"bytes":2048,"budget_bytes":4194304,)"
+                   R"("hits":7,"misses":2,"writes":5,"evictions":1,)"
+                   R"("corrupt":0}})"});
+
+    MetricsResponse metrics;
+    metrics.format = "prom";  // presentation only: not on the framed wire
+    metrics.snapshot.counters = {{"kplex_requests_total", 42}};
+    metrics.snapshot.gauges = {{"kplex_jobs_running", 2},
+                               {"kplex_drift", -3}};
+    HistogramSample histogram;
+    histogram.name = "kplex_request_seconds";
+    histogram.count = 4;
+    histogram.sum = 0.5;
+    histogram.p50 = 0.001;
+    histogram.p95 = 0.25;
+    histogram.p99 = 0.25;
+    histogram.bounds = {0.001, 0.01, 0.1};
+    histogram.buckets = {1, 0, 1, 2};
+    metrics.snapshot.histograms = {histogram};
+    out.push_back({"metrics", Framed(21, metrics),
+                   R"({"id":21,"ok":true,"type":"metrics",)"
+                   R"("counters":[{"name":"kplex_requests_total",)"
+                   R"("value":42}],"gauges":[{"name":"kplex_jobs_running",)"
+                   R"("value":2},{"name":"kplex_drift","value":-3}],)"
+                   R"("histograms":[{"name":"kplex_request_seconds",)"
+                   R"("count":4,"sum":0.5,"p50":0.001,"p95":0.25,)"
+                   R"("p99":0.25,"le":[0.001,0.01,0.1],"buckets":[1,)"
+                   R"(0,1,2]}]})"});
+
+    out.push_back({"evicted", Framed(22, EvictResponse{"web"}),
+                   R"({"id":22,"ok":true,"type":"evicted",)"
+                   R"("name":"web"})"});
+
+    StoreResponse store;
+    store.info = stats.store;
+    store.evicted = true;
+    store.evicted_entries = 3;
+    store.evicted_bytes = 2048;
+    out.push_back({"store evicted", Framed(23, store),
+                   R"({"id":23,"ok":true,"type":"store","evicted":true,)"
+                   R"("evicted_entries":3,"evicted_bytes":2048,)"
+                   R"("store":{"enabled":true,"entries":3,)"
+                   R"("bytes":2048,"budget_bytes":4194304,)"
+                   R"("hits":7,"misses":2,"writes":5,"evictions":1,)"
+                   R"("corrupt":0}})"});
+    out.push_back({"store off", Framed(24, StoreResponse{}),
+                   R"({"id":24,"ok":true,"type":"store","evicted":false,)"
+                   R"("store":{"enabled":false}})"});
+
+    // The frame spelled one help line per piece.
+    const std::string help_frame =
+        R"({"id":25,"ok":true,"type":"help","text":"commands:\n)"
+        R"(  load NAME PATH        register + load a graph file\n)"
+        R"(  dataset NAME KEY      register + load a registry dataset\n)"
+        R"(  snapshot NAME PATH [precompute] [levels=C1,C2,...]\n)"
+        R"(                        write NAME as a binary v2 snapshot;\n)"
+        R"(                        precompute stores reduction sections\n)"
+        R"(  mine NAME K Q [algo=ours|ours_p|basic|listplex|fp]\n)"
+        R"(       [threads=N] [max-results=N] [time-limit=S] [tau-ms=T]\n)"
+        R"(       [cache=on|off] [ctcp=on|off] [results=stream|count]\n)"
+        R"(       [chunk=N] [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
+        R"(       [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(                        results=stream delivers the plex bodies in)"
+        R"(\n)"
+        R"(                        bounded result chunks before the summary;\n)"
+        R"(                        a max-results-truncated sequential run\n)"
+        R"(                        reports a cursor to resume from\n)"
+        R"(  submit NAME K Q [...] run a mine asynchronously; prints a\n)"
+        R"(                        job id immediately\n)"
+        R"(  plan NAME K Q [ctcp]  per-seed cost-estimate probe (degeneracy-\n)"
+        R"(                        order degrees + coreness); no enumeration\n)"
+        R"(  shardsubmit NAME K Q [seed-range=B:E] [hash=0xH] [...]\n)"
+        R"(                        mine one shard of the seed space: hash=\n)"
+        R"(                        refuses a mismatched snapshot, then a job\n)"
+        R"(                        id immediately (sharding, work-stealing)\n)"
+        R"(  shardwait ID          block until shard job ID is terminal and\n)"
+        R"(                        print its shard result\n)"
+        R"(  shardstop ID          ask shard job ID to yield at the next seed)"
+        R"(\n)"
+        R"(                        boundary (its result covers a prefix)\n)"
+        R"(  register HOST:PORT    join a coordinator's worker pool\n)"
+        R"(  heartbeat ID          refresh worker ID's liveness (coordinator))"
+        R"(\n)"
+        R"(  drain ID              stop scheduling onto worker ID (coordinato)"
+        R"(r)\n)"
+        R"(  workers               the coordinator's worker-pool table\n)"
+        R"(  cancel ID             cancel a queued or running job\n)"
+        R"(  jobs                  status of every submitted job\n)"
+        R"(  wait [ID]             block until job ID (or all jobs) done\n)"
+        R"(  stats                 catalog + cache + dispatcher stats\n)"
+        R"(  metrics [format=table|prom]\n)"
+        R"(                        scrape the process metrics registry\n)"
+        R"(  evict NAME            drop the resident copy\n)"
+        R"(  store [evict]         durable result-store status; `store evict`)"
+        R"(\n)"
+        R"(                        deletes every persisted entry\n)"
+        R"(  hello [proto=N] [mode=text|framed]\n)"
+        R"(                        negotiate the protocol version; mode=frame)"
+        R"(d\n)"
+        R"(                        switches to the JSON-lines encoding\n)"
+        R"(  quit                  end the session\n)"
+        R"("})";
+    out.push_back({"help", Framed(25, HelpResponse{}), help_frame});
+    out.push_back({"bye", Framed(26, ByeResponse{}),
+                   R"({"id":26,"ok":true,"type":"bye"})"});
+    out.push_back({"error",
+                   Framed(27, ErrorResponse{Status::FailedPrecondition(
+                                  "graph content hash mismatch for 'web'")}),
+                   R"({"id":27,"ok":false,"type":"error",)"
+                   R"("code":"FAILED_PRECONDITION","message":"graph content)"
+                   R"( hash mismatch for 'web'"})"});
+    return out;
+  }();
+  return goldens;
+}
+
+TEST(ProtocolFramed, ResponseGoldensFormatToTheirPinnedBytes) {
+  std::set<std::size_t> covered;
+  for (const FramedGolden& golden : FramedResponseGoldens()) {
+    EXPECT_EQ(FormatFramedResponse(golden.response), golden.frame)
+        << golden.name << "\nR\"(" << FormatFramedResponse(golden.response)
+        << ")\"";
+    covered.insert(golden.response.payload.index());
+  }
+  EXPECT_EQ(covered.size(), std::variant_size_v<ResponsePayload>);
+}
+
 // -------------------------------------------- framed client-side decode
 
 TEST(ProtocolFramed, ShardResultRoundTripsThroughTheClientDecoder) {
