@@ -49,31 +49,25 @@ Histogram& CoordChunkSeconds() {
   return histogram;
 }
 
-/// One framed round trip keeping socket failures (chunk may not have
-/// completed; retryable elsewhere) apart from decoded worker verdicts
-/// (deterministic; they would repeat).
-struct RoundTrip {
+/// One framed round trip decoded as a T, keeping socket failures (chunk
+/// may not have completed; retryable elsewhere) apart from decoded
+/// worker verdicts (deterministic; they would repeat).
+template <typename T>
+struct Reply {
   bool transport_failed = false;
-  Status transport_error;
-  std::string line;  ///< the response line when transport succeeded
+  StatusOr<T> payload = Status::Internal("no reply");
 };
 
-RoundTrip RoundTripLine(TcpClient& client, const std::string& request) {
-  RoundTrip out;
-  Status sent = client.SendLine(request);
-  if (!sent.ok()) {
-    out.transport_failed = true;
-    out.transport_error = sent;
-    return out;
-  }
-  auto line = client.ReadLine();
-  if (!line.ok()) {
-    out.transport_failed = true;
-    out.transport_error = line.status();
-    return out;
-  }
-  out.line = *std::move(line);
-  return out;
+template <typename T>
+Reply<T> Call(TcpClient& client, const Request& request) {
+  Reply<T> reply;
+  Status sent = client.SendLine(FormatFramedRequest(request));
+  StatusOr<std::string> line =
+      sent.ok() ? client.ReadLine() : StatusOr<std::string>(sent);
+  reply.transport_failed = !line.ok();
+  reply.payload =
+      line.ok() ? ParseFramedPayload<T>(*line) : StatusOr<T>(line.status());
+  return reply;
 }
 
 /// What the planning probe learned from one worker.
@@ -81,10 +75,20 @@ struct Probe {
   uint64_t content_hash = 0;
   uint64_t total_seeds = 0;
   std::vector<uint64_t> costs;  ///< empty => uniform fallback
+  /// Non-OK when the probe failed: on a transport failure try another
+  /// worker; a deterministic verdict aborts the job.
+  Status status;
   bool transport_failed = false;
-  Status transport_error;
-  Status verdict;  ///< non-OK: deterministic failure, abort the job
 };
+
+/// Records a failed reply in `probe`; false when the reply decoded.
+template <typename T>
+bool Failed(const Reply<T>& reply, Probe& probe) {
+  if (reply.payload.ok()) return false;
+  probe.status = reply.payload.status();
+  probe.transport_failed = reply.transport_failed;
+  return true;
+}
 
 /// Probes one worker: `plan` for per-seed costs, or (for ctcp, whose
 /// seed order the plan probe refuses) an empty-range shardsubmit +
@@ -93,74 +97,39 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
                   double timeout_seconds) {
   Probe probe;
   TcpClient client;
-  Status connected =
-      ConnectFramed(client, endpoint, timeout_seconds,
-                    kProtocolVersionCoordination, "coordination");
-  if (!connected.ok()) {
+  probe.status = ConnectFramed(client, endpoint, timeout_seconds,
+                               kProtocolVersionCoordination, "coordination");
+  if (!probe.status.ok()) {
     probe.transport_failed = true;
-    probe.transport_error = connected;
     return probe;
   }
+  Request request;
+  request.id = 1;
   if (!query.use_ctcp) {
-    Request request;
-    request.id = 1;
-    PlanRequest plan;
-    plan.graph = query.graph;
-    plan.k = query.k;
-    plan.q = query.q;
-    request.payload = std::move(plan);
-    RoundTrip trip = RoundTripLine(client, FormatFramedRequest(request));
-    if (trip.transport_failed) {
-      probe.transport_failed = true;
-      probe.transport_error = trip.transport_error;
-      return probe;
-    }
-    auto parsed = ParseFramedPlan(trip.line);
-    if (!parsed.ok()) {
-      probe.verdict = parsed.status();
-      return probe;
-    }
-    probe.content_hash = parsed->content_hash;
-    probe.total_seeds = parsed->total_seeds;
-    probe.costs = EstimateSeedCosts(parsed->degrees, parsed->coreness);
+    request.payload = PlanRequest{query.graph, query.k, query.q};
+    auto plan = Call<PlanResponse>(client, request);
+    if (Failed(plan, probe)) return probe;
+    probe.content_hash = plan.payload->content_hash;
+    probe.total_seeds = plan.payload->total_seeds;
+    probe.costs =
+        EstimateSeedCosts(plan.payload->degrees, plan.payload->coreness);
     return probe;
   }
   // ctcp: the canonical seed order differs from the core ordering, so
   // cost signals are unavailable — an empty shard still reports the
   // admission hash (in the shardsubmit ack) and the seed-space size of
   // the *ctcp* pipeline (in the shard_result).
-  Request request;
-  request.id = 1;
-  ShardSubmitRequest shard;
-  shard.query = query;
+  ShardSubmitRequest shard{query};
   shard.query.seed_begin = 0;
   shard.query.seed_end = 0;
   request.payload = std::move(shard);
-  RoundTrip trip = RoundTripLine(client, FormatFramedRequest(request));
-  if (trip.transport_failed) {
-    probe.transport_failed = true;
-    probe.transport_error = trip.transport_error;
-    return probe;
-  }
-  auto submitted = ParseFramedShardSubmit(trip.line);
-  if (!submitted.ok()) {
-    probe.verdict = submitted.status();
-    return probe;
-  }
-  request.payload = ShardWaitRequest{submitted->job};
-  trip = RoundTripLine(client, FormatFramedRequest(request));
-  if (trip.transport_failed) {
-    probe.transport_failed = true;
-    probe.transport_error = trip.transport_error;
-    return probe;
-  }
-  auto parsed = ParseFramedShardResult(trip.line);
-  if (!parsed.ok()) {
-    probe.verdict = parsed.status();
-    return probe;
-  }
-  probe.content_hash = submitted->content_hash;
-  probe.total_seeds = parsed->total_seeds;
+  auto submitted = Call<ShardSubmitResponse>(client, request);
+  if (Failed(submitted, probe)) return probe;
+  request.payload = ShardWaitRequest{submitted.payload->job};
+  auto result = Call<ShardResultResponse>(client, request);
+  if (Failed(result, probe)) return probe;
+  probe.content_hash = submitted.payload->content_hash;
+  probe.total_seeds = result.payload->job.result.total_seeds;
   return probe;
 }
 
@@ -176,16 +145,14 @@ Status SendShardStop(const std::string& endpoint, uint64_t remote_job,
                                       "coordination"));
   Request request;
   request.id = 2;
-  ShardStopRequest stop;
-  stop.job = remote_job;
-  request.payload = stop;
-  RoundTrip trip = RoundTripLine(client, FormatFramedRequest(request));
-  if (trip.transport_failed) return trip.transport_error;
-  auto acked = ParseFramedShardStop(trip.line);
-  if (!acked.ok() && acked.status().code() != StatusCode::kFailedPrecondition) {
-    return acked.status();
+  request.payload = ShardStopRequest{remote_job};
+  auto acked = Call<ShardStopResponse>(client, request);
+  if (acked.payload.ok() ||
+      (!acked.transport_failed &&
+       acked.payload.status().code() == StatusCode::kFailedPrecondition)) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  return acked.payload.status();
 }
 
 }  // namespace
@@ -260,15 +227,15 @@ struct Coordinator::JobRun {
   /// Folds the complete answer `result` for seeds [begin, end) into the
   /// merge and records its outcome.
   void MergeLocked(uint32_t begin, uint32_t end, const std::string& endpoint,
-                   const ParsedShardResult& result, bool yielded) {
+                   const QueryResult& result, bool yielded) {
     MergeableResult piece;
-    piece.count = result.plexes;
+    piece.count = result.num_plexes;
     piece.xor_hash = result.fingerprint_xor;
-    piece.max_plex_size = static_cast<std::size_t>(result.max_size);
+    piece.max_plex_size = result.max_plex_size;
     merged.Merge(piece);
     covered.emplace_back(begin, end);
     outcomes.push_back(
-        {begin, end, endpoint, result.plexes, result.seconds, yielded});
+        {begin, end, endpoint, result.num_plexes, result.seconds, yielded});
     ++chunk_count;
     CoordChunksTotal().Increment();
   }
@@ -289,6 +256,12 @@ Coordinator::Coordinator(CoordinatorOptions options)
 }
 
 Coordinator::~Coordinator() { Stop(); }
+
+bool ShardIsComplete(const JobInfo& shard) {
+  const QueryResult& result = shard.result;
+  return shard.state == JobState::kDone && !result.timed_out &&
+         !result.stopped_early && !result.cancelled && !result.yielded;
+}
 
 Status ValidateCoordinatedQuery(const QueryRequest& query) {
   if (query.algo == QueryAlgo::kFp) {
@@ -490,13 +463,13 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
     probe = ProbeWorker(worker.endpoint, run->query,
                         options_.io_timeout_seconds);
     if (probe.transport_failed) {
-      last_transport = probe.transport_error;
+      last_transport = probe.status;
       pool_.MarkDead(worker.id);
       CoordWorkersLeftTotal().Increment();
       continue;
     }
-    if (!probe.verdict.ok()) {
-      finish_failed(probe.verdict);
+    if (!probe.status.ok()) {
+      finish_failed(probe.status);
       return;
     }
     probed = true;
@@ -679,30 +652,24 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
 
       // ---- chunk round trip (unlocked) -------------------------------
       lock.unlock();
-      Request submit_request;
-      submit_request.id = ticket;
-      ShardSubmitRequest submit;
-      submit.query = run->query;
+      Request request;
+      request.id = ticket;
+      ShardSubmitRequest submit{run->query, run->content_hash};
       submit.query.seed_begin = chunk.begin;
       submit.query.seed_end = chunk.end;
-      submit.expected_hash = run->content_hash;
-      submit_request.payload = std::move(submit);
-      RoundTrip trip =
-          RoundTripLine(client, FormatFramedRequest(submit_request));
-      StatusOr<ParsedShardSubmit> submitted =
-          trip.transport_failed ? StatusOr<ParsedShardSubmit>(
-                                      trip.transport_error)
-                                : ParseFramedShardSubmit(trip.line);
+      request.payload = std::move(submit);
+      auto submitted = Call<ShardSubmitResponse>(client, request);
       lock.lock();
 
-      if (trip.transport_failed || !submitted.ok()) {
+      if (!submitted.payload.ok()) {
         run->in_flight.erase(ticket);
         pool_.NoteChunkFailed(worker_id);
-        if (!trip.transport_failed &&
-            submitted.status().code() != StatusCode::kFailedPrecondition) {
+        if (!submitted.transport_failed &&
+            submitted.payload.status().code() !=
+                StatusCode::kFailedPrecondition) {
           // A deterministic verdict (bad options, unknown graph): it
           // would repeat on every worker. Abort the job.
-          run->FailLocked(submitted.status());
+          run->FailLocked(submitted.payload.status());
           break;
         }
         // Transport failure (the worker died) or an admission refusal
@@ -717,29 +684,20 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         lane_alive = false;
         break;
       }
+      const uint64_t remote_job = submitted.payload->job;
       {
         auto it = run->in_flight.find(ticket);
-        if (it != run->in_flight.end()) {
-          it->second.remote_job = submitted->job;
-        }
+        if (it != run->in_flight.end()) it->second.remote_job = remote_job;
         run->cv.notify_all();  // stealers wait for remote_job
       }
       if (run->failed) break;
 
       lock.unlock();
-      Request wait_request;
-      wait_request.id = ticket;
-      ShardWaitRequest wait;
-      wait.job = submitted->job;
-      wait_request.payload = wait;
+      request.payload = ShardWaitRequest{remote_job};
       WallTimer chunk_timer;
-      trip = RoundTripLine(client, FormatFramedRequest(wait_request));
+      auto shard = Call<ShardResultResponse>(client, request);
       const double chunk_seconds = chunk_timer.ElapsedSeconds();
-      StatusOr<ParsedShardResult> result =
-          trip.transport_failed
-              ? StatusOr<ParsedShardResult>(trip.transport_error)
-              : ParseFramedShardResult(trip.line);
-      if (!trip.transport_failed && result.ok()) {
+      if (shard.payload.ok()) {
         RecordSpan(run->trace_id, "coord_chunk", chunk_seconds,
                    &CoordChunkSeconds(),
                    {{"range", std::to_string(chunk.begin) + ":" +
@@ -750,7 +708,7 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
 
       run->in_flight.erase(ticket);
       if (run->failed) break;
-      if (trip.transport_failed) {
+      if (shard.transport_failed) {
         // The worker vanished mid-chunk; its result never merged, so
         // re-running the whole range elsewhere stays exact.
         ++run->requeues;
@@ -763,29 +721,30 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         lane_alive = false;
         break;
       }
-      if (!result.ok()) {
+      if (!shard.payload.ok()) {
         pool_.NoteChunkFailed(worker_id);
-        run->FailLocked(result.status());
+        run->FailLocked(shard.payload.status());
         break;
       }
-      if (result->yielded) {
+      const JobInfo& job = shard.payload->job;
+      const QueryResult& result = job.result;
+      if (result.yielded) {
         // A stolen chunk: the prefix [begin, covered_end) is complete
         // and merges; the tail goes back on the queue for the stealer.
-        if (result->covered_begin != chunk.begin ||
-            result->covered_end > chunk.end) {
+        if (result.covered_begin != chunk.begin ||
+            result.covered_end > chunk.end) {
           run->FailLocked(Status::Internal(
               "yielded shard covered " +
-              std::to_string(result->covered_begin) + ":" +
-              std::to_string(result->covered_end) +
+              std::to_string(result.covered_begin) + ":" +
+              std::to_string(result.covered_end) +
               " outside its assigned range " +
               std::to_string(chunk.begin) + ":" +
               std::to_string(chunk.end)));
           break;
         }
-        const uint32_t split =
-            static_cast<uint32_t>(result->covered_end);
+        const uint32_t split = result.covered_end;
         if (split > chunk.begin) {
-          run->MergeLocked(chunk.begin, split, endpoint, *result,
+          run->MergeLocked(chunk.begin, split, endpoint, result,
                            /*yielded=*/true);
           ++run->steals;
           CoordStealsTotal().Increment();
@@ -803,11 +762,13 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         run->cv.notify_all();
         continue;
       }
-      if (!result->IsComplete()) {
-        std::string how = result->state;
-        if (result->timed_out) how += ", time limit hit";
-        if (result->stopped_early) how += ", result cap hit";
-        if (result->cancelled && result->state == "done") how += ", cancelled";
+      if (!ShardIsComplete(job)) {
+        std::string how = JobStateName(job.state);
+        if (result.timed_out) how += ", time limit hit";
+        if (result.stopped_early) how += ", result cap hit";
+        if (result.cancelled && job.state == JobState::kDone) {
+          how += ", cancelled";
+        }
         pool_.NoteChunkFailed(worker_id);
         run->FailLocked(Status::FailedPrecondition(
             "chunk " + std::to_string(chunk.begin) + ":" +
@@ -815,7 +776,7 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
             " is not a complete answer (" + how + ")"));
         break;
       }
-      run->MergeLocked(chunk.begin, chunk.end, endpoint, *result,
+      run->MergeLocked(chunk.begin, chunk.end, endpoint, result,
                        /*yielded=*/false);
       pool_.NoteChunkDone(worker_id);
       pool_.MarkIdle(worker_id);

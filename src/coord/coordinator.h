@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "coord/worker_pool.h"
+#include "service/dispatcher.h"
 #include "service/query_engine.h"
 #include "util/status.h"
 
@@ -82,6 +83,12 @@ struct CoordinatorOptions {
 /// baseline (no seed ranges). Coordinator::Submit runs it before any
 /// connection opens, so the explanation reaches the caller first.
 Status ValidateCoordinatedQuery(const QueryRequest& query);
+
+/// The merge rule for one decoded shard_result: true iff the shard
+/// answers its whole requested range — it is done, and was neither cut
+/// short (timed out, result-capped, cancelled) nor yielded. A yielded
+/// shard is complete only for its covered prefix.
+bool ShardIsComplete(const JobInfo& shard);
 
 /// Terminal record of one chunk assignment that merged.
 struct CoordChunkOutcome {

@@ -23,7 +23,11 @@
 //      the connection to framed mode. One verb table in protocol.cc
 //      lists every request's fields once and drives the text parser,
 //      the framed parser and the framed encoder, so the two encodings
-//      cannot drift apart.
+//      cannot drift apart. On the response side one walk per response
+//      struct lists its frame keys once and drives both the framed
+//      encoder and the client's decoder (ParseFramedResponse); the
+//      text renderings are written by hand, as nothing reads them
+//      back.
 //   3. *Errors*: every failure is a structured Status (code + message)
 //      echoed with the request id — formatted as "error: CODE: msg" on
 //      the text wire and as {"ok":false,"code":...} on the framed wire.
@@ -39,10 +43,12 @@
 // negotiates down to 4. Message *shapes*, once shipped, never change
 // (breaking changes would require a new command name); unknown
 // *fields* in framed requests are rejected (typo safety), unknown
-// *commands* report INVALID_ARGUMENT. A verb with no remaining sender
-// may be removed without a version bump (v2's `mineshard` was, once
-// the coordinator probed with shardsubmit + shardwait). See
-// docs/SERVE.md for the full message reference and wire examples.
+// *commands* report INVALID_ARGUMENT. Clients ignore unknown keys in
+// response frames, since responses grow by adding keys. A verb with no
+// remaining sender may be removed without a version bump (v2's
+// `mineshard` was, once the coordinator probed with shardsubmit +
+// shardwait). See docs/SERVE.md for the full message reference and wire
+// examples.
 
 #ifndef KPLEX_SERVICE_PROTOCOL_H_
 #define KPLEX_SERVICE_PROTOCOL_H_
@@ -543,135 +549,60 @@ bool EndsSessionSilently(const Request& request, WireMode mode);
 WireMode ModeAfter(const Response& response, WireMode mode);
 
 // ------------------------------------------- framed client-side decode
-// The shard coordinator is a protocol *client*: it reads framed
-// response lines off worker sockets. These decoders parse the two
-// frames it consumes. Error frames ({"ok":false,...}) come back as the
-// embedded structured Status (code restored via StatusCodeFromName).
+// The coordinator, `mine --endpoint`, coordctl and the metrics scrape
+// read framed response lines. One walk per response struct drives both
+// FormatFramedResponse and ParseFramedResponse, so a client decodes into
+// the server's own structs.
 
-/// Decodes a framed hello response; returns the negotiated version.
-StatusOr<uint32_t> ParseFramedHelloVersion(const std::string& line);
+/// The inverse of FormatFramedResponse. An error frame decodes to
+/// ErrorResponse and a failed job keeps its state and status. Malformed
+/// JSON, an unknown frame type, a missing key the frame always carries
+/// and a wrongly typed or out-of-range value are INVALID_ARGUMENT;
+/// unknown keys are ignored. A non-null `bodies` receives a job frame's
+/// "bodies" count, which no response struct holds (0 when absent).
+StatusOr<Response> ParseFramedResponse(const std::string& line,
+                                       uint64_t* bodies = nullptr);
 
-/// A decoded shard_result frame — the mergeable summary of one shard.
-struct ParsedShardResult {
-  uint64_t request_id = 0;
-  std::string state;           ///< "done" unless the shard was cut short
-  uint64_t plexes = 0;
-  uint64_t max_size = 0;
-  uint64_t fingerprint = 0;     ///< composite, for per-shard logging
-  uint64_t fingerprint_xor = 0; ///< the mergeable XOR half
-  uint64_t total_seeds = 0;     ///< seed-space size (coordinator planning)
-  uint64_t content_hash = 0;    ///< the worker's graph hash
-  double seconds = 0;
-  // Truncation flags: a kDone job may still be a *partial* answer (hit
-  // the time limit or a result cap). A merge must reject these — the
-  // coordinator treats any of them as a hard failure.
-  bool timed_out = false;
-  bool stopped_early = false;
-  bool cancelled = false;
-  /// Yield outcome (v5 work-stealing): a yielded shard is a *complete*
-  /// answer for [covered_begin, covered_end) only — the coordinator
-  /// merges the prefix and re-issues the remainder. Older servers never
-  /// set these; the defaults make the shard look whole.
-  bool yielded = false;
-  uint64_t covered_begin = 0;
-  uint64_t covered_end = 0;
+/// OK when `response` has `expected`'s frame type. An error frame comes
+/// back as its status, another frame type as INVALID_ARGUMENT, and a
+/// failed job (mine, wait, shard_result) as the status it failed with.
+Status ExpectPayload(const Response& response,
+                     const ResponsePayload& expected);
 
-  /// True iff this shard is a complete answer for its *requested*
-  /// range (a yielded shard is complete only for its covered prefix —
-  /// the caller must merge covered_begin/covered_end instead).
-  bool IsComplete() const {
-    return state == "done" && !timed_out && !stopped_early && !cancelled &&
-           !yielded;
-  }
-};
+/// Decodes a framed response line that must carry a T (ExpectPayload).
+template <typename T>
+StatusOr<T> ParseFramedPayload(const std::string& line) {
+  auto response = ParseFramedResponse(line);
+  if (!response.ok()) return response.status();
+  KPLEX_RETURN_IF_ERROR(ExpectPayload(*response, T{}));
+  return std::get<T>(std::move(response->payload));
+}
 
-/// Decodes a framed shard_result response line.
-StatusOr<ParsedShardResult> ParseFramedShardResult(const std::string& line);
-
-/// A decoded plan frame (v5) — the coordinator's cost-estimate inputs.
-struct ParsedPlan {
-  uint64_t request_id = 0;
-  uint64_t total_seeds = 0;
-  uint64_t content_hash = 0;
-  uint64_t degeneracy = 0;
-  std::vector<uint32_t> degrees;
-  std::vector<uint32_t> coreness;
-  bool precomputed = false;
-  double seconds = 0;
-};
-
-/// Decodes a framed plan response line.
-StatusOr<ParsedPlan> ParseFramedPlan(const std::string& line);
-
-/// A decoded shard_submitted frame (v5) — the async shard handle.
-struct ParsedShardSubmit {
-  uint64_t request_id = 0;
-  uint64_t job = 0;
-  uint64_t content_hash = 0;
-};
-
-/// Decodes a framed shard_submitted response line.
-StatusOr<ParsedShardSubmit> ParseFramedShardSubmit(const std::string& line);
-
-/// Decodes a framed shard_stopping ack (v5 `shardstop`); returns the
-/// yielded job id, or the worker's structured refusal (e.g.
-/// FAILED_PRECONDITION when the shard already finished — benign for a
-/// stealer: the victim's result is complete and merges normally).
-StatusOr<uint64_t> ParseFramedShardStop(const std::string& line);
-
-/// A decoded worker_ack frame (v5) — register/heartbeat/drain outcome.
-struct ParsedWorkerAck {
-  uint64_t request_id = 0;
-  uint64_t worker = 0;
-  std::string state;
-};
-
-/// Decodes a framed worker_ack response line.
-StatusOr<ParsedWorkerAck> ParseFramedWorkerAck(const std::string& line);
-
-/// The frame's "type" value ("mine", "result_chunk", "error", ...) —
-/// how a streaming client decides which decoder to hand a line to.
-/// Error frames are NOT surfaced as a type: they come back as their
-/// embedded structured Status, like every decoder here.
+/// The "type" of a framed response line that decodes ("mine",
+/// "result_chunk", ...); an error frame comes back as its status.
 StatusOr<std::string> PeekFramedResponseType(const std::string& line);
 
-/// A decoded result_chunk frame — one bounded slice of a streamed body.
-struct ParsedResultChunk {
-  uint64_t request_id = 0;
-  uint64_t job = 0;
-  uint64_t seq = 0;
-  bool last = false;
-  std::vector<std::vector<VertexId>> plexes;
-};
+inline StatusOr<ResultChunkResponse> ParseFramedResultChunk(
+    const std::string& line) {
+  return ParseFramedPayload<ResultChunkResponse>(line);
+}
 
-/// Decodes a framed result_chunk response line.
-StatusOr<ParsedResultChunk> ParseFramedResultChunk(const std::string& line);
-
-/// A decoded final mine frame — the verdict a streaming client reads
-/// after draining the chunk frames of the same request id.
+/// The verdict of a framed mine line that a streaming client reads after
+/// draining the chunk frames of the same request id, with the job
+/// frame's bodies count. ParseFramedResponse carries the rest.
 struct ParsedMineResult {
   uint64_t request_id = 0;
-  std::string state;        ///< "done" / "cancelled" / "failed"
-  uint64_t plexes = 0;      ///< served count (post-filter / post-top)
-  uint64_t max_size = 0;
+  std::string state;    ///< "done" / "cancelled" (failed is an error)
+  uint64_t plexes = 0;  ///< served count (post-filter / post-top)
+  uint64_t fingerprint = 0;
+  bool cached = false;
   /// Number of bodies the server buffered (and streamed, for a
   /// results=stream request) — what the chunk frames should reassemble
   /// to. 0 when the request did not ask for bodies.
   uint64_t bodies = 0;
-  uint64_t fingerprint = 0;
-  double seconds = 0;
-  bool cached = false;
-  bool timed_out = false;
-  bool stopped_early = false;
-  bool cancelled = false;
-  /// Resume cursor, present when the run stopped at max-results with
-  /// more enumeration left.
-  bool has_cursor = false;
-  uint32_t cursor_seed = 0;
-  uint64_t cursor_ordinal = 0;
 };
 
-/// Decodes a framed mine response line.
+/// Decodes a framed mine line into a ParsedMineResult (ExpectPayload).
 StatusOr<ParsedMineResult> ParseFramedMineResult(const std::string& line);
 
 // ------------------------------------------------------------ error hygiene

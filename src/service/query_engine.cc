@@ -388,6 +388,11 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
                                    const GraphPrecompute* precompute,
                                    const QueryRequest& request,
                                    ResultSink* bodies, uint64_t trace_id) {
+  if (request.threads > kMaxQueryThreads) {
+    return Status::InvalidArgument(
+        "threads must be at most " + std::to_string(kMaxQueryThreads) +
+        " (got " + std::to_string(request.threads) + ")");
+  }
   // Reject non-composing v4 selection options before any search work.
   if (request.maximum &&
       (request.HasFilter() || request.top_k > 0 || request.has_cursor ||

@@ -51,13 +51,19 @@ enum class QueryAlgo { kOurs, kOursP, kBasic, kListPlex, kFp };
 StatusOr<QueryAlgo> ParseQueryAlgo(const std::string& name);
 const char* QueryAlgoName(QueryAlgo algo);
 
+/// Largest worker count a query may ask for: the parallel engine
+/// starts one thread, queue and counter per worker, so ExecuteQuery
+/// refuses larger counts before any of them exists.
+inline constexpr uint32_t kMaxQueryThreads = 1024;
+
 struct QueryRequest {
   std::string graph;  ///< catalog name
   uint32_t k = 2;
   uint32_t q = 4;
   QueryAlgo algo = QueryAlgo::kOurs;
   /// 0 runs the sequential engine; > 0 the parallel one with that many
-  /// workers. Ignored for the fp baseline (sequential only).
+  /// workers, at most kMaxQueryThreads. Ignored for the fp baseline
+  /// (sequential only).
   uint32_t threads = 0;
   /// Straggler timeout for the parallel engine, milliseconds.
   double tau_ms = 0.1;

@@ -139,23 +139,12 @@ void ServiceSession::EmitResultChunks(uint64_t request_id,
     offset += take;
     chunk.last = offset == plexes.size();
     const uint64_t plex_count = chunk.plexes.size();
-    Response response;
-    response.request_id = request_id;
-    response.payload = std::move(chunk);
-    std::size_t bytes = 0;
-    if (mode_ == WireMode::kText) {
-      std::ostringstream rendered;
-      FormatTextResponse(response, rendered);
-      bytes = rendered.str().size();
-      out_ << rendered.str();
-    } else {
-      const std::string line = FormatFramedResponse(response);
-      bytes = line.size() + 1;
-      out_ << line << "\n";
-    }
+    std::ostringstream rendered;
+    WriteResponse({request_id, std::move(chunk)}, mode_, rendered);
+    out_ << rendered.str();
     StreamChunksTotal().Increment();
     StreamPlexesTotal().Increment(plex_count);
-    StreamBytesTotal().Increment(bytes);
+    StreamBytesTotal().Increment(rendered.str().size());
   } while (offset < plexes.size());
   StreamWriteSeconds().Observe(timer.ElapsedSeconds());
 }

@@ -136,14 +136,17 @@ Status TcpClient::SendLine(const std::string& line) {
 StatusOr<std::string> TcpClient::ReadLine() {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
   char chunk[4096];
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+  // Each scan resumes where the last one stopped, so a long line costs
+  // time linear in its length, not one rescan per received chunk.
+  for (std::size_t scanned = 0;;) {
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    scanned = buffer_.size();
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -239,11 +242,12 @@ Status ConnectFramed(TcpClient& client, const std::string& endpoint,
       "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed"));
   auto hello = client.ReadLine();
   if (!hello.ok()) return hello.status();
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) return version.status();
-  if (*version < min_version) {
+  auto negotiated = ParseFramedPayload<HelloResponse>(*hello);
+  if (!negotiated.ok()) return negotiated.status();
+  const uint32_t version = negotiated->version;
+  if (version < min_version) {
     return Status::FailedPrecondition(
-        endpoint + " negotiated protocol v" + std::to_string(*version) +
+        endpoint + " negotiated protocol v" + std::to_string(version) +
         " but " + feature + " needs v" + std::to_string(min_version) +
         " (upgrade it)");
   }

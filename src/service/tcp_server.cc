@@ -263,15 +263,10 @@ void TcpServer::ServeConnection(Connection* connection) {
     }
     if (!open) break;
     if (buffer.size() > kMaxLineBytes) {
-      Response response;
-      response.payload = ErrorResponse{Status::InvalidArgument(
-          "line exceeds the 1 MiB frame limit")};
       std::ostringstream error_line;
-      if (session.mode() == WireMode::kText) {
-        FormatTextResponse(response, error_line);
-      } else {
-        error_line << FormatFramedResponse(response) << "\n";
-      }
+      WriteResponse({0, ErrorResponse{Status::InvalidArgument(
+                            "line exceeds the 1 MiB frame limit")}},
+                    session.mode(), error_line);
       WriteAll(connection->fd, error_line.str());
       break;
     }

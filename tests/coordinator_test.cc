@@ -504,9 +504,9 @@ TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
                   .ok());
   auto hello = client.ReadLine();
   ASSERT_TRUE(hello.ok());
-  auto version = ParseFramedHelloVersion(*hello);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, kProtocolVersion);
+  auto negotiated = ParseFramedPayload<HelloResponse>(*hello);
+  ASSERT_TRUE(negotiated.ok());
+  EXPECT_EQ(negotiated->version, kProtocolVersion);
 
   // register the worker over the wire.
   Request reg;
@@ -515,7 +515,7 @@ TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
   ASSERT_TRUE(client.SendLine(FormatFramedRequest(reg)).ok());
   auto reg_line = client.ReadLine();
   ASSERT_TRUE(reg_line.ok());
-  auto ack = ParseFramedWorkerAck(*reg_line);
+  auto ack = ParseFramedPayload<WorkerAckResponse>(*reg_line);
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   EXPECT_EQ(ack->state, "idle");
 

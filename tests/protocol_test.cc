@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
+#include "coord/coordinator.h"
 #include "util/rng.h"
 
 namespace kplex {
@@ -1085,26 +1089,42 @@ const std::vector<FramedGolden>& FramedResponseGoldens() {
     // The frame spelled one help line per piece.
     const std::string help_frame =
         R"({"id":25,"ok":true,"type":"help","text":"commands:\n)"
+        R"(  hello [proto=N] [mode=text|framed]\n)"
+        R"(                        negotiate the protocol version; mode=frame)"
+        R"(d\n)"
+        R"(                        switches to the JSON-lines encoding\n)"
         R"(  load NAME PATH        register + load a graph file\n)"
         R"(  dataset NAME KEY      register + load a registry dataset\n)"
         R"(  snapshot NAME PATH [precompute] [levels=C1,C2,...]\n)"
         R"(                        write NAME as a binary v2 snapshot;\n)"
         R"(                        precompute stores reduction sections\n)"
-        R"(  mine NAME K Q [algo=ours|ours_p|basic|listplex|fp]\n)"
-        R"(       [threads=N] [max-results=N] [time-limit=S] [tau-ms=T]\n)"
-        R"(       [cache=on|off] [ctcp=on|off] [results=stream|count]\n)"
-        R"(       [chunk=N] [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
-        R"(       [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(  mine NAME K Q [algo=...] [threads=N] [max-results=N] [time-limit)"
+        R"(=S]\n)"
+        R"(       [tau-ms=T] [ctcp=on|off] [cache=on|off] [seed-range=B:E]\n)"
+        R"(       [results=stream|count] [chunk=N] [filter=size>=S,size<=T]\n)"
+        R"(       [contain=V] [top=K] [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(                        run a query and wait for its answer; algo )"
+        R"(is\n)"
+        R"(                        one of ours, ours_p, basic, listplex, fp;\n)"
         R"(                        results=stream delivers the plex bodies in)"
         R"(\n)"
         R"(                        bounded result chunks before the summary;\n)"
         R"(                        a max-results-truncated sequential run\n)"
         R"(                        reports a cursor to resume from\n)"
-        R"(  submit NAME K Q [...] run a mine asynchronously; prints a\n)"
+        R"(  submit NAME K Q [algo=...] [threads=N] [max-results=N] [time-lim)"
+        R"(it=S]\n)"
+        R"(       [tau-ms=T] [ctcp=on|off] [cache=on|off] [seed-range=B:E]\n)"
+        R"(       [results=stream|count] [chunk=N] [filter=size>=S,size<=T]\n)"
+        R"(       [contain=V] [top=K] [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(                        run a mine asynchronously; prints a\n)"
         R"(                        job id immediately\n)"
         R"(  plan NAME K Q [ctcp]  per-seed cost-estimate probe (degeneracy-\n)"
         R"(                        order degrees + coreness); no enumeration\n)"
-        R"(  shardsubmit NAME K Q [seed-range=B:E] [hash=0xH] [...]\n)"
+        R"(  shardsubmit NAME K Q [algo=...] [threads=N] [max-results=N]\n)"
+        R"(       [time-limit=S] [tau-ms=T] [ctcp=on|off] [cache=on|off]\n)"
+        R"(       [seed-range=B:E] [results=stream|count] [chunk=N]\n)"
+        R"(       [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
+        R"(       [mode=enumerate|maximum] [cursor=S:O] [hash=0xH]\n)"
         R"(                        mine one shard of the seed space: hash=\n)"
         R"(                        refuses a mismatched snapshot, then a job\n)"
         R"(                        id immediately (sharding, work-stealing)\n)"
@@ -1129,11 +1149,8 @@ const std::vector<FramedGolden>& FramedResponseGoldens() {
         R"(  store [evict]         durable result-store status; `store evict`)"
         R"(\n)"
         R"(                        deletes every persisted entry\n)"
-        R"(  hello [proto=N] [mode=text|framed]\n)"
-        R"(                        negotiate the protocol version; mode=frame)"
-        R"(d\n)"
-        R"(                        switches to the JSON-lines encoding\n)"
-        R"(  quit                  end the session\n)"
+        R"(  help                  this command summary\n)"
+        R"(  quit                  end the session (also: exit)\n)"
         R"("})";
     out.push_back({"help", Framed(25, HelpResponse{}), help_frame});
     out.push_back({"bye", Framed(26, ByeResponse{}),
@@ -1158,6 +1175,289 @@ TEST(ProtocolFramed, ResponseGoldensFormatToTheirPinnedBytes) {
     covered.insert(golden.response.payload.index());
   }
   EXPECT_EQ(covered.size(), std::variant_size_v<ResponsePayload>);
+}
+
+TEST(ProtocolFramed, ResponseGoldensDecodeAndReencodeToThemselves) {
+  for (const FramedGolden& golden : FramedResponseGoldens()) {
+    uint64_t bodies = 0;
+    auto decoded = ParseFramedResponse(golden.frame, &bodies);
+    ASSERT_TRUE(decoded.ok()) << golden.name << ": "
+                              << decoded.status().ToString();
+    EXPECT_EQ(decoded->payload.index(), golden.response.payload.index())
+        << golden.name;
+    // The bodies count rides beside the structs: a frame with one
+    // decodes to the same structs without their plex bodies.
+    Response expected = golden.response;
+    std::shared_ptr<const std::vector<std::vector<VertexId>>> plexes;
+    if (auto* mine = std::get_if<MineResponse>(&expected.payload)) {
+      plexes = std::exchange(mine->job.result.plexes, nullptr);
+    }
+    EXPECT_EQ(bodies, plexes != nullptr ? plexes->size() : 0u)
+        << golden.name;
+    EXPECT_EQ(FormatFramedResponse(*decoded), FormatFramedResponse(expected))
+        << golden.name;
+    if (plexes == nullptr) {
+      EXPECT_EQ(FormatFramedResponse(*decoded), golden.frame) << golden.name;
+    } else {
+      auto verdict = ParseFramedMineResult(golden.frame);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      EXPECT_EQ(verdict->bodies, plexes->size()) << golden.name;
+    }
+  }
+}
+
+/// `golden` with its first `from` replaced by `to`.
+std::string Edited(const std::string& golden, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = golden.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " not in " << golden;
+  if (at == std::string::npos) return golden;
+  return golden.substr(0, at) + to + golden.substr(at + from.size());
+}
+
+const std::string& GoldenFrame(const std::string& name) {
+  for (const FramedGolden& golden : FramedResponseGoldens()) {
+    if (golden.name == name) return golden.frame;
+  }
+  ADD_FAILURE() << "no golden named " << name;
+  static const std::string none;
+  return none;
+}
+
+TEST(ProtocolFramed, ResponseDecoderRejectsMalformedFrames) {
+  const std::string hello = GoldenFrame("hello");
+  const std::string mine = GoldenFrame("mine done");
+  const std::string paged = GoldenFrame("mine done with a cursor and bodies");
+  const std::string plan = GoldenFrame("plan");
+  const std::string chunk = GoldenFrame("result_chunk");
+  const std::string shard = GoldenFrame("shard_result");
+  const std::string error = GoldenFrame("error");
+  const std::vector<std::pair<std::string, std::string>> frames = {
+      {"not json", "malformed frame"},
+      {"[1,2]", "expected a JSON object"},
+      {"\"hello\"", "expected a JSON object"},
+      // The frame header.
+      {Edited(hello, "\"ok\":true,", ""), "missing 'ok'"},
+      {Edited(hello, "\"ok\":true", "\"ok\":\"yes\""), "'ok' must be"},
+      {Edited(hello, "\"ok\":true", "\"ok\":false"), "disagrees"},
+      {Edited(error, "\"ok\":false", "\"ok\":true"), "disagrees"},
+      {Edited(hello, "\"type\":\"hello\",", ""), "missing 'type'"},
+      {Edited(hello, "\"hello\"", "\"nope\""), "unknown response frame"},
+      {Edited(hello, "\"id\":0", "\"id\":-1"), "'id' must be"},
+      {Edited(error, "FAILED_PRECONDITION", "OK"), "'code' must be"},
+      // Keys a frame always carries.
+      {Edited(hello, "\"proto\":6,", ""), "missing 'proto'"},
+      {Edited(mine, "\"state\":\"done\",", ""), "missing 'state'"},
+      {Edited(mine, "\"plexes\":2566,", ""), "missing 'plexes'"},
+      {Edited(mine, "\"graph\":\"web\",", ""), "missing 'graph'"},
+      {Edited(plan, "\"degrees\":[5,0,4294967295],", ""),
+       "missing 'degrees'"},
+      {Edited(plan, ",\"coreness\":[7,1,2]", ""), "missing 'coreness'"},
+      {Edited(chunk, ",\"plexes\":[[1,2,3],[],[4294967295]]", ""),
+       "missing 'plexes'"},
+      // A control: a shard that did not yield reads no covered range.
+      {Edited(shard, "\"content_hash\"",
+              "\"covered_end\":\"x\",\"content_hash\""),
+       ""},
+      {Edited(GoldenFrame("shard_result yielded"), "\"covered_end\":150,",
+              ""),
+       "missing 'covered_end'"},
+      {Edited(GoldenFrame("mine failed"), ",\"error\":{", ",\"oops\":{"),
+       "missing 'error'"},
+      // Wrongly typed values.
+      {Edited(chunk, "\"seq\":1", "\"seq\":\"zero\""), "'seq' must be"},
+      {Edited(chunk, "\"last\":true", "\"last\":\"yes\""), "'last' must be"},
+      {Edited(chunk, "[[1,2,3],[],[4294967295]]", "[1,2]"),
+       "'plexes' must be"},
+      {Edited(chunk, "[[1,2,3],", "[[1,\"x\"],"), "'plexes' must be"},
+      {Edited(mine, "\"seconds\":1.8102", "\"seconds\":\"slow\""),
+       "'seconds' must be"},
+      {Edited(mine, "\"started\":true", "\"started\":1"), "'started' must be"},
+      {Edited(mine, "\"state\":\"done\"", "\"state\":\"finished\""),
+       "'state' must be"},
+      {Edited(mine, "\"query\":{", "\"query\":[{"), "malformed frame"},
+      {Edited(mine, "\"algo\":\"ours\"", "\"algo\":\"fastest\""), "algo"},
+      {Edited(GoldenFrame("metrics"), "\"value\":-3", "\"value\":-3.5"),
+       "'value' must be"},
+      // Values beyond their field's range.
+      {Edited(hello, "\"proto\":6", "\"proto\":4294967296"),
+       "'proto' must be"},
+      {Edited(plan, "4294967295]", "4294967296]"), "'degrees' must be"},
+      {Edited(chunk, "[4294967295]", "[4294967296]"), "'plexes' must be"},
+      {Edited(mine, "\"k\":2", "\"k\":4294967296"), "'k' must be"},
+      {Edited(GoldenFrame("shard_result yielded"), "\"covered_end\":150",
+              "\"covered_end\":4294967296"),
+       "'covered_end' must be"},
+      // Plan arrays of unequal length.
+      {Edited(plan, "\"coreness\":[7,1,2]", "\"coreness\":[7,1]"),
+       "disagree on seed count"},
+      // Malformed hex and cursor tokens.
+      {Edited(mine, "0x0123456789abcdef", "0x0123456789abcdeg"),
+       "expected 0xHEX"},
+      {Edited(shard, "\"0x00000000c0ffee00\"", "\"c0ffee00\""),
+       "expected 0xHEX"},
+      {Edited(shard, "0x00000000deadbeef", "0x00000000000deadbeef"),
+       "expected 0xHEX"},
+      {Edited(paged, "\"cursor\":\"17:4\"", "\"cursor\":\"bogus\""),
+       "SEED:ORDINAL"},
+      {Edited(paged, "\"cursor\":\"17:4\"", "\"cursor\":7"),
+       "'cursor' must be"},
+      {Edited(paged, "\"cursor\":\"17:4\"", "\"cursor\":\"4294967296:4\""),
+       "cursor"},
+  };
+  for (const auto& [frame, message] : frames) {
+    auto decoded = ParseFramedResponse(frame);
+    if (message.empty()) {  // a control: a key the shape does not read
+      EXPECT_TRUE(decoded.ok()) << frame << ": "
+                                << decoded.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(decoded.ok()) << "accepted: " << frame;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << frame;
+    EXPECT_NE(decoded.status().message().find(message), std::string::npos)
+        << frame << ": " << decoded.status().ToString();
+  }
+
+  // Frames carrying a failure decode; a client expecting an answer gets
+  // the Status they carry.
+  auto refused = ParseFramedPayload<PlanResponse>(error);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  auto failed = ParseFramedPayload<MineResponse>(GoldenFrame("mine failed"));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(failed.status().message(), "no graph named 'web' is registered");
+  auto wrong = ParseFramedPayload<ShardResultResponse>(mine);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().message(),
+            "expected a 'shard_result' frame, got 'mine'");
+
+  // Unknown keys are ignored: responses grow by adding keys.
+  const std::string grown =
+      Edited(Edited(plan, "\"graph\"", "\"added\":[{\"x\":1}],\"graph\""),
+             "\"degeneracy\"", "\"later\":true,\"degeneracy\"");
+  auto decoded = ParseFramedResponse(grown);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(FormatFramedResponse(*decoded), plan);
+}
+
+// --------------------------------------------- response mutation fuzzing
+
+/// Replaces one number of `frame` with an edge value: the unsigned and
+/// signed bounds, just past them, a fraction or an overflow.
+std::string EditNumber(const std::string& frame, Rng& rng) {
+  static const std::vector<std::string> kEdges = {
+      "0",          "1",          "4294967295", "4294967296",
+      "18446744073709551615",     "18446744073709551616",
+      "-1",         "-0",         "1.5",        "1e999",
+      "9223372036854775807",      "-9223372036854775808"};
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>(frame[i])) &&
+        (i == 0 || !std::isalnum(static_cast<unsigned char>(frame[i - 1])))) {
+      starts.push_back(i);
+    }
+  }
+  if (starts.empty()) return frame;
+  const std::size_t at = starts[rng.NextBounded(starts.size())];
+  std::size_t end = at;
+  while (end < frame.size() &&
+         std::isdigit(static_cast<unsigned char>(frame[end]))) {
+    ++end;
+  }
+  return frame.substr(0, at) + kEdges[rng.NextBounded(kEdges.size())] +
+         frame.substr(end);
+}
+
+/// The decoder's properties over one line: it never crashes, a
+/// rejection is a non-empty INVALID_ARGUMENT, and an accepted frame
+/// re-encodes to a fixpoint of the response codec.
+void CheckResponseDecode(const std::string& line) {
+  auto decoded = ParseFramedResponse(line);
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_FALSE(decoded.status().message().empty()) << line;
+    return;
+  }
+  const std::string wire = FormatFramedResponse(*decoded);
+  auto redecoded = ParseFramedResponse(wire);
+  ASSERT_TRUE(redecoded.ok()) << line << " -> " << wire << ": "
+                              << redecoded.status().ToString();
+  EXPECT_EQ(FormatFramedResponse(*redecoded), wire) << line;
+}
+
+TEST(ProtocolFuzz, MutatedResponsesFailStructuredOrReencodeToAFixpoint) {
+  std::vector<std::string> seeds = {
+      // Fixed cases: unequal plan arrays and malformed nested plexes.
+      R"({"id":1,"ok":true,"type":"plan","graph":"g","total_seeds":2,)"
+      R"("content_hash":"0x1","degeneracy":1,"precomputed":false,)"
+      R"("seconds":0,"degrees":[1,2],"coreness":[1]})",
+      R"({"id":1,"ok":true,"type":"result_chunk","job":1,"seq":0,)"
+      R"("last":true,"plexes":[[1,[2]],3,[]]})",
+      R"({"id":1,"ok":true,"type":"metrics","counters":[],)"
+      R"("gauges":[{"name":"g","value":-1e3}],"histograms":[]})",
+  };
+  for (const FramedGolden& golden : FramedResponseGoldens()) {
+    seeds.push_back(golden.frame);
+  }
+  for (const std::string& seed : seeds) CheckResponseDecode(seed);
+
+  Rng rng(20261017);
+  for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+    std::string line = seeds[rng.NextBounded(seeds.size())];
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations; ++m) {
+      line = rng.NextBounded(4) == 0
+                 ? EditNumber(line, rng)
+                 : Mutate(line, seeds[rng.NextBounded(seeds.size())], rng);
+    }
+    CheckResponseDecode(line);
+  }
+}
+
+// ------------------------------------------------------- help and usage
+
+/// The synopsis of `verb`'s usage line, as its malformed text spellings
+/// report it; a verb without fields ignores trailing tokens and its
+/// synopsis is its name.
+std::string SynopsisOf(const std::string& verb) {
+  for (const std::string& line : {verb, verb + " 0 stray"}) {
+    auto parsed = ParseTextRequest(line);
+    if (!parsed.ok() && parsed.status().message().rfind("usage: ", 0) == 0) {
+      return parsed.status().message().substr(7);
+    }
+  }
+  return verb;
+}
+
+/// `text` with every run of whitespace collapsed to one space.
+std::string Collapsed(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    if (!std::isspace(static_cast<unsigned char>(c))) {
+      out += c;
+    } else if (!out.empty() && out.back() != ' ') {
+      out += ' ';
+    }
+  }
+  return out;
+}
+
+TEST(ProtocolText, HelpListsEveryVerbsUsage) {
+  const std::string help = Collapsed(TextOf(HelpResponse{}));
+  std::set<std::string> verbs;
+  for (const GoldenPair& pair : GoldenPairs()) {
+    auto parsed = ParseTextRequest(pair.text);
+    ASSERT_TRUE(parsed.ok()) << pair.text;
+    verbs.insert(RequestVerbName(parsed->payload));
+  }
+  EXPECT_EQ(verbs.size(), std::variant_size_v<RequestPayload>);
+  for (const std::string& verb : verbs) {
+    const std::string synopsis = SynopsisOf(verb);
+    EXPECT_NE(help.find(" " + synopsis + " "), std::string::npos)
+        << "help does not list '" << synopsis << "'";
+  }
 }
 
 // -------------------------------------------- framed client-side decode
@@ -1187,43 +1487,67 @@ TEST(ProtocolFramed, ShardResultRoundTripsThroughTheClientDecoder) {
       << frame;
   EXPECT_NE(frame.find("\"seed_begin\":100"), std::string::npos) << frame;
 
-  auto decoded = ParseFramedShardResult(frame);
+  auto decoded = ParseFramedResponse(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->request_id, 7u);
-  EXPECT_EQ(decoded->state, "done");
-  EXPECT_EQ(decoded->plexes, 2566u);
-  EXPECT_EQ(decoded->max_size, 14u);
-  EXPECT_EQ(decoded->fingerprint, 0x0123456789abcdefULL);
-  EXPECT_EQ(decoded->fingerprint_xor, 0x00000000deadbeefULL);
-  EXPECT_EQ(decoded->total_seeds, 5000u);
-  EXPECT_EQ(decoded->content_hash, 0x00000000c0ffee00ULL);
-  EXPECT_DOUBLE_EQ(decoded->seconds, 0.25);
-  EXPECT_TRUE(decoded->IsComplete());
+  const auto& shard = std::get<ShardResultResponse>(decoded->payload);
+  EXPECT_EQ(shard.job.state, JobState::kDone);
+  EXPECT_EQ(shard.job.result.num_plexes, 2566u);
+  EXPECT_EQ(shard.job.result.max_plex_size, 14u);
+  EXPECT_EQ(shard.job.result.fingerprint, 0x0123456789abcdefULL);
+  EXPECT_EQ(shard.job.result.fingerprint_xor, 0x00000000deadbeefULL);
+  EXPECT_EQ(shard.job.result.total_seeds, 5000u);
+  EXPECT_EQ(shard.content_hash, 0x00000000c0ffee00ULL);
+  EXPECT_DOUBLE_EQ(shard.job.result.seconds, 0.25);
+  EXPECT_EQ(shard.job.request.seed_begin, 100u);
+  EXPECT_EQ(shard.job.request.seed_end, 200u);
+  EXPECT_TRUE(ShardIsComplete(shard.job));
 
   // Truncation flags survive the decode: a kDone-but-timed-out (or
   // result-capped) shard must never look complete to a coordinator.
   done.result.timed_out = true;
   response.payload = ShardResultResponse{done, 0x00000000c0ffee00ULL};
-  decoded = ParseFramedShardResult(FormatFramedResponse(response));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->timed_out);
-  EXPECT_FALSE(decoded->IsComplete());
+  auto truncated =
+      ParseFramedPayload<ShardResultResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(truncated.ok());
+  EXPECT_TRUE(truncated->job.result.timed_out);
+  EXPECT_FALSE(ShardIsComplete(truncated->job));
 
   done.result.timed_out = false;
   done.result.stopped_early = true;
   response.payload = ShardResultResponse{done, 0x00000000c0ffee00ULL};
-  decoded = ParseFramedShardResult(FormatFramedResponse(response));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->stopped_early);
-  EXPECT_FALSE(decoded->IsComplete());
+  truncated =
+      ParseFramedPayload<ShardResultResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(truncated.ok());
+  EXPECT_TRUE(truncated->job.result.stopped_early);
+  EXPECT_FALSE(ShardIsComplete(truncated->job));
+
+  // A yielded shard answers its covered prefix only.
+  done.result.stopped_early = false;
+  done.result.yielded = true;
+  done.result.covered_begin = 100;
+  done.result.covered_end = 150;
+  response.payload = ShardResultResponse{done, 0x00000000c0ffee00ULL};
+  truncated =
+      ParseFramedPayload<ShardResultResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(truncated.ok());
+  EXPECT_TRUE(truncated->job.result.yielded);
+  EXPECT_EQ(truncated->job.result.covered_end, 150u);
+  EXPECT_FALSE(ShardIsComplete(truncated->job));
 }
 
 TEST(ProtocolFramed, ClientDecoderSurfacesStructuredFailures) {
-  // An error frame becomes the embedded Status, code preserved.
+  // An error frame decodes as itself, and as the embedded Status, code
+  // preserved, wherever a client expects another frame.
   Response response;
   response.payload = ErrorResponse{Status::FailedPrecondition(
       "graph content hash mismatch for 'web'")};
-  auto decoded = ParseFramedShardResult(FormatFramedResponse(response));
+  const std::string error_frame = FormatFramedResponse(response);
+  auto error = ParseFramedResponse(error_frame);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(std::get<ErrorResponse>(error->payload).status.code(),
+            StatusCode::kFailedPrecondition);
+  auto decoded = ParseFramedPayload<ShardResultResponse>(error_frame);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(decoded.status().message().find("hash mismatch"),
@@ -1236,15 +1560,17 @@ TEST(ProtocolFramed, ClientDecoderSurfacesStructuredFailures) {
   failed.state = JobState::kFailed;
   failed.status = Status::NotFound("no graph named 'web' is registered");
   response.payload = ShardResultResponse{failed, 0};
-  decoded = ParseFramedShardResult(FormatFramedResponse(response));
+  decoded =
+      ParseFramedPayload<ShardResultResponse>(FormatFramedResponse(response));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kNotFound);
 
   // Wrong frame type and garbage are structured errors, never a crash.
-  EXPECT_FALSE(ParseFramedShardResult("{\"ok\":true,\"type\":\"mine\"}")
+  EXPECT_FALSE(ParseFramedPayload<ShardResultResponse>(
+                   "{\"id\":1,\"ok\":true,\"type\":\"bye\"}")
                    .ok());
-  EXPECT_FALSE(ParseFramedShardResult("not json").ok());
-  EXPECT_FALSE(ParseFramedShardResult("{}").ok());
+  EXPECT_FALSE(ParseFramedResponse("not json").ok());
+  EXPECT_FALSE(ParseFramedResponse("{}").ok());
 }
 
 TEST(ProtocolFramed, HelloVersionDecoder) {
@@ -1253,20 +1579,23 @@ TEST(ProtocolFramed, HelloVersionDecoder) {
   hello.version = 2;
   hello.mode = WireMode::kFramed;
   response.payload = hello;
-  auto version = ParseFramedHelloVersion(FormatFramedResponse(response));
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, 2u);
+  auto decoded =
+      ParseFramedPayload<HelloResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->version, 2u);
+  EXPECT_EQ(decoded->mode, WireMode::kFramed);
 
   // A v1 server's hello decodes to 1 (the coordinator's refusal path).
   hello.version = 1;
   response.payload = hello;
-  version = ParseFramedHelloVersion(FormatFramedResponse(response));
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1u);
+  decoded = ParseFramedPayload<HelloResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->version, 1u);
 
-  EXPECT_FALSE(ParseFramedHelloVersion("{\"ok\":true,\"type\":\"bye\"}")
+  EXPECT_FALSE(ParseFramedPayload<HelloResponse>(
+                   "{\"id\":0,\"ok\":true,\"type\":\"bye\"}")
                    .ok());
-  EXPECT_FALSE(ParseFramedHelloVersion("nope").ok());
+  EXPECT_FALSE(ParseFramedPayload<HelloResponse>("nope").ok());
 }
 
 // ------------------------------------------- v4 streamed result delivery
@@ -1331,9 +1660,11 @@ TEST(ProtocolFramed, ResultChunkFrameGoldenAndClientDecode) {
   ASSERT_TRUE(type.ok()) << type.status().ToString();
   EXPECT_EQ(*type, "result_chunk");
 
+  auto response_id = ParseFramedResponse(frame);
+  ASSERT_TRUE(response_id.ok()) << response_id.status().ToString();
+  EXPECT_EQ(response_id->request_id, 9u);
   auto decoded = ParseFramedResultChunk(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, 9u);
   EXPECT_EQ(decoded->job, 3u);
   EXPECT_EQ(decoded->seq, 1u);
   EXPECT_TRUE(decoded->last);
@@ -1417,13 +1748,15 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   EXPECT_EQ(decoded->request_id, 2u);
   EXPECT_EQ(decoded->state, "done");
   EXPECT_EQ(decoded->plexes, 7u);
-  EXPECT_EQ(decoded->max_size, 9u);
   EXPECT_EQ(decoded->bodies, 3u);
   EXPECT_EQ(decoded->fingerprint, 0x0123456789abcdefULL);
-  EXPECT_TRUE(decoded->stopped_early);
-  EXPECT_TRUE(decoded->has_cursor);
-  EXPECT_EQ(decoded->cursor_seed, 17u);
-  EXPECT_EQ(decoded->cursor_ordinal, 4u);
+  auto job = ParseFramedPayload<MineResponse>(frame);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  EXPECT_EQ(job->job.result.max_plex_size, 9u);
+  EXPECT_TRUE(job->job.result.stopped_early);
+  EXPECT_TRUE(job->job.result.has_cursor);
+  EXPECT_EQ(job->job.result.cursor_seed, 17u);
+  EXPECT_EQ(job->job.result.cursor_ordinal, 4u);
 
   // Without bodies or truncation both extras are absent and default.
   done.result.plexes = nullptr;
@@ -1433,7 +1766,9 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   decoded = ParseFramedMineResult(FormatFramedResponse(response));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->bodies, 0u);
-  EXPECT_FALSE(decoded->has_cursor);
+  job = ParseFramedPayload<MineResponse>(FormatFramedResponse(response));
+  ASSERT_TRUE(job.ok());
+  EXPECT_FALSE(job->job.result.has_cursor);
 
   // A failed mine surfaces its embedded status.
   JobInfo failed;

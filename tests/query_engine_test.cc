@@ -463,6 +463,28 @@ TEST(QueryEngine, UnknownGraphAndBadOptionsPropagate) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(QueryEngine, ThreadCountsAboveTheBoundAreRefused) {
+  GraphCatalog catalog;
+  QueryEngine engine(catalog);
+  ASSERT_TRUE(catalog.RegisterGraph("g", TestGraph()).ok());
+  QueryRequest request;
+  request.graph = "g";
+  request.k = 2;
+  request.q = 5;
+  // Only counts above the bound: they are refused before any thread
+  // starts.
+  for (const uint32_t threads : {kMaxQueryThreads + 1, UINT32_MAX}) {
+    request.threads = threads;
+    auto result = engine.Run(request);
+    ASSERT_FALSE(result.ok()) << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(
+                  "at most " + std::to_string(kMaxQueryThreads)),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 QueryRequest RangedQuery(uint32_t begin, uint32_t end) {
   QueryRequest request;
   request.graph = "g";

@@ -51,7 +51,8 @@ Bodies Canon(Bodies bodies) {
 struct StreamedExchange {
   Bodies bodies;
   uint64_t chunks = 0;
-  ParsedMineResult verdict;
+  JobInfo verdict;
+  uint64_t buffered = 0;  ///< the verdict frame's bodies count
 };
 
 /// Runs one framed mine line through a fresh cursor in `session`'s
@@ -89,10 +90,11 @@ StreamedExchange RunStreamedMine(ServiceSession& session,
                              chunk->plexes.end());
       ++exchange.chunks;
     } else if (*type == "mine") {
-      auto verdict = ParseFramedMineResult(lines[i]);
+      auto verdict = ParseFramedResponse(lines[i], &exchange.buffered);
       EXPECT_TRUE(verdict.ok()) << verdict.status().ToString();
       if (!verdict.ok()) continue;
-      exchange.verdict = *verdict;
+      EXPECT_TRUE(ExpectPayload(*verdict, MineResponse{}).ok()) << lines[i];
+      exchange.verdict = std::get<MineResponse>(verdict->payload).job;
       saw_verdict = true;
     } else {
       ADD_FAILURE() << "unexpected '" << *type << "' frame: " << lines[i];
@@ -101,7 +103,7 @@ StreamedExchange RunStreamedMine(ServiceSession& session,
   EXPECT_TRUE(saw_last) << "stream never terminated with a last chunk";
   EXPECT_TRUE(saw_verdict) << "stream never delivered the final verdict";
   // The verdict's bodies count is the reassembly contract.
-  EXPECT_EQ(exchange.bodies.size(), exchange.verdict.bodies);
+  EXPECT_EQ(exchange.bodies.size(), exchange.buffered);
   return exchange;
 }
 
@@ -156,8 +158,8 @@ TEST(ResultStream, EveryChunkSizeReassemblesTheBufferedSetExactly) {
     EXPECT_EQ(exchange.chunks,
               (oracle.size() + effective - 1) / effective)
         << "chunk=" << size;
-    EXPECT_EQ(exchange.verdict.plexes, oracle.size());
-    EXPECT_EQ(exchange.verdict.state, "done");
+    EXPECT_EQ(exchange.verdict.result.num_plexes, oracle.size());
+    EXPECT_EQ(exchange.verdict.state, JobState::kDone);
     EXPECT_EQ(harness.session.errors(), 0u) << harness.out.str();
   }
 }
@@ -174,7 +176,7 @@ TEST(ResultStream, EmptyResultStreamsOneEmptyLastChunk) {
       kDefaultResultChunkSize);
   EXPECT_EQ(exchange.chunks, 1u);
   EXPECT_TRUE(exchange.bodies.empty());
-  EXPECT_EQ(exchange.verdict.plexes, 0u);
+  EXPECT_EQ(exchange.verdict.result.num_plexes, 0u);
 }
 
 TEST(ResultStream, TextModeStreamsChunkLinesBeforeTheMineLine) {
@@ -230,17 +232,17 @@ TEST(ResultStream, CursorPaginationLosesAndDuplicatesNothing) {
     ++pages;
     reassembled.insert(reassembled.end(), page.bodies.begin(),
                        page.bodies.end());
-    if (!page.verdict.has_cursor) {
-      EXPECT_FALSE(page.verdict.stopped_early);
+    if (!page.verdict.result.has_cursor) {
+      EXPECT_FALSE(page.verdict.result.stopped_early);
       break;
     }
     // A client cancelled at its cap resumes from the returned token —
     // interleave an unrelated mine to show the token is stateless.
-    EXPECT_TRUE(page.verdict.stopped_early);
+    EXPECT_TRUE(page.verdict.result.stopped_early);
     EXPECT_TRUE(harness.session.ExecuteLine(
         "{\"id\":8,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":1,\"q\":4}"));
-    cursor = FormatCursorValue(page.verdict.cursor_seed,
-                               page.verdict.cursor_ordinal);
+    cursor = FormatCursorValue(page.verdict.result.cursor_seed,
+                               page.verdict.result.cursor_ordinal);
   }
   // Exact reassembly: same bodies, same order, no loss, no duplicates.
   EXPECT_EQ(reassembled, oracle);
@@ -334,11 +336,11 @@ TEST(ResultStream, MaximumModeAgreesWithTheOracleThroughTheStack) {
             std::to_string(k) +
             ",\"q\":0,\"mode\":\"maximum\",\"results\":\"stream\"}",
         kDefaultResultChunkSize);
-    EXPECT_EQ(exchange.verdict.plexes, 1u);
+    EXPECT_EQ(exchange.verdict.result.num_plexes, 1u);
     ASSERT_EQ(exchange.bodies.size(), 1u);
     EXPECT_EQ(exchange.bodies.front().size(), oracle->plex.size());
     EXPECT_EQ(Canon(exchange.bodies).front(), oracle->plex);
-    EXPECT_EQ(exchange.verdict.max_size, oracle->plex.size());
+    EXPECT_EQ(exchange.verdict.result.max_plex_size, oracle->plex.size());
     EXPECT_EQ(harness.session.errors(), 0u) << harness.out.str();
   }
 
@@ -351,7 +353,7 @@ TEST(ResultStream, MaximumModeAgreesWithTheOracleThroughTheStack) {
       "{\"id\":4,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":0,"
       "\"mode\":\"maximum\",\"results\":\"stream\"}",
       kDefaultResultChunkSize);
-  EXPECT_EQ(exchange.verdict.plexes, 0u);
+  EXPECT_EQ(exchange.verdict.result.num_plexes, 0u);
   EXPECT_TRUE(exchange.bodies.empty());
   EXPECT_EQ(harness.session.errors(), 0u) << harness.out.str();
 }

@@ -4,7 +4,8 @@
 // a client disconnect mid-job cancels its outstanding work through the
 // per-job cancel flags, connections past the cap are refused with a
 // structured error, and shutdown is graceful even mid-query. The
-// client side's endpoint-list parser is checked here too.
+// client side's endpoint-list parser and its reading of a line of
+// several MiB are checked here too.
 
 #include "service/tcp_server.h"
 
@@ -376,6 +377,53 @@ TEST(TcpServer, StopIsGracefulMidQueryAndIdempotent) {
   ASSERT_TRUE(reuse.connected());
   EXPECT_EQ(reuse.RoundTrip("evict nope"),
             "error: NOT_FOUND: no graph named 'nope' is registered");
+}
+
+TEST(TcpClient, ReadsALongLineThenAShortOneIntact) {
+  // A one-connection loopback peer that writes a line of several MiB
+  // (plan frames have no size bound) and then a short one.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in address = {};
+  address.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof(address)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t length = sizeof(address);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+                          &length),
+            0);
+  std::string long_line(6 << 20, ' ');
+  for (std::size_t i = 0; i < long_line.size(); ++i) {
+    long_line[i] = static_cast<char>('a' + i % 26);
+  }
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string bytes = long_line + "\nshort\n";
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+
+  TcpClient client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", ntohs(address.sin_port), /*timeout=*/30)
+          .ok());
+  auto first = client.ReadLine();
+  auto second = client.ReadLine();
+  peer.join();
+  ::close(listener);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), long_line.size());
+  EXPECT_TRUE(*first == long_line);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, "short");
 }
 
 #else  // !KPLEX_TEST_SOCKETS

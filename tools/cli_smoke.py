@@ -16,9 +16,10 @@ Checks (any failure exits non-zero):
      fingerprint as the local run;
   7. `--threads 2 --time-limit 0.05` on wiki-vote-syn reports the time
      limit and stops short of the 229,572 plexes of a full run;
-  8. negative and non-finite flags, the removed `query`/`max` commands,
-     the removed `--coordinator`/`--chunk` flags and flags of another
-     mine mode all exit non-zero.
+  8. negative and non-finite flags, thread counts above the 1024 bound
+     (local and --store), the removed `query`/`max` commands, the
+     removed `--coordinator`/`--chunk` flags and flags of another mine
+     mode all exit non-zero.
 """
 
 import os
@@ -171,6 +172,16 @@ def main():
                            f"--{flag}", value, expect=1)
         if f"--{flag}" not in stderr:
             fail(f"--{flag} {value} refused without naming it: {stderr!r}")
+    # Only counts above the 1024-thread bound, which are refused before
+    # any thread starts.
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in ("1025", "4294967295"):
+            for mode in ([], ["--store", os.path.join(tmp, "store")]):
+                _, _, stderr = run(cli, "mine", *karate, "--q", "6", *mode,
+                                   "--threads", threads, expect=1)
+                if "threads must be at most 1024" not in stderr:
+                    fail(f"--threads {threads} refused without the bound: "
+                         f"{stderr!r}")
     for args in (["query", *karate, "--q", "6"], ["max", *karate],
                  ["mine", *karate, "--q", "6", "--chunk", "4"],
                  ["mine", "--coordinator", "127.0.0.1:1", "--graph", "kc",

@@ -413,21 +413,24 @@ StatusOr<QueryResult> RemoteMine(const std::string& endpoint,
   request.payload = MineRequest{query};
   KPLEX_RETURN_IF_ERROR(client.SendLine(FormatFramedRequest(request)));
   uint64_t streamed = 0;
-  StatusOr<ParsedMineResult> verdict = Status::Internal("unreachable");
   for (uint64_t expected_seq = 0;; ++expected_seq) {
     auto line = client.ReadLine();
     if (!line.ok()) return line.status();
-    auto type = PeekFramedResponseType(*line);
-    if (!type.ok()) return type.status();
-    if (*type == "mine") {
-      verdict = ParseFramedMineResult(*line);
-      break;
+    uint64_t buffered = 0;
+    auto response = ParseFramedResponse(*line, &buffered);
+    if (!response.ok()) return response.status();
+    const auto* chunk = std::get_if<ResultChunkResponse>(&response->payload);
+    if (chunk == nullptr) {
+      KPLEX_RETURN_IF_ERROR(ExpectPayload(*response, MineResponse{}));
+      JobInfo& job = std::get<MineResponse>(response->payload).job;
+      if (query.collect_bodies && buffered != streamed) {
+        return Status::Internal("stream truncated: the server buffered " +
+                                std::to_string(buffered) + " bodies but " +
+                                std::to_string(streamed) + " arrived");
+      }
+      job.result.cancelled |= job.state != JobState::kDone;
+      return std::move(job.result);
     }
-    if (*type != "result_chunk") {
-      return Status::Internal("unexpected '" + *type + "' frame mid-stream");
-    }
-    auto chunk = ParseFramedResultChunk(*line);
-    if (!chunk.ok()) return chunk.status();
     if (chunk->seq != expected_seq) {
       return Status::Internal(
           "stream out of order: expected chunk " +
@@ -438,26 +441,6 @@ StatusOr<QueryResult> RemoteMine(const std::string& endpoint,
       ++streamed;
     }
   }
-  if (!verdict.ok()) return verdict.status();
-  if (query.collect_bodies && verdict->bodies != streamed) {
-    return Status::Internal("stream truncated: the server buffered " +
-                            std::to_string(verdict->bodies) +
-                            " bodies but " + std::to_string(streamed) +
-                            " arrived");
-  }
-  QueryResult result;
-  result.num_plexes = verdict->plexes;
-  result.max_plex_size = static_cast<std::size_t>(verdict->max_size);
-  result.fingerprint = verdict->fingerprint;
-  result.seconds = verdict->seconds;
-  result.from_cache = verdict->cached;
-  result.timed_out = verdict->timed_out;
-  result.stopped_early = verdict->stopped_early;
-  result.cancelled = verdict->cancelled || verdict->state != "done";
-  result.has_cursor = verdict->has_cursor;
-  result.cursor_seed = verdict->cursor_seed;
-  result.cursor_ordinal = verdict->cursor_ordinal;
-  return result;
 }
 
 /// Adds every endpoint of the comma-separated `list` to `coordinator`
@@ -952,11 +935,11 @@ int RunCoordctl(const FlagParser& flags) {
   if (!sent.ok()) return Fail(sent);
   auto line = client.ReadLine();
   if (!line.ok()) return Fail(line.status());
-  auto type = PeekFramedResponseType(*line);
-  if (!type.ok()) {
-    // An {"ok":false,...} frame parses as its embedded structured
-    // status (and a malformed line as a parse error); either way the
-    // raw frame goes to stderr and the exit code says "refused".
+  auto response = ParseFramedResponse(*line);
+  if (!response.ok() ||
+      std::holds_alternative<ErrorResponse>(response->payload)) {
+    // An error frame or an undecodable line: the raw frame goes to
+    // stderr and the exit code says "refused".
     std::fprintf(stderr, "%s\n", line->c_str());
     return 1;
   }
@@ -995,7 +978,7 @@ int RunMetrics(const FlagParser& flags) {
     if (!sent.ok()) return Fail(sent);
     auto line = client.ReadLine();
     if (!line.ok()) return Fail(line.status());
-    if (line->find("\"type\":\"error\"") != std::string::npos) {
+    if (!ParseFramedPayload<MetricsResponse>(*line).ok()) {
       std::fprintf(stderr, "%s\n", line->c_str());
       return 1;
     }
