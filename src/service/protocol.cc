@@ -1490,13 +1490,18 @@ struct Walk {
   Io& io;
 
   void operator()(Response& response) const {
+    Header(response);
+    std::visit(*this, response.payload);
+  }
+  /// The keys every frame starts with: the correlation id, the ok flag
+  /// and the type that names the payload.
+  void Header(Response& response) const {
     bool ok = !std::holds_alternative<ErrorResponse>(response.payload);
     io("id", response.request_id);
     io("ok", ok);
     io("type", response.payload);
     io.Check(ok != std::holds_alternative<ErrorResponse>(response.payload),
              "response frame's 'ok' disagrees with its type");
-    std::visit(*this, response.payload);
   }
   void operator()(HelloResponse& hello) const {
     io("proto", hello.version);
@@ -1793,13 +1798,15 @@ class FrameIo {
     walk();
     object_ = outer;
   }
-  /// A value spelled as a string: `text` when writing; when reading,
+  /// A value spelled as a string: `text()` when writing; when reading,
   /// `parse` turns the string read back into the value.
-  template <typename Parse>
-  void Spelled(const char* key, const JsonValue* json, std::string text,
+  template <typename Text, typename Parse>
+  void Spelled(const char* key, const JsonValue* json, Text&& text,
                Parse&& parse) {
-    Value(key, json, text);
-    if (json != nullptr && status_.ok()) Record(parse(text));
+    if (json == nullptr) return out_->Add(key, text());
+    std::string read;
+    Value(key, json, read);
+    if (status_.ok()) Record(parse(read));
   }
 
   template <typename T>
@@ -1846,49 +1853,53 @@ class FrameIo {
     }
   }
   void Value(const char* key, const JsonValue* json, JobState& state) {
-    Spelled(key, json, JobStateName(state), [&](const std::string& name) {
-      for (JobState known : {JobState::kQueued, JobState::kRunning,
-                             JobState::kDone, JobState::kCancelled,
-                             JobState::kFailed}) {
-        if (name == JobStateName(known)) {
-          state = known;
-          return Status::Ok();
-        }
-      }
-      return WrongType(key, "a job state");
-    });
+    Spelled(key, json, [&] { return JobStateName(state); },
+            [&](const std::string& name) {
+              for (JobState known : {JobState::kQueued, JobState::kRunning,
+                                     JobState::kDone, JobState::kCancelled,
+                                     JobState::kFailed}) {
+                if (name == JobStateName(known)) {
+                  state = known;
+                  return Status::Ok();
+                }
+              }
+              return WrongType(key, "a job state");
+            });
   }
   // A framed hello means the session is in (or just switched to)
   // framed mode.
   void Value(const char* key, const JsonValue* json,
              std::optional<WireMode>& mode) {
-    Spelled(key, json, WireModeName(mode.value_or(WireMode::kFramed)),
+    Spelled(key, json,
+            [&] { return WireModeName(mode.value_or(WireMode::kFramed)); },
             [&](const std::string& name) {
               return Parsed(mode, ParseWireMode(name));
             });
   }
   void Value(const char* key, const JsonValue* json,
              ResponsePayload& payload) {
-    Spelled(key, json, FrameTypeName(payload), [&](const std::string& name) {
-      for (std::size_t i = 0; i < std::size(kFrameTypes); ++i) {
-        if (name != kFrameTypes[i]) continue;
-        payload =
-            PayloadAt(i, std::make_index_sequence<std::size(kFrameTypes)>());
-        type_ = name;
-        return Status::Ok();
-      }
-      return Status::InvalidArgument("unknown response frame type '" + name +
-                                     "'");
-    });
+    Spelled(key, json, [&] { return FrameTypeName(payload); },
+            [&](const std::string& name) {
+              for (std::size_t i = 0; i < std::size(kFrameTypes); ++i) {
+                if (name != kFrameTypes[i]) continue;
+                payload = PayloadAt(
+                    i, std::make_index_sequence<std::size(kFrameTypes)>());
+                type_ = name;
+                return Status::Ok();
+              }
+              return Status::InvalidArgument(
+                  "unknown response frame type '" + name + "'");
+            });
   }
   void Value(const char* key, const JsonValue* json, Hex hex) {
-    Spelled(key, json, HexFingerprint(hex.value),
+    Spelled(key, json, [&] { return HexFingerprint(hex.value); },
             [&](const std::string& text) {
               return Parsed(hex.value, ParseHexU64(key, text));
             });
   }
   void Value(const char* key, const JsonValue* json, Cursor cursor) {
-    Spelled(key, json, FormatCursorValue(cursor.seed, cursor.ordinal),
+    Spelled(key, json,
+            [&] { return FormatCursorValue(cursor.seed, cursor.ordinal); },
             [&](const std::string& text) {
               cursor.has = true;
               return ParseCursorValue(text, &cursor.seed, &cursor.ordinal);
@@ -2305,9 +2316,12 @@ std::string FormatFramedResponse(const Response& response) {
 
 // ----------------------------------------------------------- framed decode
 
-StatusOr<Response> ParseFramedResponse(const std::string& line,
-                                       uint64_t* bodies) {
-  if (bodies != nullptr) *bodies = 0;
+namespace {
+
+/// Decodes a response frame whole, or with `header_only` just its
+/// header and, for an error frame, the status it carries.
+StatusOr<Response> DecodeFrame(const std::string& line, uint64_t* bodies,
+                               bool header_only) {
   auto frame = JsonParser(line).Parse();
   if (!frame.ok()) return frame.status();
   if (frame->kind != JsonValue::Kind::kObject) {
@@ -2316,9 +2330,24 @@ StatusOr<Response> ParseFramedResponse(const std::string& line,
   }
   Response response;
   FrameIo reader(*frame, bodies);
-  Walk<FrameIo>{reader}(response);
+  Walk<FrameIo> walk{reader};
+  if (!header_only) {
+    walk(response);
+  } else {
+    walk.Header(response);
+    auto* error = std::get_if<ErrorResponse>(&response.payload);
+    if (error != nullptr) walk(*error);
+  }
   if (!reader.status().ok()) return reader.status();
   return response;
+}
+
+}  // namespace
+
+StatusOr<Response> ParseFramedResponse(const std::string& line,
+                                       uint64_t* bodies) {
+  if (bodies != nullptr) *bodies = 0;
+  return DecodeFrame(line, bodies, /*header_only=*/false);
 }
 
 Status ExpectPayload(const Response& response,
@@ -2347,7 +2376,7 @@ Status ExpectPayload(const Response& response,
 }
 
 StatusOr<std::string> PeekFramedResponseType(const std::string& line) {
-  auto response = ParseFramedResponse(line);
+  auto response = DecodeFrame(line, nullptr, /*header_only=*/true);
   if (!response.ok()) return response.status();
   if (const auto* error = std::get_if<ErrorResponse>(&response->payload)) {
     return error->status;

@@ -578,8 +578,9 @@ StatusOr<T> ParseFramedPayload(const std::string& line) {
   return std::get<T>(std::move(response->payload));
 }
 
-/// The "type" of a framed response line that decodes ("mine",
-/// "result_chunk", ...); an error frame comes back as its status.
+/// The "type" of a framed response line ("mine", "result_chunk", ...),
+/// read from the frame header alone; an error frame comes back as its
+/// status.
 StatusOr<std::string> PeekFramedResponseType(const std::string& line);
 
 inline StatusOr<ResultChunkResponse> ParseFramedResultChunk(
