@@ -712,19 +712,20 @@ Status UnknownField(const std::string& cmd, const std::string& key) {
                                  "'");
 }
 
-Status WrongType(const std::string& key, const char* expected) {
-  return Status::InvalidArgument("field '" + key + "' must be " + expected);
+Status WrongType(std::string_view key, const char* expected) {
+  return Status::InvalidArgument("field '" + std::string(key) +
+                                 "' must be " + expected);
 }
 
 StatusOr<std::string> GetString(const JsonValue& value,
-                                const std::string& key) {
+                                std::string_view key) {
   if (value.kind != JsonValue::Kind::kString) {
     return WrongType(key, "a string");
   }
   return value.string_value;
 }
 
-StatusOr<uint64_t> GetUint(const JsonValue& value, const std::string& key,
+StatusOr<uint64_t> GetUint(const JsonValue& value, std::string_view key,
                            uint64_t max = UINT64_MAX) {
   if (value.kind != JsonValue::Kind::kUint || value.uint_value > max) {
     return WrongType(key, ("an unsigned integer <= " + std::to_string(max))
@@ -733,7 +734,7 @@ StatusOr<uint64_t> GetUint(const JsonValue& value, const std::string& key,
   return value.uint_value;
 }
 
-StatusOr<double> GetDouble(const JsonValue& value, const std::string& key) {
+StatusOr<double> GetDouble(const JsonValue& value, std::string_view key) {
   if (value.kind == JsonValue::Kind::kUint) {
     return static_cast<double>(value.uint_value);
   }
@@ -741,7 +742,7 @@ StatusOr<double> GetDouble(const JsonValue& value, const std::string& key) {
   return WrongType(key, "a number");
 }
 
-StatusOr<bool> GetBool(const JsonValue& value, const std::string& key) {
+StatusOr<bool> GetBool(const JsonValue& value, std::string_view key) {
   if (value.kind != JsonValue::Kind::kBool) {
     return WrongType(key, "a boolean");
   }
@@ -1821,6 +1822,7 @@ class FrameIo {
         return Record(WrongType(key, "an array"));
       }
       value.clear();
+      value.reserve(json->array.size());
       for (const JsonValue& element : json->array) {
         if (status_.ok()) Value(key, &element, value.emplace_back());
       }
