@@ -1779,11 +1779,6 @@ class FrameIo {
   void Record(Status status) {
     if (status_.ok()) status_ = std::move(status);
   }
-  template <typename T, typename U>
-  void Assign(T& slot, StatusOr<U> parsed) {
-    if (!parsed.ok()) return Record(parsed.status());
-    slot = static_cast<T>(*std::move(parsed));
-  }
   /// A nested object, walked by `walk`.
   template <typename Fn>
   void Nested(const char* key, const JsonValue* json, Fn&& walk) {
@@ -1832,17 +1827,17 @@ class FrameIo {
     } else if (json == nullptr) {
       out_->Add(key, value);  // strings, booleans, integers and doubles
     } else if constexpr (std::is_same_v<T, std::string>) {
-      Assign(value, GetString(*json, key));
+      Record(Parsed(value, GetString(*json, key)));
     } else if constexpr (std::is_same_v<T, bool>) {
-      Assign(value, GetBool(*json, key));
+      Record(Parsed(value, GetBool(*json, key)));
     } else if constexpr (std::is_same_v<T, double>) {
-      Assign(value, GetDouble(*json, key));
+      Record(Parsed(value, GetDouble(*json, key)));
     } else if constexpr (std::is_same_v<T, int64_t>) {
       // Gauges may be negative, and the JSON parser keeps only unsigned
       // integers exact: a negative one arrives as an integral double.
       const double number = json->double_value;
       if (json->kind == JsonValue::Kind::kUint) {
-        Assign(value, GetUint(*json, key, INT64_MAX));
+        Record(Parsed(value, GetUint(*json, key, INT64_MAX)));
       } else if (json->kind == JsonValue::Kind::kDouble &&
                  std::trunc(number) == number && number >= -0x1p63 &&
                  number < 0x1p63) {
@@ -1851,7 +1846,8 @@ class FrameIo {
         Record(WrongType(key, "an integer"));
       }
     } else {
-      Assign(value, GetUint(*json, key, std::numeric_limits<T>::max()));
+      const uint64_t max = std::numeric_limits<T>::max();
+      Record(Parsed(value, GetUint(*json, key, max)));
     }
   }
   void Value(const char* key, const JsonValue* json, JobState& state) {
@@ -1941,7 +1937,7 @@ class FrameIo {
   /// Stores a parsed value; its status is the step's outcome.
   template <typename T, typename U>
   static Status Parsed(T& slot, StatusOr<U> parsed) {
-    if (parsed.ok()) slot = *std::move(parsed);
+    if (parsed.ok()) slot = static_cast<T>(*std::move(parsed));
     return parsed.status();
   }
 

@@ -2,8 +2,12 @@
 // verb on both wire encodings (and the framed format -> parse -> format
 // identity), malformed lines and frames come back as pinned structured
 // errors instead of crashes, response formatting is pinned against
-// golden strings (the byte-compatibility contract of the text wire),
-// and error sanitation strips absolute host paths.
+// golden strings (the byte-compatibility contract of both wires), the
+// framed response goldens decode back to themselves through
+// ParseFramedResponse while malformed response frames are structured
+// errors, seeded mutation tests drive both framed decoders, `help`
+// lists every verb's usage, and error sanitation strips absolute host
+// paths.
 
 #include "service/protocol.h"
 

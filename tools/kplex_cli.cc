@@ -129,7 +129,8 @@ int Usage() {
                "options for mine:\n"
                "  --dataset NAME    use a registry dataset instead of --input\n"
                "  --algo NAME       ours (default), ours_p, basic, listplex, fp\n"
-               "  --threads N       parallel mining with N workers\n"
+               "  --threads N       parallel mining with N workers (at most "
+               "1024)\n"
                "  --tau-ms T        straggler timeout (default 0.1; parallel only)\n"
                "  --max-results N   stop after N results\n"
                "  --time-limit S    soft wall-clock budget in seconds\n"
