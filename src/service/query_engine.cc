@@ -138,6 +138,9 @@ StatusOr<QueryResult> QueryEngine::Run(const QueryRequest& request) {
   const uint64_t trace_id =
       request.trace_id != 0 ? request.trace_id : NextTraceId();
   QueriesTotal().Increment();
+  // Before the cache lookup: the signature leaves out `threads`, so a
+  // cached answer would otherwise serve a request ExecuteQuery refuses.
+  KPLEX_RETURN_IF_ERROR(ValidateQuery(request));
   // Resolve the graph's snapshot-section availability for the
   // signature. The tag is "unknown" until the first materialization, so
   // force one then (the first query was about to load the graph
@@ -384,10 +387,7 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
   return result;
 }
 
-StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
-                                   const GraphPrecompute* precompute,
-                                   const QueryRequest& request,
-                                   ResultSink* bodies, uint64_t trace_id) {
+Status ValidateQuery(const QueryRequest& request) {
   if (request.threads > kMaxQueryThreads) {
     return Status::InvalidArgument(
         "threads must be at most " + std::to_string(kMaxQueryThreads) +
@@ -429,7 +429,14 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
     return Status::InvalidArgument(
         "the fp baseline does not support seed ranges");
   }
+  return Status::Ok();
+}
 
+StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
+                                   const GraphPrecompute* precompute,
+                                   const QueryRequest& request,
+                                   ResultSink* bodies, uint64_t trace_id) {
+  KPLEX_RETURN_IF_ERROR(ValidateQuery(request));
   if (request.maximum) {
     // mode=maximum serves the maximum-k-plex solver: the answer is the
     // single largest k-plex (count 0 or 1), measured through the same

@@ -52,7 +52,7 @@ StatusOr<QueryAlgo> ParseQueryAlgo(const std::string& name);
 const char* QueryAlgoName(QueryAlgo algo);
 
 /// Largest worker count a query may ask for: the parallel engine
-/// starts one thread, queue and counter per worker, so ExecuteQuery
+/// starts one thread, queue and counter per worker, so ValidateQuery
 /// refuses larger counts before any of them exists.
 inline constexpr uint32_t kMaxQueryThreads = 1024;
 
@@ -197,8 +197,14 @@ struct QueryResult {
   std::string signature;
 };
 
+/// The checks a request passes before any cache lookup or search work:
+/// `threads` within kMaxQueryThreads, and selection options that
+/// compose. INVALID_ARGUMENT names the first one that fails.
+/// QueryEngine::Run and ExecuteQuery both start with it.
+Status ValidateQuery(const QueryRequest& request);
+
 /// The request->driver half of QueryEngine, callable without a catalog
-/// or a cache: checks that the request's options compose, then serves
+/// or a cache: checks the request (ValidateQuery), then serves
 /// mode=maximum through FindMaximumKPlex, or maps the algo onto
 /// EnumOptions and runs the fp, parallel or sequential driver behind
 /// the filter/cursor/top sink chain, and assembles the QueryResult.

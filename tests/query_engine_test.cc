@@ -463,16 +463,9 @@ TEST(QueryEngine, UnknownGraphAndBadOptionsPropagate) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(QueryEngine, ThreadCountsAboveTheBoundAreRefused) {
-  GraphCatalog catalog;
-  QueryEngine engine(catalog);
-  ASSERT_TRUE(catalog.RegisterGraph("g", TestGraph()).ok());
-  QueryRequest request;
-  request.graph = "g";
-  request.k = 2;
-  request.q = 5;
-  // Only counts above the bound: they are refused before any thread
-  // starts.
+// Only counts above the bound: they are refused before any thread
+// starts.
+void ExpectThreadCountsRefused(QueryEngine& engine, QueryRequest request) {
   for (const uint32_t threads : {kMaxQueryThreads + 1, UINT32_MAX}) {
     request.threads = threads;
     auto result = engine.Run(request);
@@ -483,6 +476,51 @@ TEST(QueryEngine, ThreadCountsAboveTheBoundAreRefused) {
               std::string::npos)
         << result.status().ToString();
   }
+}
+
+TEST(QueryEngine, ThreadCountsAboveTheBoundAreRefused) {
+  GraphCatalog catalog;
+  QueryEngine engine(catalog);
+  ASSERT_TRUE(catalog.RegisterGraph("g", TestGraph()).ok());
+  QueryRequest request;
+  request.graph = "g";
+  request.k = 2;
+  request.q = 5;
+  ExpectThreadCountsRefused(engine, request);
+
+  // The signature leaves out threads: a cached answer for the same
+  // query must not serve a count the uncached path refuses.
+  ASSERT_TRUE(engine.Run(request).ok());
+  ASSERT_TRUE(engine.Run(request)->from_cache);
+  ExpectThreadCountsRefused(engine, request);
+}
+
+TEST(QueryEngineStore, ThreadCountsAboveTheBoundAreRefusedOnADiskHit) {
+  const std::string dir = FreshStoreDir();
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.RegisterGraph("g", TestGraph()).ok());
+  QueryRequest request;
+  request.graph = "g";
+  request.k = 2;
+  request.q = 5;
+  {
+    QueryEngine engine(catalog);
+    auto store = MustOpenStore(dir);
+    engine.AttachStore(store.get());
+    ASSERT_TRUE(engine.Run(request).ok());
+    EXPECT_EQ(store->stats().writes, 1u);
+    engine.AttachStore(nullptr);
+  }
+  // A fresh engine without a memory cache: the repeat would be a disk
+  // hit.
+  QueryEngine engine(catalog, /*cache_capacity=*/0);
+  auto store = MustOpenStore(dir);
+  engine.AttachStore(store.get());
+  ASSERT_TRUE(engine.Run(request)->from_store);
+  ExpectThreadCountsRefused(engine, request);
+  EXPECT_EQ(store->stats().hits, 1u);
+  engine.AttachStore(nullptr);
+  std::filesystem::remove_all(dir);
 }
 
 QueryRequest RangedQuery(uint32_t begin, uint32_t end) {

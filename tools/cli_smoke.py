@@ -10,7 +10,8 @@ Checks (any failure exits non-zero):
   3. `--stream --top 3` prints 3 bodies, largest first, and `--maximum`
      prints the one plex of size 6;
   4. `--store DIR` run twice reports tier `computed`, then `disk`, with
-     the same fingerprint (the `store tier` line);
+     the same fingerprint (the `store tier` line), and refuses
+     `--threads 1025` although the answer is on disk;
   5. the counts of `--seed-range 0:S` and `S:end` sum to the whole;
   6. `--endpoint` against `serve --listen 0` prints the same bodies and
      fingerprint as the local run;
@@ -120,6 +121,12 @@ def main():
         if [t[0] for t in tiers] != ["computed", "disk"] or \
                 tiers[0][1] != tiers[1][1]:
             fail(f"--store tiers {tiers!r}, expected computed then disk")
+        # The answer is on disk now; a thread count above the bound is
+        # refused all the same rather than served from it.
+        _, _, stderr = run(cli, "mine", *karate, "--q", "6", "--store", store,
+                           "--threads", "1025", expect=1)
+        if "threads must be at most 1024" not in stderr:
+            fail(f"--store answered --threads 1025 from disk: {stderr!r}")
         print("cli_smoke: --store computes once, then answers from disk")
 
     _, _, stdout = run(cli, "mine", *karate, "--q", "4",
