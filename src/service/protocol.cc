@@ -1490,19 +1490,16 @@ template <class Io>
 struct Walk {
   Io& io;
 
+  /// Every frame starts with the correlation id, the ok flag and the
+  /// type that names the payload.
   void operator()(Response& response) const {
-    Header(response);
-    std::visit(*this, response.payload);
-  }
-  /// The keys every frame starts with: the correlation id, the ok flag
-  /// and the type that names the payload.
-  void Header(Response& response) const {
     bool ok = !std::holds_alternative<ErrorResponse>(response.payload);
     io("id", response.request_id);
     io("ok", ok);
     io("type", response.payload);
     io.Check(ok != std::holds_alternative<ErrorResponse>(response.payload),
              "response frame's 'ok' disagrees with its type");
+    std::visit(*this, response.payload);
   }
   void operator()(HelloResponse& hello) const {
     io("proto", hello.version);
@@ -1601,7 +1598,7 @@ struct Walk {
       io("cancelled", stats.jobs.cancelled);
       io("failed", stats.jobs.failed);
     });
-    io.Object("store", [&] { (*this)(stats.store); });
+    io("store", stats.store);
   }
   // The text wire's `format` is presentation only: the framed wire
   // always carries the full snapshot.
@@ -1617,7 +1614,7 @@ struct Walk {
       io("evicted_entries", store.evicted_entries);
       io("evicted_bytes", store.evicted_bytes);
     }
-    io.Object("store", [&] { (*this)(store.info); });
+    io("store", store.info);
   }
   void operator()(HelpResponse&) const {
     std::string text = HelpText();
@@ -1636,9 +1633,7 @@ struct Walk {
     io("state", info.state);
     io("started", info.started);
     if (HasResult(info)) (*this)(info.result);
-    if (info.state == JobState::kFailed) {
-      io.Object("error", [&] { (*this)(info.status); });
-    }
+    if (info.state == JobState::kFailed) io("error", info.status);
   }
   void operator()(QueryResult& result) const {
     io("plexes", result.num_plexes);
@@ -2314,12 +2309,9 @@ std::string FormatFramedResponse(const Response& response) {
 
 // ----------------------------------------------------------- framed decode
 
-namespace {
-
-/// Decodes a response frame whole, or with `header_only` just its
-/// header and, for an error frame, the status it carries.
-StatusOr<Response> DecodeFrame(const std::string& line, uint64_t* bodies,
-                               bool header_only) {
+StatusOr<Response> ParseFramedResponse(const std::string& line,
+                                       uint64_t* bodies) {
+  if (bodies != nullptr) *bodies = 0;
   auto frame = JsonParser(line).Parse();
   if (!frame.ok()) return frame.status();
   if (frame->kind != JsonValue::Kind::kObject) {
@@ -2328,24 +2320,9 @@ StatusOr<Response> DecodeFrame(const std::string& line, uint64_t* bodies,
   }
   Response response;
   FrameIo reader(*frame, bodies);
-  Walk<FrameIo> walk{reader};
-  if (!header_only) {
-    walk(response);
-  } else {
-    walk.Header(response);
-    auto* error = std::get_if<ErrorResponse>(&response.payload);
-    if (error != nullptr) walk(*error);
-  }
+  Walk<FrameIo>{reader}(response);
   if (!reader.status().ok()) return reader.status();
   return response;
-}
-
-}  // namespace
-
-StatusOr<Response> ParseFramedResponse(const std::string& line,
-                                       uint64_t* bodies) {
-  if (bodies != nullptr) *bodies = 0;
-  return DecodeFrame(line, bodies, /*header_only=*/false);
 }
 
 Status ExpectPayload(const Response& response,
@@ -2374,7 +2351,7 @@ Status ExpectPayload(const Response& response,
 }
 
 StatusOr<std::string> PeekFramedResponseType(const std::string& line) {
-  auto response = DecodeFrame(line, nullptr, /*header_only=*/true);
+  auto response = ParseFramedResponse(line);
   if (!response.ok()) return response.status();
   if (const auto* error = std::get_if<ErrorResponse>(&response->payload)) {
     return error->status;

@@ -578,8 +578,8 @@ StatusOr<T> ParseFramedPayload(const std::string& line) {
   return std::get<T>(std::move(response->payload));
 }
 
-/// The "type" of a framed response line ("mine", "result_chunk", ...),
-/// read from the frame header alone; an error frame comes back as its
+/// The "type" of a framed response line ("mine", "result_chunk", ...)
+/// that ParseFramedResponse decodes; an error frame comes back as its
 /// status.
 StatusOr<std::string> PeekFramedResponseType(const std::string& line);
 
