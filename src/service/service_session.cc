@@ -141,10 +141,11 @@ void ServiceSession::EmitResultChunks(uint64_t request_id,
     const uint64_t plex_count = chunk.plexes.size();
     std::ostringstream rendered;
     WriteResponse({request_id, std::move(chunk)}, mode_, rendered);
-    out_ << rendered.str();
+    const std::string bytes = rendered.str();
+    out_ << bytes;
     StreamChunksTotal().Increment();
     StreamPlexesTotal().Increment(plex_count);
-    StreamBytesTotal().Increment(rendered.str().size());
+    StreamBytesTotal().Increment(bytes.size());
   } while (offset < plexes.size());
   StreamWriteSeconds().Observe(timer.ElapsedSeconds());
 }

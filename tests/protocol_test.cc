@@ -1784,20 +1784,23 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   ASSERT_FALSE(error.ok());
   EXPECT_EQ(error.status().code(), StatusCode::kNotFound);
 
-  // Wrong type / garbage / bogus cursor token are structured errors.
-  EXPECT_FALSE(ParseFramedMineResult("{\"ok\":true,\"type\":\"hello\"}")
-                   .ok());
-  EXPECT_FALSE(ParseFramedMineResult("nope").ok());
-  EXPECT_FALSE(
-      ParseFramedMineResult(
-          "{\"id\":1,\"ok\":true,\"type\":\"mine\",\"state\":\"done\","
-          "\"cursor\":\"bogus\"}")
-          .ok());
-  EXPECT_FALSE(
-      ParseFramedMineResult(
-          "{\"id\":1,\"ok\":true,\"type\":\"mine\",\"state\":\"done\","
-          "\"cursor\":7}")
-          .ok());
+  // Wrong type / garbage / bogus cursor token are structured errors,
+  // each edited into an otherwise complete frame.
+  const std::pair<std::string, std::string> rejected[] = {
+      {GoldenFrame("hello"), "expected a 'mine' frame"},
+      {"nope", "malformed frame"},
+      {Edited(frame, "\"cursor\":\"17:4\"", "\"cursor\":\"bogus\""),
+       "SEED:ORDINAL"},
+      {Edited(frame, "\"cursor\":\"17:4\"", "\"cursor\":7"),
+       "'cursor' must be"},
+  };
+  for (const auto& [line, message] : rejected) {
+    auto verdict = ParseFramedMineResult(line);
+    ASSERT_FALSE(verdict.ok()) << "accepted: " << line;
+    EXPECT_EQ(verdict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verdict.status().message().find(message), std::string::npos)
+        << line << ": " << verdict.status().ToString();
+  }
 }
 
 TEST(ProtocolText, CursorTextParser) {

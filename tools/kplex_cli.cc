@@ -901,6 +901,29 @@ int RunCoordinate(const FlagParser& flags) {
   });
 }
 
+/// One framed round trip that prints the raw response frame: to stdout,
+/// or to stderr with exit code 1 when it is an error frame or does not
+/// decode.
+int PrintFramedReply(const std::string& endpoint, double io_timeout,
+                     uint32_t min_version, const char* feature,
+                     Request request) {
+  TcpClient client;
+  Status connected =
+      ConnectFramed(client, endpoint, io_timeout, min_version, feature);
+  if (!connected.ok()) return Fail(connected);
+  request.id = 2;
+  Status sent = client.SendLine(FormatFramedRequest(request));
+  if (!sent.ok()) return Fail(sent);
+  auto line = client.ReadLine();
+  if (!line.ok()) return Fail(line.status());
+  auto response = ParseFramedResponse(*line);
+  const bool refused =
+      !response.ok() ||
+      std::holds_alternative<ErrorResponse>(response->payload);
+  std::fprintf(refused ? stderr : stdout, "%s\n", line->c_str());
+  return refused ? 1 : 0;
+}
+
 /// `coordctl HOST:PORT VERB [ARGS...]`: one framed round trip against
 /// a coordinator daemon. The verb words are validated with the text
 /// grammar locally, shipped framed, and the raw response frame prints
@@ -925,27 +948,9 @@ int RunCoordctl(const FlagParser& flags) {
     return 1;
   }
 
-  TcpClient client;
-  Status connected =
-      ConnectFramed(client, positional[1], *io_timeout,
-                    kProtocolVersionCoordination, "the coordinator verbs");
-  if (!connected.ok()) return Fail(connected);
-
-  request->id = 2;
-  Status sent = client.SendLine(FormatFramedRequest(*request));
-  if (!sent.ok()) return Fail(sent);
-  auto line = client.ReadLine();
-  if (!line.ok()) return Fail(line.status());
-  auto response = ParseFramedResponse(*line);
-  if (!response.ok() ||
-      std::holds_alternative<ErrorResponse>(response->payload)) {
-    // An error frame or an undecodable line: the raw frame goes to
-    // stderr and the exit code says "refused".
-    std::fprintf(stderr, "%s\n", line->c_str());
-    return 1;
-  }
-  std::printf("%s\n", line->c_str());
-  return 0;
+  return PrintFramedReply(positional[1], *io_timeout,
+                          kProtocolVersionCoordination,
+                          "the coordinator verbs", *std::move(request));
 }
 
 /// Scrapes a live `serve --listen` process's metrics registry. The
@@ -967,26 +972,12 @@ int RunMetrics(const FlagParser& flags) {
   auto io_timeout = GetDuration(flags, "io-timeout", 5.0);
   if (!io_timeout.ok()) return Fail(io_timeout.status());
 
-  TcpClient client;
   if (format == "json") {
-    Status connected = ConnectFramed(client, endpoint, *io_timeout,
-                                     /*min_version=*/3, "the metrics verb");
-    if (!connected.ok()) return Fail(connected);
-    Request request;
-    request.id = 2;
-    request.payload = MetricsRequest{};
-    Status sent = client.SendLine(FormatFramedRequest(request));
-    if (!sent.ok()) return Fail(sent);
-    auto line = client.ReadLine();
-    if (!line.ok()) return Fail(line.status());
-    if (!ParseFramedPayload<MetricsResponse>(*line).ok()) {
-      std::fprintf(stderr, "%s\n", line->c_str());
-      return 1;
-    }
-    std::printf("%s\n", line->c_str());
-    return 0;
+    return PrintFramedReply(endpoint, *io_timeout, /*min_version=*/3,
+                            "the metrics verb", {0, MetricsRequest{}});
   }
 
+  TcpClient client;
   std::string host;
   uint16_t port = 0;
   Status split = SplitEndpoint(endpoint, &host, &port);
