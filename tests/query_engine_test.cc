@@ -491,7 +491,9 @@ TEST(QueryEngine, ThreadCountsAboveTheBoundAreRefused) {
   // The signature leaves out threads: a cached answer for the same
   // query must not serve a count the uncached path refuses.
   ASSERT_TRUE(engine.Run(request).ok());
-  ASSERT_TRUE(engine.Run(request)->from_cache);
+  auto cached = engine.Run(request);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_TRUE(cached->from_cache);
   ExpectThreadCountsRefused(engine, request);
 }
 
@@ -516,7 +518,9 @@ TEST(QueryEngineStore, ThreadCountsAboveTheBoundAreRefusedOnADiskHit) {
   QueryEngine engine(catalog, /*cache_capacity=*/0);
   auto store = MustOpenStore(dir);
   engine.AttachStore(store.get());
-  ASSERT_TRUE(engine.Run(request)->from_store);
+  auto disk = engine.Run(request);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE(disk->from_store);
   ExpectThreadCountsRefused(engine, request);
   EXPECT_EQ(store->stats().hits, 1u);
   engine.AttachStore(nullptr);
