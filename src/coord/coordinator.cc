@@ -75,45 +75,35 @@ struct Probe {
   uint64_t content_hash = 0;
   uint64_t total_seeds = 0;
   std::vector<uint64_t> costs;  ///< empty => uniform fallback
-  /// Non-OK when the probe failed: on a transport failure try another
-  /// worker; a deterministic verdict aborts the job.
-  Status status;
-  bool transport_failed = false;
 };
 
-/// Records a failed reply in `probe`; false when the reply decoded.
-template <typename T>
-bool Failed(const Reply<T>& reply, Probe& probe) {
-  if (reply.payload.ok()) return false;
-  probe.status = reply.payload.status();
-  probe.transport_failed = reply.transport_failed;
-  return true;
+/// `reply`'s failure, carried over to a reply of another type.
+template <typename T, typename U>
+Reply<T> FailedAs(const Reply<U>& reply) {
+  return {reply.transport_failed, reply.payload.status()};
 }
 
 /// Probes one worker: `plan` for per-seed costs, or (for ctcp, whose
 /// seed order the plan probe refuses) an empty-range shardsubmit +
-/// shardwait that returns only the hash and the seed-space size.
-Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
-                  double timeout_seconds) {
-  Probe probe;
+/// shardwait that returns only the hash and the seed-space size. On a
+/// transport failure the caller tries another worker; a deterministic
+/// verdict aborts the job.
+Reply<Probe> ProbeWorker(const std::string& endpoint,
+                         const QueryRequest& query, double timeout_seconds) {
   TcpClient client;
-  probe.status = ConnectFramed(client, endpoint, timeout_seconds,
-                               kProtocolVersionCoordination, "coordination");
-  if (!probe.status.ok()) {
-    probe.transport_failed = true;
-    return probe;
-  }
+  Status connected = ConnectFramed(client, endpoint, timeout_seconds,
+                                   kProtocolVersionCoordination,
+                                   "coordination");
+  if (!connected.ok()) return {true, connected};
   Request request;
   request.id = 1;
   if (!query.use_ctcp) {
     request.payload = PlanRequest{query.graph, query.k, query.q};
     auto plan = Call<PlanResponse>(client, request);
-    if (Failed(plan, probe)) return probe;
-    probe.content_hash = plan.payload->content_hash;
-    probe.total_seeds = plan.payload->total_seeds;
-    probe.costs =
-        EstimateSeedCosts(plan.payload->degrees, plan.payload->coreness);
-    return probe;
+    if (!plan.payload.ok()) return FailedAs<Probe>(plan);
+    return {false, Probe{plan.payload->content_hash, plan.payload->total_seeds,
+                         EstimateSeedCosts(plan.payload->degrees,
+                                           plan.payload->coreness)}};
   }
   // ctcp: the canonical seed order differs from the core ordering, so
   // cost signals are unavailable — an empty shard still reports the
@@ -124,13 +114,12 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
   shard.query.seed_end = 0;
   request.payload = std::move(shard);
   auto submitted = Call<ShardSubmitResponse>(client, request);
-  if (Failed(submitted, probe)) return probe;
+  if (!submitted.payload.ok()) return FailedAs<Probe>(submitted);
   request.payload = ShardWaitRequest{submitted.payload->job};
   auto result = Call<ShardResultResponse>(client, request);
-  if (Failed(result, probe)) return probe;
-  probe.content_hash = submitted.payload->content_hash;
-  probe.total_seeds = result.payload->job.result.total_seeds;
-  return probe;
+  if (!result.payload.ok()) return FailedAs<Probe>(result);
+  return {false, Probe{submitted.payload->content_hash,
+                       result.payload->job.result.total_seeds, {}}};
 }
 
 /// Best-effort steal signal: a fresh ephemeral connection (so the
@@ -456,31 +445,25 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
         "endpoint)"));
     return;
   }
-  Probe probe;
-  bool probed = false;
-  Status last_transport = Status::Ok();
+  Reply<Probe> reply;
   for (const WorkerRecord& worker : workers) {
-    probe = ProbeWorker(worker.endpoint, run->query,
+    reply = ProbeWorker(worker.endpoint, run->query,
                         options_.io_timeout_seconds);
-    if (probe.transport_failed) {
-      last_transport = probe.status;
-      pool_.MarkDead(worker.id);
-      CoordWorkersLeftTotal().Increment();
-      continue;
-    }
-    if (!probe.status.ok()) {
-      finish_failed(probe.status);
-      return;
-    }
-    probed = true;
-    break;
+    if (!reply.transport_failed) break;
+    pool_.MarkDead(worker.id);
+    CoordWorkersLeftTotal().Increment();
   }
-  if (!probed) {
+  if (reply.transport_failed) {
     finish_failed(Status::IoError(
         "the planning probe failed on every schedulable worker (last: " +
-        last_transport.ToString() + ")"));
+        reply.payload.status().ToString() + ")"));
     return;
   }
+  if (!reply.payload.ok()) {
+    finish_failed(reply.payload.status());
+    return;
+  }
+  const Probe& probe = *reply.payload;
   run->content_hash = probe.content_hash;
   run->total_seeds = probe.total_seeds;
 
