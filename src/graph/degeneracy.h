@@ -2,6 +2,14 @@
 // peeling. Ties among minimum-degree vertices are broken by vertex id,
 // which makes the ordering eta unique, exactly as specified in Section 3
 // of the paper.
+//
+// The unpeeled vertices sit in an indexed 4-ary min-heap keyed by
+// (current degree << 32) | id, so the root is the next vertex to peel.
+// A position array turns each neighbour's degree decrement into a
+// decrease-key in place: the heap holds at most n keys, none stale, and
+// the peel costs O(n + m) heap steps of O(log n) each. Seed ranges,
+// resume cursors, coordinator plans and stored snapshot order sections
+// all name seeds by their place in eta, so the order must never change.
 
 #ifndef KPLEX_GRAPH_DEGENERACY_H_
 #define KPLEX_GRAPH_DEGENERACY_H_
