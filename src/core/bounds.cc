@@ -9,6 +9,9 @@
 // Theorem 5.5 shows |K| dominates every feasible candidate subset
 // regardless of visit order, so the id-ordered and sorted variants are
 // both admissible.
+//
+// Each bound reads sup only at P's members, and writes every one of them
+// before the first read, so the scratch is sized, never cleared.
 
 namespace kplex {
 
@@ -24,7 +27,7 @@ uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
 uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
                    uint32_t pivot, uint32_t k, BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
+  sup.resize(sg.universe);
   state.p.ForEach([&](std::size_t u) {
     sup[u] = state.Support(static_cast<uint32_t>(u), k);
   });
@@ -55,7 +58,7 @@ uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
 uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
                          uint32_t pivot, uint32_t k, BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
+  sup.resize(sg.universe);
   state.p.ForEach([&](std::size_t u) {
     sup[u] = state.Support(static_cast<uint32_t>(u), k);
   });
@@ -95,7 +98,7 @@ uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
 uint32_t UbSubtask(const SeedGraph& sg, const TaskState& state, uint32_t k,
                    BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
+  sup.resize(sg.universe);
   state.p.ForEach([&](std::size_t u) {
     sup[u] = state.Support(static_cast<uint32_t>(u), k);
   });
