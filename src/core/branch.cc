@@ -165,10 +165,16 @@ void BranchEngine::Branch(TaskState& state) {
 void BranchEngine::BranchBinary(TaskState& state, uint32_t vp,
                                 bool include_allowed) {
   if (include_allowed) {
-    TaskState child = state;
+    if (depth_ == frames_.size()) {
+      frames_.push_back(std::make_unique<TaskState>());
+    }
+    TaskState& child = *frames_[depth_];
+    child = state;
     child.c.Reset(vp);
     PrepareInclude(child, vp);
+    ++depth_;
     Dispatch(child);
+    --depth_;
   }
   // Exclude branch (Line 20), reusing the parent state.
   state.c.Reset(vp);

@@ -5,16 +5,19 @@
 //
 // One engine is constructed per (seed graph, task execution); scratch
 // buffers are reused across the recursion, which never interleaves two
-// computations. The optional per-task timeout implements the straggler
-// decomposition of Section 6: once the deadline passes, pending
-// recursive calls are re-packaged as standalone TaskStates and handed to
-// the spawn callback instead of being executed inline.
+// computations, and so are the include-branch child states, one per
+// recursion depth: a warmed engine allocates nothing per branch. The
+// optional per-task timeout implements the straggler decomposition of
+// Section 6: once the deadline passes, pending recursive calls are
+// re-packaged as standalone TaskStates and handed to the spawn callback
+// instead of being executed inline.
 
 #ifndef KPLEX_CORE_BRANCH_H_
 #define KPLEX_CORE_BRANCH_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/bounds.h"
@@ -100,6 +103,13 @@ class BranchEngine {
   DynamicBitset sat_pc_;
   std::vector<uint32_t> ws_;
   std::vector<VertexId> emit_;
+  // frames_[d] is the include child of the BranchBinary call with d
+  // include frames above it on the stack (`depth_` of them are live).
+  // Copy-assigning into a frame reuses its buffers; unique_ptr keeps a
+  // frame's address fixed while the vector grows. A frame moved out by
+  // a timeout spawn grows again on its next use.
+  std::vector<std::unique_ptr<TaskState>> frames_;
+  std::size_t depth_ = 0;
 
   int64_t deadline_nanos_ = 0;
   SpawnFn spawn_;

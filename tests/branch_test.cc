@@ -8,11 +8,39 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "baselines/bk_naive.h"
 #include "core/enumerator.h"
+#include "core/subtask.h"
 #include "graph/builder.h"
+#include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
+
+// This binary counts operator new calls while `g_count_news` is set. The
+// plain and array forms of operator new are replaced, with the plain and
+// sized deletes that free what they return; the aligned and nothrow
+// forms keep the library's own pairs.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kplex {
 namespace {
@@ -151,6 +179,43 @@ TEST(BranchEdgeCases, GraphSmallerThanQYieldsNothingQuickly) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->num_plexes, 0u);
   EXPECT_EQ(run->counters.branch_calls, 0u);  // core reduction kills all
+}
+
+TEST(BranchEngine, WarmedEngineRunsASubtaskWithoutAllocating) {
+  // The include branches of a search reuse one child state per depth,
+  // so running a sub-task a second time on the same engine allocates
+  // nothing: not per branch, not per emitted plex.
+  Graph g = GenerateErdosRenyi(60, 0.5, 93);
+  const EnumOptions options = EnumOptions::Ours(3, 8);
+  const DegeneracyResult degeneracy = ComputeDegeneracy(g);
+  auto sg = BuildSeedGraph(g, {}, degeneracy, degeneracy.order[0], options,
+                           nullptr);
+  ASSERT_TRUE(sg.has_value());
+  // The sub-task with the largest candidate set.
+  TaskState task;
+  AlgoCounters subtask_counters;
+  EnumerateSubtasks(*sg, options, subtask_counters, [&](TaskState&& state) {
+    if (state.c.Count() > task.c.Count()) task = std::move(state);
+  });
+
+  CountingSink sink;
+  AlgoCounters counters;
+  BranchEngine engine(*sg, options, sink, counters);
+  TaskState warm = task;
+  engine.Run(warm);
+  const uint64_t calls = counters.branch_calls;
+  const uint64_t outputs = counters.outputs;
+  ASSERT_GT(calls, 100u);
+  ASSERT_GT(outputs, 0u);
+
+  TaskState again = task;
+  g_news.store(0);
+  g_count_news.store(true);
+  engine.Run(again);
+  g_count_news.store(false);
+  EXPECT_EQ(g_news.load(), 0u);
+  EXPECT_EQ(counters.branch_calls, 2 * calls);
+  EXPECT_EQ(counters.outputs, 2 * outputs);
 }
 
 }  // namespace
