@@ -187,31 +187,39 @@ class ParallelRunner {
     auto sg = std::make_shared<const SeedGraph>(std::move(*built));
     EnumerateSubtasks(*sg, options_, counters_[tid].value,
                       [&](TaskState&& state) {
-                        queues_[tid].queue.Push(
-                            ParallelTask{sg, std::move(state)});
+                        Push(tid, ParallelTask{sg, std::move(state)});
                       });
+  }
+
+  // Every push is counted in `unfinished_` before the task becomes
+  // visible, and a task is uncounted only after it has run (and pushed
+  // all its spawns) or been dropped. So the count reads 0 only when no
+  // task is queued or running.
+  void Push(uint32_t tid, ParallelTask&& task) {
+    unfinished_.fetch_add(1, std::memory_order_relaxed);
+    queues_[tid].queue.Push(std::move(task));
   }
 
   void DrainStage(uint32_t tid) {
     ParallelTask task;
     while (true) {
-      // The active counter covers the window between the pop and the end
-      // of execution so that spawned sub-tasks are never missed by the
-      // termination check below.
-      active_.fetch_add(1, std::memory_order_acq_rel);
-      if (PopOrSteal(tid, task)) {
+      // An idle worker sweeps the T queues only while some task is
+      // counted, so hundreds of waiting threads do not contend for locks.
+      if (unfinished_.load(std::memory_order_acquire) > 0 &&
+          PopOrSteal(tid, task)) {
         // On cancellation, a hit result cap or a passed time limit,
         // pending tasks are popped and dropped so the queues empty out
         // and the termination condition fires quickly.
         if (!Cancelled() && !stopped_early() && !TimedOut()) {
           Execute(tid, std::move(task));
         }
-        active_.fetch_sub(1, std::memory_order_acq_rel);
+        unfinished_.fetch_sub(1, std::memory_order_acq_rel);
         continue;
       }
-      active_.fetch_sub(1, std::memory_order_acq_rel);
+      // Once every worker has populated, no task appears except as the
+      // spawn of a task that is still counted.
       if (populate_done_.load(std::memory_order_acquire) == num_threads_ &&
-          active_.load(std::memory_order_acquire) == 0 && AllEmpty()) {
+          unfinished_.load(std::memory_order_acquire) == 0) {
         return;
       }
       std::this_thread::yield();
@@ -237,7 +245,7 @@ class ParallelRunner {
       auto seed_graph = task.seed_graph;
       engine.SetTaskTimeout(deadline, [this, tid, seed_graph](
                                           TaskState&& state) {
-        queues_[tid].queue.Push(ParallelTask{seed_graph, std::move(state)});
+        Push(tid, ParallelTask{seed_graph, std::move(state)});
       });
     }
     if (global_deadline_ > 0) engine.SetGlobalDeadline(global_deadline_);
@@ -250,13 +258,6 @@ class ParallelRunner {
     if (engine.stopped_early()) {
       stopped_early_.store(true, std::memory_order_relaxed);
     }
-  }
-
-  bool AllEmpty() const {
-    for (const auto& padded : queues_) {
-      if (!padded.queue.Empty()) return false;
-    }
-    return true;
   }
 
   const Graph& graph_;
@@ -273,7 +274,7 @@ class ParallelRunner {
 
   std::vector<PaddedQueue> queues_;
   std::vector<PaddedCounters> counters_;
-  std::atomic<uint32_t> active_{0};
+  std::atomic<uint64_t> unfinished_{0};  // queued or running tasks
   std::atomic<uint32_t> populate_done_{0};
   std::atomic<bool> observed_cancel_{false};
   std::atomic<bool> stopped_early_{false};

@@ -61,7 +61,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelParam{2, 0.1},    // the paper's default tau
                       ParallelParam{4, 0.1},
                       ParallelParam{4, 0.001},  // shred into micro-tasks
-                      ParallelParam{3, 10.0}),
+                      ParallelParam{3, 10.0},
+                      // Far more threads than cores: termination must
+                      // not wait on preempted workers.
+                      ParallelParam{32, 0.001}),
     [](const ::testing::TestParamInfo<ParallelParam>& info) {
       return "t" + std::to_string(info.param.threads) + "tau" +
              std::to_string(static_cast<int>(info.param.timeout_ms * 1000));
