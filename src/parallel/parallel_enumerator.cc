@@ -196,7 +196,7 @@ class ParallelRunner {
   // all its spawns) or been dropped. So the count reads 0 only when no
   // task is queued or running.
   void Push(uint32_t tid, ParallelTask&& task) {
-    unfinished_.fetch_add(1, std::memory_order_relaxed);
+    unfinished_.fetch_add(1, std::memory_order_acq_rel);
     queues_[tid].queue.Push(std::move(task));
   }
 
