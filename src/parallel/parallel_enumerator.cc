@@ -203,8 +203,8 @@ class ParallelRunner {
   void DrainStage(uint32_t tid) {
     ParallelTask task;
     while (true) {
-      // An idle worker sweeps the T queues only while some task is
-      // counted, so hundreds of waiting threads do not contend for locks.
+      // An idle worker sweeps the queues only while some task is counted,
+      // so hundreds of waiting threads do not contend for their locks.
       if (unfinished_.load(std::memory_order_acquire) > 0 &&
           PopOrSteal(tid, task)) {
         // On cancellation, a hit result cap or a passed time limit,
