@@ -21,9 +21,8 @@
 #include "tests/test_util.h"
 
 // This binary counts operator new calls while `g_count_news` is set. The
-// plain and array forms of operator new are replaced, with the plain and
-// sized deletes that free what they return; the aligned and nothrow
-// forms keep the library's own pairs.
+// plain operator new is replaced, with the plain and sized deletes that
+// free what it returns; the other forms keep the library's own pairs.
 namespace {
 std::atomic<bool> g_count_news{false};
 std::atomic<uint64_t> g_news{0};
@@ -36,11 +35,8 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
 void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kplex {
 namespace {
