@@ -30,6 +30,7 @@ DegeneracyResult MakeSeedOrdering(const Graph& graph,
   // zeroed (no engine component reads it for the alternatives).
   result.coreness.assign(n, 0);
   result.degeneracy = 0;
+  OrientByRank(graph, result);
   return result;
 }
 

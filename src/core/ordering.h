@@ -13,8 +13,8 @@
 
 namespace kplex {
 
-/// Returns order/rank (and, for kDegeneracy, coreness/degeneracy) for
-/// the requested seed ordering.
+/// Returns order/rank and the orientation they induce (and, for
+/// kDegeneracy, coreness/degeneracy) for the requested seed ordering.
 DegeneracyResult MakeSeedOrdering(const Graph& graph,
                                   VertexOrdering ordering);
 

@@ -16,7 +16,8 @@ namespace {
 // subgraph (same by-id tie-breaks: compaction preserves id order). For
 // any other survivor set the restriction is still a valid total order,
 // which is all correctness needs (every maximal k-plex is mined from
-// its minimum-order member).
+// its minimum-order member). The orientation is rebuilt over the core
+// graph: the stored sections hold none.
 DegeneracyResult RestrictOrdering(const GraphPrecompute& pre,
                                   const CoreReduction& core,
                                   std::size_t original_n) {
@@ -40,6 +41,7 @@ DegeneracyResult RestrictOrdering(const GraphPrecompute& pre,
     result.coreness[mapped] = pre.coreness[v];
     result.degeneracy = std::max(result.degeneracy, pre.coreness[v]);
   }
+  OrientByRank(core.graph, result);
   return result;
 }
 

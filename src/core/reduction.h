@@ -18,8 +18,9 @@ namespace kplex {
 struct PreparedReduction {
   /// Compacted survivor graph + new-id -> original-id map.
   CoreReduction core;
-  /// Seed ordering of core.graph (order/rank over compacted ids).
-  /// Unpopulated when core.graph is empty (nothing to enumerate).
+  /// Seed ordering of core.graph (order/rank over compacted ids) and
+  /// its orientation. Unpopulated when core.graph is empty (nothing to
+  /// enumerate).
   DegeneracyResult ordering;
   /// True when the respective step came from options.precompute.
   bool core_precomputed = false;

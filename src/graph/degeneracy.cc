@@ -102,7 +102,26 @@ DegeneracyResult ComputeDegeneracy(const Graph& graph) {
     for (VertexId u : graph.Neighbors(v)) heap.Decrement(u);
   }
   result.degeneracy = max_core;
+  OrientByRank(graph, result);
   return result;
+}
+
+void OrientByRank(const Graph& graph, DegeneracyResult& result) {
+  const std::size_t n = graph.NumVertices();
+  std::vector<VertexId>& later = result.later_neighbors;
+  result.later_offsets.resize(n + 1);
+  later.clear();
+  // m entries when the rows are symmetric; a loaded snapshot's rows are
+  // not checked for symmetry, so the list grows rather than trusting m.
+  later.reserve(graph.NumEdges());
+  for (VertexId v = 0; v < n; ++v) {
+    result.later_offsets[v] = later.size();
+    const uint32_t rank = result.rank[v];
+    for (VertexId u : graph.Neighbors(v)) {
+      if (result.rank[u] > rank) later.push_back(u);
+    }
+  }
+  result.later_offsets[n] = later.size();
 }
 
 }  // namespace kplex

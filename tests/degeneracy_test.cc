@@ -1,6 +1,7 @@
 // Unit tests for core decomposition, degeneracy ordering and k-core
 // reduction, including the Theorem 3.5 containment property, and a
-// differential test of the ordering against a naive O(n^2) peel.
+// differential test of the ordering and its orientation against a naive
+// O(n^2) peel.
 
 #include "graph/degeneracy.h"
 
@@ -14,6 +15,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
+#include "tests/test_util.h"
 
 namespace kplex {
 namespace {
@@ -65,6 +67,7 @@ TEST(Degeneracy, LaterNeighborsBoundedByDegeneracy) {
       if (result.rank[u] > result.rank[v]) ++later;
     }
     EXPECT_LE(later, result.degeneracy);
+    EXPECT_EQ(result.Later(v).size(), later);
   }
 }
 
@@ -166,6 +169,7 @@ TEST(Degeneracy, MatchesNaivePeelExactly) {
     EXPECT_EQ(got.rank, want.rank);
     EXPECT_EQ(got.coreness, want.coreness);
     EXPECT_EQ(got.degeneracy, want.degeneracy);
+    testing_util::ExpectOrientedBy(g, want.rank, got);
   }
 }
 

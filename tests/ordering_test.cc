@@ -27,6 +27,8 @@ TEST(Ordering, MakeSeedOrderingShapes) {
     for (uint32_t i = 0; i < g.NumVertices(); ++i) {
       EXPECT_EQ(result.rank[result.order[i]], i);
     }
+    // Every ordering carries the orientation its ranks induce.
+    testing_util::ExpectOrientedBy(g, result.rank, result);
   }
   // kById is the identity.
   DegeneracyResult by_id = MakeSeedOrdering(g, VertexOrdering::kById);

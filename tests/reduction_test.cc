@@ -16,6 +16,7 @@
 #include "graph/generators.h"
 #include "graph/precompute.h"
 #include "parallel/parallel_enumerator.h"
+#include "tests/test_util.h"
 
 namespace kplex {
 namespace {
@@ -59,6 +60,11 @@ TEST(Reduction, PrecomputedCoreAndOrderingMatchRecomputedExactly) {
       EXPECT_EQ(a.ordering.rank, b.ordering.rank);
       EXPECT_EQ(a.ordering.coreness, b.ordering.coreness);
       EXPECT_EQ(a.ordering.degeneracy, b.ordering.degeneracy);
+      // So do the out-lists the seed graphs are rejected over.
+      EXPECT_EQ(a.ordering.later_offsets, b.ordering.later_offsets);
+      EXPECT_EQ(a.ordering.later_neighbors, b.ordering.later_neighbors);
+      testing_util::ExpectOrientedBy(a.core.graph, a.ordering.rank,
+                                     b.ordering);
     }
   }
 }

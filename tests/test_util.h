@@ -15,6 +15,7 @@
 #include "core/options.h"
 #include "core/sink.h"
 #include "graph/builder.h"
+#include "graph/degeneracy.h"
 #include "graph/graph.h"
 
 namespace kplex {
@@ -42,6 +43,25 @@ inline void VerifyResultSet(const Graph& graph, const ResultSet& results,
     if (i > 0) {
       ASSERT_NE(results[i - 1], plex) << "duplicate output";
     }
+  }
+}
+
+/// Expects got's orientation to be the one `rank` induces: for every
+/// vertex v, the out-list is {u in N(v) : rank[u] > rank[v]} ascending,
+/// and the lists hold m entries in all.
+inline void ExpectOrientedBy(const Graph& graph,
+                             const std::vector<uint32_t>& rank,
+                             const DegeneracyResult& got) {
+  ASSERT_EQ(got.later_offsets.size(), graph.NumVertices() + 1);
+  EXPECT_EQ(got.later_neighbors.size(), graph.NumEdges());
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    std::vector<VertexId> want;
+    for (VertexId u : graph.Neighbors(v)) {
+      if (rank[u] > rank[v]) want.push_back(u);
+    }
+    const auto later = got.Later(v);
+    EXPECT_EQ(std::vector<VertexId>(later.begin(), later.end()), want)
+        << "out-list of vertex " << v;
   }
 }
 
