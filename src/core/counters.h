@@ -12,7 +12,8 @@ namespace kplex {
 
 struct AlgoCounters {
   uint64_t seed_graphs = 0;        ///< seed subgraphs materialized
-  uint64_t seed_vertices_pruned = 0;  ///< vertices removed by Corollary 5.2
+  uint64_t seed_vertices_pruned = 0;  ///< Corollary 5.2 removals in
+                                      ///< built seed graphs
   uint64_t subtasks = 0;           ///< initial sub-tasks handed to Branch
   uint64_t subtasks_pruned_r1 = 0; ///< sub-tasks killed by Theorem 5.7 bound
   uint64_t branch_calls = 0;       ///< Branch() invocations

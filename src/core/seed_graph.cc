@@ -1,6 +1,7 @@
 #include "core/seed_graph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace kplex {
@@ -12,7 +13,7 @@ namespace {
 // nothing graph-sized is ever cleared.
 struct Slot {
   uint32_t stamp = 0;
-  uint32_t value = 0;  ///< |N(v) ∩ N1| while pruning; then the local id
+  uint32_t value = 0;  ///< N1 position; then |N(v) ∩ N1|; then local id
 };
 
 // Per-thread build state. Slots left by an earlier seed, or by an
@@ -23,7 +24,12 @@ struct Scratch {
   uint32_t stamp_reached = 0;  ///< within two hops, not in N1
   uint32_t stamp_n1 = 0;       ///< a surviving N1 member
   uint32_t stamp_local = 0;    ///< in the local universe
-  std::vector<VertexId> n1, n2, near, far, peel, local_to_reduced;
+  std::vector<VertexId> n1, n2, near, far, local_to_reduced;
+  // The N1 peel works on N1 positions: each member's count of N1
+  // neighbours and, once a member has to go, the N1-internal edges as a
+  // CSR.
+  std::vector<uint32_t> inner_degree, inner_adjacency, peel;
+  std::vector<std::size_t> inner_offsets;
 
   void BeginBuild(std::size_t num_vertices) {
     if (slots.size() < num_vertices) slots.resize(num_vertices);
@@ -40,12 +46,90 @@ struct Scratch {
 
 thread_local Scratch tls_scratch;
 
+// Corollary 5.2 on N1 alone: peels `n1` (stamped stamp_n1, value = its
+// position) to the greatest subset whose members each have at least
+// `threshold` >= 1 neighbours inside it, and keeps the survivors in
+// `n1`, still ascending. Returns false as soon as fewer than
+// `min_alive` members can survive. Every edge inside N1 lies in the
+// out-list of its earlier end, so one pass over the members' out-lists
+// finds them all.
+bool PeelN1(const DegeneracyResult& degeneracy, uint32_t threshold,
+            std::size_t min_alive, Scratch& s) {
+  std::vector<VertexId>& n1 = s.n1;
+  const uint32_t size = static_cast<uint32_t>(n1.size());
+  // Calls fn(i, j) once per edge between N1 positions i and j.
+  auto for_each_inner_edge = [&](auto&& fn) {
+    for (uint32_t i = 0; i < size; ++i) {
+      for (VertexId w : degeneracy.Later(n1[i])) {
+        const Slot& slot = s.slots[w];
+        if (slot.stamp == s.stamp_n1) fn(i, slot.value);
+      }
+    }
+  };
+  std::vector<uint32_t>& degree = s.inner_degree;
+  degree.assign(size, 0);
+  for_each_inner_edge([&](uint32_t i, uint32_t j) {
+    ++degree[i];
+    ++degree[j];
+  });
+
+  std::vector<uint32_t>& peel = s.peel;
+  peel.clear();
+  for (uint32_t i = 0; i < size; ++i) {
+    if (degree[i] < threshold) peel.push_back(i);
+  }
+  std::size_t alive = size - peel.size();
+  if (alive < min_alive) return false;
+  if (peel.empty()) return true;
+
+  // The N1-internal edges as a CSR over positions, from a second pass
+  // over the out-lists: offsets first hold each range's end and are
+  // walked down to its start as it fills.
+  std::vector<std::size_t>& offsets = s.inner_offsets;
+  std::vector<uint32_t>& adjacency = s.inner_adjacency;
+  offsets.resize(size + 1);
+  std::size_t total = 0;
+  for (uint32_t i = 0; i < size; ++i) {
+    total += degree[i];
+    offsets[i] = total;
+  }
+  offsets[size] = total;
+  adjacency.resize(total);
+  for_each_inner_edge([&](uint32_t i, uint32_t j) {
+    adjacency[--offsets[i]] = j;
+    adjacency[--offsets[j]] = i;
+  });
+
+  // A member leaves exactly when its count drops from `threshold` to
+  // one below, so each leaves once and no flag is needed: the members
+  // still in are those whose count stays >= threshold.
+  while (!peel.empty()) {
+    const uint32_t u = peel.back();
+    peel.pop_back();
+    for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const uint32_t w = adjacency[e];
+      if (degree[w]-- == threshold) {
+        if (--alive < min_alive) return false;
+        peel.push_back(w);
+      }
+    }
+  }
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < size; ++i) {
+    if (degree[i] >= threshold) n1[kept++] = n1[i];
+  }
+  n1.resize(kept);
+  return true;
+}
+
 }  // namespace
 
 std::optional<SeedGraph> BuildSeedGraph(
     const Graph& graph, const std::vector<VertexId>& to_original,
     const DegeneracyResult& degeneracy, uint32_t seed_vertex,
     const EnumOptions& options, AlgoCounters* counters) {
+  assert(degeneracy.later_offsets.size() == graph.NumVertices() + 1 &&
+         "BuildSeedGraph needs the ordering's orientation");
   const uint32_t k = options.k;
   const uint32_t q = options.q;
   const uint32_t seed_rank = degeneracy.rank[seed_vertex];
@@ -57,29 +141,49 @@ std::optional<SeedGraph> BuildSeedGraph(
     return static_cast<int64_t>(s.slots[v].value);
   };
 
-  // N1: later neighbors of the seed.
+  // N1: later neighbors of the seed, its out-list.
   std::vector<VertexId>& n1 = s.n1;
-  n1.clear();
-  for (VertexId u : graph.Neighbors(seed_vertex)) {
-    if (is_later(u)) n1.push_back(u);
-  }
+  const std::span<const VertexId> later = degeneracy.Later(seed_vertex);
+  n1.assign(later.begin(), later.end());
   // Quick Theorem 5.3 feasibility at the seed: any result k-plex P
   // containing v_i satisfies |P| <= deg_{G_i}(v_i) + k <= |N1| + k.
   if (n1.size() + k < q) return std::nullopt;
+  s.BeginBuild(graph.NumVertices());
+
+  // Corollary 5.2, iterated to its fixpoint:
+  //   u in N_{G_i}(v_i):   prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k,
+  //   u in N^2_{G_i}(v_i): prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k + 2.
+  // The N1 rule reads only N1's own edges, so N1 is peeled first, over
+  // the out-lists, and the seed is rejected there when fewer than q - k
+  // members survive: most seeds go before any list longer than the
+  // degeneracy is read. The peel ends at the greatest N1 that meets its
+  // threshold, which is unique. With q - 2k <= 0 nothing can leave.
+  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
+  const int64_t thr_n2 = thr_n1 + 2;
+  const std::size_t n1_unpruned = n1.size();
+  if (options.use_seed_pruning && thr_n1 > 0) {
+    for (uint32_t i = 0; i < n1.size(); ++i) {
+      s.slots[n1[i]] = {s.stamp_n1, i};
+    }
+    const std::size_t min_n1 = q - k;  // q > 2k here
+    if (!PeelN1(degeneracy, static_cast<uint32_t>(thr_n1), min_n1, s)) {
+      return std::nullopt;
+    }
+  }
 
   // Stamp the seed and its neighbors first: whatever the walk below
   // reaches unstamped is two hops away, later (N2) or earlier (`far`).
-  // `near` holds the seed's earlier neighbors. The walk also counts
+  // `near` holds the seed's earlier neighbors; N1 members the peel
+  // removed are neither. The walk, from the surviving N1 only, counts
   // |N(x) ∩ N1| for every vertex x it reaches.
-  s.BeginBuild(graph.NumVertices());
   s.slots[seed_vertex] = {s.stamp_reached, 0};
   std::vector<VertexId>& near = s.near;
   near.clear();
   for (VertexId x : graph.Neighbors(seed_vertex)) {
-    const bool later = is_later(x);
-    s.slots[x] = {later ? s.stamp_n1 : s.stamp_reached, 0};
-    if (!later) near.push_back(x);
+    s.slots[x] = {s.stamp_reached, 0};
+    if (!is_later(x)) near.push_back(x);
   }
+  for (VertexId u : n1) s.slots[u].stamp = s.stamp_n1;
   std::vector<VertexId>& n2 = s.n2;
   std::vector<VertexId>& far = s.far;
   n2.clear();
@@ -94,54 +198,25 @@ std::optional<SeedGraph> BuildSeedGraph(
     }
   }
 
-  // Corollary 5.2, iterated to its fixpoint:
-  //   u in N_{G_i}(v_i):   prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k,
-  //   u in N^2_{G_i}(v_i): prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k + 2.
-  // Peeling N1 keeps every count exact and ends at the greatest N1 that
-  // meets its threshold, which is unique. N2 removals change no count,
-  // so N2 is filtered once, from the final counts. N2 must also stay
-  // within two hops: while N1 is whole (always, without Corollary 5.2,
-  // or with q - 2k <= 0) every N2 vertex keeps its N1 witness, and once
-  // N1 loses a vertex the N2 threshold is >= 3, so a vertex left without
-  // one goes too.
-  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
-  const int64_t thr_n2 = thr_n1 + 2;
+  // N2 removals change no count, so N2 is filtered once. Every N2 vertex
+  // here has a witness in the surviving N1.
+  std::size_t pruned = n1_unpruned - n1.size();
   if (options.use_seed_pruning) {
-    std::vector<VertexId>& peel = s.peel;  // drained by the loop below
-    auto drop_if_short = [&](VertexId u) {
-      if (s.slots[u].stamp == s.stamp_n1 && common(u) < thr_n1) {
-        s.slots[u].stamp = s.stamp_reached;
-        peel.push_back(u);
-      }
-    };
-    for (VertexId u : n1) drop_if_short(u);
-    while (!peel.empty()) {
-      const VertexId u = peel.back();
-      peel.pop_back();
-      for (VertexId w : graph.Neighbors(u)) {
-        --s.slots[w].value;
-        drop_if_short(w);
-      }
-    }
-    auto dropped = [&](VertexId u) { return s.slots[u].stamp != s.stamp_n1; };
-    const std::size_t pruned =
-        std::erase_if(n1, dropped) +
+    pruned +=
         std::erase_if(n2, [&](VertexId u) { return common(u) < thr_n2; });
-    if (counters != nullptr) counters->seed_vertices_pruned += pruned;
   }
-  if (n1.size() + k < q) return std::nullopt;
   if (1 + n1.size() + n2.size() < q) return std::nullopt;
 
   // Fringe V'_i: earlier vertices within two hops, filtered by the
   // Theorem 5.1 common-neighbor conditions (common neighbors restricted
   // to the surviving N1, which is where they must live in any extension
   // of a result of this task): q - 2k for the seed's neighbors, q - 2k + 2
-  // for the rest, which as above also drops those left with no witness.
+  // for the rest.
   std::erase_if(near, [&](VertexId x) { return common(x) < thr_n1; });
   std::erase_if(far, [&](VertexId x) { return common(x) < thr_n2; });
 
-  // Assemble the local universe: the seed, then N1, N2 and the fringe,
-  // each sorted.
+  // Assemble the local universe: the seed, then N1 (ascending as its
+  // out-list is), N2 and the fringe, each sorted.
   SeedGraph sg;
   sg.num_n1 = static_cast<uint32_t>(n1.size());
   sg.num_vi = static_cast<uint32_t>(1 + n1.size() + n2.size());
@@ -157,7 +232,6 @@ std::optional<SeedGraph> BuildSeedGraph(
   auto sort_range = [&](std::size_t from, std::size_t to) {
     std::sort(local_to_reduced.begin() + from, local_to_reduced.begin() + to);
   };
-  sort_range(1, 1 + sg.num_n1);
   sort_range(1 + sg.num_n1, sg.num_vi);
   sort_range(sg.num_vi, sg.universe);
 
@@ -197,11 +271,14 @@ std::optional<SeedGraph> BuildSeedGraph(
 
   if (options.use_pair_pruning_r2) {
     sg.pairs = BuildPairMatrix(sg, k, q);
-    if (counters != nullptr) {
+  }
+  if (counters != nullptr) {
+    ++counters->seed_graphs;
+    counters->seed_vertices_pruned += pruned;
+    if (sg.pairs.has_value()) {
       counters->pair_edges_pruned += sg.pairs->num_pruned_pairs();
     }
   }
-  if (counters != nullptr) ++counters->seed_graphs;
   return sg;
 }
 

@@ -15,6 +15,13 @@
 // participate in any k-plex of size >= q together with v_i are pruned:
 // Corollary 5.2 iterated to a fixpoint on the V_i side, the matching
 // Theorem 5.1 common-neighbor conditions on the fringe side.
+//
+// The N1 half of Corollary 5.2 reads only the edges inside N1, and each
+// of them lies in the out-list (DegeneracyResult::Later) of its earlier
+// end. So N1 is peeled first over its members' out-lists, and a seed
+// whose N1 cannot keep q - k members is rejected there, at
+// ~O(|N1| + Σ out-degree over N1). Only a surviving N1 is walked two
+// hops over full adjacency lists to find N2 and the fringe.
 
 #ifndef KPLEX_CORE_SEED_GRAPH_H_
 #define KPLEX_CORE_SEED_GRAPH_H_
@@ -67,11 +74,17 @@ struct SeedGraph {
   std::optional<PairPruneMatrix> pairs;
 };
 
-/// Builds the seed graph for the seed at `rank_of_seed` in `order`.
-/// `graph` is the (q-k)-core-reduced graph; `to_original` maps its ids
-/// back to the input graph (may be empty when graph ids are original).
-/// Returns nullopt when the seed provably cannot carry any k-plex of
-/// size >= q (e.g. |V_i| < q or deg(v_i)+k < q after pruning).
+/// Builds the seed graph of `seed_vertex`. `graph` is the
+/// (q-k)-core-reduced graph; `to_original` maps its ids back to the
+/// input graph (may be empty when graph ids are original). `degeneracy`
+/// is a seed ordering of `graph` with its orientation, as every producer
+/// of one fills it (ComputeDegeneracy, MakeSeedOrdering,
+/// PrepareReduction). Returns nullopt when the seed provably cannot
+/// carry any k-plex of size >= q (e.g. |V_i| < q or deg(v_i)+k < q after
+/// pruning). `counters` gain seed_graphs, pair_edges_pruned and
+/// seed_vertices_pruned for built seed graphs only: a rejected seed
+/// counts nothing, and N2 prunes count over what the surviving N1
+/// reaches.
 std::optional<SeedGraph> BuildSeedGraph(
     const Graph& graph, const std::vector<VertexId>& to_original,
     const DegeneracyResult& degeneracy, uint32_t seed_vertex,

@@ -3,8 +3,9 @@
 // against the definitions, and — critically — completeness: every
 // maximal k-plex (>= q) must survive inside the seed subgraph of its
 // minimum-rank member. The build keeps per-thread scratch, so it is also
-// checked across graphs and threads and for a cost that follows the
-// seed's neighbourhood rather than the graph.
+// checked across graphs and threads, for a cost that follows the seed's
+// neighbourhood rather than the graph, and for a rejected seed's cost
+// that follows its N1 out-lists rather than its neighbours' degrees.
 
 #include "core/seed_graph.h"
 
@@ -69,7 +70,9 @@ void ExpectSameSeedGraph(const std::optional<SeedGraph>& a,
 struct DefinedSeedGraph {
   bool viable = false;
   std::vector<VertexId> n1, n2, fringe;  // each ascending
-  uint64_t pruned = 0;  // Corollary 5.2 removals from N1 and N2
+  // Corollary 5.2 removals from N1, and from the N2 the surviving N1
+  // reaches; 0 when the seed is not viable.
+  uint64_t pruned = 0;
 };
 
 DefinedSeedGraph FromDefinitions(const Graph& g,
@@ -97,10 +100,6 @@ DefinedSeedGraph FromDefinitions(const Graph& g,
     if (later(v) && g.HasEdge(seed, v)) n1.push_back(v);
   }
   if (static_cast<int64_t>(n1.size()) + k < q) return out;
-  std::vector<VertexId> n2_unpruned;
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    if (later(v) && two_hop(v, n1)) n2_unpruned.push_back(v);
-  }
   const std::size_t n1_unpruned = n1.size();
   if (options.use_seed_pruning) {
     // The greatest subset of N1 whose members each have >= q - 2k
@@ -116,16 +115,21 @@ DefinedSeedGraph FromDefinitions(const Graph& g,
       }
     }
   }
-  for (VertexId v : n2_unpruned) {
-    if (!options.use_seed_pruning ||
-        (two_hop(v, n1) && common(v, n1) >= thr_n2)) {
+  // N2 is what the surviving N1 reaches.
+  std::vector<VertexId> n2_reached;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (later(v) && two_hop(v, n1)) n2_reached.push_back(v);
+  }
+  for (VertexId v : n2_reached) {
+    if (!options.use_seed_pruning || common(v, n1) >= thr_n2) {
       out.n2.push_back(v);
     }
   }
-  out.pruned =
-      (n1_unpruned - n1.size()) + (n2_unpruned.size() - out.n2.size());
   out.viable = static_cast<int64_t>(n1.size()) + k >= q &&
                static_cast<int64_t>(1 + n1.size() + out.n2.size()) >= q;
+  if (!out.viable) return out;
+  out.pruned =
+      (n1_unpruned - n1.size()) + (n2_reached.size() - out.n2.size());
   // Theorem 5.1 on the earlier vertices within two hops, counted against
   // the surviving N1.
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
@@ -208,7 +212,9 @@ TEST(SeedGraph, Corollary52Fixpoint) {
 // shows nothing else was pruned or kept. Layout, masks and the pruning
 // count must match the definitions over a (k, q) grid down to
 // q = 2k - 1, where q - 2k < 0 lets an earlier neighbour of the seed
-// with no N1 neighbour into the fringe.
+// with no N1 neighbour into the fringe. The count covers built seed
+// graphs only, and N2 as the surviving N1 reaches it: a seed rejected
+// at N1 is never walked two hops.
 TEST(SeedGraph, MatchesTheDefinitions) {
   const std::vector<std::pair<std::string, Graph>> graphs = {
       {"er", GenerateErdosRenyi(36, 0.3, 5)},
@@ -357,6 +363,75 @@ TEST(SeedGraph, BuildCostDoesNotGrowWithGraphSize) {
   EXPECT_LE(large.fastest, 2.0 * small.fastest)
       << "10k ring: " << small.fastest << " s, 320k ring: " << large.fastest
       << " s";
+}
+
+// A seed that Corollary 5.2 rejects at N1 costs its N1 out-lists, not
+// its neighbours' full adjacency lists. The seed's 8 later neighbours
+// share no edge, so at k=2 q=8 none keeps the q - 2k = 4 N1 neighbours
+// it needs and the seed goes at N1. Each neighbour is also joined to a
+// shared 24-clique, which keeps it ahead of the clique in the order,
+// and to L private leaves, which come before it. Raising L from 1k to
+// 64k must not double the cost; a build that walked the neighbours' full
+// lists would take ~70x. Each side is the fastest of five alternating
+// repeats.
+TEST(SeedGraph, RejectedSeedCostDoesNotGrowWithNeighbourDegrees) {
+  constexpr VertexId kSeed = 0;
+  constexpr VertexId kNeighbours = 8;
+  constexpr VertexId kCliqueSize = 24;
+  constexpr uint32_t kBuilds = 2000;
+  const EnumOptions options = EnumOptions::Ours(2, 8);
+  struct Case {
+    uint32_t leaves;
+    Graph graph;
+    DegeneracyResult degeneracy;
+    double fastest = std::numeric_limits<double>::infinity();
+  };
+  std::vector<Case> cases;
+  for (uint32_t leaves : {1u << 10, 1u << 16}) {
+    // Ids: the seed, its neighbours [1, 9), the clique [9, 33), leaves.
+    constexpr VertexId kClique = 1 + kNeighbours;
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    VertexId next = kClique + kCliqueSize;
+    for (VertexId a = 1; a <= kNeighbours; ++a) {
+      edges.push_back({kSeed, a});
+      for (VertexId c = kClique; c < kClique + kCliqueSize; ++c) {
+        edges.push_back({a, c});
+      }
+      for (uint32_t i = 0; i < leaves; ++i) edges.push_back({a, next++});
+    }
+    for (VertexId c = kClique; c < kClique + kCliqueSize; ++c) {
+      for (VertexId d = c + 1; d < kClique + kCliqueSize; ++d) {
+        edges.push_back({c, d});
+      }
+    }
+    Graph graph = GraphBuilder::FromEdges(next, edges);
+    DegeneracyResult degeneracy = ComputeDegeneracy(graph);
+    ASSERT_EQ(degeneracy.Later(kSeed).size(), kNeighbours);
+    for (VertexId a = 1; a <= kNeighbours; ++a) {
+      ASSERT_EQ(degeneracy.Later(a).size(), kCliqueSize);
+    }
+    cases.push_back({leaves, std::move(graph), std::move(degeneracy)});
+  }
+  uint64_t built = 0;
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    for (Case& c : cases) {
+      WallTimer timer;
+      for (uint32_t i = 0; i < kBuilds; ++i) {
+        if (BuildSeedGraph(c.graph, {}, c.degeneracy, kSeed, options,
+                           nullptr)
+                .has_value()) {
+          ++built;
+        }
+      }
+      c.fastest = std::min(c.fastest, timer.ElapsedSeconds());
+    }
+  }
+  EXPECT_EQ(built, 0u) << "the seed must be rejected";
+  const Case& small = cases[0];
+  const Case& large = cases[1];
+  EXPECT_LE(large.fastest, 2.0 * small.fastest)
+      << small.leaves << " leaves: " << small.fastest << " s, "
+      << large.leaves << " leaves: " << large.fastest << " s";
 }
 
 // Completeness: the union over seeds of "k-plexes representable in the
