@@ -49,7 +49,7 @@ void BranchEngine::FilterSet(const TaskState& state,
 void BranchEngine::PrepareInclude(TaskState& state, uint32_t vp) {
   state.AddToP(sg_, vp);
   if (sg_.pairs.has_value()) {
-    const DynamicBitset& allowed = sg_.pairs->Row(vp);
+    const BitSpan allowed = sg_.pairs->Row(vp);
     state.c.AndWith(allowed);
     state.x.AndWith(allowed);
   }

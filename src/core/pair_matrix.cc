@@ -44,12 +44,18 @@ int64_t PairPruneMatrix::ThresholdN1N1(uint32_t k, uint32_t q,
 PairPruneMatrix BuildPairMatrix(const SeedGraph& sg, uint32_t k,
                                 uint32_t q) {
   PairPruneMatrix matrix;
-  matrix.rows_.assign(sg.num_vi, DynamicBitset(sg.universe));
-  for (auto& row : matrix.rows_) row.SetAll();
+  matrix.rows_ = BitMatrix(sg.num_vi, sg.universe);
+  for (uint32_t u = 0; u < sg.num_vi; ++u) matrix.rows_.FillRow(u);
 
   // Common neighbors are always counted inside C_S = N_{G_i}(v_i); the
   // endpoints themselves can never be their own common neighbors, so the
   // C_S^- variants of Theorems 5.14/5.15 need no special handling.
+  // N1 is the bit range [1, 1 + num_n1), so the count reads only the
+  // words that cover it.
+  auto n1_prefix = [&](BitSpan span) {
+    return BitSpan{span.words, 1 + static_cast<std::size_t>(sg.num_n1)};
+  };
+  const BitSpan n1 = n1_prefix(sg.n1_mask);
   auto category = [&](uint32_t v) -> int {
     if (v == SeedGraph::kSeed) return 0;
     return sg.n1_mask.Test(v) ? 1 : 2;
@@ -70,10 +76,10 @@ PairPruneMatrix BuildPairMatrix(const SeedGraph& sg, uint32_t k,
       }
       if (threshold <= 0) continue;
       const int64_t common = static_cast<int64_t>(
-          sg.adj.Row(u).AndCount3(sg.adj.Row(v), sg.n1_mask));
+          n1_prefix(sg.adj.Row(u)).AndCount3(n1_prefix(sg.adj.Row(v)), n1));
       if (common < threshold) {
-        matrix.rows_[u].Reset(v);
-        matrix.rows_[v].Reset(u);
+        matrix.rows_.Reset(u, v);
+        matrix.rows_.Reset(v, u);
         ++matrix.num_pruned_pairs_;
       }
     }

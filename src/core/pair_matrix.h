@@ -1,8 +1,9 @@
 // Vertex-pair pruning matrix T (Theorems 5.13, 5.14, 5.15). For every
 // pair (u, v) of V_i vertices, T records whether u and v may co-occur in
-// a k-plex of size >= q grown from seed v_i. Rows are bitsets over the
-// full local universe with all fringe bits set, so AND-ing a candidate
-// or exclusive set with Row(u) applies the "only prune vertices of V_i"
+// a k-plex of size >= q grown from seed v_i. T is one num_vi x universe
+// BitMatrix, so a build makes one allocation for it. Rows span the full
+// local universe with all fringe bits set, so AND-ing a candidate or
+// exclusive set with Row(u) applies the "only prune vertices of V_i"
 // rule for free.
 //
 // The thresholds implemented are the ones *derived in the appendix
@@ -15,9 +16,8 @@
 #define KPLEX_CORE_PAIR_MATRIX_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "util/bitset.h"
+#include "util/bit_matrix.h"
 
 namespace kplex {
 
@@ -29,7 +29,7 @@ class PairPruneMatrix {
 
   /// Row(u) has bit v set iff the pair (u, v) may co-occur. Defined for
   /// local ids u in [0, num_vi); Row(0) (the seed) is all-true.
-  const DynamicBitset& Row(uint32_t u) const { return rows_[u]; }
+  BitSpan Row(uint32_t u) const { return rows_.Row(u); }
 
   uint64_t num_pruned_pairs() const { return num_pruned_pairs_; }
 
@@ -44,7 +44,7 @@ class PairPruneMatrix {
   friend PairPruneMatrix BuildPairMatrix(const SeedGraph& sg, uint32_t k,
                                          uint32_t q);
 
-  std::vector<DynamicBitset> rows_;
+  BitMatrix rows_;
   uint64_t num_pruned_pairs_ = 0;
 };
 

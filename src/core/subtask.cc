@@ -59,7 +59,7 @@ class SubtaskEnumerator {
       DynamicBitset child_ext = ext;
       child_ext.ResetBelow(u + 1);
       if (sg_.pairs.has_value()) {
-        const DynamicBitset& allowed = sg_.pairs->Row(static_cast<uint32_t>(u));
+        const BitSpan allowed = sg_.pairs->Row(static_cast<uint32_t>(u));
         child.c.AndWith(allowed);   // Theorem 5.14
         child.x.AndWith(allowed);   // dropped pairs cannot extend results
         child_ext.AndWith(allowed); // Theorem 5.13

@@ -14,11 +14,8 @@
 #define KPLEX_GRAPH_LOCAL_GRAPH_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "graph/graph.h"
 #include "util/bit_matrix.h"
-#include "util/bitset.h"
 
 namespace kplex {
 
@@ -26,12 +23,15 @@ class LocalGraph {
  public:
   LocalGraph() = default;
   /// Creates an edgeless universe of `size` local vertices.
-  explicit LocalGraph(uint32_t size);
+  explicit LocalGraph(uint32_t size) : matrix_(size, size) {}
 
-  uint32_t size() const { return size_; }
+  uint32_t size() const { return matrix_.rows(); }
 
-  /// Adds the undirected edge (u, v); u != v.
-  void AddEdge(uint32_t u, uint32_t v);
+  /// Adds the undirected edge (u, v); u != v. Adding it again is a no-op.
+  void AddEdge(uint32_t u, uint32_t v) {
+    matrix_.Set(u, v);
+    matrix_.Set(v, u);
+  }
 
   bool HasEdge(uint32_t u, uint32_t v) const { return matrix_.Test(u, v); }
 
@@ -39,29 +39,13 @@ class LocalGraph {
   /// the dispatched kernels by callers.
   BitSpan Row(uint32_t v) const { return matrix_.Row(v); }
 
-  /// Degree of v within the universe.
-  uint32_t Degree(uint32_t v) const { return degree_[v]; }
-
   /// popcount(Row(v) & mask): degree of v restricted to `mask`.
   uint32_t DegreeIn(uint32_t v, BitSpan mask) const {
     return static_cast<uint32_t>(Row(v).AndCount(mask));
   }
 
-  /// Removes vertex v: clears its row and its column bit everywhere.
-  /// Degrees are updated. Used by iterated seed-subgraph pruning.
-  void RemoveVertex(uint32_t v);
-
-  /// True iff v still has its own slot (not removed).
-  bool IsAlive(uint32_t v) const { return alive_.Test(v); }
-
-  /// Bitset of vertices not yet removed.
-  const DynamicBitset& AliveMask() const { return alive_; }
-
  private:
-  uint32_t size_ = 0;
   BitMatrix matrix_;
-  std::vector<uint32_t> degree_;
-  DynamicBitset alive_;
 };
 
 }  // namespace kplex

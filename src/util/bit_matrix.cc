@@ -73,4 +73,12 @@ void BitMatrix::ClearRow(uint32_t r) {
   std::memset(data_ + r * stride_, 0, stride_ * sizeof(uint64_t));
 }
 
+void BitMatrix::FillRow(uint32_t r) {
+  assert(r < rows_ && "BitMatrix::FillRow out of range");
+  uint64_t* row = data_ + r * stride_;
+  const std::size_t full = cols_ / 64;
+  std::memset(row, 0xff, full * sizeof(uint64_t));
+  if (cols_ % 64 != 0) row[full] = ~uint64_t{0} >> (64 - cols_ % 64);
+}
+
 }  // namespace kplex

@@ -1,12 +1,13 @@
 // BitMatrix: a dense 2-D bit array stored as ONE contiguous uint64_t
 // buffer with a fixed word stride per row, rows aligned to 64 bytes.
 //
-// This is the storage layer under LocalGraph's adjacency matrix: the
-// branch-and-bound inner loops walk many rows in sequence, and a flat
-// buffer keeps them on consecutive cache lines instead of chasing one
-// heap pointer per row (the old vector<DynamicBitset> layout). The
-// stride is rounded up to 8 words (64 bytes) so every row starts on a
-// cache-line/AVX-512-friendly boundary.
+// This is the storage layer under LocalGraph's adjacency matrix and the
+// pair-pruning matrix T: the branch-and-bound inner loops walk many rows
+// in sequence, and a flat buffer keeps them on consecutive cache lines
+// instead of chasing one heap pointer per row (the old
+// vector<DynamicBitset> layout). The stride is rounded up to 8 words
+// (64 bytes) so every row starts on a cache-line/AVX-512-friendly
+// boundary.
 //
 // Rows present as BitSpan views, so they flow straight into the
 // dispatched kernels of util/bitset_kernels.h. Invariant: bits at
@@ -85,6 +86,9 @@ class BitMatrix {
 
   /// Zeroes every bit of row r (padding words stay zero by invariant).
   void ClearRow(uint32_t r);
+
+  /// Sets every bit of row r, columns [0, cols) only.
+  void FillRow(uint32_t r);
 
   /// Total heap bytes owned by the buffer (memory accounting).
   std::size_t AllocatedBytes() const {

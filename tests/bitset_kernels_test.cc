@@ -201,22 +201,32 @@ TEST(BitMatrix, SetTestResetAndClearRow) {
 }
 
 TEST(BitMatrix, PaddingWordsStayZero) {
-  // 70 columns use 2 words per row; the 6 padding words of each row
-  // must stay zero through heavy mutation so row kernels over
+  // 70 columns use 2 words per row; the 6 padding words of each row,
+  // and the bits past column 69 in its second word, must stay zero
+  // through heavy mutation (whole-row fills too) so row kernels over
   // word-prefixes never see garbage.
   BitMatrix m(4, 70);
   Rng rng(11);
   for (int round = 0; round < 500; ++round) {
     const uint32_t r = static_cast<uint32_t>(rng.NextBounded(4));
     const uint32_t c = static_cast<uint32_t>(rng.NextBounded(70));
-    if (rng.NextBounded(2) == 0) {
-      m.Set(r, c);
-    } else {
-      m.Reset(r, c);
+    switch (rng.NextBounded(5)) {
+      case 0:
+        m.FillRow(r);
+        break;
+      case 1:
+      case 2:
+        m.Set(r, c);
+        break;
+      default:
+        m.Reset(r, c);
     }
   }
+  m.FillRow(3);
+  EXPECT_EQ(m.Row(3).Count(), 70u);
   for (uint32_t r = 0; r < m.rows(); ++r) {
     const uint64_t* row = m.Row(r).words;
+    EXPECT_EQ(row[1] >> 6, 0u) << "row " << r << " bits past column 69";
     for (std::size_t w = 2; w < m.word_stride(); ++w) {
       EXPECT_EQ(row[w], 0u) << "row " << r << " padding word " << w;
     }

@@ -60,7 +60,10 @@ void ExpectSameSeedGraph(const std::optional<SeedGraph>& a,
   EXPECT_EQ(a->pairs->num_pruned_pairs(), b->pairs->num_pruned_pairs())
       << where;
   for (uint32_t u = 0; u < a->num_vi; ++u) {
-    EXPECT_TRUE(a->pairs->Row(u) == b->pairs->Row(u))
+    const BitSpan ra = a->pairs->Row(u);
+    const BitSpan rb = b->pairs->Row(u);
+    ASSERT_EQ(ra.num_bits, rb.num_bits) << where << " T row " << u;
+    EXPECT_TRUE(std::equal(ra.words, ra.words + ra.num_words(), rb.words))
         << where << " T row " << u;
   }
 }
