@@ -1,65 +1,20 @@
 #include "baselines/d2k.h"
 
-#include "core/branch.h"
-#include "core/seed_graph.h"
-#include "graph/degeneracy.h"
-#include "graph/kcore.h"
-#include "util/timer.h"
+#include "baselines/fp.h"
+#include "core/stage_runner.h"
 
 namespace kplex {
-namespace {
-
-EnumOptions D2kOptions(uint32_t k, uint32_t q) {
-  EnumOptions options;
-  options.k = k;
-  options.q = q;
-  options.branching = BranchingScheme::kRepickFromC;
-  options.upper_bound = UpperBoundMode::kNone;  // pre-dates bounding
-  options.pivot_saturation_tiebreak = false;    // simple pivoting
-  options.use_subtask_bound_r1 = false;
-  options.use_pair_pruning_r2 = false;
-  options.use_seed_pruning = true;  // D2K's diameter-2 seed reduction
-  return options;
-}
-
-}  // namespace
 
 StatusOr<EnumResult> D2kEnumerate(const Graph& graph, uint32_t k, uint32_t q,
                                   ResultSink& sink) {
-  const EnumOptions options = D2kOptions(k, q);
-  KPLEX_RETURN_IF_ERROR(ValidateOptions(options));
-  WallTimer timer;
-  EnumResult result;
-
-  const uint32_t core_level = q >= k ? q - k : 0;
-  CoreReduction core = ReduceToCore(graph, core_level);
-  if (core.graph.NumVertices() == 0) {
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  const DegeneracyResult degeneracy = ComputeDegeneracy(core.graph);
-
-  // Like FP, D2K runs one undecomposed task per seed over the whole
-  // two-hop candidate set — but with no bound-based pruning at all.
-  for (uint32_t idx = 0; idx < core.graph.NumVertices(); ++idx) {
-    const VertexId seed = degeneracy.order[idx];
-    auto sg = BuildSeedGraph(core.graph, core.to_original, degeneracy, seed,
-                             options, &result.counters);
-    if (!sg.has_value()) continue;
-
-    TaskState task = TaskState::MakeEmpty(*sg);
-    task.AddToP(*sg, SeedGraph::kSeed);
-    task.c = sg->n1_mask;
-    task.c.OrWith(sg->n2_mask);
-    task.x = sg->fringe_mask;
-
-    BranchEngine engine(*sg, options, sink, result.counters);
-    engine.Run(task);
-  }
-
-  result.num_plexes = result.counters.outputs;
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  // FP's configuration (simple pivoting, the diameter-2 seed reduction,
+  // no vertex-pair rules) without its bound: D2K pre-dates bounding.
+  // Like FP, it runs one undecomposed task per seed over the whole
+  // two-hop candidate set.
+  EnumOptions options = FpOptions(k, q);
+  options.upper_bound = UpperBoundMode::kNone;
+  return RunSeedStages(graph, options, /*num_workers=*/1, /*timeout_ms=*/0,
+                       EnumerateWholeSeed, sink);
 }
 
 }  // namespace kplex

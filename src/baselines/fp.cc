@@ -1,13 +1,8 @@
 #include "baselines/fp.h"
 
-#include "core/branch.h"
-#include "core/seed_graph.h"
-#include "graph/degeneracy.h"
-#include "graph/kcore.h"
-#include "util/timer.h"
+#include "core/stage_runner.h"
 
 namespace kplex {
-namespace {
 
 EnumOptions FpOptions(uint32_t k, uint32_t q) {
   EnumOptions options;
@@ -22,44 +17,11 @@ EnumOptions FpOptions(uint32_t k, uint32_t q) {
   return options;
 }
 
-}  // namespace
-
-StatusOr<EnumResult> FpEnumerate(const Graph& graph, uint32_t k, uint32_t q,
+StatusOr<EnumResult> FpEnumerate(const Graph& graph,
+                                 const EnumOptions& options,
                                  ResultSink& sink) {
-  const EnumOptions options = FpOptions(k, q);
-  KPLEX_RETURN_IF_ERROR(ValidateOptions(options));
-  WallTimer timer;
-  EnumResult result;
-
-  const uint32_t core_level = q >= k ? q - k : 0;
-  CoreReduction core = ReduceToCore(graph, core_level);
-  if (core.graph.NumVertices() == 0) {
-    result.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  const DegeneracyResult degeneracy = ComputeDegeneracy(core.graph);
-
-  for (uint32_t idx = 0; idx < core.graph.NumVertices(); ++idx) {
-    const VertexId seed = degeneracy.order[idx];
-    auto sg = BuildSeedGraph(core.graph, core.to_original, degeneracy, seed,
-                             options, &result.counters);
-    if (!sg.has_value()) continue;
-
-    // One monolithic task per seed: P = {v_i}, C = V_i \ {v_i}
-    // (neighbors *and* two-hop vertices together), X = the fringe.
-    TaskState task = TaskState::MakeEmpty(*sg);
-    task.AddToP(*sg, SeedGraph::kSeed);
-    task.c = sg->n1_mask;
-    task.c.OrWith(sg->n2_mask);
-    task.x = sg->fringe_mask;
-
-    BranchEngine engine(*sg, options, sink, result.counters);
-    engine.Run(task);
-  }
-
-  result.num_plexes = result.counters.outputs;
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  return RunSeedStages(graph, options, /*num_workers=*/1, /*timeout_ms=*/0,
+                       EnumerateWholeSeed, sink);
 }
 
 }  // namespace kplex

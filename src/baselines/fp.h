@@ -15,14 +15,22 @@
 #define KPLEX_BASELINES_FP_H_
 
 #include "core/enumerator.h"
+#include "core/options.h"
 #include "core/sink.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
 namespace kplex {
 
-/// Enumerates all maximal k-plexes with >= q vertices, FP-style.
-StatusOr<EnumResult> FpEnumerate(const Graph& graph, uint32_t k, uint32_t q,
+/// The engine configuration that reproduces FP's search behaviour.
+EnumOptions FpOptions(uint32_t k, uint32_t q);
+
+/// Enumerates all maximal k-plexes with >= q vertices, FP-style: one
+/// task per seed of the canonical seed order. `options` is FpOptions
+/// plus any run limits (max_results, time limit, cancel, seed range);
+/// the emission order is fixed, so a resume cursor is exact.
+StatusOr<EnumResult> FpEnumerate(const Graph& graph,
+                                 const EnumOptions& options,
                                  ResultSink& sink);
 
 }  // namespace kplex

@@ -17,7 +17,7 @@ namespace kplex {
 AlgoFn MakeSequentialAlgo(const std::string& name, uint32_t k, uint32_t q) {
   if (name == "FP") {
     return [k, q](const Graph& g, ResultSink& sink) {
-      return FpEnumerate(g, k, q, sink);
+      return FpEnumerate(g, FpOptions(k, q), sink);
     };
   }
   if (name == "ListPlex") {

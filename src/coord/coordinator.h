@@ -18,7 +18,7 @@
 //     drains while chunks are still in flight, an idle lane *steals*:
 //     it picks the longest-running un-stolen chunk and sends
 //     `shardstop` to its worker over a fresh ephemeral connection. The
-//     victim stops at the next seed boundary and returns a yielded
+//     victim stops at the next stage boundary and returns a yielded
 //     result covering a prefix; the victim's lane merges the prefix
 //     and requeues the tail, which the idle lane then picks up.
 //

@@ -4,11 +4,29 @@
 
 namespace kplex {
 
+BranchEngine::BranchEngine(const EnumOptions& options, ResultSink& sink,
+                           AlgoCounters& counters)
+    : options_(options), sink_(sink), counters_(counters),
+      pivot_(options.pivot_saturation_tiebreak) {}
+
 BranchEngine::BranchEngine(const SeedGraph& sg, const EnumOptions& options,
                            ResultSink& sink, AlgoCounters& counters)
-    : sg_(sg), options_(options), sink_(sink), counters_(counters),
-      pivot_(sg, options.pivot_saturation_tiebreak),
-      saturated_(sg.universe), pc_(sg.universe), sat_pc_(sg.universe) {}
+    : BranchEngine(options, sink, counters) {
+  Retarget(sg);
+}
+
+void BranchEngine::Retarget(const SeedGraph& sg) {
+  sg_ = &sg;
+  pivot_.Retarget(sg);
+  saturated_.ResizeClear(sg.universe);
+  pc_.ResizeClear(sg.universe);
+  sat_pc_.ResizeClear(sg.universe);
+}
+
+BranchEngine::Frame& BranchEngine::FrameAtDepth() {
+  if (depth_ == frames_.size()) frames_.push_back(std::make_unique<Frame>());
+  return *frames_[depth_];
+}
 
 void BranchEngine::Run(TaskState& state) { Branch(state); }
 
@@ -32,7 +50,7 @@ void BranchEngine::FilterSet(const TaskState& state,
                              DynamicBitset& set) {
   // Saturated members of P admit only their neighbors.
   saturated.ForEach([&](std::size_t u) {
-    set.AndWith(sg_.adj.Row(static_cast<uint32_t>(u)));
+    set.AndWith(sg_->adj.Row(static_cast<uint32_t>(u)));
   });
   // Per-vertex budget: P ∪ {v} keeps v within k non-neighbors
   // (counting v itself) iff dp[v] + k >= |P| + 1.
@@ -47,9 +65,9 @@ void BranchEngine::FilterSet(const TaskState& state,
 }
 
 void BranchEngine::PrepareInclude(TaskState& state, uint32_t vp) {
-  state.AddToP(sg_, vp);
-  if (sg_.pairs.has_value()) {
-    const BitSpan allowed = sg_.pairs->Row(vp);
+  state.AddToP(*sg_, vp);
+  if (sg_->pairs.has_value()) {
+    const BitSpan allowed = sg_->pairs->Row(vp);
     state.c.AndWith(allowed);
     state.x.AndWith(allowed);
   }
@@ -58,7 +76,7 @@ void BranchEngine::PrepareInclude(TaskState& state, uint32_t vp) {
 void BranchEngine::EmitPlex(const DynamicBitset& members) {
   emit_.clear();
   members.ForEach([&](std::size_t v) {
-    emit_.push_back(sg_.to_global[v]);
+    emit_.push_back(sg_->to_global[v]);
   });
   std::sort(emit_.begin(), emit_.end());
   ++counters_.outputs;
@@ -81,12 +99,11 @@ bool BranchEngine::HasExtenderOfPc(const TaskState& state,
   });
   for (std::size_t x = state.x.FindFirst(); x != DynamicBitset::kNpos;
        x = state.x.FindNext(x + 1)) {
-    const uint32_t dx = static_cast<uint32_t>(
-        sg_.adj.Row(static_cast<uint32_t>(x)).AndCountLimit(pc, sg_.vi_words));
+    const BitSpan row = sg_->adj.Row(static_cast<uint32_t>(x));
+    const uint32_t dx =
+        static_cast<uint32_t>(row.AndCountLimit(pc, sg_->vi_words));
     if (dx + k < pc_size + 1) continue;
-    if (sat_pc_.IsSubsetOf(sg_.adj.Row(static_cast<uint32_t>(x)))) {
-      return true;
-    }
+    if (sat_pc_.IsSubsetOf(row)) return true;
   }
   return false;
 }
@@ -106,7 +123,7 @@ void BranchEngine::Branch(TaskState& state) {
   if (CheckGlobalDeadline()) return;
 
   // Alg. 3 Lines 2-3: keep only vertices that still combine with P.
-  state.ComputeSaturated(sg_, options_.k, saturated_);
+  state.ComputeSaturated(*sg_, options_.k, saturated_);
   FilterSet(state, saturated_, state.c);
   FilterSet(state, saturated_, state.x);
 
@@ -150,10 +167,10 @@ void BranchEngine::Branch(TaskState& state) {
   if (options_.upper_bound != UpperBoundMode::kNone) {
     const uint32_t ub_support =
         options_.upper_bound == UpperBoundMode::kOurs
-            ? UbSupport(sg_, state, vp, options_.k, bound_scratch_)
-            : UbSupportSorted(sg_, state, vp, options_.k, bound_scratch_);
+            ? UbSupport(*sg_, state, vp, options_.k, bound_scratch_)
+            : UbSupportSorted(*sg_, state, vp, options_.k, bound_scratch_);
     const uint32_t ub =
-        std::min(ub_support, UbDegree(sg_, state, vp, options_.k));
+        std::min(ub_support, UbDegree(*sg_, state, vp, options_.k));
     if (ub < options_.q) {
       include_allowed = false;
       ++counters_.ub_prunes;
@@ -165,10 +182,7 @@ void BranchEngine::Branch(TaskState& state) {
 void BranchEngine::BranchBinary(TaskState& state, uint32_t vp,
                                 bool include_allowed) {
   if (include_allowed) {
-    if (depth_ == frames_.size()) {
-      frames_.push_back(std::make_unique<TaskState>());
-    }
-    TaskState& child = *frames_[depth_];
+    TaskState& child = FrameAtDepth().child;
     child = state;
     child.c.Reset(vp);
     PrepareInclude(child, vp);
@@ -184,50 +198,51 @@ void BranchEngine::BranchBinary(TaskState& state, uint32_t vp,
 
 void BranchEngine::BranchFaplexen(TaskState& state, uint32_t vp) {
   // Eq (4)-(6). vp lies in P; its non-neighbors in C drive the split.
-  ws_.clear();
-  state.c.ForEachAndNot(sg_.adj.Row(vp), [&](std::size_t w) {
-    ws_.push_back(static_cast<uint32_t>(w));
+  Frame& frame = FrameAtDepth();
+  ++depth_;
+  std::vector<uint32_t>& ws = frame.ws;
+  ws.clear();
+  state.c.ForEachAndNot(sg_->adj.Row(vp), [&](std::size_t w) {
+    ws.push_back(static_cast<uint32_t>(w));
   });
-  if (ws_.empty()) return;  // unreachable: the k-plex shortcut fires first
-  int64_t s64 = static_cast<int64_t>(options_.k) -
-                static_cast<int64_t>(state.NonNeighborsInP(vp));
-  if (s64 < 1) return;  // unreachable for the same reason
-  const std::size_t s =
-      std::min<std::size_t>(static_cast<std::size_t>(s64), ws_.size());
-  const std::size_t ell = ws_.size();
-  // `ws_` may be clobbered by recursion below; keep a local copy.
-  std::vector<uint32_t> ws(ws_.begin(), ws_.begin() + ell);
-
-  // `run` accumulates the include-prefix w_1 .. w_{i-1}.
-  TaskState run = state;
-  for (std::size_t i = 1; i <= s; ++i) {
-    const uint32_t wi = ws[i - 1];
-    {
+  const int64_t budget = static_cast<int64_t>(options_.k) -
+                         static_cast<int64_t>(state.NonNeighborsInP(vp));
+  // Both guards are unreachable: the k-plex shortcut fires first.
+  if (!ws.empty() && budget >= 1) {
+    const std::size_t s =
+        std::min<std::size_t>(static_cast<std::size_t>(budget), ws.size());
+    // `run` accumulates the include-prefix w_1 .. w_{i-1}.
+    TaskState& run = frame.run;
+    run = state;
+    for (std::size_t i = 1; i <= s; ++i) {
+      const uint32_t wi = ws[i - 1];
       // Branch i: keep the prefix, exclude w_i  (Eq (4) for i = 1,
       // Eq (5) otherwise).
-      TaskState child = run;
-      child.c.Reset(wi);
-      child.x.Set(wi);
-      Dispatch(child);
-    }
-    // Extend the prefix with w_i; if that breaks the k-plex property no
-    // later branch has a valid P (hereditariness), so stop.
-    run.ComputeSaturated(sg_, options_.k, saturated_);
-    if (!run.c.Test(wi) ||
-        !run.CanAdd(sg_, saturated_, wi, options_.k)) {
-      return;
-    }
-    run.c.Reset(wi);
-    PrepareInclude(run, wi);
-    if (i == s) {
-      // Final branch (Eq (6)): all of w_1..w_s in P. vp is saturated
-      // now, so the remaining non-neighbors w_{s+1}..w_l can never join
-      // any extension; drop them from C (they need not enter X either:
-      // adding one would overflow vp's budget in any superset).
-      for (std::size_t j = s; j < ell; ++j) run.c.Reset(ws[j]);
-      Dispatch(run);
+      frame.child = run;
+      frame.child.c.Reset(wi);
+      frame.child.x.Set(wi);
+      Dispatch(frame.child);
+      // Extend the prefix with w_i; if that breaks the k-plex property
+      // no later branch has a valid P (hereditariness), so stop.
+      run.ComputeSaturated(*sg_, options_.k, saturated_);
+      if (!run.c.Test(wi) ||
+          !run.CanAdd(*sg_, saturated_, wi, options_.k)) {
+        break;
+      }
+      run.c.Reset(wi);
+      PrepareInclude(run, wi);
+      if (i == s) {
+        // Final branch (Eq (6)): all of w_1..w_s in P. vp is saturated
+        // now, so the remaining non-neighbors w_{s+1}..w_l can never
+        // join any extension; drop them from C (they need not enter X
+        // either: adding one would overflow vp's budget in any
+        // superset).
+        for (std::size_t j = s; j < ws.size(); ++j) run.c.Reset(ws[j]);
+        Dispatch(run);
+      }
     }
   }
+  --depth_;
 }
 
 }  // namespace kplex

@@ -3,10 +3,12 @@
 // plus Eq (3) upper-bound pruning), the "Ours_P" FaPlexen branching
 // variant (Eq (4)-(6)), and the ablation configurations of Tables 5/6.
 //
-// One engine is constructed per (seed graph, task execution); scratch
-// buffers are reused across the recursion, which never interleaves two
-// computations, and so are the include-branch child states, one per
-// recursion depth: a warmed engine allocates nothing per branch. The
+// One engine serves a whole run of one worker: Retarget points it at
+// each task's seed graph. Scratch buffers are reused across tasks and
+// across the recursion, which never interleaves two computations, and
+// so are the child states of both branchings, one frame per recursion
+// depth: a warmed engine allocates nothing per branch, and re-targeting
+// it at a seed graph whose universe fits allocates nothing either. The
 // optional per-task timeout implements the straggler decomposition of
 // Section 6: once the deadline passes, pending recursive calls are
 // re-packaged as standalone TaskStates and handed to the spawn callback
@@ -35,15 +37,24 @@ class BranchEngine {
  public:
   using SpawnFn = std::function<void(TaskState&&)>;
 
+  /// An engine with no seed graph yet; Retarget it before each Run.
+  BranchEngine(const EnumOptions& options, ResultSink& sink,
+               AlgoCounters& counters);
   BranchEngine(const SeedGraph& sg, const EnumOptions& options,
                ResultSink& sink, AlgoCounters& counters);
 
-  /// Enables timeout decomposition: recursive calls issued after
-  /// `deadline_nanos` (WallTimer::NowNanos clock) are spawned through
+  /// Points the engine at `sg` (borrowed until the next Retarget). The
+  /// scratch buffers and frames keep their capacity.
+  void Retarget(const SeedGraph& sg);
+
+  /// Enables timeout decomposition: once a task's deadline (see
+  /// SetTaskDeadline) has passed, its recursive calls are handed to
   /// `spawn` instead of executed.
-  void SetTaskTimeout(int64_t deadline_nanos, SpawnFn spawn) {
+  void SetSpawn(SpawnFn spawn) { spawn_ = std::move(spawn); }
+
+  /// Deadline of the next task, on the WallTimer::NowNanos clock.
+  void SetTaskDeadline(int64_t deadline_nanos) {
     deadline_nanos_ = deadline_nanos;
-    spawn_ = std::move(spawn);
   }
 
   /// Enables a global soft deadline; when exceeded, the engine unwinds
@@ -90,7 +101,7 @@ class BranchEngine {
   }
   bool CheckGlobalDeadline();
 
-  const SeedGraph& sg_;
+  const SeedGraph* sg_ = nullptr;
   const EnumOptions& options_;
   ResultSink& sink_;
   AlgoCounters& counters_;
@@ -101,15 +112,23 @@ class BranchEngine {
   DynamicBitset saturated_;
   DynamicBitset pc_;
   DynamicBitset sat_pc_;
-  std::vector<uint32_t> ws_;
   std::vector<VertexId> emit_;
-  // frames_[d] is the include child of the BranchBinary call with d
-  // include frames above it on the stack (`depth_` of them are live).
-  // Copy-assigning into a frame reuses its buffers; unique_ptr keeps a
-  // frame's address fixed while the vector grows. A frame moved out by
-  // a timeout spawn grows again on its next use.
-  std::vector<std::unique_ptr<TaskState>> frames_;
+  // The states a branching call keeps live while its children run:
+  // BranchBinary uses `child` for its include branch, BranchFaplexen all
+  // three for its prefix, its current child and its split vertices.
+  struct Frame {
+    TaskState child;
+    TaskState run;
+    std::vector<uint32_t> ws;
+  };
+  // frames_[d] belongs to the branching call with d frame-holding calls
+  // above it on the stack (`depth_` of them are live). Copy-assigning
+  // into a frame reuses its buffers; unique_ptr keeps a frame's address
+  // fixed while the vector grows. A state moved out by a timeout spawn
+  // grows again on its next use.
+  std::vector<std::unique_ptr<Frame>> frames_;
   std::size_t depth_ = 0;
+  Frame& FrameAtDepth();
 
   int64_t deadline_nanos_ = 0;
   SpawnFn spawn_;

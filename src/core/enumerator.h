@@ -1,7 +1,9 @@
-// Sequential driver (Algorithm 2): (q-k)-core reduction, degeneracy
+// Sequential mining (Algorithm 2): (q-k)-core reduction, degeneracy
 // ordering, per-seed subgraph construction, sub-task enumeration and
 // branch-and-bound. This is the public entry point of the library for
 // single-threaded mining; src/parallel provides the multi-threaded one.
+// Both are the stage runner of core/stage_runner.h, with one worker or
+// with M, and report the same EnumResult.
 
 #ifndef KPLEX_CORE_ENUMERATOR_H_
 #define KPLEX_CORE_ENUMERATOR_H_
@@ -29,28 +31,31 @@ struct EnumResult {
   /// True when the run stopped early due to options.time_limit_seconds.
   bool timed_out = false;
   /// True when the run stopped cleanly after options.max_results hits.
+  /// With several workers each counts its own emissions against the
+  /// cap, so the run may emit more than max_results.
   bool stopped_early = false;
   /// True when the run was aborted through options.cancel.
   bool cancelled = false;
-  /// Resume cursor, set by the sequential driver when the run stopped
-  /// at options.max_results: `resume_seed` is the canonical seed index
+  /// Resume cursor, set by a one-worker run that stopped at
+  /// options.max_results: `resume_seed` is the canonical seed index
   /// that was mid-enumeration and `resume_ordinal` the number of plexes
   /// already emitted from that seed. Re-running with seed_range.begin =
   /// resume_seed while dropping the first resume_ordinal emissions
   /// continues the enumeration exactly where it stopped (each seed
-  /// re-enumerates deterministically from scratch).
+  /// re-enumerates deterministically from scratch). Several workers
+  /// emit in no fixed order, so their runs set none.
   bool has_resume = false;
   uint32_t resume_seed = 0;
   uint64_t resume_ordinal = 0;
-  /// True when the run stopped at a seed boundary because options.yield
-  /// was set. A yielded run is a *complete* answer for the covered
-  /// range below — the only early stop that is (cancel/timeout abandon
-  /// mid-seed work).
+  /// True when the run stopped at a stage boundary because options.yield
+  /// was set (a stage is one seed with one worker). A yielded run is a
+  /// *complete* answer for the covered range below — the only early
+  /// stop that is (cancel/timeout abandon mid-seed work).
   bool yielded = false;
   /// Half-open range of canonical seed indices this run fully
   /// enumerated: the clamped requested range, except covered_end drops
-  /// to the yield boundary on a yielded run. Meaningless (equal, empty)
-  /// when the run was cancelled or timed out.
+  /// to the yield boundary on a yielded run. Set at every worker count.
+  /// Meaningless when the run was cancelled, timed out or stopped early.
   uint32_t covered_begin = 0;
   uint32_t covered_end = 0;
   AlgoCounters counters;

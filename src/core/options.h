@@ -109,20 +109,18 @@ struct EnumOptions {
   const std::atomic<bool>* cancel = nullptr;
 
   /// Cooperative yield hook (coordinator work-stealing): when
-  /// non-null, the *sequential* driver checks the flag at every seed
-  /// boundary and, once set, stops cleanly before the next seed. Unlike
-  /// cancel, a yielded run is a complete answer for the seeds it did
-  /// process — EnumResult reports yielded=true and covered_end, so a
-  /// coordinator can merge the covered prefix and re-issue the tail
-  /// elsewhere. The parallel engine ignores the flag (its seeds are
-  /// interleaved across workers, so no prefix is complete) and simply
-  /// runs to completion — a steal against it degrades to a no-op.
+  /// non-null, the runner checks the flag between stages (a stage is
+  /// one seed with one worker) and, once set, stops cleanly before the
+  /// next stage, with every worker at the same boundary. Unlike cancel,
+  /// a yielded run is a complete answer for the seeds it did process —
+  /// EnumResult reports yielded=true and covered_end, so a coordinator
+  /// can merge the covered prefix and re-issue the tail elsewhere.
   const std::atomic<bool>* yield = nullptr;
 
   /// Progress hook: invoked as progress(done, total, outputs) after each
-  /// processed seed vertex (sequential engine) or each completed stage
-  /// (parallel engine, from a single thread at the stage barrier), where
-  /// `done`/`total` count seed vertices of the reduced graph and
+  /// stage that processed a seed (a stage is one seed with one worker;
+  /// with several, the hook runs on one thread at the stage barrier),
+  /// where `done`/`total` count seed vertices of the reduced graph and
   /// `outputs` is the number of maximal k-plexes emitted so far. Must be
   /// cheap; a null hook costs nothing.
   std::function<void(uint64_t done, uint64_t total, uint64_t outputs)>

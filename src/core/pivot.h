@@ -26,10 +26,19 @@ struct PivotResult {
 class PivotSelector {
  public:
   /// `saturation_tiebreak` selects the paper's Line-8 tie rule; when
-  /// false, ties are broken by smallest local id only.
+  /// false, ties are broken by smallest local id only. Retarget before
+  /// the first Select.
+  explicit PivotSelector(bool saturation_tiebreak)
+      : saturation_tiebreak_(saturation_tiebreak) {}
   explicit PivotSelector(const SeedGraph& sg, bool saturation_tiebreak = true)
-      : sg_(&sg), saturation_tiebreak_(saturation_tiebreak) {
-    degree_pc_.resize(sg.universe, 0);
+      : saturation_tiebreak_(saturation_tiebreak) {
+    Retarget(sg);
+  }
+
+  /// Points the selector at `sg`, keeping the degree table's capacity.
+  void Retarget(const SeedGraph& sg) {
+    sg_ = &sg;
+    if (degree_pc_.size() < sg.universe) degree_pc_.resize(sg.universe, 0);
   }
 
   /// Computes d_{P∪C} for all members and selects the pivot. `pc` must
@@ -46,7 +55,7 @@ class PivotSelector {
   uint32_t DegreePc(uint32_t v) const { return degree_pc_[v]; }
 
  private:
-  const SeedGraph* sg_;
+  const SeedGraph* sg_ = nullptr;
   bool saturation_tiebreak_;
   std::vector<uint32_t> degree_pc_;
 };

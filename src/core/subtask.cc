@@ -83,4 +83,14 @@ void EnumerateSubtasks(const SeedGraph& sg, const EnumOptions& options,
   SubtaskEnumerator(sg, options, counters, consume).Run();
 }
 
+void EnumerateWholeSeed(const SeedGraph& sg, const EnumOptions&,
+                        AlgoCounters&, const TaskConsumer& consume) {
+  TaskState task = TaskState::MakeEmpty(sg);
+  task.AddToP(sg, SeedGraph::kSeed);
+  task.c = sg.n1_mask;
+  task.c.OrWith(sg.n2_mask);
+  task.x = sg.fringe_mask;
+  consume(std::move(task));
+}
+
 }  // namespace kplex

@@ -1,4 +1,4 @@
-#include "parallel/task_queue.h"
+#include "core/task_queue.h"
 
 namespace kplex {
 

@@ -4,8 +4,8 @@
 // seed subgraph that is hot in cache) while idle workers steal from the
 // back (coarse, older tasks — classic work-stealing discipline).
 
-#ifndef KPLEX_PARALLEL_TASK_QUEUE_H_
-#define KPLEX_PARALLEL_TASK_QUEUE_H_
+#ifndef KPLEX_CORE_TASK_QUEUE_H_
+#define KPLEX_CORE_TASK_QUEUE_H_
 
 #include <deque>
 #include <memory>
@@ -43,4 +43,4 @@ class TaskQueue {
 
 }  // namespace kplex
 
-#endif  // KPLEX_PARALLEL_TASK_QUEUE_H_
+#endif  // KPLEX_CORE_TASK_QUEUE_H_

@@ -1,8 +1,8 @@
 #ifndef KPLEX_OBS_PROGRESS_THROTTLE_H_
 #define KPLEX_OBS_PROGRESS_THROTTLE_H_
 
-// Rate limiter for the EnumOptions::progress hook. On tiny seeds the
-// sequential enumerator would otherwise invoke the hook per seed —
+// Rate limiter for the EnumOptions::progress hook. On tiny seeds a
+// one-worker run would otherwise invoke the hook per seed —
 // thousands of calls per second into whatever gauge or UI the caller
 // wired up. The throttle lets one invocation through per configured
 // interval and always lets the final (done == total) invocation
@@ -10,8 +10,8 @@
 // are counted in kplex_enum_progress_suppressed_total.
 //
 // Single-threaded by design: each enumeration run owns its throttle
-// (the sequential seed loop and the parallel stage barrier both invoke
-// progress from one thread at a time).
+// (the stage runner invokes progress from one thread at a time, at its
+// stage barrier).
 
 #include <cstdint>
 

@@ -96,9 +96,9 @@ class ServiceDispatcher {
   Status Cancel(uint64_t id);
 
   /// Requests a cooperative yield (work-stealing, sharding v2): flips
-  /// the job's yield flag so a running sequential enumeration stops
-  /// cleanly at the next seed boundary, reporting a complete answer for
-  /// its covered prefix. A queued job is untouched (it will observe the
+  /// the job's yield flag so a running enumeration stops cleanly at
+  /// the next stage boundary (the next seed when sequential), reporting
+  /// a complete answer for its covered prefix. A queued job is untouched (it will observe the
   /// flag the moment it starts and yield with an empty covered range).
   /// NotFound for unknown ids, FailedPrecondition for terminal jobs —
   /// the job finished whole, there is nothing left to steal.

@@ -194,12 +194,11 @@ struct ShardWaitRequest {
 };
 
 /// `shardstop ID` — request a cooperative yield of shard job ID
-/// (ServiceDispatcher::Yield): a running sequential enumeration stops
-/// cleanly at the next seed boundary and its shard_result reports the
-/// covered prefix, letting a coordinator re-issue the remainder to an
-/// idle worker. Engines without seed-boundary yield support (parallel,
-/// fp) ignore the flag and finish whole — the steal degrades to a
-/// no-op, never to a wrong answer.
+/// (ServiceDispatcher::Yield): a running enumeration stops cleanly at
+/// the next stage boundary (the next seed when sequential; every
+/// worker of a `threads=N` run at the same one) and its shard_result
+/// reports the covered prefix, letting a coordinator re-issue the
+/// remainder to an idle worker.
 struct ShardStopRequest {
   uint64_t job = 0;
 };

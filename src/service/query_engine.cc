@@ -407,11 +407,6 @@ Status ValidateQuery(const QueryRequest& request) {
           "cursor resume requires a sequential run (threads=0): parallel "
           "truncation does not produce a deterministic prefix");
     }
-    if (request.algo == QueryAlgo::kFp) {
-      return Status::InvalidArgument(
-          "the fp baseline does not support cursors (it has its own "
-          "search order)");
-    }
     if (request.top_k > 0) {
       return Status::InvalidArgument(
           "cursor does not compose with top=K (top selects over the "
@@ -480,7 +475,7 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
       options = ListPlexOptions(request.k, request.q);
       break;
     case QueryAlgo::kFp:
-      options = EnumOptions::Ours(request.k, request.q);  // validated only
+      options = FpOptions(request.k, request.q);
       break;
   }
   options.max_results = request.max_results;
@@ -546,7 +541,7 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
     enumerate_span.AddAttr("q", std::to_string(request.q));
     enumerate_span.AddAttr("algo", QueryAlgoName(request.algo));
     if (request.algo == QueryAlgo::kFp) {
-      run = FpEnumerate(graph, request.k, request.q, sink);
+      run = FpEnumerate(graph, options, sink);
     } else if (request.threads > 0) {
       ParallelOptions parallel;
       parallel.num_threads = request.threads;
@@ -581,15 +576,8 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
   result.stopped_early = run->stopped_early;
   result.cancelled = run->cancelled;
   result.yielded = run->yielded;
-  // Covered range: computed from the request so the fp and parallel
-  // drivers (which never yield and leave EnumResult's range unset)
-  // still report full coverage of their clamped range.
-  result.covered_begin = static_cast<uint32_t>(
-      std::min<uint64_t>(request.seed_begin, run->total_seeds));
-  result.covered_end =
-      run->yielded ? run->covered_end
-                   : static_cast<uint32_t>(std::min<uint64_t>(
-                         request.seed_end, run->total_seeds));
+  result.covered_begin = run->covered_begin;
+  result.covered_end = run->covered_end;
   result.reduction_precomputed =
       run->counters.core_reductions_precomputed > 0;
   result.counters = run->counters;

@@ -63,7 +63,7 @@ struct QueryRequest {
   QueryAlgo algo = QueryAlgo::kOurs;
   /// 0 runs the sequential engine; > 0 the parallel one with that many
   /// workers, at most kMaxQueryThreads. Ignored for the fp baseline
-  /// (sequential only).
+  /// (one worker only).
   uint32_t threads = 0;
   /// Straggler timeout for the parallel engine, milliseconds.
   double tau_ms = 0.1;
@@ -161,9 +161,10 @@ struct QueryResult {
   bool timed_out = false;
   bool stopped_early = false;
   bool cancelled = false;
-  /// True when the run stopped at a seed boundary because the request's
-  /// yield flag was set; the result is then complete for the covered
-  /// range below, and only for it.
+  /// True when the run stopped at a stage boundary (a seed boundary
+  /// when sequential) because the request's yield flag was set; the
+  /// result is then complete for the covered range below, and only for
+  /// it.
   bool yielded = false;
   /// Half-open range of canonical seed indices this answer fully
   /// covers: the clamped requested range, except covered_end drops to

@@ -82,7 +82,7 @@ TEST(Fp, MatchesEngineOnMediumGraphs) {
              {2, 5}, {3, 6}}) {
       auto ours = RunEngine(g, EnumOptions::Ours(k, q));
       CollectingSink sink;
-      auto result = FpEnumerate(g, k, q, sink);
+      auto result = FpEnumerate(g, FpOptions(k, q), sink);
       ASSERT_TRUE(result.ok());
       EXPECT_EQ(sink.SortedResults(), ours);
     }
@@ -94,7 +94,7 @@ TEST(Fp, CreatesNoSubtasks) {
   // enumeration), so its sub-task counter stays zero.
   Graph g = GenerateBarabasiAlbert(100, 6, 94);
   CollectingSink sink;
-  auto result = FpEnumerate(g, 2, 5, sink);
+  auto result = FpEnumerate(g, FpOptions(2, 5), sink);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->counters.subtasks, 0u);
   EXPECT_GT(result->counters.branch_calls, 0u);
@@ -103,7 +103,7 @@ TEST(Fp, CreatesNoSubtasks) {
 TEST(Fp, RejectsInvalidParameters) {
   Graph g = GenerateErdosRenyi(10, 0.3, 1);
   CollectingSink sink;
-  EXPECT_FALSE(FpEnumerate(g, 3, 2, sink).ok());
+  EXPECT_FALSE(FpEnumerate(g, FpOptions(3, 2), sink).ok());
 }
 
 TEST(Baselines, AgreeOnKarateClub) {
@@ -117,7 +117,7 @@ TEST(Baselines, AgreeOnKarateClub) {
     EXPECT_EQ(ours, bk.SortedResults()) << "k=" << k << " q=" << q;
     EXPECT_EQ(RunEngine(*g, ListPlexOptions(k, q)), ours);
     CollectingSink fp;
-    ASSERT_TRUE(FpEnumerate(*g, k, q, fp).ok());
+    ASSERT_TRUE(FpEnumerate(*g, FpOptions(k, q), fp).ok());
     EXPECT_EQ(fp.SortedResults(), ours);
   }
 }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "baselines/bk_naive.h"
 #include "core/enumerator.h"
@@ -177,41 +178,100 @@ TEST(BranchEdgeCases, GraphSmallerThanQYieldsNothingQuickly) {
   EXPECT_EQ(run->counters.branch_calls, 0u);  // core reduction kills all
 }
 
+// The sub-task of `sg` with the largest candidate set.
+TaskState LargestSubtask(const SeedGraph& sg, const EnumOptions& options) {
+  TaskState task;
+  AlgoCounters counters;
+  EnumerateSubtasks(sg, options, counters, [&](TaskState&& state) {
+    if (state.c.Count() > task.c.Count()) task = std::move(state);
+  });
+  return task;
+}
+
+template <typename Body>
+uint64_t NewsDuring(const Body& body) {
+  g_news.store(0);
+  g_count_news.store(true);
+  body();
+  g_count_news.store(false);
+  return g_news.load();
+}
+
 TEST(BranchEngine, WarmedEngineRunsASubtaskWithoutAllocating) {
-  // The include branches of a search reuse one child state per depth,
-  // so running a sub-task a second time on the same engine allocates
-  // nothing: not per branch, not per emitted plex.
+  // The child states of both branchings (Ours: include/exclude, Ours_P:
+  // Eq (4)-(6)) are reused per recursion depth, so running a sub-task a
+  // second time on the same engine allocates nothing: not per branch,
+  // not per emitted plex.
+  Graph g = GenerateErdosRenyi(60, 0.5, 93);
+  const DegeneracyResult degeneracy = ComputeDegeneracy(g);
+  for (const EnumOptions& options :
+       {EnumOptions::Ours(3, 8), EnumOptions::OursP(3, 8)}) {
+    SCOPED_TRACE(static_cast<int>(options.branching));
+    auto sg = BuildSeedGraph(g, {}, degeneracy, degeneracy.order[0],
+                             options, nullptr);
+    ASSERT_TRUE(sg.has_value());
+    const TaskState task = LargestSubtask(*sg, options);
+
+    CountingSink sink;
+    AlgoCounters counters;
+    BranchEngine engine(*sg, options, sink, counters);
+    TaskState warm = task;
+    engine.Run(warm);
+    const uint64_t calls = counters.branch_calls;
+    const uint64_t outputs = counters.outputs;
+    ASSERT_GT(calls, 100u);
+    ASSERT_GT(outputs, 0u);
+
+    TaskState again = task;
+    EXPECT_EQ(NewsDuring([&] { engine.Run(again); }), 0u);
+    EXPECT_EQ(counters.branch_calls, 2 * calls);
+    EXPECT_EQ(counters.outputs, 2 * outputs);
+  }
+}
+
+TEST(BranchEngine, RetargetedEngineRunsASubtaskWithoutAllocating) {
+  // One engine serves a worker's whole run: re-targeting it at another
+  // seed graph whose universe fits keeps every buffer, and its results
+  // equal a fresh engine's.
   Graph g = GenerateErdosRenyi(60, 0.5, 93);
   const EnumOptions options = EnumOptions::Ours(3, 8);
   const DegeneracyResult degeneracy = ComputeDegeneracy(g);
-  auto sg = BuildSeedGraph(g, {}, degeneracy, degeneracy.order[0], options,
-                           nullptr);
-  ASSERT_TRUE(sg.has_value());
-  // The sub-task with the largest candidate set.
-  TaskState task;
-  AlgoCounters subtask_counters;
-  EnumerateSubtasks(*sg, options, subtask_counters, [&](TaskState&& state) {
-    if (state.c.Count() > task.c.Count()) task = std::move(state);
-  });
+  auto first = BuildSeedGraph(g, {}, degeneracy, degeneracy.order[0],
+                              options, nullptr);
+  auto second = BuildSeedGraph(g, {}, degeneracy, degeneracy.order[1],
+                               options, nullptr);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  if (second->universe > first->universe) std::swap(first, second);
+  const TaskState first_task = LargestSubtask(*first, options);
+  const TaskState second_task = LargestSubtask(*second, options);
+
+  CountingSink fresh_sink;
+  AlgoCounters fresh;
+  BranchEngine fresh_engine(*second, options, fresh_sink, fresh);
+  TaskState fresh_state = second_task;
+  fresh_engine.Run(fresh_state);
+  ASSERT_GT(fresh.branch_calls, 100u);
 
   CountingSink sink;
   AlgoCounters counters;
-  BranchEngine engine(*sg, options, sink, counters);
-  TaskState warm = task;
-  engine.Run(warm);
-  const uint64_t calls = counters.branch_calls;
-  const uint64_t outputs = counters.outputs;
-  ASSERT_GT(calls, 100u);
-  ASSERT_GT(outputs, 0u);
-
-  TaskState again = task;
-  g_news.store(0);
-  g_count_news.store(true);
-  engine.Run(again);
-  g_count_news.store(false);
-  EXPECT_EQ(g_news.load(), 0u);
-  EXPECT_EQ(counters.branch_calls, 2 * calls);
-  EXPECT_EQ(counters.outputs, 2 * outputs);
+  BranchEngine engine(options, sink, counters);
+  for (int pass = 0; pass < 2; ++pass) {
+    engine.Retarget(*first);
+    TaskState a = first_task;
+    engine.Run(a);
+    TaskState b = second_task;
+    const AlgoCounters before = counters;
+    const uint64_t news = NewsDuring([&] {
+      engine.Retarget(*second);
+      engine.Run(b);
+    });
+    // The first pass warms the engine on both graphs.
+    if (pass == 1) EXPECT_EQ(news, 0u);
+    EXPECT_EQ(counters.branch_calls - before.branch_calls,
+              fresh.branch_calls);
+    EXPECT_EQ(counters.outputs - before.outputs, fresh.outputs);
+  }
 }
 
 }  // namespace

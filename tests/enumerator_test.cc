@@ -12,6 +12,7 @@
 #include "baselines/listplex.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "parallel/parallel_enumerator.h"
 #include "tests/test_util.h"
 
 namespace kplex {
@@ -114,7 +115,7 @@ TEST_P(BruteForceSweep, AllVariantsMatchGroundTruth) {
   }
   // FP has its own driver.
   CollectingSink fp_sink;
-  auto fp = FpEnumerate(g, p.k, p.q, fp_sink);
+  auto fp = FpEnumerate(g, FpOptions(p.k, p.q), fp_sink);
   ASSERT_TRUE(fp.ok());
   EXPECT_EQ(fp_sink.SortedResults(), *truth)
       << "FP disagrees with brute force:\n"
@@ -187,7 +188,7 @@ TEST_P(MediumGraphSweep, VariantsAgreeAndOutputsVerify) {
   EXPECT_EQ(RunEngine(g, ListPlexOptions(p.k, p.q)), ours);
 
   CollectingSink fp_sink;
-  ASSERT_TRUE(FpEnumerate(g, p.k, p.q, fp_sink).ok());
+  ASSERT_TRUE(FpEnumerate(g, FpOptions(p.k, p.q), fp_sink).ok());
   EXPECT_EQ(fp_sink.SortedResults(), ours);
 }
 
@@ -204,6 +205,98 @@ INSTANTIATE_TEST_SUITE_P(
                       MediumParam{"ba", 4, 8, 109},
                       MediumParam{"planted", 4, 7, 110}),
     MediumName);
+
+// ---------------------------------------------------------------------------
+// A one-worker run is Algorithm 2's seed loop. Cursors, max-results
+// truncation and stream pagination depend on its emission order, so the
+// order and the resume cursor are pinned to recorded values.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over the emission sequence, plex by plex: any reordering of the
+// results changes it.
+uint64_t EmissionHash(const std::vector<std::vector<VertexId>>& results) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  for (const auto& plex : results) {
+    for (VertexId v : plex) mix(v);
+    mix(~uint64_t{0});
+  }
+  return h;
+}
+
+TEST(EnumeratorOrder, OursOursPAndFpMatchTheirPinnedSequences) {
+  struct Pinned {
+    const char* name;
+    Graph graph;
+    uint32_t k;
+    uint32_t q;
+    std::size_t count;
+    uint64_t ours;
+    uint64_t ours_p;
+    uint64_t fp;
+    // Ours stopped at `max_results` resumes at this cursor.
+    uint64_t max_results;
+    uint32_t resume_seed;
+    uint64_t resume_ordinal;
+  };
+  const Pinned cases[] = {
+      {"ba", GenerateBarabasiAlbert(300, 8, 555), 2, 6, 1184,
+       0x1e2900b273118da1ull, 0xe003996cb839f1e7ull, 0x945b06de68f5b921ull,
+       100, 174, 14},
+      {"er", GenerateErdosRenyi(60, 0.25, 556), 3, 6, 7783,
+       0xc3832221cd8fa6fdull, 0x5339cb7c425cfe67ull, 0x950a73bbb64af619ull,
+       37, 0, 37},
+      {"ws", GenerateWattsStrogatz(200, 10, 0.2, 557), 2, 5, 514,
+       0xc9b6245a41bc19dfull, 0xcc852d8ce3d90517ull, 0xa7a7ce831a8160e1ull,
+       37, 8, 4},
+  };
+  for (const Pinned& c : cases) {
+    SCOPED_TRACE(c.name);
+    const EnumOptions ours_options = EnumOptions::Ours(c.k, c.q);
+    CollectingSink ours;
+    auto sequential = EnumerateMaximalKPlexes(c.graph, ours_options, ours);
+    ASSERT_TRUE(sequential.ok());
+    EXPECT_EQ(ours.size(), c.count);
+    EXPECT_EQ(EmissionHash(ours.Results()), c.ours);
+
+    // One thread runs on the calling thread with no task timeout,
+    // whatever tau asks for: the same sequence and the same counters.
+    CollectingSink one_thread;
+    ParallelOptions one;
+    one.num_threads = 1;
+    one.timeout_ms = 0.1;
+    auto parallel = ParallelEnumerateMaximalKPlexes(c.graph, ours_options,
+                                                    one, one_thread);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(EmissionHash(one_thread.Results()), c.ours);
+    EXPECT_EQ(parallel->counters.timeout_spawns, 0u);
+    EXPECT_EQ(parallel->counters, sequential->counters);
+
+    CollectingSink ours_p;
+    ASSERT_TRUE(EnumerateMaximalKPlexes(c.graph, EnumOptions::OursP(c.k, c.q),
+                                        ours_p)
+                    .ok());
+    EXPECT_EQ(EmissionHash(ours_p.Results()), c.ours_p);
+
+    CollectingSink fp;
+    ASSERT_TRUE(FpEnumerate(c.graph, FpOptions(c.k, c.q), fp).ok());
+    EXPECT_EQ(EmissionHash(fp.Results()), c.fp);
+
+    EnumOptions capped = ours_options;
+    capped.max_results = c.max_results;
+    CountingSink counted;
+    auto cut = EnumerateMaximalKPlexes(c.graph, capped, counted);
+    ASSERT_TRUE(cut.ok());
+    EXPECT_TRUE(cut->stopped_early);
+    EXPECT_EQ(cut->num_plexes, c.max_results);
+    ASSERT_TRUE(cut->has_resume);
+    EXPECT_EQ(cut->resume_seed, c.resume_seed);
+    EXPECT_EQ(cut->resume_ordinal, c.resume_ordinal);
+  }
+}
 
 }  // namespace
 }  // namespace kplex

@@ -112,7 +112,7 @@ TEST(Integration, LargeKSweepOnKarate) {
     EXPECT_EQ(RunEngine(*g, EnumOptions::OursP(k, q)), ours) << "k=" << k;
     EXPECT_EQ(RunEngine(*g, ListPlexOptions(k, q)), ours) << "k=" << k;
     CollectingSink fp_sink;
-    ASSERT_TRUE(FpEnumerate(*g, k, q, fp_sink).ok());
+    ASSERT_TRUE(FpEnumerate(*g, FpOptions(k, q), fp_sink).ok());
     EXPECT_EQ(fp_sink.SortedResults(), ours) << "k=" << k;
   }
 }

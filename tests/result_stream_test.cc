@@ -209,45 +209,52 @@ TEST(ResultStream, TextModeStreamsChunkLinesBeforeTheMineLine) {
 
 TEST(ResultStream, CursorPaginationLosesAndDuplicatesNothing) {
   const Graph graph = GenerateErdosRenyi(150, 0.1, 21);
-  QueryRequest oracle_request;
-  oracle_request.k = 2;
-  oracle_request.q = 5;
-  const Bodies oracle = BufferedBodies(graph, oracle_request);
-  ASSERT_GT(oracle.size(), 20u);
+  // The fp baseline walks the same canonical seed order, one task per
+  // seed, so its emission order is fixed and its cursors are exact too.
+  for (QueryAlgo algo : {QueryAlgo::kOurs, QueryAlgo::kFp}) {
+    SCOPED_TRACE(QueryAlgoName(algo));
+    QueryRequest oracle_request;
+    oracle_request.k = 2;
+    oracle_request.q = 5;
+    oracle_request.algo = algo;
+    const Bodies oracle = BufferedBodies(graph, oracle_request);
+    ASSERT_GT(oracle.size(), 20u);
 
-  FramedHarness harness(graph);
-  Bodies reassembled;
-  std::string cursor;  // empty = first page
-  uint64_t pages = 0;
-  for (;;) {
-    ASSERT_LT(pages, oracle.size()) << "pagination failed to converge";
-    std::string frame =
-        "{\"id\":7,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
-        "\"results\":\"stream\",\"chunk\":3,\"max_results\":7,"
-        "\"cache\":false";
-    if (!cursor.empty()) frame += ",\"cursor\":\"" + cursor + "\"";
-    frame += "}";
-    StreamedExchange page =
-        RunStreamedMine(harness.session, harness.out, frame, 3);
-    ++pages;
-    reassembled.insert(reassembled.end(), page.bodies.begin(),
-                       page.bodies.end());
-    if (!page.verdict.result.has_cursor) {
-      EXPECT_FALSE(page.verdict.result.stopped_early);
-      break;
+    FramedHarness harness(graph);
+    Bodies reassembled;
+    std::string cursor;  // empty = first page
+    uint64_t pages = 0;
+    for (;;) {
+      ASSERT_LT(pages, oracle.size()) << "pagination failed to converge";
+      std::string frame =
+          "{\"id\":7,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+          "\"algo\":\"" + std::string(QueryAlgoName(algo)) + "\","
+          "\"results\":\"stream\",\"chunk\":3,\"max_results\":7,"
+          "\"cache\":false";
+      if (!cursor.empty()) frame += ",\"cursor\":\"" + cursor + "\"";
+      frame += "}";
+      StreamedExchange page =
+          RunStreamedMine(harness.session, harness.out, frame, 3);
+      ++pages;
+      reassembled.insert(reassembled.end(), page.bodies.begin(),
+                         page.bodies.end());
+      if (!page.verdict.result.has_cursor) {
+        EXPECT_FALSE(page.verdict.result.stopped_early);
+        break;
+      }
+      // A client cancelled at its cap resumes from the returned token —
+      // interleave an unrelated mine to show the token is stateless.
+      EXPECT_TRUE(page.verdict.result.stopped_early);
+      EXPECT_TRUE(harness.session.ExecuteLine(
+          "{\"id\":8,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":1,\"q\":4}"));
+      cursor = FormatCursorValue(page.verdict.result.cursor_seed,
+                                 page.verdict.result.cursor_ordinal);
     }
-    // A client cancelled at its cap resumes from the returned token —
-    // interleave an unrelated mine to show the token is stateless.
-    EXPECT_TRUE(page.verdict.result.stopped_early);
-    EXPECT_TRUE(harness.session.ExecuteLine(
-        "{\"id\":8,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":1,\"q\":4}"));
-    cursor = FormatCursorValue(page.verdict.result.cursor_seed,
-                               page.verdict.result.cursor_ordinal);
+    // Exact reassembly: same bodies, same order, no loss, no duplicates.
+    EXPECT_EQ(reassembled, oracle);
+    EXPECT_EQ(pages, (oracle.size() + 6) / 7);
+    EXPECT_EQ(harness.session.errors(), 0u);
   }
-  // Exact reassembly: same bodies, same order, no loss, no duplicates.
-  EXPECT_EQ(reassembled, oracle);
-  EXPECT_EQ(pages, (oracle.size() + 6) / 7);
-  EXPECT_EQ(harness.session.errors(), 0u);
 }
 
 TEST(ResultStream, FiltersCommuteWithEnumeration) {

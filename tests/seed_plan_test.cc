@@ -1,8 +1,9 @@
 // Tests for the seed-plan probe (core/seed_plan.h) and the cooperative
 // yield hook (EnumOptions::yield): the two core primitives of sharded
 // mining v2. The probe's seed space must match the enumerator's
-// exactly, and a yielded run must be a complete answer for its covered
-// prefix — the remainder merged on top reproduces the full fingerprint.
+// exactly, and a yielded run, sequential or parallel, must be a complete
+// answer for its covered prefix — the remainder merged on top
+// reproduces the full fingerprint.
 
 #include "core/seed_plan.h"
 
@@ -14,6 +15,7 @@
 #include "core/enumerator.h"
 #include "core/sink.h"
 #include "graph/generators.h"
+#include "parallel/parallel_enumerator.h"
 
 namespace kplex {
 namespace {
@@ -69,6 +71,15 @@ TEST(Yield, PresetFlagStopsBeforeTheFirstSeed) {
   EXPECT_EQ(result->covered_begin, result->covered_end);
 }
 
+// `threads` 0 runs the sequential driver, otherwise the parallel one.
+StatusOr<EnumResult> Mine(const Graph& g, const EnumOptions& options,
+                          uint32_t threads, ResultSink& sink) {
+  if (threads == 0) return EnumerateMaximalKPlexes(g, options, sink);
+  ParallelOptions parallel;
+  parallel.num_threads = threads;
+  return ParallelEnumerateMaximalKPlexes(g, options, parallel, sink);
+}
+
 TEST(Yield, CoveredPrefixPlusRemainderEqualsTheFullRun) {
   const Graph g = GenerateErdosRenyi(80, 0.18, 9);
   const EnumOptions base = EnumOptions::Ours(2, 4);
@@ -76,43 +87,51 @@ TEST(Yield, CoveredPrefixPlusRemainderEqualsTheFullRun) {
   HashingSink full_sink;
   auto full = EnumerateMaximalKPlexes(g, base, full_sink);
   ASSERT_TRUE(full.ok());
-  ASSERT_GT(full->total_seeds, 4u);
+  ASSERT_GT(full->total_seeds, 12u);
 
-  // Yield partway: raise the flag from the progress hook after a few
-  // seeds, so the run stops at a boundary neither 0 nor the end.
-  std::atomic<bool> yield{false};
-  EnumOptions yielding = base;
-  yielding.yield = &yield;
-  yielding.progress_min_interval_ms = 0;
-  yielding.progress = [&yield](uint64_t done, uint64_t, uint64_t) {
-    if (done >= 3) yield.store(true);
-  };
-  HashingSink prefix_sink;
-  auto prefix = EnumerateMaximalKPlexes(g, yielding, prefix_sink);
-  ASSERT_TRUE(prefix.ok());
-  ASSERT_TRUE(prefix->yielded);
-  ASSERT_EQ(prefix->covered_begin, 0u);
-  ASSERT_LT(prefix->covered_end, full->total_seeds);
-  ASSERT_GT(prefix->covered_end, 0u);
+  // Sequentially (threads 0) a stage is one seed; with three threads
+  // every worker stops at the same stage boundary.
+  for (uint32_t threads : {0u, 3u}) {
+    SCOPED_TRACE(threads);
+    // Yield partway: raise the flag from the progress hook after a few
+    // seeds, so the run stops at a boundary neither 0 nor the end.
+    std::atomic<bool> yield{false};
+    EnumOptions yielding = base;
+    yielding.yield = &yield;
+    yielding.progress_min_interval_ms = 0;
+    yielding.progress = [&yield](uint64_t done, uint64_t, uint64_t) {
+      if (done >= 3) yield.store(true);
+    };
+    HashingSink prefix_sink;
+    auto prefix = Mine(g, yielding, threads, prefix_sink);
+    ASSERT_TRUE(prefix.ok());
+    ASSERT_TRUE(prefix->yielded);
+    ASSERT_EQ(prefix->covered_begin, 0u);
+    ASSERT_LT(prefix->covered_end, full->total_seeds);
+    ASSERT_GT(prefix->covered_end, 0u);
+    // Every worker stops at the same stage boundary, and a stage holds a
+    // whole number of seeds per worker.
+    if (threads > 0) EXPECT_EQ(prefix->covered_end % threads, 0u);
 
-  // The tail run: exactly the seeds the yielded run did not cover.
-  EnumOptions tail_options = base;
-  tail_options.seed_range.begin = prefix->covered_end;
-  tail_options.seed_range.end = UINT32_MAX;
-  HashingSink tail_sink;
-  auto tail = EnumerateMaximalKPlexes(g, tail_options, tail_sink);
-  ASSERT_TRUE(tail.ok());
-  EXPECT_FALSE(tail->yielded);
+    // The tail run: exactly the seeds the yielded run did not cover.
+    EnumOptions tail_options = base;
+    tail_options.seed_range.begin = prefix->covered_end;
+    tail_options.seed_range.end = UINT32_MAX;
+    HashingSink tail_sink;
+    auto tail = Mine(g, tail_options, threads, tail_sink);
+    ASSERT_TRUE(tail.ok());
+    EXPECT_FALSE(tail->yielded);
 
-  MergeableResult merged;
-  merged.count = prefix_sink.count();
-  merged.xor_hash = prefix_sink.xor_hash();
-  MergeableResult tail_piece;
-  tail_piece.count = tail_sink.count();
-  tail_piece.xor_hash = tail_sink.xor_hash();
-  merged.Merge(tail_piece);
-  EXPECT_EQ(merged.count, full->num_plexes);
-  EXPECT_EQ(merged.fingerprint(), full_sink.fingerprint());
+    MergeableResult merged;
+    merged.count = prefix_sink.count();
+    merged.xor_hash = prefix_sink.xor_hash();
+    MergeableResult tail_piece;
+    tail_piece.count = tail_sink.count();
+    tail_piece.xor_hash = tail_sink.xor_hash();
+    merged.Merge(tail_piece);
+    EXPECT_EQ(merged.count, full->num_plexes);
+    EXPECT_EQ(merged.fingerprint(), full_sink.fingerprint());
+  }
 }
 
 TEST(Yield, UnsetFlagChangesNothing) {

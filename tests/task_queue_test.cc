@@ -1,7 +1,7 @@
 // Unit tests for the work-stealing task queue: LIFO owner side, FIFO
 // thief side, and thread-safety under concurrent push/pop/steal.
 
-#include "parallel/task_queue.h"
+#include "core/task_queue.h"
 
 #include <gtest/gtest.h>
 

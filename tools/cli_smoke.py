@@ -17,7 +17,10 @@ Checks (any failure exits non-zero):
      fingerprint as the local run;
   7. `--threads 2 --time-limit 0.05` on wiki-vote-syn reports the time
      limit and stops short of the 229,572 plexes of a full run;
-  8. negative and non-finite flags, thread counts above the 1024 bound
+  8. the fp baseline honours the run limits on wiki-vote-syn:
+     `--max-results 5` prints 5 plexes with the cap hit, and
+     `--time-limit 0.05` reports the time limit;
+  9. negative and non-finite flags, thread counts above the 1024 bound
      (local and --store), the removed `query`/`max` commands, the
      removed `--coordinator`/`--chunk` flags and flags of another mine
      mode all exit non-zero.
@@ -171,6 +174,19 @@ def main():
             count(verdict) >= 229572:
         fail(f"parallel time limit ignored: {verdict.group(0)!r}")
     print("cli_smoke: --threads 2 --time-limit 0.05 stops at the limit")
+
+    wiki_fp = ["mine", "--dataset", "wiki-vote-syn", "--k", "3", "--algo",
+               "fp"]
+    bodies, verdict, _ = run(cli, *wiki_fp, "--q", "11", "--max-results", "5",
+                             "--stream")
+    if len(bodies) != 5 or count(verdict) != 5 or \
+            "[result cap hit]" not in verdict.group(7):
+        fail(f"fp --max-results 5 printed {len(bodies)} bodies: "
+             f"{verdict.group(0)!r}")
+    _, verdict, _ = run(cli, *wiki_fp, "--q", "9", "--time-limit", "0.05")
+    if "[time limit hit]" not in verdict.group(7):
+        fail(f"fp time limit ignored: {verdict.group(0)!r}")
+    print("cli_smoke: --algo fp stops at --max-results and --time-limit")
 
     for flag, value in [("threads", "-1"), ("k", "-2"), ("top", "-1"),
                         ("time-limit", "nan"), ("tau-ms", "inf"),
