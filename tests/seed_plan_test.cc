@@ -71,7 +71,7 @@ TEST(Yield, PresetFlagStopsBeforeTheFirstSeed) {
   EXPECT_EQ(result->covered_begin, result->covered_end);
 }
 
-// `threads` 0 runs the sequential driver, otherwise the parallel one.
+// `threads` 0 mines sequentially, otherwise with that many workers.
 StatusOr<EnumResult> Mine(const Graph& g, const EnumOptions& options,
                           uint32_t threads, ResultSink& sink) {
   if (threads == 0) return EnumerateMaximalKPlexes(g, options, sink);
