@@ -5,10 +5,7 @@
 // reproduce — see EXPERIMENTS.md). The two service-mode columns run the
 // same cell through the QueryEngine (8 threads): cold = first contact,
 // warm = result-cache hit — the amortization a long-lived serve process
-// adds on top of raw parallel speedup. The "simd" column re-runs the
-// single-thread cell pinned to the portable bitset kernels (what
-// KPLEX_SIMD=off selects) and reports the end-to-end speedup the
-// dispatched kernels deliver, fingerprint-checked against the base run.
+// adds on top of raw parallel speedup.
 
 #include <cstdio>
 #include <iostream>
@@ -20,7 +17,6 @@
 #include "bench_common/table_printer.h"
 #include "service/graph_catalog.h"
 #include "service/query_engine.h"
-#include "util/bitset_kernels.h"
 
 namespace {
 
@@ -45,13 +41,11 @@ const uint32_t kThreadCounts[] = {1, 2, 4, 8};
 int main() {
   using namespace kplex;
   std::printf("== Figure 8: speedup ratio vs #threads (tau = 0.1 ms) ==\n");
-  std::printf("hardware concurrency on this machine: %u\n", BenchThreads());
-  std::printf("bitset kernel dispatch on this machine: %s\n\n",
-              kernels::DispatchedName());
+  std::printf("hardware concurrency on this machine: %u\n\n",
+              BenchThreads());
 
   TablePrinter table({"dataset", "k", "q", "T(1thr) sec", "x2 threads",
-                      "x4 threads", "x8 threads", "svc cold", "svc warm",
-                      "no-SIMD", "simd"});
+                      "x4 threads", "x8 threads", "svc cold", "svc warm"});
   GraphCatalog catalog;
   QueryEngine engine(catalog);
   for (const auto& cell : kCells) {
@@ -92,25 +86,6 @@ int main() {
     }
     row.push_back(FormatSeconds(service.cold_seconds));
     row.push_back(FormatSeconds(service.warm_seconds) + " [hit]");
-    // The single-thread cell again, pinned to the portable kernels
-    // (what KPLEX_SIMD=off selects): the end-to-end win the SIMD
-    // dispatch contributes on top of thread scaling.
-    kernels::SetActiveForTest(&kernels::Portable());
-    RunOutcome portable = TimeAlgo(
-        *graph, MakeParallelAlgo("Ours-par", cell.k, cell.q, 1, 0.1));
-    kernels::SetActiveForTest(nullptr);
-    if (!portable.ok) {
-      std::fprintf(stderr, "portable-kernel run failed: %s\n",
-                   portable.error.c_str());
-      return 1;
-    }
-    if (portable.fingerprint != fingerprint) {
-      std::fprintf(stderr, "RESULT MISMATCH with portable kernels on %s\n",
-                   cell.dataset);
-      return 1;
-    }
-    row.push_back(FormatSeconds(portable.seconds));
-    row.push_back(FormatDouble(portable.seconds / base, 2) + "x");
     table.AddRow(std::move(row));
   }
   table.Print(std::cout);

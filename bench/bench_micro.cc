@@ -28,13 +28,10 @@
 namespace kplex {
 namespace {
 
-// ---- raw kernel rows: portable baseline vs dispatched table ----
+// ---- raw word-loop rows ----
 //
-// These benchmark the word loops directly (no DynamicBitset wrapper) so
-// baseline-vs-SIMD speedups are visible regardless of which table the
-// process dispatched to. The `/0` suffix is the portable table, `/1`
-// the dispatched one; on hardware without a SIMD table both rows
-// coincide. Sizes are in bits.
+// These benchmark the word loops directly (no DynamicBitset wrapper).
+// Sizes are in bits.
 
 std::vector<uint64_t> RandomWords(std::size_t words, uint64_t seed) {
   Rng rng(seed);
@@ -43,86 +40,57 @@ std::vector<uint64_t> RandomWords(std::size_t words, uint64_t seed) {
   return out;
 }
 
-const kernels::KernelTable& TableForArg(int64_t arg) {
-  return arg == 0 ? kernels::Portable() : kernels::Dispatched();
-}
-
-void SetKernelLabel(benchmark::State& state) {
-  state.SetLabel(TableForArg(state.range(1)).name);
-}
-
 void BM_KernelAndCount(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   const auto a = RandomWords(words, 11), b = RandomWords(words, 12);
-  const auto& table = TableForArg(state.range(1));
-  SetKernelLabel(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.and_count(a.data(), b.data(), words));
+    benchmark::DoNotOptimize(kernels::AndCount(a.data(), b.data(), words));
   }
 }
-BENCHMARK(BM_KernelAndCount)
-    ->Args({256, 0})->Args({256, 1})
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({8192, 0})->Args({8192, 1});
+BENCHMARK(BM_KernelAndCount)->Arg(256)->Arg(1024)->Arg(8192);
 
 void BM_KernelAndCount3(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   const auto a = RandomWords(words, 21), b = RandomWords(words, 22),
              c = RandomWords(words, 23);
-  const auto& table = TableForArg(state.range(1));
-  SetKernelLabel(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.and_count3(a.data(), b.data(), c.data(), words));
+        kernels::AndCount3(a.data(), b.data(), c.data(), words));
   }
 }
-BENCHMARK(BM_KernelAndCount3)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({8192, 0})->Args({8192, 1});
+BENCHMARK(BM_KernelAndCount3)->Arg(1024)->Arg(8192);
 
 void BM_KernelAndNotCount(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   const auto a = RandomWords(words, 31), b = RandomWords(words, 32);
-  const auto& table = TableForArg(state.range(1));
-  SetKernelLabel(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.andnot_count(a.data(), b.data(), words));
+    benchmark::DoNotOptimize(kernels::AndNotCount(a.data(), b.data(), words));
   }
 }
-BENCHMARK(BM_KernelAndNotCount)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({8192, 0})->Args({8192, 1});
+BENCHMARK(BM_KernelAndNotCount)->Arg(1024)->Arg(8192);
 
 void BM_KernelAndInto(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   auto a = RandomWords(words, 41);
   const auto b = RandomWords(words, 42);
-  const auto& table = TableForArg(state.range(1));
-  SetKernelLabel(state);
   for (auto _ : state) {
-    table.and_into(a.data(), b.data(), words);
+    kernels::AndInto(a.data(), b.data(), words);
     benchmark::DoNotOptimize(a.data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_KernelAndInto)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({8192, 0})->Args({8192, 1});
+BENCHMARK(BM_KernelAndInto)->Arg(1024)->Arg(8192);
 
 void BM_KernelSubset(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   const auto b = RandomWords(words, 52);
   auto a = b;
   for (auto& w : a) w &= 0x5555555555555555ULL;  // a ⊆ b: no early exit
-  const auto& table = TableForArg(state.range(1));
-  SetKernelLabel(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.subset(a.data(), b.data(), words));
+    benchmark::DoNotOptimize(kernels::IsSubset(a.data(), b.data(), words));
   }
 }
-BENCHMARK(BM_KernelSubset)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({8192, 0})->Args({8192, 1});
+BENCHMARK(BM_KernelSubset)->Arg(1024)->Arg(8192);
 
 void BM_BitsetAndCount(benchmark::State& state) {
   const std::size_t bits = state.range(0);

@@ -4,12 +4,6 @@
 // headline shapes: all four report identical counts; Ours is fastest
 // (up to ~5x vs ListPlex, ~2x vs FP in the paper); Ours >= Ours_P; no
 // clear winner between ListPlex and FP.
-//
-// The last two columns measure the SIMD dispatch end to end: "Ours"
-// runs under the startup-dispatched bitset kernels, "Ours noSIMD"
-// re-runs it pinned to the portable word loops (what KPLEX_SIMD=off
-// selects), and "simd" is the resulting whole-algorithm speedup. Both
-// runs must produce the same fingerprint — the kernels are bit-exact.
 
 #include <cstdio>
 #include <iostream>
@@ -18,7 +12,6 @@
 #include "bench_common/dataset_registry.h"
 #include "bench_common/harness.h"
 #include "bench_common/table_printer.h"
-#include "util/bitset_kernels.h"
 
 namespace {
 
@@ -52,11 +45,8 @@ int main() {
       "FP vs ListPlex vs Ours_P vs Ours; all four must report the same\n"
       "#k-plexes (cross-checked via result-set fingerprints).\n\n");
 
-  std::printf("bitset kernel dispatch on this machine: %s\n\n",
-              kernels::DispatchedName());
-
   TablePrinter table({"dataset", "k", "q", "#k-plexes", "FP", "ListPlex",
-                      "Ours_P", "Ours", "Ours noSIMD", "simd"});
+                      "Ours_P", "Ours"});
   bool all_agree = true;
   for (const auto& cell : kCells) {
     auto graph = LoadDataset(cell.dataset);
@@ -70,7 +60,6 @@ int main() {
     uint64_t count = 0, fingerprint = 0;
     std::vector<std::string> times;
     bool first = true;
-    double ours_seconds = 0;
     for (const char* algo : {"FP", "ListPlex", "Ours_P", "Ours"}) {
       RunOutcome out =
           TimeAlgo(*graph, MakeSequentialAlgo(algo, cell.k, cell.q));
@@ -89,26 +78,7 @@ int main() {
                      cell.dataset, cell.k, cell.q);
       }
       times.push_back(FormatSeconds(out.seconds));
-      ours_seconds = out.seconds;  // the loop ends on "Ours"
     }
-    // The same "Ours" cell pinned to the portable kernels: the
-    // end-to-end cost of losing the SIMD dispatch, fingerprint-checked.
-    kernels::SetActiveForTest(&kernels::Portable());
-    RunOutcome portable =
-        TimeAlgo(*graph, MakeSequentialAlgo("Ours", cell.k, cell.q));
-    kernels::SetActiveForTest(nullptr);
-    if (!portable.ok) {
-      std::fprintf(stderr, "Ours (portable kernels) on %s failed: %s\n",
-                   cell.dataset, portable.error.c_str());
-      return 1;
-    }
-    if (portable.fingerprint != fingerprint) {
-      all_agree = false;
-      std::fprintf(stderr, "RESULT MISMATCH: portable kernels on %s\n",
-                   cell.dataset);
-    }
-    times.push_back(FormatSeconds(portable.seconds));
-    times.push_back(FormatDouble(portable.seconds / ours_seconds, 2) + "x");
     row.push_back(FormatCount(count));
     row.insert(row.end(), times.begin(), times.end());
     table.AddRow(std::move(row));

@@ -13,8 +13,8 @@ namespace {
 // edges and counts deletions. Triangle (common-neighbor) counts run
 // against a bitmap of N(u) that lives across u's whole edge block:
 // sparse endpoints scan their list with early exit at the threshold,
-// dense endpoints materialize a second bitmap and let the dispatched
-// and_count kernel do the word-parallel intersection.
+// dense endpoints materialize a second bitmap and count the
+// intersection word by word with AndCount.
 std::vector<std::pair<VertexId, VertexId>> EdgeSweep(const Graph& graph,
                                                      int64_t threshold,
                                                      uint64_t* pruned) {

@@ -2,9 +2,10 @@
 // universe (a seed subgraph plus its exclusive-set fringe). The matrix
 // is a flat BitMatrix — one contiguous buffer, fixed word stride,
 // 64-byte-aligned rows — so the branch-and-bound inner loops stream
-// consecutive cache lines through the SIMD-dispatched bit kernels
-// instead of chasing one heap allocation per row. Rows are exposed as
-// BitSpan views that compose directly with the DynamicBitset P/C/X sets.
+// consecutive cache lines through the word loops of
+// util/bitset_kernels.h instead of chasing one heap allocation per
+// row. Rows are exposed as BitSpan views that compose directly with
+// the DynamicBitset P/C/X sets.
 //
 // Seed subgraphs are dense (Section 4: "since G_i tends to be dense, it
 // is efficient when G_i is represented by an adjacency matrix"), which is
@@ -36,7 +37,7 @@ class LocalGraph {
   bool HasEdge(uint32_t u, uint32_t v) const { return matrix_.Test(u, v); }
 
   /// Adjacency row of v: a span over the flat matrix, fed straight into
-  /// the dispatched kernels by callers.
+  /// the word loops by callers.
   BitSpan Row(uint32_t v) const { return matrix_.Row(v); }
 
   /// popcount(Row(v) & mask): degree of v restricted to `mask`.

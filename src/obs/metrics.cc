@@ -5,8 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "util/bitset_kernels.h"
-
 namespace kplex {
 namespace {
 
@@ -97,20 +95,8 @@ const std::vector<double>& DefaultLatencySecondsBounds() {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = [] {
-    auto* r = new MetricsRegistry();
-    r->PublishBuildInfo();
-    return r;
-  }();
+  static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-void MetricsRegistry::PublishBuildInfo() {
-  // Which bitset kernel table dispatch selected at startup:
-  // 0 = portable word loops, 1 = AVX2, 2 = NEON. Constant for the
-  // process lifetime (the KPLEX_SIMD env override is read once).
-  GetGauge("kplex_simd_dispatch")
-      .Set(static_cast<int64_t>(kernels::DispatchedLevel()));
 }
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
@@ -184,17 +170,6 @@ void MetricsRegistry::Reset() {
     }
     histogram.count_.store(0, std::memory_order_relaxed);
     histogram.sum_bits_.store(0, std::memory_order_relaxed);
-  }
-  if (this == &Global()) {
-    // Build-info gauges describe the process, not a run; re-publish so
-    // a test-suite Reset() does not wipe them.
-    for (auto& entry : gauges_) {
-      if (entry.first == "kplex_simd_dispatch") {
-        entry.second->value_.store(
-            static_cast<int64_t>(kernels::DispatchedLevel()),
-            std::memory_order_relaxed);
-      }
-    }
   }
 }
 

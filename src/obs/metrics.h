@@ -161,16 +161,10 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
   // Zeroes every instrument in place. References stay valid — this is
-  // for test isolation, not for production use. Build-info gauges
-  // (kplex_simd_dispatch) are re-published afterwards on the Global()
-  // registry: they describe the process, not a run.
+  // for test isolation, not for production use.
   void Reset();
 
  private:
-  // Registers process-constant gauges (e.g. kplex_simd_dispatch, the
-  // bitset-kernel ISA selected at startup). Called once from Global().
-  void PublishBuildInfo();
-
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -6,11 +6,10 @@
 // in sequence, and a flat buffer keeps them on consecutive cache lines
 // instead of chasing one heap pointer per row (the old
 // vector<DynamicBitset> layout). The stride is rounded up to 8 words
-// (64 bytes) so every row starts on a cache-line/AVX-512-friendly
-// boundary.
+// (64 bytes) so every row starts on a cache-line boundary.
 //
-// Rows present as BitSpan views, so they flow straight into the
-// dispatched kernels of util/bitset_kernels.h. Invariant: bits at
+// Rows present as BitSpan views, so they flow straight into the word
+// loops of util/bitset_kernels.h. Invariant: bits at
 // column >= cols() and the padding words between ceil(cols/64) and the
 // stride are zero — Set/Reset assert the column range in debug builds.
 
@@ -43,14 +42,10 @@ struct MutableBitSpan {
   }
   bool Test(std::size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
 
-  void AndWith(BitSpan o) {
-    kernels::Active().and_into(words, o.words, num_words());
-  }
-  void OrWith(BitSpan o) {
-    kernels::Active().or_into(words, o.words, num_words());
-  }
+  void AndWith(BitSpan o) { kernels::AndInto(words, o.words, num_words()); }
+  void OrWith(BitSpan o) { kernels::OrInto(words, o.words, num_words()); }
   void AndNotWith(BitSpan o) {
-    kernels::Active().andnot_into(words, o.words, num_words());
+    kernels::AndNotInto(words, o.words, num_words());
   }
 };
 

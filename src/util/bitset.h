@@ -2,10 +2,10 @@
 // 64-bit words. It is the workhorse of the mining engine: the P/C/X sets
 // of every branch-and-bound node are DynamicBitsets, and the hot
 // operations (intersection popcounts, subset tests, masked iteration)
-// all route through the SIMD-dispatched word kernels of
-// util/bitset_kernels.h — the same kernels that serve the flat
-// BitMatrix adjacency rows, so a DynamicBitset composes freely with
-// BitSpan operands (adjacency rows convert implicitly).
+// call the inline word loops of util/bitset_kernels.h — the same loops
+// that serve the flat BitMatrix adjacency rows, so a DynamicBitset
+// composes freely with BitSpan operands (adjacency rows convert
+// implicitly).
 //
 // Invariants and preconditions:
 //   * Trailing slack: bits in [num_bits_, words*64) are always zero.
@@ -19,7 +19,6 @@
 #ifndef KPLEX_UTIL_BITSET_H_
 #define KPLEX_UTIL_BITSET_H_
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -114,10 +113,8 @@ class DynamicBitset {
   /// Number of set bits. Tail-masked: immune to slack-bit corruption.
   std::size_t Count() const {
     if (words_.empty()) return 0;
-    std::size_t c =
-        kernels::Active().count(words_.data(), words_.size() - 1);
-    return c + static_cast<std::size_t>(
-                   std::popcount(words_.back() & TailMask()));
+    return kernels::Count(words_.data(), words_.size() - 1) +
+           kernels::PopCount(words_.back() & TailMask());
   }
 
   bool Any() const {
@@ -131,29 +128,28 @@ class DynamicBitset {
   // In-place set algebra. Precondition: operands have equal size (debug
   // builds assert; see the header comment).
   void AndWith(BitSpan o) {
-    kernels::Active().and_into(words_.data(), o.words, SameSizeWords(o));
+    kernels::AndInto(words_.data(), o.words, SameSizeWords(o));
   }
   void OrWith(BitSpan o) {
-    kernels::Active().or_into(words_.data(), o.words, SameSizeWords(o));
+    kernels::OrInto(words_.data(), o.words, SameSizeWords(o));
   }
   void AndNotWith(BitSpan o) {
-    kernels::Active().andnot_into(words_.data(), o.words, SameSizeWords(o));
+    kernels::AndNotInto(words_.data(), o.words, SameSizeWords(o));
   }
   void XorWith(BitSpan o) {
-    kernels::Active().xor_into(words_.data(), o.words, SameSizeWords(o));
+    kernels::XorInto(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// popcount(this & o) without materializing the intersection.
   std::size_t AndCount(BitSpan o) const {
-    return kernels::Active().and_count(words_.data(), o.words,
-                                       SameSizeWords(o));
+    return kernels::AndCount(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// popcount(this & b & c) without materializing intermediates.
   std::size_t AndCount3(BitSpan b, BitSpan c) const {
     SameSizeWords(b);
-    return kernels::Active().and_count3(words_.data(), b.words, c.words,
-                                        SameSizeWords(c));
+    return kernels::AndCount3(words_.data(), b.words, c.words,
+                              SameSizeWords(c));
   }
 
   /// popcount(this & o) over the first `word_limit` words only. Callers
@@ -161,26 +157,23 @@ class DynamicBitset {
   /// prefix of the universe (e.g. the V_i prefix of a seed subgraph).
   std::size_t AndCountLimit(BitSpan o, std::size_t word_limit) const {
     const std::size_t words = SameSizeWords(o);
-    return kernels::Active().and_count(
-        words_.data(), o.words, word_limit < words ? word_limit : words);
+    return kernels::AndCount(words_.data(), o.words,
+                             word_limit < words ? word_limit : words);
   }
 
   /// popcount(this & ~o).
   std::size_t AndNotCount(BitSpan o) const {
-    return kernels::Active().andnot_count(words_.data(), o.words,
-                                          SameSizeWords(o));
+    return kernels::AndNotCount(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// True iff (this & o) has at least one set bit.
   bool Intersects(BitSpan o) const {
-    return kernels::Active().intersects(words_.data(), o.words,
-                                        SameSizeWords(o));
+    return kernels::Intersects(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// True iff every set bit of this is also set in o.
   bool IsSubsetOf(BitSpan o) const {
-    return kernels::Active().subset(words_.data(), o.words,
-                                    SameSizeWords(o));
+    return kernels::IsSubset(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// Index of the lowest set bit, or kNpos if none.

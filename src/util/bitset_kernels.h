@@ -1,28 +1,21 @@
-// Word-level bit-algebra kernels and the BitSpan view they operate on.
+// Word-level bit-algebra loops and the BitSpan view they operate on.
 //
 // Every hot operation of the mining engine — intersection popcounts,
 // subset tests, masked iteration over adjacency rows — bottoms out in a
-// loop over 64-bit words. This header centralizes those loops behind a
-// table of function pointers (`KernelTable`) so one process-wide
-// dispatch decision, made once at startup, selects between:
+// loop over 64-bit words. Each loop is written once here, header-inline,
+// and BitSpan, MutableBitSpan (util/bit_matrix.h) and DynamicBitset
+// (util/bitset.h) call it directly.
 //
-//   portable  plain word loops (std::popcount); always available, and
-//             the reference implementation every variant must match
-//             bit-for-bit (tests/bitset_kernels_test.cc),
-//   avx2      256-bit lanes with vpshufb nibble-LUT popcounts, compiled
-//             into its own TU with -mavx2 and used only when the CPU
-//             reports AVX2 support,
-//   neon      128-bit lanes via vcntq_u8 on aarch64.
+// One set of plain scalar loops, with no SIMD variant and no switch
+// between implementations: branch-and-bound runs inside seed
+// graphs, whose universe is the seed's two-hop neighbourhood, so nearly
+// every operand is one or two words long. Wider lanes only pay from
+// about four words on (docs/ARCHITECTURE.md, bit substrate).
 //
-// Compiling with -DKPLEX_NO_SIMD (CMake option KPLEX_NO_SIMD) pins the
-// dispatch to `portable`, as does the runtime escape hatch
-// KPLEX_SIMD=off in the environment. The selected ISA is exported as
-// the `kplex_simd_dispatch` gauge (docs/OBSERVABILITY.md).
-//
-// Preconditions shared by every table entry: operand arrays hold
-// exactly `words` 64-bit words, and bits past a span's logical size are
-// zero (the trailing-slack invariant DynamicBitset and BitMatrix
-// maintain). Callers pass equal word counts; the kernels do not check.
+// Preconditions shared by every loop: operand arrays hold exactly
+// `words` 64-bit words, and bits past a span's logical size are zero
+// (the trailing-slack invariant DynamicBitset and BitMatrix maintain).
+// Callers pass equal word counts; the loops do not check.
 
 #ifndef KPLEX_UTIL_BITSET_KERNELS_H_
 #define KPLEX_UTIL_BITSET_KERNELS_H_
@@ -35,59 +28,88 @@
 namespace kplex {
 namespace kernels {
 
-struct KernelTable {
-  const char* name;  // "portable", "avx2", "neon"
-  int level;         // 0 portable, 1 avx2, 2 neon (kplex_simd_dispatch)
+/// Names the word-loop implementation in run provenance (perfbench).
+inline const char* DispatchedName() { return "portable"; }
 
-  std::size_t (*count)(const uint64_t* a, std::size_t words);
-  std::size_t (*and_count)(const uint64_t* a, const uint64_t* b,
-                           std::size_t words);
-  std::size_t (*and_count3)(const uint64_t* a, const uint64_t* b,
-                            const uint64_t* c, std::size_t words);
-  std::size_t (*andnot_count)(const uint64_t* a, const uint64_t* b,
-                              std::size_t words);
-  void (*and_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*or_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*andnot_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*xor_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  bool (*subset)(const uint64_t* a, const uint64_t* b,
-                 std::size_t words);  // every set bit of a also set in b
-  bool (*intersects)(const uint64_t* a, const uint64_t* b,
-                     std::size_t words);  // (a & b) != 0
-};
+// ---- counts ------------------------------------------------------------
 
-/// The reference word-loop table; always available.
-const KernelTable& Portable();
+/// Set bits in one word. Spelled out because GCC compiles std::popcount
+/// for baseline x86-64 to a call into libgcc; this form stays inline,
+/// and GCC turns it into one popcnt where the target has that.
+inline std::size_t PopCount(uint64_t w) {
+  w -= (w >> 1) & 0x5555555555555555ULL;
+  w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+  w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (w * 0x0101010101010101ULL) >> 56;
+}
 
-/// The best table for this machine: AVX2/NEON when compiled in and
-/// supported, otherwise portable. Honors KPLEX_NO_SIMD and KPLEX_SIMD=off.
-const KernelTable& Dispatched();
+inline std::size_t Count(const uint64_t* a, std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += PopCount(a[i]);
+  return c;
+}
 
-namespace internal {
-// Constant-initialized to the portable table so pre-main callers are
-// safe; upgraded to Dispatched() by a dynamic initializer in
-// bitset_kernels.cc (results are bit-identical either way).
-extern const KernelTable* active;
-}  // namespace internal
+inline std::size_t AndCount(const uint64_t* a, const uint64_t* b,
+                            std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += PopCount(a[i] & b[i]);
+  return c;
+}
 
-/// The table the process is currently routing through.
-inline const KernelTable& Active() { return *internal::active; }
+inline std::size_t AndCount3(const uint64_t* a, const uint64_t* b,
+                             const uint64_t* c, std::size_t words) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < words; ++i) n += PopCount(a[i] & b[i] & c[i]);
+  return n;
+}
 
-/// Test hook: force a specific table (e.g. &Portable() to pin the
-/// baseline path); nullptr restores Dispatched(). Not thread-safe —
-/// call only from single-threaded test setup.
-void SetActiveForTest(const KernelTable* table);
+inline std::size_t AndNotCount(const uint64_t* a, const uint64_t* b,
+                               std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += PopCount(a[i] & ~b[i]);
+  return c;
+}
 
-/// Name / level of the startup dispatch decision (independent of any
-/// SetActiveForTest override).
-const char* DispatchedName();
-int DispatchedLevel();
+// ---- in-place set algebra: dst op= src ----------------------------------
+
+inline void AndInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] &= src[i];
+}
+
+inline void OrInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] |= src[i];
+}
+
+inline void AndNotInto(uint64_t* dst, const uint64_t* src,
+                       std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] &= ~src[i];
+}
+
+inline void XorInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] ^= src[i];
+}
+
+// ---- predicates ----------------------------------------------------------
+
+/// Every set bit of a is also set in b.
+inline bool IsSubset(const uint64_t* a, const uint64_t* b,
+                     std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] & ~b[i]) return false;
+  }
+  return true;
+}
+
+/// (a & b) != 0.
+inline bool Intersects(const uint64_t* a, const uint64_t* b,
+                       std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] & b[i]) return true;
+  }
+  return false;
+}
 
 // ---- find-next / for-each word iteration -------------------------------
-//
-// Bit-iteration stays header-inline: the ctz-and-clear loop is already
-// optimal scalar code and the per-bit callback cannot cross a C
-// function-pointer boundary without losing inlining.
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
@@ -153,7 +175,7 @@ inline void ForEachAndNotBit(const uint64_t* a, const uint64_t* b,
 //
 // Non-owning read view over `num_bits` bits backed by 64-bit words with
 // a zeroed tail. BitMatrix rows and DynamicBitsets both present as
-// BitSpans, so the same kernels serve the flat adjacency matrix and the
+// BitSpans, so the same loops serve the flat adjacency matrix and the
 // standalone P/C/X sets.
 
 struct BitSpan {
@@ -165,36 +187,34 @@ struct BitSpan {
 
   bool Test(std::size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
 
-  std::size_t Count() const {
-    return kernels::Active().count(words, num_words());
-  }
+  std::size_t Count() const { return kernels::Count(words, num_words()); }
 
   std::size_t AndCount(BitSpan o) const {
-    return kernels::Active().and_count(words, o.words, num_words());
+    return kernels::AndCount(words, o.words, num_words());
   }
 
   std::size_t AndCount3(BitSpan b, BitSpan c) const {
-    return kernels::Active().and_count3(words, b.words, c.words, num_words());
+    return kernels::AndCount3(words, b.words, c.words, num_words());
   }
 
   /// popcount(this & o) over the first `word_limit` words only (the
   /// vi_words prefix optimization of the seed-graph layout).
   std::size_t AndCountLimit(BitSpan o, std::size_t word_limit) const {
     const std::size_t nw = num_words();
-    return kernels::Active().and_count(words, o.words,
-                                       word_limit < nw ? word_limit : nw);
+    return kernels::AndCount(words, o.words,
+                             word_limit < nw ? word_limit : nw);
   }
 
   std::size_t AndNotCount(BitSpan o) const {
-    return kernels::Active().andnot_count(words, o.words, num_words());
+    return kernels::AndNotCount(words, o.words, num_words());
   }
 
   bool Intersects(BitSpan o) const {
-    return kernels::Active().intersects(words, o.words, num_words());
+    return kernels::Intersects(words, o.words, num_words());
   }
 
   bool IsSubsetOf(BitSpan o) const {
-    return kernels::Active().subset(words, o.words, num_words());
+    return kernels::IsSubset(words, o.words, num_words());
   }
 
   bool Any() const {

@@ -1,20 +1,14 @@
-// Equivalence tests for the SIMD bitset-kernel dispatch: every entry of
-// the dispatched table must agree bit-for-bit with the portable word
-// loops on operands crossing word and vector-lane boundaries, and an
-// end-to-end enumeration must produce an identical fingerprint whether
-// it runs on the baseline or the dispatched kernels. Also covers the
+// Tests for the word loops of util/bitset_kernels.h: every loop must
+// agree with a reference that reads one bit at a time, on operands
+// crossing word boundaries at three densities. Also covers the
 // BitMatrix flat layout (row alignment, padding invariant, value
 // semantics).
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/enumerator.h"
-#include "core/sink.h"
-#include "graph/generators.h"
 #include "util/bit_matrix.h"
 #include "util/bitset.h"
 #include "util/bitset_kernels.h"
@@ -24,11 +18,11 @@ namespace kplex {
 namespace {
 
 // Bit sizes straddling the interesting boundaries: empty, single word,
-// word edges, 256-bit AVX2 lane edges, and an odd large size.
+// word edges, a multi-word size on a 256-bit edge, and an odd large size.
 constexpr std::size_t kSizes[] = {0, 1, 63, 64, 65, 255, 256, 1000};
 
 // Random word array for `bits` bits with the trailing slack zeroed, as
-// the kernel preconditions require. `density` in [0,1] thins the bits.
+// the loops' preconditions require. `density` in [0,1] thins the bits.
 std::vector<uint64_t> RandomBits(std::size_t bits, Rng& rng, double density) {
   std::vector<uint64_t> words((bits + 63) / 64, 0);
   for (auto& w : words) {
@@ -43,24 +37,27 @@ std::vector<uint64_t> RandomBits(std::size_t bits, Rng& rng, double density) {
   return words;
 }
 
-TEST(BitsetKernels, DispatchedTableIsSane) {
-  const kernels::KernelTable& dispatched = kernels::Dispatched();
-  EXPECT_NE(dispatched.name, nullptr);
-  EXPECT_GE(dispatched.level, 0);
-  EXPECT_LE(dispatched.level, 2);
-  EXPECT_STREQ(kernels::DispatchedName(), dispatched.name);
-  EXPECT_EQ(kernels::DispatchedLevel(), dispatched.level);
-#ifdef KPLEX_NO_SIMD
-  EXPECT_EQ(dispatched.level, 0);
-  EXPECT_STREQ(dispatched.name, "portable");
-#endif
-  EXPECT_STREQ(kernels::Portable().name, "portable");
-  EXPECT_EQ(kernels::Portable().level, 0);
+// ---- the per-bit reference: one bit per step, no word arithmetic ---------
+
+bool Bit(const std::vector<uint64_t>& words, std::size_t i) {
+  return (words[i / 64] >> (i % 64)) & 1;
+}
+
+std::size_t BitCount(std::size_t bits, bool (*keep)(bool, bool, bool),
+                     const std::vector<uint64_t>& a,
+                     const std::vector<uint64_t>& b,
+                     const std::vector<uint64_t>& c) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < bits; ++i) {
+    if (keep(Bit(a, i), Bit(b, i), Bit(c, i))) ++n;
+  }
+  return n;
 }
 
 TEST(BitsetKernels, CountKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
+  // Full words: the largest count a word can add.
+  const std::vector<uint64_t> full(16, ~uint64_t{0});
+  EXPECT_EQ(kernels::Count(full.data(), full.size()), 1024u);
   Rng rng(7);
   for (std::size_t bits : kSizes) {
     for (double density : {0.1, 0.5, 1.0}) {
@@ -69,16 +66,22 @@ TEST(BitsetKernels, CountKernelsMatchPortable) {
         const auto b = RandomBits(bits, rng, density);
         const auto c = RandomBits(bits, rng, density);
         const std::size_t words = a.size();
-        EXPECT_EQ(d.count(a.data(), words), p.count(a.data(), words))
+        EXPECT_EQ(kernels::Count(a.data(), words),
+                  BitCount(bits, [](bool x, bool, bool) { return x; }, a, b,
+                           c))
             << "count bits=" << bits;
-        EXPECT_EQ(d.and_count(a.data(), b.data(), words),
-                  p.and_count(a.data(), b.data(), words))
+        EXPECT_EQ(kernels::AndCount(a.data(), b.data(), words),
+                  BitCount(bits, [](bool x, bool y, bool) { return x && y; },
+                           a, b, c))
             << "and_count bits=" << bits;
-        EXPECT_EQ(d.and_count3(a.data(), b.data(), c.data(), words),
-                  p.and_count3(a.data(), b.data(), c.data(), words))
+        EXPECT_EQ(kernels::AndCount3(a.data(), b.data(), c.data(), words),
+                  BitCount(bits,
+                           [](bool x, bool y, bool z) { return x && y && z; },
+                           a, b, c))
             << "and_count3 bits=" << bits;
-        EXPECT_EQ(d.andnot_count(a.data(), b.data(), words),
-                  p.andnot_count(a.data(), b.data(), words))
+        EXPECT_EQ(kernels::AndNotCount(a.data(), b.data(), words),
+                  BitCount(bits, [](bool x, bool y, bool) { return x && !y; },
+                           a, b, c))
             << "andnot_count bits=" << bits;
       }
     }
@@ -86,89 +89,80 @@ TEST(BitsetKernels, CountKernelsMatchPortable) {
 }
 
 TEST(BitsetKernels, MaterializingKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
   Rng rng(8);
   using IntoFn = void (*)(uint64_t*, const uint64_t*, std::size_t);
-  struct Pair {
+  struct Op {
     const char* what;
-    IntoFn portable;
-    IntoFn dispatched;
+    IntoFn loop;
+    bool (*bit)(bool, bool);  // the result bit from (dst, src)
   };
-  const Pair pairs[] = {
-      {"and_into", p.and_into, d.and_into},
-      {"or_into", p.or_into, d.or_into},
-      {"andnot_into", p.andnot_into, d.andnot_into},
-      {"xor_into", p.xor_into, d.xor_into},
+  const Op ops[] = {
+      {"and_into", kernels::AndInto, [](bool d, bool s) { return d && s; }},
+      {"or_into", kernels::OrInto, [](bool d, bool s) { return d || s; }},
+      {"andnot_into", kernels::AndNotInto,
+       [](bool d, bool s) { return d && !s; }},
+      {"xor_into", kernels::XorInto, [](bool d, bool s) { return d != s; }},
   };
   for (std::size_t bits : kSizes) {
-    for (int round = 0; round < 8; ++round) {
-      const auto dst0 = RandomBits(bits, rng, 0.5);
-      const auto src = RandomBits(bits, rng, 0.5);
-      for (const Pair& pair : pairs) {
-        auto via_portable = dst0;
-        auto via_dispatched = dst0;
-        pair.portable(via_portable.data(), src.data(), via_portable.size());
-        pair.dispatched(via_dispatched.data(), src.data(),
-                        via_dispatched.size());
-        EXPECT_EQ(via_portable, via_dispatched)
-            << pair.what << " bits=" << bits;
+    for (double density : {0.1, 0.5, 1.0}) {
+      for (int round = 0; round < 8; ++round) {
+        const auto dst0 = RandomBits(bits, rng, density);
+        const auto src = RandomBits(bits, rng, density);
+        for (const Op& op : ops) {
+          std::vector<uint64_t> expected(dst0.size(), 0);
+          for (std::size_t i = 0; i < bits; ++i) {
+            if (op.bit(Bit(dst0, i), Bit(src, i))) {
+              expected[i / 64] |= uint64_t{1} << (i % 64);
+            }
+          }
+          auto got = dst0;
+          op.loop(got.data(), src.data(), got.size());
+          EXPECT_EQ(got, expected) << op.what << " bits=" << bits;
+        }
       }
     }
   }
 }
 
 TEST(BitsetKernels, PredicateKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
   Rng rng(9);
   for (std::size_t bits : kSizes) {
-    for (int round = 0; round < 16; ++round) {
-      auto a = RandomBits(bits, rng, 0.3);
-      const auto b = RandomBits(bits, rng, 0.3);
-      // Odd rounds force a ⊆ b so the true branch of subset (and the
-      // false branch of intersects-with-complement) is exercised too.
-      if (round % 2 == 1) {
-        for (std::size_t i = 0; i < a.size(); ++i) a[i] &= b[i];
+    for (double density : {0.1, 0.5, 1.0}) {
+      for (int round = 0; round < 16; ++round) {
+        auto a = RandomBits(bits, rng, density);
+        const auto b = RandomBits(bits, rng, density);
+        // Odd rounds force a ⊆ b so the true branch of subset (and the
+        // false branch of intersects-with-complement) is exercised too.
+        if (round % 2 == 1) {
+          for (std::size_t i = 0; i < a.size(); ++i) a[i] &= b[i];
+        }
+        bool subset = true, intersects = false;
+        for (std::size_t i = 0; i < bits; ++i) {
+          if (Bit(a, i) && !Bit(b, i)) subset = false;
+          if (Bit(a, i) && Bit(b, i)) intersects = true;
+        }
+        const std::size_t words = a.size();
+        EXPECT_EQ(kernels::IsSubset(a.data(), b.data(), words), subset)
+            << "subset bits=" << bits << " round=" << round;
+        EXPECT_EQ(kernels::Intersects(a.data(), b.data(), words), intersects)
+            << "intersects bits=" << bits << " round=" << round;
       }
-      const std::size_t words = a.size();
-      EXPECT_EQ(d.subset(a.data(), b.data(), words),
-                p.subset(a.data(), b.data(), words))
-          << "subset bits=" << bits << " round=" << round;
-      EXPECT_EQ(d.intersects(a.data(), b.data(), words),
-                p.intersects(a.data(), b.data(), words))
-          << "intersects bits=" << bits << " round=" << round;
     }
   }
 }
 
 TEST(BitsetKernels, SubsetAndIntersectsEdgeCases) {
-  const kernels::KernelTable& d = kernels::Dispatched();
   // Empty spans: vacuous subset, no intersection.
-  EXPECT_TRUE(d.subset(nullptr, nullptr, 0));
-  EXPECT_FALSE(d.intersects(nullptr, nullptr, 0));
-  // A difference only in the last word of a multi-lane operand.
+  EXPECT_TRUE(kernels::IsSubset(nullptr, nullptr, 0));
+  EXPECT_FALSE(kernels::Intersects(nullptr, nullptr, 0));
+  // A difference only in the last word of a multi-word operand.
   std::vector<uint64_t> a(16, 0), b(16, 0);
   a[15] = uint64_t{1} << 63;
-  EXPECT_FALSE(d.subset(a.data(), b.data(), a.size()));
-  EXPECT_FALSE(d.intersects(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(kernels::IsSubset(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(kernels::Intersects(a.data(), b.data(), a.size()));
   b[15] = a[15];
-  EXPECT_TRUE(d.subset(a.data(), b.data(), a.size()));
-  EXPECT_TRUE(d.intersects(a.data(), b.data(), a.size()));
-}
-
-TEST(BitsetKernels, SetActiveForTestPinsAndRestores) {
-  const kernels::KernelTable& before = kernels::Active();
-  kernels::SetActiveForTest(&kernels::Portable());
-  EXPECT_EQ(&kernels::Active(), &kernels::Portable());
-  DynamicBitset a(130), b(130);
-  a.Set(0);
-  a.Set(129);
-  b.Set(129);
-  EXPECT_EQ(a.AndCount(b), 1u);
-  kernels::SetActiveForTest(nullptr);
-  EXPECT_EQ(&kernels::Active(), &kernels::Dispatched());
-  EXPECT_EQ(&kernels::Active(), &before);  // tests start on Dispatched()
+  EXPECT_TRUE(kernels::IsSubset(a.data(), b.data(), a.size()));
+  EXPECT_TRUE(kernels::Intersects(a.data(), b.data(), a.size()));
 }
 
 // ---- BitMatrix -----------------------------------------------------------
@@ -269,32 +263,6 @@ TEST(BitMatrix, RowSpanComposesWithDynamicBitset) {
   DynamicBitset scratch = mask;
   scratch.AndWith(m.Row(0));
   EXPECT_EQ(scratch.Count(), 34u);
-}
-
-// ---- end-to-end: baseline and dispatched enumerate identically ----------
-
-uint64_t FingerprintWithTable(const Graph& g, const EnumOptions& options,
-                              const kernels::KernelTable* table) {
-  kernels::SetActiveForTest(table);
-  HashingSink sink;
-  auto result = EnumerateMaximalKPlexes(g, options, sink);
-  kernels::SetActiveForTest(nullptr);
-  EXPECT_TRUE(result.ok());
-  return sink.fingerprint();
-}
-
-TEST(BitsetKernels, EnumerationFingerprintMatchesAcrossTables) {
-  const Graph g = GenerateBarabasiAlbert(300, 8, 13);
-  for (auto [k, q] : {std::pair<uint32_t, uint32_t>{2, 6},
-                      std::pair<uint32_t, uint32_t>{3, 8}}) {
-    const EnumOptions options = EnumOptions::Ours(k, q);
-    const uint64_t baseline =
-        FingerprintWithTable(g, options, &kernels::Portable());
-    const uint64_t dispatched =
-        FingerprintWithTable(g, options, &kernels::Dispatched());
-    EXPECT_EQ(baseline, dispatched) << "k=" << k << " q=" << q;
-    EXPECT_NE(baseline, 0u);  // the workload actually produced plexes
-  }
 }
 
 }  // namespace

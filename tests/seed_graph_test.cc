@@ -22,7 +22,6 @@
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
-#include "util/bitset_kernels.h"
 #include "util/timer.h"
 
 namespace kplex {
@@ -482,22 +481,6 @@ TEST(SeedGraph, EveryGroundTruthPlexSurvivesInItsSeedGraph) {
         }
       }
     }
-  }
-}
-
-// Seed-graph construction (masks, pruning fixpoint, deg_vi) must be
-// identical on the portable baseline and the dispatched SIMD kernels.
-TEST(SeedGraph, ConstructionIdenticalUnderForcedBaseline) {
-  Graph g = GenerateBarabasiAlbert(80, 6, 17);
-  DegeneracyResult degeneracy = ComputeDegeneracy(g);
-  EnumOptions options = EnumOptions::Ours(2, 6);
-  for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
-    kernels::SetActiveForTest(&kernels::Portable());
-    auto baseline = BuildSeedGraph(g, {}, degeneracy, seed, options, nullptr);
-    kernels::SetActiveForTest(nullptr);
-    auto dispatched = BuildSeedGraph(g, {}, degeneracy, seed, options,
-                                     nullptr);
-    ExpectSameSeedGraph(baseline, dispatched, "seed " + std::to_string(seed));
   }
 }
 
