@@ -14,59 +14,86 @@
 // before the first read, so the scratch is sized, never cleared.
 
 namespace kplex {
+namespace {
 
-uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
-                  uint32_t k) {
-  uint32_t min_deg = sg.deg_vi[pivot];
-  state.p.ForEach([&](std::size_t u) {
-    min_deg = std::min(min_deg, sg.deg_vi[u]);
+// sup[u] = sup_P(u) for every u in P.
+template <std::size_t W>
+void FillSupport(const SeedGraph& sg, const TaskState& state, uint32_t k,
+                 std::vector<int32_t>& sup) {
+  sup.resize(sg.universe);
+  kernels::ForEachBit(state.p.data(), state.Words<W>(), [&](std::size_t u) {
+    sup[u] = state.Support(static_cast<uint32_t>(u), k);
   });
-  return min_deg + k;
 }
 
+// Algorithm 4 for one candidate w: w joins K unless its scarcest
+// non-neighbor in P has no support left; joining spends one unit of it.
+template <std::size_t W>
+bool JoinsK(const SeedGraph& sg, const TaskState& state, uint32_t w,
+            std::vector<int32_t>& sup) {
+  int32_t min_sup = INT32_MAX;
+  uint32_t argmin = UINT32_MAX;
+  kernels::ForEachAndNotBit(state.p.data(), sg.adj.Row(w).words,
+                            state.Words<W>(), [&](std::size_t u) {
+                              if (sup[u] < min_sup) {
+                                min_sup = sup[u];
+                                argmin = static_cast<uint32_t>(u);
+                              }
+                            });
+  if (argmin == UINT32_MAX) return true;  // w constrains nobody in P
+  if (min_sup <= 0) return false;
+  --sup[argmin];
+  return true;
+}
+
+// min(init, min_{u in P} deg_{G_i}(u)).
+template <std::size_t W>
+uint32_t MinDegreeInP(const SeedGraph& sg, const TaskState& state,
+                      uint32_t init) {
+  uint32_t min_deg = init;
+  kernels::ForEachBit(state.p.data(), state.Words<W>(), [&](std::size_t u) {
+    min_deg = std::min(min_deg, sg.deg_vi[u]);
+  });
+  return min_deg;
+}
+
+}  // namespace
+
+template <std::size_t W>
+uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
+                  uint32_t k) {
+  return MinDegreeInP<W>(sg, state, sg.deg_vi[pivot]) + k;
+}
+
+template <std::size_t W>
 uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
                    uint32_t pivot, uint32_t k, BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.resize(sg.universe);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
-
+  FillSupport<W>(sg, state, k, sup);
   uint32_t ub = state.p_size +
                 static_cast<uint32_t>(state.Support(pivot, k));
   // K: neighbors of the pivot inside C, id order.
-  state.c.ForEachAnd(sg.adj.Row(pivot), [&](std::size_t w) {
-    int32_t min_sup = INT32_MAX;
-    uint32_t argmin = UINT32_MAX;
-    state.p.ForEachAndNot(sg.adj.Row(static_cast<uint32_t>(w)),
-                          [&](std::size_t u) {
-                            if (sup[u] < min_sup) {
-                              min_sup = sup[u];
-                              argmin = static_cast<uint32_t>(u);
-                            }
-                          });
-    if (argmin == UINT32_MAX) {
-      ++ub;  // w constrains nobody in P
-    } else if (min_sup > 0) {
-      --sup[argmin];
-      ++ub;
-    }
-  });
+  kernels::ForEachAndBit(state.c.data(), sg.adj.Row(pivot).words,
+                         state.Words<W>(), [&](std::size_t w) {
+                           if (JoinsK<W>(sg, state,
+                                         static_cast<uint32_t>(w), sup)) {
+                             ++ub;
+                           }
+                         });
   return ub;
 }
 
+template <std::size_t W>
 uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
                          uint32_t pivot, uint32_t k, BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.resize(sg.universe);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
+  FillSupport<W>(sg, state, k, sup);
 
   auto& ws = scratch.sorted_ws;
   ws.clear();
-  state.c.ForEachAnd(sg.adj.Row(pivot),
-                     [&](std::size_t w) { ws.push_back(static_cast<uint32_t>(w)); });
+  kernels::ForEachAndBit(
+      state.c.data(), sg.adj.Row(pivot).words, state.Words<W>(),
+      [&](std::size_t w) { ws.push_back(static_cast<uint32_t>(w)); });
   // The deliberate per-call sort: fewest non-neighbors in P first.
   std::sort(ws.begin(), ws.end(), [&](uint32_t a, uint32_t b) {
     const uint32_t na = state.NonNeighborsInP(a);
@@ -77,20 +104,7 @@ uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
   uint32_t ub = state.p_size +
                 static_cast<uint32_t>(state.Support(pivot, k));
   for (uint32_t w : ws) {
-    int32_t min_sup = INT32_MAX;
-    uint32_t argmin = UINT32_MAX;
-    state.p.ForEachAndNot(sg.adj.Row(w), [&](std::size_t u) {
-      if (sup[u] < min_sup) {
-        min_sup = sup[u];
-        argmin = static_cast<uint32_t>(u);
-      }
-    });
-    if (argmin == UINT32_MAX) {
-      ++ub;
-    } else if (min_sup > 0) {
-      --sup[argmin];
-      ++ub;
-    }
+    if (JoinsK<W>(sg, state, w, sup)) ++ub;
   }
   return ub;
 }
@@ -98,38 +112,40 @@ uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
 uint32_t UbSubtask(const SeedGraph& sg, const TaskState& state, uint32_t k,
                    BoundScratch& scratch) {
   auto& sup = scratch.support;
-  sup.resize(sg.universe);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
+  FillSupport<kAnyWidth>(sg, state, k, sup);
   // Theorem 5.7: v_p = v_i with sup forced to 0 — no candidate is a
   // non-neighbor of the seed, so P_m gains only |K| vertices beyond P_S.
   uint32_t k_size = 0;
   state.c.ForEach([&](std::size_t w) {
-    int32_t min_sup = INT32_MAX;
-    uint32_t argmin = UINT32_MAX;
-    state.p.ForEachAndNot(sg.adj.Row(static_cast<uint32_t>(w)),
-                          [&](std::size_t u) {
-                            if (sup[u] < min_sup) {
-                              min_sup = sup[u];
-                              argmin = static_cast<uint32_t>(u);
-                            }
-                          });
-    if (argmin == UINT32_MAX) {
-      ++k_size;
-    } else if (min_sup > 0) {
-      --sup[argmin];
+    if (JoinsK<kAnyWidth>(sg, state, static_cast<uint32_t>(w), sup)) {
       ++k_size;
     }
   });
   const uint32_t ub_support = state.p_size + k_size;
-
-  uint32_t min_deg = UINT32_MAX;
-  state.p.ForEach([&](std::size_t u) {
-    min_deg = std::min(min_deg, sg.deg_vi[u]);
-  });
-  const uint32_t ub_degree = min_deg + k;
+  const uint32_t ub_degree =
+      MinDegreeInP<kAnyWidth>(sg, state, UINT32_MAX) + k;
   return std::min(ub_support, ub_degree);
 }
+
+// The branch body's widths (core/branch.cc).
+template uint32_t UbDegree<1>(const SeedGraph&, const TaskState&, uint32_t,
+                              uint32_t);
+template uint32_t UbDegree<2>(const SeedGraph&, const TaskState&, uint32_t,
+                              uint32_t);
+template uint32_t UbDegree<kAnyWidth>(const SeedGraph&, const TaskState&,
+                                      uint32_t, uint32_t);
+template uint32_t UbSupport<1>(const SeedGraph&, const TaskState&, uint32_t,
+                               uint32_t, BoundScratch&);
+template uint32_t UbSupport<2>(const SeedGraph&, const TaskState&, uint32_t,
+                               uint32_t, BoundScratch&);
+template uint32_t UbSupport<kAnyWidth>(const SeedGraph&, const TaskState&,
+                                       uint32_t, uint32_t, BoundScratch&);
+template uint32_t UbSupportSorted<1>(const SeedGraph&, const TaskState&,
+                                     uint32_t, uint32_t, BoundScratch&);
+template uint32_t UbSupportSorted<2>(const SeedGraph&, const TaskState&,
+                                     uint32_t, uint32_t, BoundScratch&);
+template uint32_t UbSupportSorted<kAnyWidth>(const SeedGraph&,
+                                             const TaskState&, uint32_t,
+                                             uint32_t, BoundScratch&);
 
 }  // namespace kplex

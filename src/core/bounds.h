@@ -2,10 +2,17 @@
 // (Section 5). All bounds are *admissible*: they never under-estimate
 // the true maximum, so pruning a branch whose bound is < q is sound.
 // Admissibility is property-tested against exhaustive search.
+//
+// The Eq (3) bounds the branch body computes per call are written once,
+// over raw words at its width W (core/task_state.h); bounds.cc
+// instantiates them for W = 1, 2 and kAnyWidth, the default, which the
+// tests and benches call. The sub-task bound runs once per sub-task and
+// reads any width.
 
 #ifndef KPLEX_CORE_BOUNDS_H_
 #define KPLEX_CORE_BOUNDS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,11 +30,13 @@ struct BoundScratch {
 
 /// Theorem 5.3: |P_m| <= min_{u in P ∪ {pivot}} deg_{G_i}(u) + k.
 /// Valid for any k-plex of this task that contains P and `pivot`.
+template <std::size_t W = kAnyWidth>
 uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
                   uint32_t k);
 
 /// Theorem 5.5 / Algorithm 4: |P_m| <= |P| + sup_P(pivot) + |K| for the
 /// branch that adds `pivot` (a candidate in C).
+template <std::size_t W = kAnyWidth>
 uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
                    uint32_t pivot, uint32_t k, BoundScratch& scratch);
 
@@ -36,6 +45,7 @@ uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
 /// non-neighbors in P first), costing an O(|C| log |C|) sort per call —
 /// the cost profile the paper attributes to FP's bound (Section 7,
 /// Table 5 discussion).
+template <std::size_t W = kAnyWidth>
 uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
                          uint32_t pivot, uint32_t k, BoundScratch& scratch);
 

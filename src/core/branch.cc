@@ -1,8 +1,27 @@
 #include "core/branch.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace kplex {
+namespace {
+
+// A word mask of one branch call: W words on the stack at a fixed width,
+// a slot of the engine's scratch at any width.
+template <std::size_t W>
+struct Mask {
+  explicit Mask(uint64_t* /*any_width_slot*/) {}
+  uint64_t* get() { return words; }
+  uint64_t words[W];
+};
+template <>
+struct Mask<kAnyWidth> {
+  explicit Mask(uint64_t* any_width_slot) : words(any_width_slot) {}
+  uint64_t* get() { return words; }
+  uint64_t* words;
+};
+
+}  // namespace
 
 BranchEngine::BranchEngine(const EnumOptions& options, ResultSink& sink,
                            AlgoCounters& counters)
@@ -17,10 +36,9 @@ BranchEngine::BranchEngine(const SeedGraph& sg, const EnumOptions& options,
 
 void BranchEngine::Retarget(const SeedGraph& sg) {
   sg_ = &sg;
+  words_ = (sg.universe + 63) / 64;
   pivot_.Retarget(sg);
-  saturated_.ResizeClear(sg.universe);
-  pc_.ResizeClear(sg.universe);
-  sat_pc_.ResizeClear(sg.universe);
+  any_width_masks_.resize(3 * words_);
 }
 
 BranchEngine::Frame& BranchEngine::FrameAtDepth() {
@@ -28,7 +46,18 @@ BranchEngine::Frame& BranchEngine::FrameAtDepth() {
   return *frames_[depth_];
 }
 
-void BranchEngine::Run(TaskState& state) { Branch(state); }
+void BranchEngine::Run(TaskState& state) {
+  switch (words_) {
+    case 1:
+      Branch<1>(state);
+      break;
+    case 2:
+      Branch<2>(state);
+      break;
+    default:
+      Branch<kAnyWidth>(state);
+  }
+}
 
 bool BranchEngine::CheckGlobalDeadline() {
   if (aborted_) return true;
@@ -45,37 +74,19 @@ bool BranchEngine::CheckGlobalDeadline() {
   return aborted_;
 }
 
-void BranchEngine::FilterSet(const TaskState& state,
-                             const DynamicBitset& saturated,
-                             DynamicBitset& set) {
-  // Saturated members of P admit only their neighbors.
-  saturated.ForEach([&](std::size_t u) {
-    set.AndWith(sg_->adj.Row(static_cast<uint32_t>(u)));
-  });
-  // Per-vertex budget: P ∪ {v} keeps v within k non-neighbors
-  // (counting v itself) iff dp[v] + k >= |P| + 1.
-  if (state.p_size + 1 > options_.k) {
-    const uint32_t need = state.p_size + 1 - options_.k;
-    // ForEach iterates on per-word snapshots, so resetting the current
-    // bit during iteration is safe.
-    set.ForEach([&](std::size_t v) {
-      if (state.dp[v] < need) set.Reset(v);
-    });
-  }
-}
-
+template <std::size_t W>
 void BranchEngine::PrepareInclude(TaskState& state, uint32_t vp) {
-  state.AddToP(*sg_, vp);
+  state.AddToP<W>(*sg_, vp);
   if (sg_->pairs.has_value()) {
-    const BitSpan allowed = sg_->pairs->Row(vp);
-    state.c.AndWith(allowed);
-    state.x.AndWith(allowed);
+    const uint64_t* allowed = sg_->pairs->Row(vp).words;
+    kernels::AndInto(state.c.data(), allowed, state.Words<W>());
+    kernels::AndInto(state.x.data(), allowed, state.Words<W>());
   }
 }
 
-void BranchEngine::EmitPlex(const DynamicBitset& members) {
+void BranchEngine::EmitPlex(const uint64_t* members, std::size_t words) {
   emit_.clear();
-  members.ForEach([&](std::size_t v) {
+  kernels::ForEachBit(members, words, [&](std::size_t v) {
     emit_.push_back(sg_->to_global[v]);
   });
   std::sort(emit_.begin(), emit_.end());
@@ -87,65 +98,106 @@ void BranchEngine::EmitPlex(const DynamicBitset& members) {
   }
 }
 
+template <std::size_t W>
 bool BranchEngine::HasExtenderOfPc(const TaskState& state,
-                                   const DynamicBitset& pc,
-                                   uint32_t pc_size) {
+                                   const uint64_t* pc, uint32_t pc_size) {
   const uint32_t k = options_.k;
-  sat_pc_.ResetAll();
-  pc.ForEach([&](std::size_t u) {
+  const std::size_t pc_words = PcWords<W>(*sg_);
+  Mask<W> sat_pc(AnyWidthMask(2));
+  for (std::size_t i = 0; i < pc_words; ++i) sat_pc.get()[i] = 0;
+  kernels::ForEachBit(pc, pc_words, [&](std::size_t u) {
     if (pc_size - pivot_.DegreePc(static_cast<uint32_t>(u)) == k) {
-      sat_pc_.Set(u);
+      sat_pc.get()[u >> 6] |= uint64_t{1} << (u & 63);
     }
   });
-  for (std::size_t x = state.x.FindFirst(); x != DynamicBitset::kNpos;
-       x = state.x.FindNext(x + 1)) {
-    const BitSpan row = sg_->adj.Row(static_cast<uint32_t>(x));
-    const uint32_t dx =
-        static_cast<uint32_t>(row.AndCountLimit(pc, sg_->vi_words));
-    if (dx + k < pc_size + 1) continue;
-    if (sat_pc_.IsSubsetOf(row)) return true;
+  const std::size_t words = state.Words<W>();
+  const uint64_t* x = state.x.data();
+  for (std::size_t i = 0; i < words; ++i) {
+    for (uint64_t w = x[i]; w != 0; w &= w - 1) {
+      const uint64_t* row =
+          sg_->adj.Row(static_cast<uint32_t>((i << 6) + std::countr_zero(w)))
+              .words;
+      const uint32_t dx =
+          static_cast<uint32_t>(kernels::AndCount(row, pc, pc_words));
+      if (dx + k < pc_size + 1) continue;
+      if (kernels::IsSubset(sat_pc.get(), row, pc_words)) return true;
+    }
   }
   return false;
 }
 
+template <std::size_t W>
 void BranchEngine::Dispatch(TaskState& state) {
   if (TimeoutExpired()) {
     ++counters_.timeout_spawns;
     spawn_(std::move(state));
     return;
   }
-  Branch(state);
+  Branch<W>(state);
 }
 
+template <std::size_t W>
 void BranchEngine::Branch(TaskState& state) {
   if (stopped_early_) return;
   ++counters_.branch_calls;
   if (CheckGlobalDeadline()) return;
 
-  // Alg. 3 Lines 2-3: keep only vertices that still combine with P.
-  state.ComputeSaturated(*sg_, options_.k, saturated_);
-  FilterSet(state, saturated_, state.c);
-  FilterSet(state, saturated_, state.x);
+  const uint32_t k = options_.k;
+  const std::size_t words = state.Words<W>();
+  const uint64_t* p = state.p.data();
+  uint64_t* c = state.c.data();
+  uint64_t* x = state.x.data();
 
-  const uint32_t c_size = static_cast<uint32_t>(state.c.Count());
+  // Alg. 3 Lines 2-3: keep only vertices that still combine with P.
+  // Saturated members of P admit only their neighbors: one AND of their
+  // rows, applied to C and to X.
+  if (state.p_size >= k) {  // else d̄_P <= |P| < k: nobody saturated
+    Mask<W> allowed(AnyWidthMask(0));
+    for (std::size_t i = 0; i < words; ++i) allowed.get()[i] = ~uint64_t{0};
+    kernels::ForEachBit(p, words, [&](std::size_t u) {
+      if (state.p_size - state.dp[u] == k) {
+        kernels::AndInto(allowed.get(),
+                         sg_->adj.Row(static_cast<uint32_t>(u)).words, words);
+      }
+    });
+    kernels::AndInto(c, allowed.get(), words);
+    kernels::AndInto(x, allowed.get(), words);
+  }
+  // Per-vertex budget, one pass over C ∪ X: P ∪ {v} keeps v within k
+  // non-neighbors (counting v itself) iff dp[v] + k >= |P| + 1.
+  if (state.p_size + 1 > k) {
+    const uint32_t need = state.p_size + 1 - k;
+    for (std::size_t i = 0; i < words; ++i) {
+      uint64_t drop = 0;
+      for (uint64_t w = c[i] | x[i]; w != 0; w &= w - 1) {
+        const int bit = std::countr_zero(w);
+        if (state.dp[(i << 6) + bit] < need) drop |= uint64_t{1} << bit;
+      }
+      c[i] &= ~drop;
+      x[i] &= ~drop;
+    }
+  }
+
+  const uint32_t c_size = static_cast<uint32_t>(kernels::Count(c, words));
   if (c_size == 0) {
-    if (state.p_size >= options_.q && state.x.None()) EmitPlex(state.p);
+    if (state.p_size >= options_.q && state.x.None()) EmitPlex(p, words);
     return;
   }
   // Size feasibility: even taking every candidate cannot reach q.
-  if (state.p_size + c_size < options_.q) return;
+  const uint32_t pc_size = state.p_size + c_size;
+  if (pc_size < options_.q) return;
 
   // Alg. 3 Lines 7-10: pivot selection.
-  pc_ = state.p;
-  pc_.OrWith(state.c);
-  const PivotResult pivot = pivot_.Select(state, pc_);
+  Mask<W> pc(AnyWidthMask(1));
+  for (std::size_t i = 0; i < words; ++i) pc.get()[i] = p[i] | c[i];
+  const PivotResult pivot = pivot_.Select<W>(state, pc.get());
 
   // Alg. 3 Lines 11-14: P ∪ C is already a k-plex — finish here.
-  if (pivot.min_degree + options_.k >= state.p_size + c_size) {
+  if (pivot.min_degree + k >= pc_size) {
     ++counters_.kplex_shortcuts;
-    if (state.p_size + c_size >= options_.q &&
-        !HasExtenderOfPc(state, pc_, state.p_size + c_size)) {
-      EmitPlex(pc_);
+    if (pc_size >= options_.q &&
+        !HasExtenderOfPc<W>(state, pc.get(), pc_size)) {
+      EmitPlex(pc.get(), words);
     }
     return;
   }
@@ -153,13 +205,13 @@ void BranchEngine::Branch(TaskState& state) {
   uint32_t vp = pivot.vertex;
   if (pivot.in_p) {
     if (options_.branching != BranchingScheme::kRepickFromC) {
-      BranchFaplexen(state, vp);
+      BranchFaplexen<W>(state, vp);
       return;
     }
     // Lines 15-16: re-pick among the pivot's non-neighbors in C. That
     // set is non-empty: otherwise the pivot's d_{P∪C} would have
     // triggered the k-plex shortcut above.
-    vp = pivot_.RepickFromC(state, vp);
+    vp = pivot_.RepickFromC<W>(state, vp);
     if (vp == UINT32_MAX) return;  // defensive; unreachable
   }
 
@@ -167,44 +219,46 @@ void BranchEngine::Branch(TaskState& state) {
   if (options_.upper_bound != UpperBoundMode::kNone) {
     const uint32_t ub_support =
         options_.upper_bound == UpperBoundMode::kOurs
-            ? UbSupport(*sg_, state, vp, options_.k, bound_scratch_)
-            : UbSupportSorted(*sg_, state, vp, options_.k, bound_scratch_);
-    const uint32_t ub =
-        std::min(ub_support, UbDegree(*sg_, state, vp, options_.k));
+            ? UbSupport<W>(*sg_, state, vp, k, bound_scratch_)
+            : UbSupportSorted<W>(*sg_, state, vp, k, bound_scratch_);
+    const uint32_t ub = std::min(ub_support, UbDegree<W>(*sg_, state, vp, k));
     if (ub < options_.q) {
       include_allowed = false;
       ++counters_.ub_prunes;
     }
   }
-  BranchBinary(state, vp, include_allowed);
+  BranchBinary<W>(state, vp, include_allowed);
 }
 
+template <std::size_t W>
 void BranchEngine::BranchBinary(TaskState& state, uint32_t vp,
                                 bool include_allowed) {
   if (include_allowed) {
     TaskState& child = FrameAtDepth().child;
     child = state;
     child.c.Reset(vp);
-    PrepareInclude(child, vp);
+    PrepareInclude<W>(child, vp);
     ++depth_;
-    Dispatch(child);
+    Dispatch<W>(child);
     --depth_;
   }
   // Exclude branch (Line 20), reusing the parent state.
   state.c.Reset(vp);
   state.x.Set(vp);
-  Dispatch(state);
+  Dispatch<W>(state);
 }
 
+template <std::size_t W>
 void BranchEngine::BranchFaplexen(TaskState& state, uint32_t vp) {
   // Eq (4)-(6). vp lies in P; its non-neighbors in C drive the split.
   Frame& frame = FrameAtDepth();
   ++depth_;
   std::vector<uint32_t>& ws = frame.ws;
   ws.clear();
-  state.c.ForEachAndNot(sg_->adj.Row(vp), [&](std::size_t w) {
-    ws.push_back(static_cast<uint32_t>(w));
-  });
+  kernels::ForEachAndNotBit(state.c.data(), sg_->adj.Row(vp).words,
+                            state.Words<W>(), [&](std::size_t w) {
+                              ws.push_back(static_cast<uint32_t>(w));
+                            });
   const int64_t budget = static_cast<int64_t>(options_.k) -
                          static_cast<int64_t>(state.NonNeighborsInP(vp));
   // Both guards are unreachable: the k-plex shortcut fires first.
@@ -221,16 +275,17 @@ void BranchEngine::BranchFaplexen(TaskState& state, uint32_t vp) {
       frame.child = run;
       frame.child.c.Reset(wi);
       frame.child.x.Set(wi);
-      Dispatch(frame.child);
+      Dispatch<W>(frame.child);
       // Extend the prefix with w_i; if that breaks the k-plex property
       // no later branch has a valid P (hereditariness), so stop.
-      run.ComputeSaturated(*sg_, options_.k, saturated_);
+      Mask<W> saturated(AnyWidthMask(0));
+      run.Saturated<W>(options_.k, saturated.get());
       if (!run.c.Test(wi) ||
-          !run.CanAdd(*sg_, saturated_, wi, options_.k)) {
+          !run.CanAdd<W>(*sg_, saturated.get(), wi, options_.k)) {
         break;
       }
       run.c.Reset(wi);
-      PrepareInclude(run, wi);
+      PrepareInclude<W>(run, wi);
       if (i == s) {
         // Final branch (Eq (6)): all of w_1..w_s in P. vp is saturated
         // now, so the remaining non-neighbors w_{s+1}..w_l can never
@@ -238,7 +293,7 @@ void BranchEngine::BranchFaplexen(TaskState& state, uint32_t vp) {
         // either: adding one would overflow vp's budget in any
         // superset).
         for (std::size_t j = s; j < ws.size(); ++j) run.c.Reset(ws[j]);
-        Dispatch(run);
+        Dispatch<W>(run);
       }
     }
   }

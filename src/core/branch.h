@@ -3,6 +3,15 @@
 // plus Eq (3) upper-bound pruning), the "Ours_P" FaPlexen branching
 // variant (Eq (4)-(6)), and the ablation configurations of Tables 5/6.
 //
+// One branch body serves every option. It reads P, C, X and the
+// adjacency rows as raw 64-bit words at a width W: one word or two,
+// fixed at compile time, or kAnyWidth, the seed graph's word count read
+// at run time (core/task_state.h). Retarget computes that word count,
+// (universe + 63) / 64, and Run picks the instantiation once per task.
+// Branch-and-bound never leaves a seed graph, whose universe is the
+// seed's two-hop neighbourhood, so on the benchmark workloads nearly
+// every call runs at one or two words (docs/ARCHITECTURE.md).
+//
 // One engine serves a whole run of one worker: Retarget points it at
 // each task's seed graph. Scratch buffers are reused across tasks and
 // across the recursion, which never interleaves two computations, and
@@ -12,11 +21,13 @@
 // optional per-task timeout implements the straggler decomposition of
 // Section 6: once the deadline passes, pending recursive calls are
 // re-packaged as standalone TaskStates and handed to the spawn callback
-// instead of being executed inline.
+// instead of being executed inline; the worker that runs one picks its
+// width from its own Retarget.
 
 #ifndef KPLEX_CORE_BRANCH_H_
 #define KPLEX_CORE_BRANCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,42 +87,54 @@ class BranchEngine {
   void Run(TaskState& state);
 
  private:
+  // The branch body at width W; branch.cc instantiates it for W = 1, 2
+  // and kAnyWidth.
+  template <std::size_t W>
   void Branch(TaskState& state);
+  template <std::size_t W>
   void BranchBinary(TaskState& state, uint32_t pivot, bool include_allowed);
+  template <std::size_t W>
   void BranchFaplexen(TaskState& state, uint32_t pivot);
+  template <std::size_t W>
   void Dispatch(TaskState& state);
 
   /// Moves vp from C into P and applies the R2 matrix row of vp to C and
   /// X (Theorems 5.14/5.15 via one AND, fringe bits unaffected).
+  template <std::size_t W>
   void PrepareInclude(TaskState& state, uint32_t vp);
-
-  /// In-place saturation + budget filter of `set` w.r.t. state.p.
-  void FilterSet(const TaskState& state, const DynamicBitset& saturated,
-                 DynamicBitset& set);
 
   /// Maximality check of P ∪ C (Alg. 3 Line 12): does some x in X extend
   /// it? Uses the d_{P∪C} table of the last pivot selection.
-  bool HasExtenderOfPc(const TaskState& state, const DynamicBitset& pc,
+  template <std::size_t W>
+  bool HasExtenderOfPc(const TaskState& state, const uint64_t* pc,
                        uint32_t pc_size);
 
-  void EmitPlex(const DynamicBitset& members);
+  void EmitPlex(const uint64_t* members, std::size_t words);
 
   bool TimeoutExpired() const {
     return spawn_ && WallTimer::NowNanos() > deadline_nanos_;
   }
   bool CheckGlobalDeadline();
 
+  /// Slot `i` of the any-width masks (see any_width_masks_).
+  uint64_t* AnyWidthMask(std::size_t i) {
+    return any_width_masks_.data() + i * words_;
+  }
+
   const SeedGraph* sg_ = nullptr;
+  /// Words of the seed graph's universe, (universe + 63) / 64.
+  std::size_t words_ = 0;
   const EnumOptions& options_;
   ResultSink& sink_;
   AlgoCounters& counters_;
   PivotSelector pivot_;
   BoundScratch bound_scratch_;
 
-  // Reusable scratch.
-  DynamicBitset saturated_;
-  DynamicBitset pc_;
-  DynamicBitset sat_pc_;
+  // Reusable scratch. A call's word masks (the saturated rows' AND, P ∪ C
+  // and P ∪ C's saturated members) live on the stack at a fixed width
+  // and in these three words_-word slots at any width; no mask is live
+  // across a recursive call.
+  std::vector<uint64_t> any_width_masks_;
   std::vector<VertexId> emit_;
   // The states a branching call keeps live while its children run:
   // BranchBinary uses `child` for its include branch, BranchFaplexen all

@@ -4,10 +4,16 @@
 // saturation, which in turn prunes more candidates), then by smallest
 // local id for determinism. When the winner lies in P, the paper's
 // default re-picks among its non-neighbors in C with the same rules.
+//
+// Select and RepickFromC are written once, over raw words at the branch
+// body's width W (core/task_state.h); pivot.cc instantiates them for
+// W = 1, 2 and kAnyWidth. The DynamicBitset overload of Select and the
+// default W serve the tests and benches.
 
 #ifndef KPLEX_CORE_PIVOT_H_
 #define KPLEX_CORE_PIVOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,13 +48,18 @@ class PivotSelector {
   }
 
   /// Computes d_{P∪C} for all members and selects the pivot. `pc` must
-  /// be (state.p | state.c). The degree table remains valid until the
-  /// next call and is reused by RepickFromC.
-  PivotResult Select(const TaskState& state, const DynamicBitset& pc);
+  /// be P ∪ C; its first PcWords<W>() words are read. The degree table
+  /// remains valid until the next call and is reused by RepickFromC.
+  template <std::size_t W>
+  PivotResult Select(const TaskState& state, const uint64_t* pc);
+  PivotResult Select(const TaskState& state, const DynamicBitset& pc) {
+    return Select<kAnyWidth>(state, pc.data());
+  }
 
   /// Lines 15-16: re-pick among the non-neighbors of `pivot` in C using
   /// the same rules. Requires Select() to have been called for this
   /// state. The caller guarantees N̄_C(pivot) is non-empty.
+  template <std::size_t W = kAnyWidth>
   uint32_t RepickFromC(const TaskState& state, uint32_t pivot);
 
   /// d_{P∪C}(v) from the last Select() call.

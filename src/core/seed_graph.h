@@ -66,8 +66,8 @@ struct SeedGraph {
   DynamicBitset n2_mask;  ///< bits [1+num_n1, num_vi)
   DynamicBitset fringe_mask;  ///< bits [num_vi, universe)
 
-  /// Number of 64-bit words covering V_i (prefix of every bitset); hot
-  /// loops restricted to V_i only touch this many words.
+  /// Number of 64-bit words covering V_i (prefix of every bitset); the
+  /// build's degree counts within V_i only touch this many words.
   std::size_t vi_words = 0;
 
   /// Pair-pruning matrix T (present iff R2 enabled).

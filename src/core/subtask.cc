@@ -48,8 +48,8 @@ class SubtaskEnumerator {
       // {v_i} ∪ S ∪ {u} must itself be a k-plex (hereditariness kills
       // the whole subtree otherwise). The saturation mask of the current
       // P is recomputed lazily because recursion below clobbers it.
-      state.ComputeSaturated(sg_, options_.k, saturated_);
-      if (!state.CanAdd(sg_, saturated_, static_cast<uint32_t>(u),
+      state.Saturated(options_.k, saturated_.data());
+      if (!state.CanAdd(sg_, saturated_.data(), static_cast<uint32_t>(u),
                         options_.k)) {
         continue;
       }

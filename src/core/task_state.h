@@ -2,10 +2,17 @@
 // the incrementally maintained |N(v) ∩ P| counts. States are copied when
 // a branch forks (the include side) and when the parallel timeout rule
 // re-packages a pending recursive call as a standalone task.
+//
+// The branch body reads the sets as raw 64-bit words at a width W fixed
+// per instantiation (core/branch.h): W = 1 or 2 words, known at compile
+// time, or kAnyWidth, the seed graph's own word count read at run time.
+// The word-level helpers below take that W; with the default kAnyWidth
+// they serve the sub-task layer and the tests, which never specialize.
 
 #ifndef KPLEX_CORE_TASK_STATE_H_
 #define KPLEX_CORE_TASK_STATE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +20,17 @@
 #include "util/bitset.h"
 
 namespace kplex {
+
+/// The width of a branch body that reads the word count at run time.
+inline constexpr std::size_t kAnyWidth = 0;
+
+/// Words of P ∪ C, which lies in V_i, the first sg.vi_words words: W at
+/// a fixed width, where counting all W words costs nothing more, and
+/// sg.vi_words at any width, where the fringe can hold most words.
+template <std::size_t W>
+std::size_t PcWords(const SeedGraph& sg) {
+  return W == kAnyWidth ? sg.vi_words : W;
+}
 
 struct TaskState {
   DynamicBitset p;  ///< current k-plex (subset of V_i)
@@ -32,11 +50,20 @@ struct TaskState {
     return st;
   }
 
+  /// Words of P, C, X and of every adjacency row read with them: W, or
+  /// the state's own word count for kAnyWidth.
+  template <std::size_t W>
+  std::size_t Words() const {
+    return W == kAnyWidth ? p.num_words() : W;
+  }
+
   /// Moves v (a V_i vertex not yet in P) into P, updating counts.
+  template <std::size_t W = kAnyWidth>
   void AddToP(const SeedGraph& sg, uint32_t v) {
     p.Set(v);
     ++p_size;
-    sg.adj.Row(v).ForEach([&](std::size_t u) { ++dp[u]; });
+    kernels::ForEachBit(sg.adj.Row(v).words, Words<W>(),
+                        [&](std::size_t u) { ++dp[u]; });
   }
 
   /// Non-neighbors of v inside P, counting v itself when v ∈ P
@@ -48,22 +75,25 @@ struct TaskState {
     return static_cast<int32_t>(k) - static_cast<int32_t>(NonNeighborsInP(v));
   }
 
-  /// True iff P ∪ {v} is still a k-plex, given that P itself is one.
-  /// `saturated` must hold exactly the P-members with d̄_P = k.
-  bool CanAdd(const SeedGraph& sg, const DynamicBitset& saturated,
-              uint32_t v, uint32_t k) const {
-    if (dp[v] + k < p_size + 1) return false;  // v's own budget
-    return saturated.IsSubsetOf(sg.adj.Row(v));
+  /// Writes into `saturated` (Words<W>() words) the P-members with
+  /// d̄_P = k.
+  template <std::size_t W = kAnyWidth>
+  void Saturated(uint32_t k, uint64_t* saturated) const {
+    const std::size_t n = Words<W>();
+    for (std::size_t i = 0; i < n; ++i) saturated[i] = 0;
+    if (p_size < k) return;  // d̄_P <= |P| < k: nobody saturated
+    kernels::ForEachBit(p.data(), n, [&](std::size_t u) {
+      if (p_size - dp[u] == k) saturated[u >> 6] |= uint64_t{1} << (u & 63);
+    });
   }
 
-  /// Fills `saturated` (resized to universe) with P-members of d̄_P = k.
-  void ComputeSaturated(const SeedGraph& sg, uint32_t k,
-                        DynamicBitset& saturated) const {
-    saturated.ResizeClear(sg.universe);
-    if (p_size < k) return;  // d̄_P <= |P| < k: nobody saturated
-    p.ForEach([&](std::size_t u) {
-      if (p_size - dp[u] == k) saturated.Set(u);
-    });
+  /// True iff P ∪ {v} is still a k-plex, given that P itself is one.
+  /// `saturated` must hold exactly the P-members with d̄_P = k.
+  template <std::size_t W = kAnyWidth>
+  bool CanAdd(const SeedGraph& sg, const uint64_t* saturated, uint32_t v,
+              uint32_t k) const {
+    if (dp[v] + k < p_size + 1) return false;  // v's own budget
+    return kernels::IsSubset(saturated, sg.adj.Row(v).words, Words<W>());
   }
 };
 

@@ -46,6 +46,10 @@ class DynamicBitset {
   std::size_t size() const { return num_bits_; }
   std::size_t num_words() const { return words_.size(); }
 
+  /// The num_words() words; writers keep the trailing slack zero.
+  uint64_t* data() { return words_.data(); }
+  const uint64_t* data() const { return words_.data(); }
+
   /// Read-only view; lets a DynamicBitset stand in wherever the kernel
   /// layer expects a BitSpan (and vice versa for binary-op operands).
   BitSpan AsSpan() const { return BitSpan{words_.data(), num_bits_}; }
@@ -198,13 +202,6 @@ class DynamicBitset {
   void ForEachAnd(BitSpan o, Fn&& fn) const {
     kernels::ForEachAndBit(words_.data(), o.words, SameSizeWords(o),
                            static_cast<Fn&&>(fn));
-  }
-
-  /// Calls fn(i) for every set bit of (this & ~o), ascending.
-  template <typename Fn>
-  void ForEachAndNot(BitSpan o, Fn&& fn) const {
-    kernels::ForEachAndNotBit(words_.data(), o.words, SameSizeWords(o),
-                              static_cast<Fn&&>(fn));
   }
 
   /// The set bits as a vector of indices (test/debug convenience).

@@ -4,7 +4,9 @@
 // subset tests, masked iteration over adjacency rows — bottoms out in a
 // loop over 64-bit words. Each loop is written once here, header-inline,
 // and BitSpan, MutableBitSpan (util/bit_matrix.h) and DynamicBitset
-// (util/bitset.h) call it directly.
+// (util/bitset.h) call it directly. So does the branch body
+// (core/branch.h), on raw words; where it passes a word count fixed at
+// compile time, the loop unrolls.
 //
 // One set of plain scalar loops, with no SIMD variant and no switch
 // between implementations: branch-and-bound runs inside seed
@@ -23,7 +25,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace kplex {
 namespace kernels {
@@ -229,28 +230,6 @@ struct BitSpan {
   std::size_t FindFirst() const { return FindNext(0); }
   std::size_t FindNext(std::size_t from) const {
     return kernels::FindNextBit(words, num_bits, from);
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    kernels::ForEachBit(words, num_words(), static_cast<Fn&&>(fn));
-  }
-  template <typename Fn>
-  void ForEachAnd(BitSpan o, Fn&& fn) const {
-    kernels::ForEachAndBit(words, o.words, num_words(), static_cast<Fn&&>(fn));
-  }
-  template <typename Fn>
-  void ForEachAndNot(BitSpan o, Fn&& fn) const {
-    kernels::ForEachAndNotBit(words, o.words, num_words(),
-                              static_cast<Fn&&>(fn));
-  }
-
-  /// The set bits as indices (test/debug convenience).
-  std::vector<uint32_t> ToVector() const {
-    std::vector<uint32_t> out;
-    out.reserve(Count());
-    ForEach([&](std::size_t i) { out.push_back(static_cast<uint32_t>(i)); });
-    return out;
   }
 };
 
