@@ -19,6 +19,7 @@ namespace kplex {
 namespace {
 
 using testing_util::DiffSets;
+using testing_util::ExpectWidthsUpTo;
 using testing_util::ResultSet;
 using testing_util::RunEngine;
 using testing_util::VerifyResultSet;
@@ -143,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 struct MediumParam {
-  std::string generator;  // "ba", "er", "ws", "planted"
+  std::string generator;  // "ba", "er", "erwide", "ws", "planted"
   uint32_t k;
   uint32_t q;
   uint64_t seed;
@@ -158,6 +159,7 @@ std::string MediumName(const ::testing::TestParamInfo<MediumParam>& info) {
 Graph MakeMediumGraph(const std::string& generator, uint64_t seed) {
   if (generator == "ba") return GenerateBarabasiAlbert(60, 6, seed);
   if (generator == "er") return GenerateErdosRenyi(50, 0.2, seed);
+  if (generator == "erwide") return GenerateErdosRenyi(200, 0.35, seed);
   if (generator == "ws") return GenerateWattsStrogatz(60, 8, 0.2, seed);
   PlantedCommunityConfig config;
   config.num_communities = 5;
@@ -173,6 +175,9 @@ class MediumGraphSweep : public ::testing::TestWithParam<MediumParam> {};
 TEST_P(MediumGraphSweep, VariantsAgreeAndOutputsVerify) {
   const MediumParam& p = GetParam();
   Graph g = MakeMediumGraph(p.generator, p.seed);
+  // "erwide" is the sweep's input with seed graphs of three-plus words.
+  ExpectWidthsUpTo(g, EnumOptions::Ours(p.k, p.q),
+                   p.generator == "erwide" ? 3 : 1);
 
   ResultSet ours = RunEngine(g, EnumOptions::Ours(p.k, p.q));
   VerifyResultSet(g, ours, p.k, p.q);
@@ -203,13 +208,18 @@ INSTANTIATE_TEST_SUITE_P(
                       MediumParam{"planted", 2, 5, 107},
                       MediumParam{"planted", 3, 6, 108},
                       MediumParam{"ba", 4, 8, 109},
-                      MediumParam{"planted", 4, 7, 110}),
+                      MediumParam{"planted", 4, 7, 110},
+                      // Every variant at one, two and three-plus words:
+                      // 8, 16 and 159 built seeds, 533 plexes.
+                      MediumParam{"erwide", 1, 7, 4}),
     MediumName);
 
 // ---------------------------------------------------------------------------
 // A one-worker run is Algorithm 2's seed loop. Cursors, max-results
 // truncation and stream pagination depend on its emission order, so the
-// order and the resume cursor are pinned to recorded values.
+// order and the resume cursor are pinned to recorded values, and so are
+// the search counters. The inputs cover every width of the branch body:
+// one word, two words and three or more.
 // ---------------------------------------------------------------------------
 
 // FNV-1a over the emission sequence, plex by plex: any reordering of the
@@ -233,34 +243,53 @@ TEST(EnumeratorOrder, OursOursPAndFpMatchTheirPinnedSequences) {
     Graph graph;
     uint32_t k;
     uint32_t q;
+    // Seed graphs of one word up to this many (3: three or more) occur,
+    // so the branch body runs at each of those widths.
+    uint32_t widest;
     std::size_t count;
     uint64_t ours;
     uint64_t ours_p;
     uint64_t fp;
+    // Ours's search: a changed pivot tie-break or bound moves these.
+    uint64_t branch_calls;
+    uint64_t kplex_shortcuts;
+    uint64_t ub_prunes;
     // Ours stopped at `max_results` resumes at this cursor.
     uint64_t max_results;
     uint32_t resume_seed;
     uint64_t resume_ordinal;
   };
   const Pinned cases[] = {
-      {"ba", GenerateBarabasiAlbert(300, 8, 555), 2, 6, 1184,
+      {"ba", GenerateBarabasiAlbert(300, 8, 555), 2, 6, 1, 1184,
        0x1e2900b273118da1ull, 0xe003996cb839f1e7ull, 0x945b06de68f5b921ull,
-       100, 174, 14},
-      {"er", GenerateErdosRenyi(60, 0.25, 556), 3, 6, 7783,
+       2497, 1287, 188, 100, 174, 14},
+      {"er", GenerateErdosRenyi(60, 0.25, 556), 3, 6, 1, 7783,
        0xc3832221cd8fa6fdull, 0x5339cb7c425cfe67ull, 0x950a73bbb64af619ull,
-       37, 0, 37},
-      {"ws", GenerateWattsStrogatz(200, 10, 0.2, 557), 2, 5, 514,
+       33170, 8096, 4911, 37, 0, 37},
+      {"ws", GenerateWattsStrogatz(200, 10, 0.2, 557), 2, 5, 1, 514,
        0xc9b6245a41bc19dfull, 0xcc852d8ce3d90517ull, 0xa7a7ce831a8160e1ull,
-       37, 8, 4},
+       1013, 626, 85, 37, 8, 4},
+      // 97 one-word and 48 two-word seed graphs.
+      {"ba-two-words", GenerateBarabasiAlbert(400, 20, 1), 2, 10, 2, 25994,
+       0x697bd30d3ce08797ull, 0x3488f1932871a53dull, 0x877a99f11fffcd0full,
+       78713, 29749, 6087, 100, 168, 21},
+      // 11, 26 and 91 seed graphs of one, two and three-plus words.
+      {"er-wide", GenerateErdosRenyi(150, 0.35, 4), 2, 9, 3, 28,
+       0xd0ab0a9ba8711ab0ull, 0xd0ab0a9ba8711ab0ull, 0xe4271f5c04a35988ull,
+       87568, 28, 61873, 13, 20, 1},
   };
   for (const Pinned& c : cases) {
     SCOPED_TRACE(c.name);
     const EnumOptions ours_options = EnumOptions::Ours(c.k, c.q);
+    ExpectWidthsUpTo(c.graph, ours_options, c.widest);
     CollectingSink ours;
     auto sequential = EnumerateMaximalKPlexes(c.graph, ours_options, ours);
     ASSERT_TRUE(sequential.ok());
     EXPECT_EQ(ours.size(), c.count);
     EXPECT_EQ(EmissionHash(ours.Results()), c.ours);
+    EXPECT_EQ(sequential->counters.branch_calls, c.branch_calls);
+    EXPECT_EQ(sequential->counters.kplex_shortcuts, c.kplex_shortcuts);
+    EXPECT_EQ(sequential->counters.ub_prunes, c.ub_prunes);
 
     // One thread runs on the calling thread with no task timeout,
     // whatever tau asks for: the same sequence and the same counters.

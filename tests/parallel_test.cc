@@ -71,8 +71,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Parallel, TinyTimeoutActuallyDecomposes) {
-  Graph g = GenerateErdosRenyi(80, 0.35, 777);
-  EnumOptions options = EnumOptions::Ours(3, 6);
+  // 38 one-word and 78 two-word seed graphs: a worker re-targets between
+  // widths, and a spawned task runs at its own seed graph's width on
+  // whichever worker takes it.
+  Graph g = GenerateErdosRenyi(120, 0.2, 777);
+  EnumOptions options = EnumOptions::Ours(2, 5);
+  testing_util::ExpectWidthsUpTo(g, options, 2);
   CollectingSink sink;
   ParallelOptions parallel;
   parallel.num_threads = 2;

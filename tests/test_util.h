@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
 #include "core/enumerator.h"
 #include "core/kplex_verify.h"
 #include "core/options.h"
+#include "core/reduction.h"
+#include "core/seed_graph.h"
 #include "core/sink.h"
 #include "graph/builder.h"
 #include "graph/degeneracy.h"
@@ -43,6 +47,29 @@ inline void VerifyResultSet(const Graph& graph, const ResultSet& results,
     if (i > 0) {
       ASSERT_NE(results[i - 1], plex) << "duplicate output";
     }
+  }
+}
+
+/// Expects the seed graphs a run of `options` on `graph` builds to span
+/// every width from one word up to `widest` (3: three or more words).
+/// The branch body runs at that width (core/branch.h).
+inline void ExpectWidthsUpTo(const Graph& graph, const EnumOptions& options,
+                             uint32_t widest) {
+  AlgoCounters counters;
+  const PreparedReduction prepared =
+      PrepareReduction(graph, options, counters);
+  std::array<uint32_t, 3> built{};  // one word, two, three or more
+  for (uint32_t i = 0; i < prepared.core.graph.NumVertices(); ++i) {
+    const auto sg = BuildSeedGraph(prepared.core.graph,
+                                   prepared.core.to_original,
+                                   prepared.ordering,
+                                   prepared.ordering.order[i], options,
+                                   nullptr);
+    if (!sg.has_value()) continue;
+    ++built[std::min<std::size_t>((sg->universe + 63) / 64, 3) - 1];
+  }
+  for (uint32_t w = 1; w <= widest; ++w) {
+    EXPECT_GT(built[w - 1], 0u) << "no seed graph of width " << w;
   }
 }
 
