@@ -9,6 +9,7 @@
 
 #include "baselines/fp.h"
 #include "baselines/listplex.h"
+#include "core/stage_runner.h"
 #include "parallel/parallel_enumerator.h"
 #include "util/memory.h"
 
@@ -53,6 +54,15 @@ AlgoFn MakeSequentialAlgo(const std::string& name, uint32_t k, uint32_t q) {
 
 AlgoFn MakeParallelAlgo(const std::string& name, uint32_t k, uint32_t q,
                         uint32_t threads, double tau_ms) {
+  if (name == "FP-par") {
+    // FP's parallel form (Dai et al.): each seed's whole two-hop set is
+    // one task, run to completion by one worker.
+    const EnumOptions fp = FpOptions(k, q);
+    return [fp, threads](const Graph& g, ResultSink& sink) {
+      return RunSeedStages(g, fp, threads, /*timeout_ms=*/0,
+                           EnumerateWholeSeed, sink);
+    };
+  }
   ParallelOptions parallel;
   parallel.num_threads = threads;
   EnumOptions options;
@@ -62,15 +72,6 @@ AlgoFn MakeParallelAlgo(const std::string& name, uint32_t k, uint32_t q,
   } else if (name == "ListPlex-par") {
     options = ListPlexOptions(k, q);
     parallel.timeout_ms = 0.0;  // no straggler elimination
-  } else if (name == "FP-par") {
-    // FP's parallel implementation runs whole-seed tasks; approximated
-    // here by the engine's FP-style options without sub-task timeout.
-    options = EnumOptions::Ours(k, q);
-    options.upper_bound = UpperBoundMode::kFpSorted;
-    options.pivot_saturation_tiebreak = false;
-    options.use_subtask_bound_r1 = false;
-    options.use_pair_pruning_r2 = false;
-    parallel.timeout_ms = 0.0;
   } else {
     std::fprintf(stderr, "unknown parallel variant '%s'\n", name.c_str());
     std::abort();

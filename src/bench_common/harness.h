@@ -25,9 +25,10 @@ using AlgoFn =
 /// "Ours\\ub", "Ours\\ub+fp". Aborts on unknown names.
 AlgoFn MakeSequentialAlgo(const std::string& name, uint32_t k, uint32_t q);
 
-/// Parallel variants of Table 4: "FP-par" and "ListPlex-par" run the
-/// corresponding search without timeout decomposition; "Ours-par" uses
-/// the timeout (tau_ms). All use `threads` workers.
+/// Parallel variants of Table 4, each with `threads` workers: "FP-par"
+/// runs FP's one task per seed, "ListPlex-par" ListPlex's sub-tasks
+/// without the straggler timeout, and "Ours-par" this paper's sub-tasks
+/// with timeout tau_ms (the only variant that reads it).
 AlgoFn MakeParallelAlgo(const std::string& name, uint32_t k, uint32_t q,
                         uint32_t threads, double tau_ms);
 

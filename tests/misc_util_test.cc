@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "baselines/fp.h"
 #include "bench_common/harness.h"
 #include "bench_common/table_printer.h"
 #include "graph/builder.h"
@@ -137,6 +138,15 @@ TEST(Harness, ParallelVariantsAgreeViaFingerprint) {
     ASSERT_TRUE(parallel.ok) << name << ": " << parallel.error;
     EXPECT_EQ(parallel.fingerprint, sequential.fingerprint) << name;
   }
+  // FP-par is FP's search, one whole-seed task per seed: no sub-tasks,
+  // and the sequential FP's branch calls.
+  CountingSink fp_sink, par_sink;
+  auto fp = FpEnumerate(g, FpOptions(2, 6), fp_sink);
+  auto par = MakeParallelAlgo("FP-par", 2, 6, 2, 0.1)(g, par_sink);
+  ASSERT_TRUE(fp.ok() && par.ok());
+  EXPECT_EQ(par->counters.subtasks, 0u);
+  EXPECT_GT(fp->counters.branch_calls, 0u);
+  EXPECT_EQ(par->counters.branch_calls, fp->counters.branch_calls);
 }
 
 TEST(Harness, MeasurePeakRssIsolatesChild) {
