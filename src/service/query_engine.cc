@@ -589,12 +589,6 @@ QueryEngine::CacheStats QueryEngine::cache_stats() const {
   return CacheStats{hits_, misses_, cache_.size(), cache_capacity_};
 }
 
-void QueryEngine::ClearCache() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& kv : cache_) cache_lru_.Erase(kv.first);
-  cache_.clear();
-}
-
 void QueryEngine::InvalidateGraph(const std::string& graph_name) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string prefix = graph_name + "|";

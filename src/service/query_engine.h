@@ -260,8 +260,6 @@ class QueryEngine {
   };
   CacheStats cache_stats() const;
 
-  void ClearCache();
-
   /// Drops cached results for one catalog graph (call when its backing
   /// data changes).
   void InvalidateGraph(const std::string& graph_name);

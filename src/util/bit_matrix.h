@@ -24,31 +24,6 @@
 
 namespace kplex {
 
-/// Mutable counterpart of BitSpan; converts to BitSpan for reads.
-struct MutableBitSpan {
-  uint64_t* words = nullptr;
-  std::size_t num_bits = 0;
-
-  operator BitSpan() const { return BitSpan{words, num_bits}; }
-  std::size_t num_words() const { return (num_bits + 63) / 64; }
-
-  void Set(std::size_t i) {
-    assert(i < num_bits && "MutableBitSpan::Set out of range");
-    words[i >> 6] |= (uint64_t{1} << (i & 63));
-  }
-  void Reset(std::size_t i) {
-    assert(i < num_bits && "MutableBitSpan::Reset out of range");
-    words[i >> 6] &= ~(uint64_t{1} << (i & 63));
-  }
-  bool Test(std::size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
-
-  void AndWith(BitSpan o) { kernels::AndInto(words, o.words, num_words()); }
-  void OrWith(BitSpan o) { kernels::OrInto(words, o.words, num_words()); }
-  void AndNotWith(BitSpan o) {
-    kernels::AndNotInto(words, o.words, num_words());
-  }
-};
-
 class BitMatrix {
  public:
   BitMatrix() = default;
@@ -70,14 +45,12 @@ class BitMatrix {
     assert(r < rows_ && "BitMatrix::Row out of range");
     return BitSpan{data_ + r * stride_, cols_};
   }
-  MutableBitSpan MutableRow(uint32_t r) {
-    assert(r < rows_ && "BitMatrix::MutableRow out of range");
-    return MutableBitSpan{data_ + r * stride_, cols_};
-  }
 
   bool Test(uint32_t r, uint32_t c) const { return Row(r).Test(c); }
-  void Set(uint32_t r, uint32_t c) { MutableRow(r).Set(c); }
-  void Reset(uint32_t r, uint32_t c) { MutableRow(r).Reset(c); }
+  void Set(uint32_t r, uint32_t c) { Word(r, c) |= uint64_t{1} << (c & 63); }
+  void Reset(uint32_t r, uint32_t c) {
+    Word(r, c) &= ~(uint64_t{1} << (c & 63));
+  }
 
   /// Zeroes every bit of row r (padding words stay zero by invariant).
   void ClearRow(uint32_t r);
@@ -85,12 +58,12 @@ class BitMatrix {
   /// Sets every bit of row r, columns [0, cols) only.
   void FillRow(uint32_t r);
 
-  /// Total heap bytes owned by the buffer (memory accounting).
-  std::size_t AllocatedBytes() const {
-    return static_cast<std::size_t>(rows_) * stride_ * sizeof(uint64_t);
+ private:
+  uint64_t& Word(uint32_t r, uint32_t c) {
+    assert(r < rows_ && c < cols_ && "BitMatrix::Set/Reset out of range");
+    return data_[r * stride_ + (c >> 6)];
   }
 
- private:
   uint32_t rows_ = 0;
   uint32_t cols_ = 0;
   std::size_t stride_ = 0;     // words per row, multiple of 8

@@ -67,13 +67,6 @@ class DynamicBitset {
     assert(i < num_bits_ && "DynamicBitset::Test index out of range");
     return (words_[i >> 6] >> (i & 63)) & 1;
   }
-  void Assign(std::size_t i, bool value) {
-    if (value) {
-      Set(i);
-    } else {
-      Reset(i);
-    }
-  }
 
   /// Clears bits [0, n) — used for "ids strictly greater than" masks in
   /// set-enumeration search.
@@ -139,9 +132,6 @@ class DynamicBitset {
   }
   void AndNotWith(BitSpan o) {
     kernels::AndNotInto(words_.data(), o.words, SameSizeWords(o));
-  }
-  void XorWith(BitSpan o) {
-    kernels::XorInto(words_.data(), o.words, SameSizeWords(o));
   }
 
   /// popcount(this & o) without materializing the intersection.

@@ -3,10 +3,9 @@
 // Every hot operation of the mining engine — intersection popcounts,
 // subset tests, masked iteration over adjacency rows — bottoms out in a
 // loop over 64-bit words. Each loop is written once here, header-inline,
-// and BitSpan, MutableBitSpan (util/bit_matrix.h) and DynamicBitset
-// (util/bitset.h) call it directly. So does the branch body
-// (core/branch.h), on raw words; where it passes a word count fixed at
-// compile time, the loop unrolls.
+// and BitSpan and DynamicBitset (util/bitset.h) call it directly. So
+// does the branch body (core/branch.h), on raw words; where it passes a
+// word count fixed at compile time, the loop unrolls.
 //
 // One set of plain scalar loops, with no SIMD variant and no switch
 // between implementations: branch-and-bound runs inside seed
@@ -84,10 +83,6 @@ inline void OrInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
 inline void AndNotInto(uint64_t* dst, const uint64_t* src,
                        std::size_t words) {
   for (std::size_t i = 0; i < words; ++i) dst[i] &= ~src[i];
-}
-
-inline void XorInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) dst[i] ^= src[i];
 }
 
 // ---- predicates ----------------------------------------------------------

@@ -21,9 +21,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last Restart().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   /// Nanosecond tick of the monotonic clock (for cheap deadline checks).
   static int64_t NowNanos() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(

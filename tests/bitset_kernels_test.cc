@@ -101,7 +101,6 @@ TEST(BitsetKernels, MaterializingKernelsMatchPortable) {
       {"or_into", kernels::OrInto, [](bool d, bool s) { return d || s; }},
       {"andnot_into", kernels::AndNotInto,
        [](bool d, bool s) { return d && !s; }},
-      {"xor_into", kernels::XorInto, [](bool d, bool s) { return d != s; }},
   };
   for (std::size_t bits : kSizes) {
     for (double density : {0.1, 0.5, 1.0}) {
