@@ -9,7 +9,7 @@
 // FP's exact bound (Lemma 5 of [16]) is not available offline; we
 // substitute the admissible support bound of Theorem 5.5 evaluated over
 // sorted candidates, which has the same asymptotic per-call cost
-// (O(|C| log |C|)) and comparable strength — see DESIGN.md section 4.
+// (O(|C| log |C|)) and comparable strength.
 
 #ifndef KPLEX_BASELINES_FP_H_
 #define KPLEX_BASELINES_FP_H_

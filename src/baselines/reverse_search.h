@@ -9,7 +9,7 @@
 //
 // The paper's claim — "it is less efficient than BK when the goal is to
 // enumerate all maximal k-plexes" — is reproduced by
-// bench/bench_reverse_search_note. The module exists as a second,
+// `bench_paper reverse-search`. The module exists as a second,
 // structurally independent exact enumerator: it shares no search code
 // with the branch-and-bound engine, which makes it a powerful
 // cross-validation oracle (and it has no q >= 2k - 1 restriction since

@@ -1,8 +1,9 @@
 // Named benchmark datasets. Each entry is either the bundled real graph
 // (Zachary's karate club) or a deterministic synthetic stand-in for one
-// of the paper's SNAP/LAW datasets (see DESIGN.md section 4 for the
-// substitution rationale). Generation is seeded, so every run of every
-// bench sees bit-identical graphs.
+// of the paper's SNAP/LAW datasets: sized for a laptop, with the heavy
+// tail, local clustering and small degeneracy of its class, which are
+// the properties the algorithms exploit. Generation is seeded, so every
+// run of every bench sees bit-identical graphs.
 
 #ifndef KPLEX_BENCH_COMMON_DATASET_REGISTRY_H_
 #define KPLEX_BENCH_COMMON_DATASET_REGISTRY_H_

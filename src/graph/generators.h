@@ -1,8 +1,9 @@
 // Deterministic synthetic graph generators. These are the offline
-// stand-ins for the SNAP/LAW datasets of the paper's Table 2 (see
-// DESIGN.md section 4): Barabasi-Albert and RMAT produce the heavy-tailed
-// degree distributions of social/web graphs, Watts-Strogatz the high
-// local clustering, and the planted-community generator produces known
+// stand-ins for the SNAP/LAW datasets of the paper's Table 2, which
+// cannot be downloaded here; the dataset registry gives each one's
+// recipe. Barabasi-Albert and RMAT produce the heavy-tailed degree
+// distributions of social/web graphs, Watts-Strogatz the high local
+// clustering, and the planted-community generator produces known
 // near-clique ground truth for the examples.
 
 #ifndef KPLEX_GRAPH_GENERATORS_H_
