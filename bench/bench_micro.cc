@@ -49,17 +49,6 @@ void BM_KernelAndCount(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAndCount)->Arg(256)->Arg(1024)->Arg(8192);
 
-void BM_KernelAndCount3(benchmark::State& state) {
-  const std::size_t words = (state.range(0) + 63) / 64;
-  const auto a = RandomWords(words, 21), b = RandomWords(words, 22),
-             c = RandomWords(words, 23);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::AndCount3(a.data(), b.data(), c.data(), words));
-  }
-}
-BENCHMARK(BM_KernelAndCount3)->Arg(1024)->Arg(8192);
-
 void BM_KernelAndNotCount(benchmark::State& state) {
   const std::size_t words = (state.range(0) + 63) / 64;
   const auto a = RandomWords(words, 31), b = RandomWords(words, 32);
@@ -190,7 +179,7 @@ void BM_UpperBounds(benchmark::State& state) {
   }
   TaskState task = TaskState::MakeEmpty(*sg);
   task.AddToP(*sg, SeedGraph::kSeed);
-  task.c = sg->n1_mask;
+  task.c.SetRange(1, 1 + sg->num_n1);
   const uint32_t pivot = static_cast<uint32_t>(task.c.FindFirst());
   task.c.Reset(pivot);
 

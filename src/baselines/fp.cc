@@ -13,7 +13,6 @@ EnumOptions FpOptions(uint32_t k, uint32_t q) {
   options.pivot_saturation_tiebreak = false;
   options.use_subtask_bound_r1 = false;  // no sub-tasks at all
   options.use_pair_pruning_r2 = false;
-  options.use_seed_pruning = true;
   return options;
 }
 

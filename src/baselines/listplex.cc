@@ -6,14 +6,11 @@ EnumOptions ListPlexOptions(uint32_t k, uint32_t q) {
   EnumOptions options;
   options.k = k;
   options.q = q;
-  options.branching = BranchingScheme::kFaplexenAlways;
+  options.branching = BranchingScheme::kFaplexenWhenPivotInP;
   options.upper_bound = UpperBoundMode::kNone;
   options.pivot_saturation_tiebreak = false;
   options.use_subtask_bound_r1 = false;
   options.use_pair_pruning_r2 = false;
-  // ListPlex constructs the same two-hop seed subgraphs and applies
-  // common-neighbor reductions during construction.
-  options.use_seed_pruning = true;
   return options;
 }
 

@@ -85,6 +85,11 @@ void BranchEngine::PrepareInclude(TaskState& state, uint32_t vp) {
 }
 
 void BranchEngine::EmitPlex(const uint64_t* members, std::size_t words) {
+  if (options_.max_results > 0) {
+    const uint64_t slot = claimed_->fetch_add(1);
+    if (slot + 1 >= options_.max_results) stopped_early_ = true;
+    if (slot >= options_.max_results) return;
+  }
   emit_.clear();
   kernels::ForEachBit(members, words, [&](std::size_t v) {
     emit_.push_back(sg_->to_global[v]);
@@ -92,10 +97,6 @@ void BranchEngine::EmitPlex(const uint64_t* members, std::size_t words) {
   std::sort(emit_.begin(), emit_.end());
   ++counters_.outputs;
   sink_.Emit(emit_);
-  if (options_.max_results > 0 &&
-      counters_.outputs >= options_.max_results) {
-    stopped_early_ = true;
-  }
 }
 
 template <std::size_t W>

@@ -27,6 +27,7 @@
 #ifndef KPLEX_CORE_BRANCH_H_
 #define KPLEX_CORE_BRANCH_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -79,6 +80,12 @@ class BranchEngine {
   /// True when the abort was triggered by options.cancel (as opposed to
   /// the global deadline).
   bool cancelled() const { return cancelled_; }
+
+  /// With options.max_results > 0, each emit first claims a slot of
+  /// `claimed`, one count shared by every engine of a run, and an
+  /// engine stops once a claim fails, or once its claim takes the last
+  /// slot. Until this is called, the engine claims from its own count.
+  void ShareResultCap(std::atomic<uint64_t>* claimed) { claimed_ = claimed; }
 
   /// True when the engine stopped because options.max_results was hit.
   bool stopped_early() const { return stopped_early_; }
@@ -159,6 +166,8 @@ class BranchEngine {
   bool aborted_ = false;
   bool cancelled_ = false;
   bool stopped_early_ = false;
+  std::atomic<uint64_t> own_claims_{0};
+  std::atomic<uint64_t>* claimed_ = &own_claims_;
 };
 
 }  // namespace kplex

@@ -31,8 +31,8 @@ struct EnumResult {
   /// True when the run stopped early due to options.time_limit_seconds.
   bool timed_out = false;
   /// True when the run stopped cleanly after options.max_results hits.
-  /// With several workers each counts its own emissions against the
-  /// cap, so the run may emit more than max_results.
+  /// The workers claim emits from one count, so the run emits exactly
+  /// max_results plexes at every worker count.
   bool stopped_early = false;
   /// True when the run was aborted through options.cancel.
   bool cancelled = false;

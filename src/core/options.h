@@ -49,12 +49,11 @@ enum class BranchingScheme {
   /// pivot among its non-neighbors in C (Alg. 3, Lines 15-16) and use
   /// binary include/exclude branching guarded by the Eq (3) upper bound.
   kRepickFromC,
-  /// "Ours_P": when the pivot lies in P, use the FaPlexen-style
-  /// multi-way branching Eq (4)-(6) instead of re-picking.
+  /// "Ours_P" and ListPlex: when the pivot lies in P, use the
+  /// FaPlexen-style multi-way branching Eq (4)-(6) instead of
+  /// re-picking. ListPlex differs only in its bound, tie-break and
+  /// R1/R2 settings.
   kFaplexenWhenPivotInP,
-  /// FaPlexen/ListPlex branching: Eq (4)-(6) whenever the pivot lies in
-  /// P, plain binary branching otherwise, never any upper-bound pruning.
-  kFaplexenAlways,
 };
 
 /// Which upper bound guards the include-branch (Alg. 3, Lines 17-18).
@@ -83,8 +82,6 @@ struct EnumOptions {
   bool use_subtask_bound_r1 = true;
   /// R2: vertex-pair pruning matrix (Theorems 5.13, 5.14, 5.15).
   bool use_pair_pruning_r2 = true;
-  /// Corollary 5.2 iterated common-neighbor pruning of seed subgraphs.
-  bool use_seed_pruning = true;
 
   /// Optional CTCP preprocessing (kPlexS [12]): iterated vertex + edge
   /// reduction of the whole graph before mining. Off by default — the

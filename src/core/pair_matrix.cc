@@ -50,33 +50,25 @@ PairPruneMatrix BuildPairMatrix(const SeedGraph& sg, uint32_t k,
   // Common neighbors are always counted inside C_S = N_{G_i}(v_i); the
   // endpoints themselves can never be their own common neighbors, so the
   // C_S^- variants of Theorems 5.14/5.15 need no special handling.
-  // N1 is the bit range [1, 1 + num_n1), so the count reads only the
-  // words that cover it.
-  auto n1_prefix = [&](BitSpan span) {
-    return BitSpan{span.words, 1 + static_cast<std::size_t>(sg.num_n1)};
-  };
-  const BitSpan n1 = n1_prefix(sg.n1_mask);
-  auto category = [&](uint32_t v) -> int {
-    if (v == SeedGraph::kSeed) return 0;
-    return sg.n1_mask.Test(v) ? 1 : 2;
-  };
-
+  // N1 is the bit range [1, n1_end): a V_i vertex other than the seed
+  // is in N1 or N2 by its index, and the count reads only the words
+  // that cover N1.
+  const uint32_t n1_end = 1 + sg.num_n1;
   for (uint32_t u = 1; u < sg.num_vi; ++u) {
-    const int cu = category(u);
+    const uint64_t* row_u = sg.adj.Row(u).words;
     for (uint32_t v = u + 1; v < sg.num_vi; ++v) {
-      const int cv = category(v);
-      const bool adjacent = sg.adj.HasEdge(u, v);
+      const bool adjacent = sg.adj.Test(u, v);
       int64_t threshold;
-      if (cu == 2 && cv == 2) {
+      if (u >= n1_end) {  // and so is v > u: both in N2
         threshold = PairPruneMatrix::ThresholdN2N2(k, q, adjacent);
-      } else if (cu == 1 && cv == 1) {
+      } else if (v < n1_end) {  // and so is u < v: both in N1
         threshold = PairPruneMatrix::ThresholdN1N1(k, q, adjacent);
       } else {
         threshold = PairPruneMatrix::ThresholdN2N1(k, q, adjacent);
       }
       if (threshold <= 0) continue;
-      const int64_t common = static_cast<int64_t>(
-          n1_prefix(sg.adj.Row(u)).AndCount3(n1_prefix(sg.adj.Row(v)), n1));
+      const int64_t common = static_cast<int64_t>(kernels::AndCountRange(
+          row_u, sg.adj.Row(v).words, 1, n1_end));
       if (common < threshold) {
         matrix.rows_.Reset(u, v);
         matrix.rows_.Reset(v, u);

@@ -161,7 +161,7 @@ std::optional<SeedGraph> BuildSeedGraph(
   const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
   const int64_t thr_n2 = thr_n1 + 2;
   const std::size_t n1_unpruned = n1.size();
-  if (options.use_seed_pruning && thr_n1 > 0) {
+  if (thr_n1 > 0) {
     for (uint32_t i = 0; i < n1.size(); ++i) {
       s.slots[n1[i]] = {s.stamp_n1, i};
     }
@@ -200,11 +200,9 @@ std::optional<SeedGraph> BuildSeedGraph(
 
   // N2 removals change no count, so N2 is filtered once. Every N2 vertex
   // here has a witness in the surviving N1.
-  std::size_t pruned = n1_unpruned - n1.size();
-  if (options.use_seed_pruning) {
-    pruned +=
-        std::erase_if(n2, [&](VertexId u) { return common(u) < thr_n2; });
-  }
+  const std::size_t pruned =
+      n1_unpruned - n1.size() +
+      std::erase_if(n2, [&](VertexId u) { return common(u) < thr_n2; });
   if (1 + n1.size() + n2.size() < q) return std::nullopt;
 
   // Fringe V'_i: earlier vertices within two hops, filtered by the
@@ -221,7 +219,6 @@ std::optional<SeedGraph> BuildSeedGraph(
   sg.num_n1 = static_cast<uint32_t>(n1.size());
   sg.num_vi = static_cast<uint32_t>(1 + n1.size() + n2.size());
   sg.universe = static_cast<uint32_t>(sg.num_vi + near.size() + far.size());
-  sg.vi_words = (sg.num_vi + 63) / 64;
 
   std::vector<VertexId>& local_to_reduced = s.local_to_reduced;
   local_to_reduced.assign(1, seed_vertex);
@@ -243,30 +240,25 @@ std::optional<SeedGraph> BuildSeedGraph(
     s.slots[reduced] = {s.stamp_local, i};
   }
 
-  sg.adj = LocalGraph(sg.universe);
+  sg.adj = BitMatrix(sg.universe, sg.universe);
   // Only edges with at least one endpoint in V_i matter; iterate V_i
   // members so fringe-fringe edges are skipped.
   for (uint32_t i = 0; i < sg.num_vi; ++i) {
     for (VertexId w : graph.Neighbors(local_to_reduced[i])) {
       const Slot& slot = s.slots[w];
-      if (slot.stamp == s.stamp_local) sg.adj.AddEdge(i, slot.value);
+      if (slot.stamp == s.stamp_local) {
+        sg.adj.Set(i, slot.value);
+        sg.adj.Set(slot.value, i);
+      }
     }
   }
 
-  sg.vi_mask.ResizeClear(sg.universe);
-  sg.n1_mask.ResizeClear(sg.universe);
-  sg.n2_mask.ResizeClear(sg.universe);
-  sg.fringe_mask.ResizeClear(sg.universe);
-  sg.vi_mask.SetRange(0, sg.num_vi);
-  sg.n1_mask.SetRange(1, 1 + sg.num_n1);
-  sg.n2_mask.SetRange(1 + sg.num_n1, sg.num_vi);
-  sg.fringe_mask.SetRange(sg.num_vi, sg.universe);
-
+  // V_i is the bit range [0, num_vi): the count reads only its words.
   sg.deg_vi.resize(sg.num_vi);
   for (uint32_t i = 0; i < sg.num_vi; ++i) {
-    // V_i occupies the bit prefix, so the count only walks vi_words.
-    sg.deg_vi[i] = static_cast<uint32_t>(
-        sg.adj.Row(i).AndCountLimit(sg.vi_mask, sg.vi_words));
+    const uint64_t* row = sg.adj.Row(i).words;
+    sg.deg_vi[i] =
+        static_cast<uint32_t>(kernels::AndCountRange(row, row, 0, sg.num_vi));
   }
 
   if (options.use_pair_pruning_r2) {

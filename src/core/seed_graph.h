@@ -2,19 +2,22 @@
 // pruning). For a seed vertex v_i in degeneracy order, the SeedGraph
 // materializes:
 //
-//   local id 0                : the seed v_i
-//   local ids [1, 1+|N1|)     : N_{G_i}(v_i)   (later neighbors)
-//   local ids [.., num_vi)    : N^2_{G_i}(v_i) (later two-hop vertices,
-//                               reachable via N1)
-//   local ids [num_vi, size)  : the exclusive fringe V'_i (earlier
-//                               vertices within two hops, kept only for
-//                               maximality checks)
+//   local id 0                    : the seed v_i
+//   local ids [1, 1+num_n1)       : N_{G_i}(v_i)   (later neighbors)
+//   local ids [1+num_n1, num_vi)  : N^2_{G_i}(v_i) (later two-hop
+//                                   vertices, reachable via N1)
+//   local ids [num_vi, universe)  : the exclusive fringe V'_i (earlier
+//                                   vertices within two hops, kept
+//                                   only for maximality checks)
 //
-// as a dense LocalGraph (adjacency rows over the whole local universe;
-// fringe-fringe edges are irrelevant and omitted). Vertices that cannot
-// participate in any k-plex of size >= q together with v_i are pruned:
-// Corollary 5.2 iterated to a fixpoint on the V_i side, the matching
-// Theorem 5.1 common-neighbor conditions on the fringe side.
+// in one dense adjacency BitMatrix (a row per local vertex over the
+// whole universe; fringe-fringe edges are irrelevant and omitted). Each
+// part is a contiguous id range, so the three counts are the whole
+// layout: readers build a part's mask with SetRange or test membership
+// with an index compare. Vertices that cannot participate in any k-plex
+// of size >= q together with v_i are pruned: Corollary 5.2 iterated to
+// a fixpoint on the V_i side, the matching Theorem 5.1 common-neighbor
+// conditions on the fringe side.
 //
 // The N1 half of Corollary 5.2 reads only the edges inside N1, and each
 // of them lies in the out-list (DegeneracyResult::Later) of its earlier
@@ -36,8 +39,7 @@
 #include "core/pair_matrix.h"
 #include "graph/degeneracy.h"
 #include "graph/graph.h"
-#include "graph/local_graph.h"
-#include "util/bitset.h"
+#include "util/bit_matrix.h"
 
 namespace kplex {
 
@@ -52,23 +54,14 @@ struct SeedGraph {
   /// Total local universe size (= num_vi + fringe size).
   uint32_t universe = 0;
 
-  /// Dense adjacency over the local universe.
-  LocalGraph adj;
+  /// Dense symmetric adjacency, universe x universe: Row(v) holds v's
+  /// local neighbours.
+  BitMatrix adj;
   /// to_global[local] = vertex id in the *original* input graph.
   std::vector<VertexId> to_global;
   /// deg_vi[v] = degree of v within V_i (the d_{G_i} of Theorem 5.3).
   /// Defined for local ids < num_vi.
   std::vector<uint32_t> deg_vi;
-
-  /// Masks over the local universe.
-  DynamicBitset vi_mask;  ///< bits [0, num_vi)
-  DynamicBitset n1_mask;  ///< bits [1, 1+num_n1)
-  DynamicBitset n2_mask;  ///< bits [1+num_n1, num_vi)
-  DynamicBitset fringe_mask;  ///< bits [num_vi, universe)
-
-  /// Number of 64-bit words covering V_i (prefix of every bitset); the
-  /// build's degree counts within V_i only touch this many words.
-  std::size_t vi_words = 0;
 
   /// Pair-pruning matrix T (present iff R2 enabled).
   std::optional<PairPruneMatrix> pairs;

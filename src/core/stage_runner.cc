@@ -75,6 +75,7 @@ class StageRunner {
       Worker& w =
           *workers_.emplace_back(std::make_unique<Worker>(options_, sink));
       if (global_deadline_ > 0) w.engine.SetGlobalDeadline(global_deadline_);
+      w.engine.ShareResultCap(&results_claimed_);
       if (num_workers_ == 1) {
         w.consume = [&w](TaskState&& task) { w.engine.Run(task); };
         continue;
@@ -329,6 +330,8 @@ class StageRunner {
   std::atomic<bool> observed_cancel_{false};
   std::atomic<bool> stopped_early_{false};
   std::atomic<bool> timed_out_{false};
+  // Emit slots claimed under options.max_results, by every worker.
+  std::atomic<uint64_t> results_claimed_{0};
 
   // Written only between stages (before the first one, or in the
   // barrier's completion step) and read by the workers after it.

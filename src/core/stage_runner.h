@@ -28,7 +28,7 @@
 namespace kplex {
 
 /// Cuts one seed graph into branch-and-bound tasks: EnumerateSubtasks
-/// (Algorithm 2) or EnumerateWholeSeed (the FP and D2K baselines).
+/// (Algorithm 2) or EnumerateWholeSeed (the FP baseline).
 using SeedStep = void (*)(const SeedGraph& sg, const EnumOptions& options,
                           AlgoCounters& counters,
                           const TaskConsumer& consume);

@@ -13,12 +13,15 @@ class SubtaskEnumerator {
         saturated_(sg.universe) {}
 
   void Run() {
+    // C = N1; X = N2 and the fringe, which are adjacent ranges; S grows
+    // from N2.
+    const uint32_t n1_end = 1 + sg_.num_n1;
     TaskState base = TaskState::MakeEmpty(sg_);
     base.AddToP(sg_, SeedGraph::kSeed);
-    base.c = sg_.n1_mask;
-    base.x = sg_.fringe_mask;
-    base.x.OrWith(sg_.n2_mask);
-    DynamicBitset ext = sg_.n2_mask;
+    base.c.SetRange(1, n1_end);
+    base.x.SetRange(n1_end, sg_.universe);
+    DynamicBitset ext(sg_.universe);
+    ext.SetRange(n1_end, sg_.num_vi);
     Recurse(base, ext, /*s_size=*/0);
   }
 
@@ -87,9 +90,8 @@ void EnumerateWholeSeed(const SeedGraph& sg, const EnumOptions&,
                         AlgoCounters&, const TaskConsumer& consume) {
   TaskState task = TaskState::MakeEmpty(sg);
   task.AddToP(sg, SeedGraph::kSeed);
-  task.c = sg.n1_mask;
-  task.c.OrWith(sg.n2_mask);
-  task.x = sg.fringe_mask;
+  task.c.SetRange(1, sg.num_vi);
+  task.x.SetRange(sg.num_vi, sg.universe);
   consume(std::move(task));
 }
 

@@ -25,8 +25,8 @@ using TaskConsumer = std::function<void(TaskState&&)>;
 void EnumerateSubtasks(const SeedGraph& sg, const EnumOptions& options,
                        AlgoCounters& counters, const TaskConsumer& consume);
 
-/// The FP and D2K baselines' undecomposed step: hands `consume` one task
-/// for the whole seed graph, P = {v_i}, C = N1 ∪ N2, X = the fringe. It
+/// The FP baseline's undecomposed step: hands `consume` one task for
+/// the whole seed graph, P = {v_i}, C = N1 ∪ N2, X = the fringe. It
 /// counts no sub-task.
 void EnumerateWholeSeed(const SeedGraph& sg, const EnumOptions& options,
                         AlgoCounters& counters, const TaskConsumer& consume);

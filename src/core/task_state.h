@@ -24,12 +24,12 @@ namespace kplex {
 /// The width of a branch body that reads the word count at run time.
 inline constexpr std::size_t kAnyWidth = 0;
 
-/// Words of P ∪ C, which lies in V_i, the first sg.vi_words words: W at
-/// a fixed width, where counting all W words costs nothing more, and
-/// sg.vi_words at any width, where the fringe can hold most words.
+/// Words of P ∪ C, which lies in V_i = [0, num_vi): W at a fixed width,
+/// where counting all W words costs nothing more, and the words that
+/// cover V_i at any width, where the fringe can hold most words.
 template <std::size_t W>
 std::size_t PcWords(const SeedGraph& sg) {
-  return W == kAnyWidth ? sg.vi_words : W;
+  return W == kAnyWidth ? (sg.num_vi + 63) / 64 : W;
 }
 
 struct TaskState {

@@ -1,9 +1,9 @@
 // BitMatrix: a dense 2-D bit array stored as ONE contiguous uint64_t
 // buffer with a fixed word stride per row, rows aligned to 64 bytes.
 //
-// This is the storage layer under LocalGraph's adjacency matrix and the
-// pair-pruning matrix T: the branch-and-bound inner loops walk many rows
-// in sequence, and a flat buffer keeps them on consecutive cache lines
+// A seed graph's adjacency matrix is one, and so is its pair-pruning
+// matrix T: the branch-and-bound inner loops walk many rows in
+// sequence, and a flat buffer keeps them on consecutive cache lines
 // instead of chasing one heap pointer per row (the old
 // vector<DynamicBitset> layout). The stride is rounded up to 8 words
 // (64 bytes) so every row starts on a cache-line boundary.

@@ -139,22 +139,6 @@ class DynamicBitset {
     return kernels::AndCount(words_.data(), o.words, SameSizeWords(o));
   }
 
-  /// popcount(this & b & c) without materializing intermediates.
-  std::size_t AndCount3(BitSpan b, BitSpan c) const {
-    SameSizeWords(b);
-    return kernels::AndCount3(words_.data(), b.words, c.words,
-                              SameSizeWords(c));
-  }
-
-  /// popcount(this & o) over the first `word_limit` words only. Callers
-  /// use this when all set bits of one operand are known to lie in a
-  /// prefix of the universe (e.g. the V_i prefix of a seed subgraph).
-  std::size_t AndCountLimit(BitSpan o, std::size_t word_limit) const {
-    const std::size_t words = SameSizeWords(o);
-    return kernels::AndCount(words_.data(), o.words,
-                             word_limit < words ? word_limit : words);
-  }
-
   /// popcount(this & ~o).
   std::size_t AndNotCount(BitSpan o) const {
     return kernels::AndNotCount(words_.data(), o.words, SameSizeWords(o));

@@ -56,11 +56,19 @@ inline std::size_t AndCount(const uint64_t* a, const uint64_t* b,
   return c;
 }
 
-inline std::size_t AndCount3(const uint64_t* a, const uint64_t* b,
-                             const uint64_t* c, std::size_t words) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < words; ++i) n += PopCount(a[i] & b[i] & c[i]);
-  return n;
+/// popcount(a & b) over bits [begin, end) only, reading just the words
+/// that cover the range. Passing one operand twice counts it alone.
+inline std::size_t AndCountRange(const uint64_t* a, const uint64_t* b,
+                                 std::size_t begin, std::size_t end) {
+  if (begin >= end) return 0;
+  const std::size_t first = begin >> 6;
+  const std::size_t last = (end - 1) >> 6;
+  const uint64_t head = ~uint64_t{0} << (begin & 63);
+  const uint64_t tail = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) return PopCount(a[first] & b[first] & head & tail);
+  std::size_t c = PopCount(a[first] & b[first] & head);
+  for (std::size_t i = first + 1; i < last; ++i) c += PopCount(a[i] & b[i]);
+  return c + PopCount(a[last] & b[last] & tail);
 }
 
 inline std::size_t AndNotCount(const uint64_t* a, const uint64_t* b,
@@ -187,18 +195,6 @@ struct BitSpan {
 
   std::size_t AndCount(BitSpan o) const {
     return kernels::AndCount(words, o.words, num_words());
-  }
-
-  std::size_t AndCount3(BitSpan b, BitSpan c) const {
-    return kernels::AndCount3(words, b.words, c.words, num_words());
-  }
-
-  /// popcount(this & o) over the first `word_limit` words only (the
-  /// vi_words prefix optimization of the seed-graph layout).
-  std::size_t AndCountLimit(BitSpan o, std::size_t word_limit) const {
-    const std::size_t nw = num_words();
-    return kernels::AndCount(words, o.words,
-                             word_limit < nw ? word_limit : nw);
   }
 
   std::size_t AndNotCount(BitSpan o) const {

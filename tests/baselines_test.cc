@@ -68,7 +68,7 @@ TEST(ListPlex, OptionsMatchPaperCharacterization) {
   EnumOptions options = ListPlexOptions(3, 12);
   EXPECT_EQ(options.k, 3u);
   EXPECT_EQ(options.q, 12u);
-  EXPECT_EQ(options.branching, BranchingScheme::kFaplexenAlways);
+  EXPECT_EQ(options.branching, BranchingScheme::kFaplexenWhenPivotInP);
   EXPECT_EQ(options.upper_bound, UpperBoundMode::kNone);
   EXPECT_FALSE(options.pivot_saturation_tiebreak);
   EXPECT_FALSE(options.use_subtask_bound_r1);

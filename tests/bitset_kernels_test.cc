@@ -2,7 +2,7 @@
 // agree with a reference that reads one bit at a time, on operands
 // crossing word boundaries at three densities. Also covers the
 // BitMatrix flat layout (row alignment, padding invariant, value
-// semantics).
+// semantics) and its rows as seed-graph adjacency.
 
 #include <cstdint>
 #include <vector>
@@ -74,15 +74,25 @@ TEST(BitsetKernels, CountKernelsMatchPortable) {
                   BitCount(bits, [](bool x, bool y, bool) { return x && y; },
                            a, b, c))
             << "and_count bits=" << bits;
-        EXPECT_EQ(kernels::AndCount3(a.data(), b.data(), c.data(), words),
-                  BitCount(bits,
-                           [](bool x, bool y, bool z) { return x && y && z; },
-                           a, b, c))
-            << "and_count3 bits=" << bits;
         EXPECT_EQ(kernels::AndNotCount(a.data(), b.data(), words),
                   BitCount(bits, [](bool x, bool y, bool) { return x && !y; },
                            a, b, c))
             << "andnot_count bits=" << bits;
+        // Ranges ending inside, at and across word boundaries.
+        for (std::size_t begin : {0, 1, 63, 64, 65, 130}) {
+          for (std::size_t end : {begin, begin + 1, begin + 63, bits - 1,
+                                  bits}) {
+            if (begin > end || end > bits) continue;
+            std::size_t expected = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+              if (Bit(a, i) && Bit(b, i)) ++expected;
+            }
+            EXPECT_EQ(kernels::AndCountRange(a.data(), b.data(), begin, end),
+                      expected)
+                << "and_count_range bits=" << bits << " [" << begin << ", "
+                << end << ")";
+          }
+        }
       }
     }
   }
@@ -173,6 +183,7 @@ TEST(BitMatrix, RowsAre64ByteAligned) {
   for (uint32_t r = 0; r < m.rows(); ++r) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(m.Row(r).words) % 64, 0u)
         << "row " << r;
+    EXPECT_EQ(m.Row(r).num_bits, 70u) << "row " << r;
   }
 }
 
@@ -249,6 +260,38 @@ TEST(BitMatrix, CopyAndMoveSemantics) {
   assigned = std::move(moved);
   EXPECT_TRUE(assigned.Test(1, 1));
   EXPECT_TRUE(assigned.Test(0, 99));
+}
+
+TEST(BitMatrix, DuplicateSetIsIdempotent) {
+  BitMatrix m(3, 3);
+  m.Set(0, 1);
+  m.Set(0, 1);
+  m.Set(1, 0);
+  EXPECT_TRUE(m.Test(0, 1));
+  EXPECT_EQ(m.Row(0).Count(), 1u);
+  EXPECT_EQ(m.Row(1).Count(), 1u);
+  EXPECT_EQ(m.Row(2).Count(), 0u);
+}
+
+// Row counts over a range of a three-word row, the way a seed graph
+// counts degrees within V_i: the range ends one bit past the first
+// word boundary.
+TEST(BitMatrix, RowRangeCountsCrossWordBoundaries) {
+  BitMatrix m(130, 130);
+  for (uint32_t v = 1; v < 130; ++v) {
+    m.Set(0, v);
+    m.Set(v, 0);
+  }
+  m.Set(1, 2);
+  m.Set(2, 1);
+  auto count_in_first_65 = [&](uint32_t v) {
+    const uint64_t* row = m.Row(v).words;
+    return kernels::AndCountRange(row, row, 0, 65);
+  };
+  EXPECT_EQ(m.Row(0).Count(), 129u);
+  EXPECT_EQ(count_in_first_65(0), 64u);
+  EXPECT_EQ(count_in_first_65(1), 2u);
+  EXPECT_EQ(count_in_first_65(129), 1u);
 }
 
 TEST(BitMatrix, RowSpanComposesWithDynamicBitset) {

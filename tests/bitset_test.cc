@@ -102,32 +102,6 @@ TEST(Bitset, SetAlgebra) {
   EXPECT_TRUE(and_ab.IsSubsetOf(b));
 }
 
-TEST(Bitset, AndCount3) {
-  DynamicBitset a(128), b(128), c(128);
-  for (std::size_t i = 0; i < 128; ++i) {
-    if (i % 2 == 0) a.Set(i);
-    if (i % 3 == 0) b.Set(i);
-    if (i % 5 == 0) c.Set(i);
-  }
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < 128; i += 30) ++expected;
-  EXPECT_EQ(a.AndCount3(b, c), expected);
-}
-
-TEST(Bitset, AndCountLimit) {
-  DynamicBitset a(256), b(256);
-  a.Set(10);
-  a.Set(100);
-  a.Set(200);
-  b.Set(10);
-  b.Set(100);
-  b.Set(200);
-  EXPECT_EQ(a.AndCountLimit(b, 1), 1u);   // only word 0 (bits 0..63)
-  EXPECT_EQ(a.AndCountLimit(b, 2), 2u);   // words 0..1 (bits 0..127)
-  EXPECT_EQ(a.AndCountLimit(b, 4), 3u);
-  EXPECT_EQ(a.AndCountLimit(b, 99), 3u);  // clamped to size
-}
-
 TEST(Bitset, ResetBelow) {
   DynamicBitset b(200);
   b.SetAll();

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/enumerator.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -125,6 +128,33 @@ TEST(Parallel, TimeLimitStopsTheRunAndReportsTimedOut) {
   ASSERT_TRUE(whole.ok());
   EXPECT_FALSE(whole->timed_out);
   EXPECT_EQ(collected.SortedResults(), RunEngine(small, roomy));
+}
+
+// The workers claim emits from one run-wide count, so a capped run
+// returns exactly max_results plexes at every worker count. Which ones
+// a parallel run returns is not fixed, but each is one of the full
+// answer's.
+TEST(Parallel, MaxResultsCapsTheRunAtEveryWorkerCount) {
+  Graph g = GenerateErdosRenyi(90, 0.3, 556);
+  EnumOptions options = EnumOptions::Ours(3, 7);
+  const ResultSet whole = RunEngine(g, options);
+  options.max_results = whole.size() / 4;
+  ASSERT_GT(options.max_results, 0u);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    CollectingSink sink;
+    ParallelOptions parallel;
+    parallel.num_threads = threads;
+    auto result = ParallelEnumerateMaximalKPlexes(g, options, parallel, sink);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->stopped_early);
+    EXPECT_EQ(result->num_plexes, options.max_results);
+    const ResultSet page = sink.SortedResults();
+    EXPECT_EQ(page.size(), options.max_results);
+    for (const auto& plex : page) {
+      EXPECT_TRUE(std::binary_search(whole.begin(), whole.end(), plex));
+    }
+  }
 }
 
 TEST(Parallel, MoreThreadsThanSeeds) {

@@ -39,7 +39,7 @@ TEST_F(PivotFixture, SelectsMinimumDegreeVertex) {
   ASSERT_TRUE(Build(41, 2, 4));
   TaskState st = TaskState::MakeEmpty(*sg_);
   st.AddToP(*sg_, SeedGraph::kSeed);
-  st.c = sg_->n1_mask;
+  st.c.SetRange(1, 1 + sg_->num_n1);
 
   DynamicBitset pc = st.p;
   pc.OrWith(st.c);
@@ -62,7 +62,7 @@ TEST_F(PivotFixture, SaturationTieBreakPrefersMoreNonNeighbors) {
   ASSERT_TRUE(Build(43, 3, 5));
   TaskState st = TaskState::MakeEmpty(*sg_);
   st.AddToP(*sg_, SeedGraph::kSeed);
-  st.c = sg_->n1_mask;
+  st.c.SetRange(1, 1 + sg_->num_n1);
   DynamicBitset pc = st.p;
   pc.OrWith(st.c);
 
@@ -81,7 +81,7 @@ TEST_F(PivotFixture, NoTieBreakPicksSmallestId) {
   ASSERT_TRUE(Build(47, 2, 4));
   TaskState st = TaskState::MakeEmpty(*sg_);
   st.AddToP(*sg_, SeedGraph::kSeed);
-  st.c = sg_->n1_mask;
+  st.c.SetRange(1, 1 + sg_->num_n1);
   DynamicBitset pc = st.p;
   pc.OrWith(st.c);
 
@@ -99,11 +99,11 @@ TEST_F(PivotFixture, RepickReturnsNonNeighborInC) {
   ASSERT_TRUE(Build(53, 2, 4));
   TaskState st = TaskState::MakeEmpty(*sg_);
   st.AddToP(*sg_, SeedGraph::kSeed);
-  st.c = sg_->n1_mask;
+  st.c.SetRange(1, 1 + sg_->num_n1);
   // Put one N2 vertex into P to create non-neighbor structure.
-  std::size_t n2 = sg_->n2_mask.FindFirst();
-  if (n2 == DynamicBitset::kNpos) GTEST_SKIP() << "no N2 vertex";
-  st.AddToP(*sg_, static_cast<uint32_t>(n2));
+  const uint32_t n2 = 1 + sg_->num_n1;
+  if (n2 == sg_->num_vi) GTEST_SKIP() << "no N2 vertex";
+  st.AddToP(*sg_, n2);
 
   DynamicBitset pc = st.p;
   pc.OrWith(st.c);
@@ -113,12 +113,12 @@ TEST_F(PivotFixture, RepickReturnsNonNeighborInC) {
   // Re-pick from the non-neighbors of the N2 member (which has at least
   // one non-neighbor in C whenever C ⊄ N(n2)).
   DynamicBitset non_nbrs = st.c;
-  non_nbrs.AndNotWith(sg_->adj.Row(static_cast<uint32_t>(n2)));
+  non_nbrs.AndNotWith(sg_->adj.Row(n2));
   if (non_nbrs.None()) GTEST_SKIP() << "no non-neighbor to re-pick";
-  uint32_t repicked = selector.RepickFromC(st, static_cast<uint32_t>(n2));
+  uint32_t repicked = selector.RepickFromC(st, n2);
   ASSERT_NE(repicked, UINT32_MAX);
   EXPECT_TRUE(st.c.Test(repicked));
-  EXPECT_FALSE(sg_->adj.HasEdge(static_cast<uint32_t>(n2), repicked));
+  EXPECT_FALSE(sg_->adj.Test(n2, repicked));
 }
 
 }  // namespace

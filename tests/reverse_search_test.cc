@@ -1,13 +1,11 @@
-// Correctness of the reverse-search enumerator and the D2K baseline —
-// both must agree with brute force / the main engine, despite sharing
-// no search machinery (reverse search) or pruning rules (D2K).
+// Correctness of the reverse-search enumerator: it must agree with
+// brute force and the main engine, despite sharing no search machinery.
 
 #include "baselines/reverse_search.h"
 
 #include <gtest/gtest.h>
 
 #include "baselines/bk_naive.h"
-#include "baselines/d2k.h"
 #include "core/enumerator.h"
 #include "core/kplex_verify.h"
 #include "graph/builder.h"
@@ -91,29 +89,6 @@ TEST(ReverseSearch, AgreesWithEngineOnLargerGraph) {
   CollectingSink sink;
   ASSERT_TRUE(ReverseSearchEnumerate(g, k, q, sink).ok());
   EXPECT_EQ(sink.SortedResults(), RunEngine(g, EnumOptions::Ours(k, q)));
-}
-
-TEST(D2k, MatchesEngineAndBruteForce) {
-  for (uint64_t seed : {311ull, 312ull}) {
-    Graph g = GenerateErdosRenyi(12, 0.5, seed);
-    const uint32_t k = 2, q = 4;
-    auto truth = BruteForceMaximalKPlexes(g, k, q);
-    ASSERT_TRUE(truth.ok());
-    CollectingSink sink;
-    auto result = D2kEnumerate(g, k, q, sink);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(sink.SortedResults(), *truth);
-  }
-  Graph g = GenerateBarabasiAlbert(100, 7, 313);
-  CollectingSink sink;
-  ASSERT_TRUE(D2kEnumerate(g, 3, 6, sink).ok());
-  EXPECT_EQ(sink.SortedResults(), RunEngine(g, EnumOptions::Ours(3, 6)));
-}
-
-TEST(D2k, RejectsInvalidParameters) {
-  Graph g = GraphBuilder::FromEdges(3, {{0, 1}});
-  CollectingSink sink;
-  EXPECT_FALSE(D2kEnumerate(g, 3, 2, sink).ok());
 }
 
 }  // namespace

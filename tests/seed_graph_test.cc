@@ -4,15 +4,19 @@
 // maximal k-plex (>= q) must survive inside the seed subgraph of its
 // minimum-rank member. The build keeps per-thread scratch, so it is also
 // checked across graphs and threads, for a cost that follows the seed's
-// neighbourhood rather than the graph, and for a rejected seed's cost
-// that follows its N1 out-lists rather than its neighbours' degrees.
+// neighbourhood rather than the graph, for a rejected seed's cost that
+// follows its N1 out-lists rather than its neighbours' degrees, and for
+// the allocations a warm build makes.
 
 #include "core/seed_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -22,10 +26,55 @@
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
+#include "util/bitset.h"
 #include "util/timer.h"
+
+// This binary counts operator new calls, plain and aligned, while
+// `g_count_news` is set. Each replaced form comes with the plain and
+// sized deletes that free what it returns; the other forms keep the
+// library's own pairs.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<uint64_t> g_news{0};
+
+void CountNew() {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  CountNew();
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  CountNew();
+  // aligned_alloc takes a size that is a multiple of the alignment.
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t bytes = (std::max<std::size_t>(size, 1) + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace kplex {
 namespace {
+
+template <typename Body>
+uint64_t NewsDuring(const Body& body) {
+  g_news.store(0);
+  g_count_news.store(true);
+  body();
+  g_count_news.store(false);
+  return g_news.load();
+}
 
 std::optional<SeedGraph> BuildFor(const Graph& g, VertexId seed,
                                   const EnumOptions& options) {
@@ -44,13 +93,9 @@ void ExpectSameSeedGraph(const std::optional<SeedGraph>& a,
   ASSERT_EQ(a->universe, b->universe) << where;
   EXPECT_EQ(a->to_global, b->to_global) << where;
   EXPECT_EQ(a->deg_vi, b->deg_vi) << where;
-  EXPECT_TRUE(a->vi_mask == b->vi_mask) << where;
-  EXPECT_TRUE(a->n1_mask == b->n1_mask) << where;
-  EXPECT_TRUE(a->n2_mask == b->n2_mask) << where;
-  EXPECT_TRUE(a->fringe_mask == b->fringe_mask) << where;
   for (uint32_t u = 0; u < a->universe; ++u) {
     for (uint32_t v = 0; v < a->universe; ++v) {
-      ASSERT_EQ(a->adj.HasEdge(u, v), b->adj.HasEdge(u, v))
+      ASSERT_EQ(a->adj.Test(u, v), b->adj.Test(u, v))
           << where << " edge " << u << "-" << v;
     }
   }
@@ -103,17 +148,15 @@ DefinedSeedGraph FromDefinitions(const Graph& g,
   }
   if (static_cast<int64_t>(n1.size()) + k < q) return out;
   const std::size_t n1_unpruned = n1.size();
-  if (options.use_seed_pruning) {
-    // The greatest subset of N1 whose members each have >= q - 2k
-    // neighbours inside it: drop one short member at a time.
-    for (bool dropped = true; dropped;) {
-      dropped = false;
-      for (auto it = n1.begin(); it != n1.end(); ++it) {
-        if (common(*it, n1) < thr_n1) {
-          n1.erase(it);
-          dropped = true;
-          break;
-        }
+  // The greatest subset of N1 whose members each have >= q - 2k
+  // neighbours inside it: drop one short member at a time.
+  for (bool dropped = true; dropped;) {
+    dropped = false;
+    for (auto it = n1.begin(); it != n1.end(); ++it) {
+      if (common(*it, n1) < thr_n1) {
+        n1.erase(it);
+        dropped = true;
+        break;
       }
     }
   }
@@ -123,9 +166,7 @@ DefinedSeedGraph FromDefinitions(const Graph& g,
     if (later(v) && two_hop(v, n1)) n2_reached.push_back(v);
   }
   for (VertexId v : n2_reached) {
-    if (!options.use_seed_pruning || common(v, n1) >= thr_n2) {
-      out.n2.push_back(v);
-    }
+    if (common(v, n1) >= thr_n2) out.n2.push_back(v);
   }
   out.viable = static_cast<int64_t>(n1.size()) + k >= q &&
                static_cast<int64_t>(1 + n1.size() + out.n2.size()) >= q;
@@ -154,36 +195,42 @@ TEST(SeedGraph, LayoutInvariants) {
     if (!sg.has_value()) continue;
     // The seed is local 0 and maps back to itself.
     EXPECT_EQ(sg->to_global[SeedGraph::kSeed], seed);
-    EXPECT_EQ(sg->num_vi, 1 + sg->n1_mask.Count() + sg->n2_mask.Count());
-    EXPECT_EQ(sg->universe, sg->num_vi + sg->fringe_mask.Count());
+    ASSERT_LE(1 + sg->num_n1, sg->num_vi);
+    ASSERT_LE(sg->num_vi, sg->universe);
+    ASSERT_EQ(sg->to_global.size(), sg->universe);
+    ASSERT_EQ(sg->adj.rows(), sg->universe);
+    ASSERT_EQ(sg->adj.cols(), sg->universe);
+    const uint32_t n1_end = 1 + sg->num_n1;
+    DynamicBitset n1(sg->universe), vi(sg->universe);
+    n1.SetRange(1, n1_end);
+    vi.SetRange(0, sg->num_vi);
     // N1 = exact local neighbors of the seed.
     for (uint32_t v = 1; v < sg->num_vi; ++v) {
-      EXPECT_EQ(sg->adj.HasEdge(SeedGraph::kSeed, v), sg->n1_mask.Test(v));
+      EXPECT_EQ(sg->adj.Test(SeedGraph::kSeed, v), v < n1_end);
     }
     // Every N2 vertex has a N1 witness (distance exactly 2 in G_i).
-    sg->n2_mask.ForEach([&](std::size_t v) {
-      EXPECT_TRUE(
-          sg->adj.Row(static_cast<uint32_t>(v)).Intersects(sg->n1_mask));
-    });
+    for (uint32_t v = n1_end; v < sg->num_vi; ++v) {
+      EXPECT_TRUE(sg->adj.Row(v).Intersects(n1));
+    }
     // deg_vi consistency.
     for (uint32_t v = 0; v < sg->num_vi; ++v) {
-      EXPECT_EQ(sg->deg_vi[v], sg->adj.DegreeIn(v, sg->vi_mask));
+      EXPECT_EQ(sg->deg_vi[v], sg->adj.Row(v).AndCount(vi));
     }
-    // Local adjacency mirrors the input graph.
+    // Local adjacency is symmetric and mirrors the input graph.
     for (uint32_t a = 0; a < sg->num_vi; ++a) {
       for (uint32_t b = a + 1; b < sg->universe; ++b) {
-        if (b >= sg->num_vi && a >= sg->num_vi) continue;  // fringe pairs
-        EXPECT_EQ(sg->adj.HasEdge(a, b),
+        EXPECT_EQ(sg->adj.Test(a, b),
                   g.HasEdge(sg->to_global[a], sg->to_global[b]));
+        EXPECT_EQ(sg->adj.Test(b, a), sg->adj.Test(a, b));
       }
     }
     // V_i members are later in rank; fringe members earlier.
     for (uint32_t v = 1; v < sg->num_vi; ++v) {
       EXPECT_GT(degeneracy.rank[sg->to_global[v]], degeneracy.rank[seed]);
     }
-    sg->fringe_mask.ForEach([&](std::size_t v) {
+    for (uint32_t v = sg->num_vi; v < sg->universe; ++v) {
       EXPECT_LT(degeneracy.rank[sg->to_global[v]], degeneracy.rank[seed]);
-    });
+    }
   }
 }
 
@@ -198,10 +245,11 @@ TEST(SeedGraph, Corollary52Fixpoint) {
     // After pruning, every survivor satisfies the corollary conditions.
     const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * k;
     const int64_t thr_n2 = thr_n1 + 2;
+    DynamicBitset n1(sg->universe);
+    n1.SetRange(1, 1 + sg->num_n1);
     for (uint32_t v = 1; v < sg->num_vi; ++v) {
-      const int64_t common =
-          static_cast<int64_t>(sg->adj.Row(v).AndCount(sg->n1_mask));
-      if (sg->n1_mask.Test(v)) {
+      const int64_t common = static_cast<int64_t>(sg->adj.Row(v).AndCount(n1));
+      if (v <= sg->num_n1) {
         EXPECT_GE(common, thr_n1) << "seed " << seed << " N1 vertex " << v;
       } else {
         EXPECT_GE(common, thr_n2) << "seed " << seed << " N2 vertex " << v;
@@ -211,7 +259,7 @@ TEST(SeedGraph, Corollary52Fixpoint) {
 }
 
 // Corollary52Fixpoint shows the survivors meet the thresholds; this also
-// shows nothing else was pruned or kept. Layout, masks and the pruning
+// shows nothing else was pruned or kept. Layout, counts and the pruning
 // count must match the definitions over a (k, q) grid down to
 // q = 2k - 1, where q - 2k < 0 lets an earlier neighbour of the seed
 // with no N1 neighbour into the fringe. The count covers built seed
@@ -227,47 +275,36 @@ TEST(SeedGraph, MatchesTheDefinitions) {
     const DegeneracyResult degeneracy = ComputeDegeneracy(g);
     for (uint32_t k = 1; k <= 3; ++k) {
       for (uint32_t q : {2 * k - 1, 2 * k, 2 * k + 1, 2 * k + 3}) {
-        for (bool seed_pruning : {true, false}) {
-          EnumOptions options = EnumOptions::Ours(k, q);
-          options.use_seed_pruning = seed_pruning;
-          for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
-            const std::string where =
-                name + " k=" + std::to_string(k) + " q=" + std::to_string(q) +
-                (seed_pruning ? "" : " no-cor52") + " seed " +
-                std::to_string(seed);
-            const DefinedSeedGraph want =
-                FromDefinitions(g, degeneracy, seed, options);
-            AlgoCounters counters;
-            const auto sg =
-                BuildSeedGraph(g, {}, degeneracy, seed, options, &counters);
-            EXPECT_EQ(counters.seed_vertices_pruned, want.pruned) << where;
-            ASSERT_EQ(sg.has_value(), want.viable) << where;
-            if (!sg.has_value()) continue;
+        const EnumOptions options = EnumOptions::Ours(k, q);
+        for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
+          const std::string where = name + " k=" + std::to_string(k) +
+                                    " q=" + std::to_string(q) + " seed " +
+                                    std::to_string(seed);
+          const DefinedSeedGraph want =
+              FromDefinitions(g, degeneracy, seed, options);
+          AlgoCounters counters;
+          const auto sg =
+              BuildSeedGraph(g, {}, degeneracy, seed, options, &counters);
+          EXPECT_EQ(counters.seed_vertices_pruned, want.pruned) << where;
+          ASSERT_EQ(sg.has_value(), want.viable) << where;
+          if (!sg.has_value()) continue;
 
-            std::vector<VertexId> layout = {seed};
-            for (const auto* part : {&want.n1, &want.n2, &want.fringe}) {
-              layout.insert(layout.end(), part->begin(), part->end());
+          std::vector<VertexId> layout = {seed};
+          for (const auto* part : {&want.n1, &want.n2, &want.fringe}) {
+            layout.insert(layout.end(), part->begin(), part->end());
+          }
+          EXPECT_EQ(sg->to_global, layout) << where;
+          EXPECT_EQ(sg->num_n1, want.n1.size()) << where;
+          EXPECT_EQ(sg->num_vi, 1 + want.n1.size() + want.n2.size())
+              << where;
+          EXPECT_EQ(sg->universe, layout.size()) << where;
+          DynamicBitset n1(sg->universe);
+          n1.SetRange(1, 1 + sg->num_n1);
+          for (uint32_t v = sg->num_vi; v < sg->universe; ++v) {
+            if (sg->adj.Test(SeedGraph::kSeed, v) &&
+                !sg->adj.Row(v).Intersects(n1)) {
+              ++fringe_without_n1_neighbour;
             }
-            EXPECT_EQ(sg->to_global, layout) << where;
-            const std::size_t n1_end = 1 + want.n1.size();
-            const std::size_t vi_end = n1_end + want.n2.size();
-            auto bits = [&](std::size_t from, std::size_t to) {
-              DynamicBitset mask(layout.size());
-              mask.SetRange(from, to);
-              return mask;
-            };
-            EXPECT_TRUE(sg->vi_mask == bits(0, vi_end)) << where;
-            EXPECT_TRUE(sg->n1_mask == bits(1, n1_end)) << where;
-            EXPECT_TRUE(sg->n2_mask == bits(n1_end, vi_end)) << where;
-            EXPECT_TRUE(sg->fringe_mask == bits(vi_end, layout.size()))
-                << where;
-            sg->fringe_mask.ForEach([&](std::size_t v) {
-              const auto local = static_cast<uint32_t>(v);
-              if (sg->adj.HasEdge(SeedGraph::kSeed, local) &&
-                  !sg->adj.Row(local).Intersects(sg->n1_mask)) {
-                ++fringe_without_n1_neighbour;
-              }
-            });
           }
         }
       }
@@ -434,6 +471,32 @@ TEST(SeedGraph, RejectedSeedCostDoesNotGrowWithNeighbourDegrees) {
   EXPECT_LE(large.fastest, 2.0 * small.fastest)
       << small.leaves << " leaves: " << small.fastest << " s, "
       << large.leaves << " leaves: " << large.fastest << " s";
+}
+
+// Once a thread's build scratch is warm, a built seed graph makes four
+// allocations: to_global, deg_vi, the adjacency matrix and, with R2 on,
+// the pair matrix T. Its layout is three counts, so no part of it needs
+// a mask of its own, and a rejected seed allocates nothing. The first
+// pass over every seed warms the scratch; the second is counted.
+TEST(SeedGraph, WarmBuildMakesFourAllocationsPerSeedGraph) {
+  const Graph g = GenerateBarabasiAlbert(300, 8, 31);
+  const DegeneracyResult degeneracy = ComputeDegeneracy(g);
+  const EnumOptions options = EnumOptions::Ours(2, 6);
+  ASSERT_TRUE(options.use_pair_pruning_r2);
+  auto build_every_seed = [&] {
+    uint64_t built = 0;
+    for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
+      if (BuildSeedGraph(g, {}, degeneracy, seed, options, nullptr)) ++built;
+    }
+    return built;
+  };
+  const uint64_t warm = build_every_seed();
+  uint64_t built = 0;
+  const uint64_t news = NewsDuring([&] { built = build_every_seed(); });
+  ASSERT_EQ(built, warm);
+  ASSERT_GT(built, 0u);
+  ASSERT_LT(built, g.NumVertices()) << "some seed must be rejected";
+  EXPECT_EQ(news, 4 * built) << built << " seed graphs built";
 }
 
 // Completeness: the union over seeds of "k-plexes representable in the

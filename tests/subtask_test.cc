@@ -62,6 +62,8 @@ TEST_F(SubtaskFixture, SetsAreUniqueValidAndSizeBounded) {
     if (!sg.has_value()) continue;
     auto tasks = CollectTasks(*sg, options_);
     ASSERT_FALSE(tasks.empty());  // S = {} is always emitted
+    DynamicBitset n1(sg->universe);
+    n1.SetRange(1, 1 + sg->num_n1);
     std::set<std::vector<uint32_t>> seen;
     for (const auto& task : tasks) {
       // |S| <= k - 1.
@@ -70,14 +72,15 @@ TEST_F(SubtaskFixture, SetsAreUniqueValidAndSizeBounded) {
       EXPECT_TRUE(seen.insert(task.s_members).second);
       // All S members are N2 vertices.
       for (uint32_t v : task.s_members) {
-        EXPECT_TRUE(sg->n2_mask.Test(v));
+        EXPECT_GT(v, sg->num_n1);
+        EXPECT_LT(v, sg->num_vi);
       }
       // P is a valid k-plex: every member within budget.
       task.state.p.ForEach([&](std::size_t u) {
         EXPECT_LE(task.state.p_size - task.state.dp[u], options_.k);
       });
-      // C contains only seed neighbors; X never intersects P or C.
-      EXPECT_TRUE(task.state.c.IsSubsetOf(sg->n1_mask));
+      // C lies in N1; X never intersects P or C.
+      EXPECT_TRUE(task.state.c.IsSubsetOf(n1));
       EXPECT_FALSE(task.state.x.Intersects(task.state.p));
       EXPECT_FALSE(task.state.x.Intersects(task.state.c));
     }
@@ -92,7 +95,9 @@ TEST_F(SubtaskFixture, EmptySIsFirstAndHasFullCandidates) {
     auto tasks = CollectTasks(*sg, options_);
     ASSERT_FALSE(tasks.empty());
     EXPECT_TRUE(tasks[0].s_members.empty());
-    EXPECT_EQ(tasks[0].state.c, sg->n1_mask);
+    DynamicBitset n1(sg->universe);
+    n1.SetRange(1, 1 + sg->num_n1);
+    EXPECT_EQ(tasks[0].state.c, n1);
   }
 }
 

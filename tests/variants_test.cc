@@ -94,13 +94,5 @@ TEST(Variants, TimeLimitAbortsCleanly) {
   }
 }
 
-TEST(Variants, SeedPruningToggleKeepsResults) {
-  Graph g = GenerateBarabasiAlbert(180, 8, 69);
-  EnumOptions no_seed_prune = EnumOptions::Ours(2, 8);
-  no_seed_prune.use_seed_pruning = false;
-  EXPECT_EQ(RunEngine(g, no_seed_prune),
-            RunEngine(g, EnumOptions::Ours(2, 8)));
-}
-
 }  // namespace
 }  // namespace kplex

@@ -16,7 +16,9 @@ Checks (any failure exits non-zero):
   6. `--endpoint` against `serve --listen 0` prints the same bodies and
      fingerprint as the local run;
   7. `--threads 2 --time-limit 0.05` on wiki-vote-syn reports the time
-     limit and stops short of the 229,572 plexes of a full run;
+     limit and stops short of the 229,572 plexes of a full run, and
+     `--threads 2 --max-results 1000` prints exactly 1,000 plexes with
+     the cap hit;
   8. the fp baseline honours the run limits on wiki-vote-syn:
      `--max-results 5` prints 5 plexes with the cap hit, and
      `--time-limit 0.05` reports the time limit;
@@ -174,6 +176,13 @@ def main():
             count(verdict) >= 229572:
         fail(f"parallel time limit ignored: {verdict.group(0)!r}")
     print("cli_smoke: --threads 2 --time-limit 0.05 stops at the limit")
+
+    _, verdict, _ = run(cli, "mine", "--dataset", "wiki-vote-syn", "--k", "3",
+                        "--q", "12", "--threads", "2", "--max-results",
+                        "1000")
+    if count(verdict) != 1000 or "[result cap hit]" not in verdict.group(7):
+        fail(f"parallel result cap not exact: {verdict.group(0)!r}")
+    print("cli_smoke: --threads 2 --max-results 1000 prints 1000 plexes")
 
     wiki_fp = ["mine", "--dataset", "wiki-vote-syn", "--k", "3", "--algo",
                "fp"]
