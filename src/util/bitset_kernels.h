@@ -57,7 +57,8 @@ inline std::size_t AndCount(const uint64_t* a, const uint64_t* b,
 }
 
 /// popcount(a & b) over bits [begin, end) only, reading just the words
-/// that cover the range. Passing one operand twice counts it alone.
+/// that cover the range, which both arrays must hold. Passing one
+/// operand twice counts it alone.
 inline std::size_t AndCountRange(const uint64_t* a, const uint64_t* b,
                                  std::size_t begin, std::size_t end) {
   if (begin >= end) return 0;
