@@ -1,8 +1,8 @@
 // Reproduces the paper's evaluation: Tables 2-7, Figures 7-9 and 13, and
-// its remarks on CTCP, the seed ordering and reverse search.
+// its remarks on the seed ordering and reverse search.
 //
 //   bench_paper [table7 table2 table3 table4 table5 table6 fig7 fig8 fig9
-//                fig13 ctcp ordering reverse-search]...
+//                fig13 ordering reverse-search]...
 //
 // prints the named tables (all by default) in that order. A timed column
 // runs kRuns times per cell and prints `median [min, max]` of the seconds
@@ -28,9 +28,7 @@
 #include "bench_common/table_printer.h"
 #include "core/enumerator.h"
 #include "core/sink.h"
-#include "graph/ctcp.h"
 #include "graph/generators.h"
-#include "graph/kcore.h"
 #include "graph/stats.h"
 #include "util/timer.h"
 
@@ -98,13 +96,11 @@ Column Par(std::string header, const char* name, uint32_t threads,
           }};
 }
 
-// Ours with another seed ordering, or with CTCP preprocessing.
-Column OursWith(const char* header, VertexOrdering ordering,
-                bool ctcp = false) {
+// Ours with another seed ordering.
+Column OursWith(const char* header, VertexOrdering ordering) {
   return {header, [=](uint32_t k, uint32_t q) -> AlgoFn {
             EnumOptions options = EnumOptions::Ours(k, q);
             options.ordering = ordering;
-            options.use_ctcp_preprocess = ctcp;
             return [options](const Graph& g, ResultSink& sink) {
               return EnumerateMaximalKPlexes(g, options, sink);
             };
@@ -145,10 +141,6 @@ std::string Ratio(const Sample& num, const Sample& den) {
   return FormatDouble(Median(num) / std::max(Median(den), 1e-9), 2) + "x";
 }
 
-std::string Size(const Graph& g) {
-  return FormatCount(g.NumVertices()) + "/" + FormatCount(g.NumEdges());
-}
-
 using Row = std::vector<std::string>;
 
 struct Table {
@@ -159,8 +151,7 @@ struct Table {
   // The printed cells after dataset, k, q and #k-plexes, and their
   // headers; by default one Range per column, under its header.
   std::vector<std::string> headers = {};
-  std::function<Row(const Graph&, const Cell&, const std::vector<Sample>&)>
-      row = nullptr;
+  std::function<Row(const std::vector<Sample>&)> row = nullptr;
   const char* note = "";
   // One fork-isolated peak-RSS reading (MiB) per run; answers unchecked.
   bool memory = false;
@@ -226,7 +217,7 @@ bool RunTable(const Table& t) {
     Row row = {cell.graph, std::to_string(cell.k), std::to_string(cell.q)};
     if (!t.memory) row.push_back(FormatCount(samples[0].num_plexes));
     if (t.row) {
-      const Row cells = t.row(graph, cell, samples);
+      const Row cells = t.row(samples);
       row.insert(row.end(), cells.begin(), cells.end());
     } else {
       for (const Sample& s : samples) {
@@ -321,7 +312,7 @@ std::vector<Table> Tables() {
        .columns = table4,
        .headers = {"tau_best(ms)", "FP-par", "ListPlex-par", "Ours(0.1ms)",
                    "Ours(tau_best)"},
-       .row = [](const Graph&, const Cell&, const std::vector<Sample>& s) {
+       .row = [](const std::vector<Sample>& s) {
          const auto best = std::min_element(
              s.begin() + 2, s.end(), [](const Sample& a, const Sample& b) {
                return Median(a) < Median(b);
@@ -358,7 +349,7 @@ std::vector<Table> Tables() {
                    Par("4 threads", "Ours-par", 4, 0.1),
                    Par("8 threads", "Ours-par", 8, 0.1)},
        .headers = {"T(1thr) sec", "x2 threads", "x4 threads", "x8 threads"},
-       .row = [](const Graph&, const Cell&, const std::vector<Sample>& s) {
+       .row = [](const std::vector<Sample>& s) {
          return Row{Range(s[0]), Ratio(s[0], s[1]), Ratio(s[0], s[2]),
                     Ratio(s[0], s[3])};
        }},
@@ -369,7 +360,7 @@ std::vector<Table> Tables() {
                        {"soc-pokec-syn", 3, 12}, {"wiki-vote-syn", 4, 18}}),
        .columns = {Seq("Basic"), Seq("Ours")},
        .headers = {"Basic", "Ours", "speedup"},
-       .row = [](const Graph&, const Cell&, const std::vector<Sample>& s) {
+       .row = [](const std::vector<Sample>& s) {
          return Row{Range(s[0]), Range(s[1]), Ratio(s[0], s[1])};
        }},
       // A tau near "no decomposition" hurts; 0.1 ms is near the optimum.
@@ -384,23 +375,6 @@ std::vector<Table> Tables() {
                    Par("1ms", "Ours-par", threads, 1.0),
                    Par("10ms", "Ours-par", threads, 10.0),
                    Par("100ms", "Ours-par", threads, 100.0)}},
-      // Section 2, kPlexS's CTCP: cells have q > 2k, where its edge rule
-      // can fire.
-      {.name = "ctcp",
-       .title = "Related-Work note: CTCP reduction vs plain core",
-       .cells = {{"wiki-vote-syn", 2, 12}, {"wiki-vote-syn", 3, 16},
-                 {"soc-epinions-syn", 2, 12}, {"email-euall-syn", 3, 12},
-                 {"as-skitter-syn", 3, 20}, {"webbase-syn", 3, 20}},
-       .columns = {Seq("Ours"),
-                   OursWith("Ours+ctcp", VertexOrdering::kDegeneracy, true)},
-       .headers = {"core n/m", "ctcp n/m", "edges cut", "Ours", "Ours+ctcp"},
-       .row = [](const Graph& g, const Cell& c, const std::vector<Sample>& s) {
-         const CtcpResult ctcp = CtcpReduce(g, c.k, c.q);
-         return Row{Size(ReduceToCore(g, c.q - c.k).graph), Size(ctcp.graph),
-                    FormatCount(ctcp.edges_pruned), Range(s[0]), Range(s[1])};
-       },
-       .note = "Expected: the CTCP graph is never larger than the core, and\n"
-               "far smaller on sparse heavy-tailed graphs.\n"},
       // Section 3: the degeneracy order bounds |C| by D; results do not
       // depend on the order.
       {.name = "ordering",

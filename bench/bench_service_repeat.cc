@@ -136,22 +136,6 @@ int Run() {
     std::fprintf(stderr, "mine failed\n");
     return 1;
   }
-  // CTCP preprocessing (`mine ... ctcp=on` through the protocol): the
-  // iterated vertex+edge fixpoint reduces harder than the (q-k)-core
-  // when q > 2k (true here: 10 > 4) at the cost of a triangle-counting
-  // pass up front — this row shows whether the stronger prune pays for
-  // itself on this graph shape.
-  EnumOptions ctcp = plain;
-  ctcp.use_ctcp_preprocess = true;
-  HashingSink ctcp_sink;
-  timer.Restart();
-  auto ctcp_mine = EnumerateMaximalKPlexes(pre_loaded->graph, ctcp,
-                                           ctcp_sink);
-  const double ctcp_mine_seconds = timer.ElapsedSeconds();
-  if (!cold_mine.ok() || !pre_mine.ok() || !ctcp_mine.ok()) {
-    std::fprintf(stderr, "mine failed\n");
-    return 1;
-  }
   reduce_table.AddRow({"recomputed reduction",
                        FormatCount(cold_mine->num_plexes),
                        FormatSeconds(cold_mine_seconds), "peeled"});
@@ -160,22 +144,14 @@ int Run() {
        FormatSeconds(pre_mine_seconds),
        pre_mine->counters.core_reductions_precomputed > 0 ? "skipped"
                                                           : "NOT SKIPPED"});
-  reduce_table.AddRow({"ctcp preprocess (ctcp=on)",
-                       FormatCount(ctcp_mine->num_plexes),
-                       FormatSeconds(ctcp_mine_seconds), "ctcp fixpoint"});
   reduce_table.Print(std::cout);
   const bool reduction_ok =
       pre_mine->counters.core_reductions_precomputed == 1 &&
       pre_mine->counters.orderings_precomputed == 1 &&
       pre_mine->num_plexes == cold_mine->num_plexes &&
-      pre_sink.fingerprint() == cold_sink.fingerprint() &&
-      ctcp_mine->num_plexes == cold_mine->num_plexes &&
-      ctcp_sink.fingerprint() == cold_sink.fingerprint();
-  std::printf("precomputed and ctcp runs produced identical results: "
-              "%s\n", reduction_ok ? "yes" : "NO (BUG)");
-  std::printf("ctcp pays off vs the plain peel here: %s (%.2fx)\n\n",
-              ctcp_mine_seconds < cold_mine_seconds ? "yes" : "no",
-              cold_mine_seconds / std::max(ctcp_mine_seconds, 1e-9));
+      pre_sink.fingerprint() == cold_sink.fingerprint();
+  std::printf("precomputed run produced identical results: %s\n\n",
+              reduction_ok ? "yes" : "NO (BUG)");
 
   // -------------------------------------------------- cold/warm cache
   GraphCatalog catalog;

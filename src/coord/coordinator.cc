@@ -74,7 +74,7 @@ Reply<T> Call(TcpClient& client, const Request& request) {
 struct Probe {
   uint64_t content_hash = 0;
   uint64_t total_seeds = 0;
-  std::vector<uint64_t> costs;  ///< empty => uniform fallback
+  std::vector<uint64_t> costs;  ///< per seed, in canonical order
 };
 
 /// `reply`'s failure, carried over to a reply of another type.
@@ -83,11 +83,9 @@ Reply<T> FailedAs(const Reply<U>& reply) {
   return {reply.transport_failed, reply.payload.status()};
 }
 
-/// Probes one worker: `plan` for per-seed costs, or (for ctcp, whose
-/// seed order the plan probe refuses) an empty-range shardsubmit +
-/// shardwait that returns only the hash and the seed-space size. On a
-/// transport failure the caller tries another worker; a deterministic
-/// verdict aborts the job.
+/// Probes one worker with `plan` for the hash, the seed-space size and
+/// the per-seed costs. On a transport failure the caller tries another
+/// worker; a deterministic verdict aborts the job.
 Reply<Probe> ProbeWorker(const std::string& endpoint,
                          const QueryRequest& query, double timeout_seconds) {
   TcpClient client;
@@ -97,29 +95,12 @@ Reply<Probe> ProbeWorker(const std::string& endpoint,
   if (!connected.ok()) return {true, connected};
   Request request;
   request.id = 1;
-  if (!query.use_ctcp) {
-    request.payload = PlanRequest{query.graph, query.k, query.q};
-    auto plan = Call<PlanResponse>(client, request);
-    if (!plan.payload.ok()) return FailedAs<Probe>(plan);
-    return {false, Probe{plan.payload->content_hash, plan.payload->total_seeds,
-                         EstimateSeedCosts(plan.payload->degrees,
-                                           plan.payload->coreness)}};
-  }
-  // ctcp: the canonical seed order differs from the core ordering, so
-  // cost signals are unavailable — an empty shard still reports the
-  // admission hash (in the shardsubmit ack) and the seed-space size of
-  // the *ctcp* pipeline (in the shard_result).
-  ShardSubmitRequest shard{query};
-  shard.query.seed_begin = 0;
-  shard.query.seed_end = 0;
-  request.payload = std::move(shard);
-  auto submitted = Call<ShardSubmitResponse>(client, request);
-  if (!submitted.payload.ok()) return FailedAs<Probe>(submitted);
-  request.payload = ShardWaitRequest{submitted.payload->job};
-  auto result = Call<ShardResultResponse>(client, request);
-  if (!result.payload.ok()) return FailedAs<Probe>(result);
-  return {false, Probe{submitted.payload->content_hash,
-                       result.payload->job.result.total_seeds, {}}};
+  request.payload = PlanRequest{query.graph, query.k, query.q};
+  auto plan = Call<PlanResponse>(client, request);
+  if (!plan.payload.ok()) return FailedAs<Probe>(plan);
+  return {false, Probe{plan.payload->content_hash, plan.payload->total_seeds,
+                       EstimateSeedCosts(plan.payload->degrees,
+                                         plan.payload->coreness)}};
 }
 
 /// Best-effort steal signal: a fresh ephemeral connection (so the
@@ -471,11 +452,8 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
   const uint32_t target_chunks =
       std::max<uint32_t>(1, options_.chunks_per_worker) *
       std::max<std::size_t>(1, workers.size());
-  std::vector<CoordChunk> chunks =
-      probe.costs.empty()
-          ? PlanUniformChunks(probe.total_seeds, target_chunks)
-          : PlanCostChunks(probe.costs, target_chunks);
-  const bool cost_planned = !probe.costs.empty();
+  const std::vector<CoordChunk> chunks =
+      PlanCostChunks(probe.costs, target_chunks);
 
   {
     std::unique_lock<std::mutex> lock(run->mutex);
@@ -579,7 +557,6 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
   job.fingerprint_xor = run->merged.xor_hash;
   job.content_hash = run->content_hash;
   job.total_seeds = run->total_seeds;
-  job.cost_planned = cost_planned;
   job.chunks = run->chunk_count;
   job.steals = run->steals;
   job.requeues = run->requeues;

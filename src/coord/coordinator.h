@@ -9,9 +9,6 @@
 //     (degree x coreness in the canonical order). The planner cuts the
 //     space into chunks_per_worker x workers cost-balanced chunks —
 //     many more chunks than workers, so the queue absorbs most skew.
-//     A ctcp mine (whose seed order the probe cannot serve) falls back
-//     to uniform chunks from an empty-range shardsubmit + shardwait
-//     probe.
 //
 //  2. Execute. One lane thread per schedulable worker pops chunks and
 //     round-trips them as shardsubmit + shardwait. When the queue
@@ -112,7 +109,6 @@ struct CoordJobInfo {
   uint64_t fingerprint_xor = 0;
   uint64_t content_hash = 0;
   uint64_t total_seeds = 0;
-  bool cost_planned = false;  ///< false: uniform fallback (ctcp)
   uint64_t chunks = 0;        ///< chunk assignments merged
   uint64_t steals = 0;        ///< successful steals (yielded prefixes)
   uint64_t requeues = 0;      ///< chunks re-dispatched after a failure

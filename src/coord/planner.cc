@@ -48,20 +48,4 @@ std::vector<CoordChunk> PlanCostChunks(const std::vector<uint64_t>& costs,
   return chunks;
 }
 
-std::vector<CoordChunk> PlanUniformChunks(uint64_t total_seeds,
-                                          uint32_t target_chunks) {
-  std::vector<CoordChunk> chunks;
-  if (total_seeds == 0) return chunks;
-  if (target_chunks < 1) target_chunks = 1;
-  for (uint32_t i = 0; i < target_chunks; ++i) {
-    CoordChunk chunk;
-    chunk.begin = static_cast<uint32_t>(total_seeds * i / target_chunks);
-    chunk.end = static_cast<uint32_t>(total_seeds * (i + 1) / target_chunks);
-    if (chunk.end <= chunk.begin) continue;  // more chunks than seeds
-    chunk.est_cost = chunk.end - chunk.begin;
-    chunks.push_back(chunk);
-  }
-  return chunks;
-}
-
 }  // namespace kplex

@@ -26,7 +26,7 @@ namespace kplex {
 struct CoordChunk {
   uint32_t begin = 0;
   uint32_t end = 0;        ///< half-open: seeds [begin, end)
-  uint64_t est_cost = 0;   ///< sum of per-seed estimates (or seed count)
+  uint64_t est_cost = 0;   ///< sum of per-seed estimates
 };
 
 /// Per-seed cost estimates from the plan probe's raw signals
@@ -44,13 +44,6 @@ std::vector<uint64_t> EstimateSeedCosts(const std::vector<uint32_t>& degrees,
 /// chunks.
 std::vector<CoordChunk> PlanCostChunks(const std::vector<uint64_t>& costs,
                                        uint32_t target_chunks);
-
-/// Uniform fallback when no per-seed costs are available (e.g. a ctcp
-/// mine, whose seed order the plan probe cannot serve): equal seed
-/// counts, est_cost = seed count. Skips empty ranges, so the result
-/// has min(target_chunks, total_seeds) chunks.
-std::vector<CoordChunk> PlanUniformChunks(uint64_t total_seeds,
-                                          uint32_t target_chunks);
 
 }  // namespace kplex
 

@@ -22,9 +22,9 @@ struct EnumResult {
   /// Number of maximal k-plexes emitted.
   uint64_t num_plexes = 0;
   /// Seed vertices of the *reduced* graph — the size of the canonical
-  /// seed space, independent of any options.seed_range restriction. A
-  /// sharding coordinator probes this (with an empty range) to plan
-  /// ranges that exactly cover [0, total_seeds).
+  /// seed space, independent of any options.seed_range restriction. It
+  /// equals SeedPlan::total_seeds (core/seed_plan.h), whose ranges a
+  /// sharding coordinator plans to cover [0, total_seeds) exactly.
   uint64_t total_seeds = 0;
   /// Wall time of the whole run (seconds).
   double seconds = 0.0;

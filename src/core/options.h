@@ -83,12 +83,6 @@ struct EnumOptions {
   /// R2: vertex-pair pruning matrix (Theorems 5.13, 5.14, 5.15).
   bool use_pair_pruning_r2 = true;
 
-  /// Optional CTCP preprocessing (kPlexS [12]): iterated vertex + edge
-  /// reduction of the whole graph before mining. Off by default — the
-  /// paper's algorithm uses only the (q-k)-core — but sound with every
-  /// variant and strictly stronger when q > 2k.
-  bool use_ctcp_preprocess = false;
-
   /// If > 0, the enumeration aborts (reporting timed_out) after roughly
   /// this many seconds.
   double time_limit_seconds = 0.0;
@@ -136,8 +130,7 @@ struct EnumOptions {
   /// size-consistent with the graph, the enumerators derive the
   /// (q-k)-core and the seed ordering from these instead of recomputing
   /// them — the result set is identical either way. Borrowed pointer;
-  /// must outlive the run. Ignored under use_ctcp_preprocess (CTCP is a
-  /// strictly different reduction).
+  /// must outlive the run.
   const GraphPrecompute* precompute = nullptr;
 
   /// Shard of the seed space to enumerate (sharded mining). The default

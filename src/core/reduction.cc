@@ -3,21 +3,18 @@
 #include <algorithm>
 
 #include "core/ordering.h"
-#include "graph/ctcp.h"
 #include "graph/precompute.h"
 
 namespace kplex {
 namespace {
 
 // Restricts the stored full-graph peeling order to the survivors of
-// `core`. Coreness is non-decreasing along a degeneracy peel, so when
-// the survivors are a (q-k)-core they form a suffix of the stored order
-// and the restriction *is* the degeneracy ordering of the induced
-// subgraph (same by-id tie-breaks: compaction preserves id order). For
-// any other survivor set the restriction is still a valid total order,
-// which is all correctness needs (every maximal k-plex is mined from
-// its minimum-order member). The orientation is rebuilt over the core
-// graph: the stored sections hold none.
+// `core`, a (q-k)-core. Coreness is non-decreasing along a degeneracy
+// peel, so the survivors form a suffix of the stored order and the
+// restriction *is* the degeneracy ordering of the induced subgraph
+// (same by-id tie-breaks: compaction preserves id order). The
+// orientation is rebuilt over the core graph: the stored sections hold
+// none.
 DegeneracyResult RestrictOrdering(const GraphPrecompute& pre,
                                   const CoreReduction& core,
                                   std::size_t original_n) {
@@ -54,8 +51,7 @@ PreparedReduction PrepareReduction(const Graph& graph,
   const uint32_t core_level =
       options.q >= options.k ? options.q - options.k : 0;
 
-  const GraphPrecompute* pre =
-      options.use_ctcp_preprocess ? nullptr : options.precompute;
+  const GraphPrecompute* pre = options.precompute;
   const bool pre_coreness_usable =
       pre != nullptr && pre->has_coreness() &&
       pre->coreness.size() == graph.NumVertices();
@@ -63,11 +59,7 @@ PreparedReduction PrepareReduction(const Graph& graph,
       pre != nullptr && pre->has_order() &&
       pre->order.size() == graph.NumVertices() && pre_coreness_usable;
 
-  if (options.use_ctcp_preprocess) {
-    CtcpResult ctcp = CtcpReduce(graph, options.k, options.q);
-    out.core.graph = std::move(ctcp.graph);
-    out.core.to_original = std::move(ctcp.to_original);
-  } else if (pre_coreness_usable) {
+  if (pre_coreness_usable) {
     const std::span<const uint64_t> mask = pre->MaskFor(core_level);
     if (!mask.empty() &&
         mask.size() == (graph.NumVertices() + 63) / 64) {

@@ -1,9 +1,9 @@
 // Shared front half of both enumerator drivers: shrink the input graph
-// to the (q-k)-core (Theorem 3.5) — or the CTCP fixpoint — and build
-// the seed ordering of the survivors. When EnumOptions carries
-// precomputed snapshot sections (graph/precompute.h), both steps are
-// served from them instead of recomputed, and the counters record it so
-// callers can prove the skip happened.
+// to the (q-k)-core (Theorem 3.5) and build the seed ordering of the
+// survivors. When EnumOptions carries precomputed snapshot sections
+// (graph/precompute.h), both steps are served from them instead of
+// recomputed, and the counters record it so callers can prove the skip
+// happened.
 
 #ifndef KPLEX_CORE_REDUCTION_H_
 #define KPLEX_CORE_REDUCTION_H_

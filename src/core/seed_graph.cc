@@ -242,13 +242,15 @@ std::optional<SeedGraph> BuildSeedGraph(
 
   sg.adj = BitMatrix(sg.universe, sg.universe);
   // Only edges with at least one endpoint in V_i matter; iterate V_i
-  // members so fringe-fringe edges are skipped.
+  // members so fringe-fringe edges are skipped. Each V_i row is set
+  // from its own visit; no visit reaches a fringe row, so the V_i end
+  // of an edge sets that one too.
   for (uint32_t i = 0; i < sg.num_vi; ++i) {
     for (VertexId w : graph.Neighbors(local_to_reduced[i])) {
       const Slot& slot = s.slots[w];
       if (slot.stamp == s.stamp_local) {
         sg.adj.Set(i, slot.value);
-        sg.adj.Set(slot.value, i);
+        if (slot.value >= sg.num_vi) sg.adj.Set(slot.value, i);
       }
     }
   }

@@ -1,10 +1,10 @@
 // Seed-plan probe: the planning half of coordinated mining. A
 // coordinator that wants cost-balanced chunks needs per-seed cost
 // signals *without* enumerating anything. ComputeSeedPlan runs only the
-// shared reduction front half (core/reduction.h — (q-k)-core or CTCP
-// fixpoint plus the canonical seed ordering, served from precomputed
-// snapshot sections when available) and reports, for every seed index
-// of the canonical order, two cheap structure signals:
+// shared reduction front half (core/reduction.h — the (q-k)-core plus
+// the canonical seed ordering, served from precomputed snapshot
+// sections when available) and reports, for every seed index of the
+// canonical order, two cheap structure signals:
 //
 //   - forward degree: the seed's neighbor count *later* in the
 //     degeneracy order — an upper bound on its candidate pool, the
@@ -49,9 +49,8 @@ struct SeedPlan {
 
 /// Runs the reduction + ordering stage only (no enumeration) and
 /// extracts the per-seed planning signals. Honors the same options the
-/// enumerators do (k, q, use_ctcp_preprocess, precompute, ordering), so
-/// the reported seed order is exactly the one a mine over the same
-/// options iterates.
+/// enumerators do (k, q, precompute, ordering), so the reported seed
+/// order is exactly the one a mine over the same options iterates.
 StatusOr<SeedPlan> ComputeSeedPlan(const Graph& graph,
                                    const EnumOptions& options);
 

@@ -351,9 +351,8 @@ StatusOr<EnumResult> RunSeedStages(const Graph& graph,
   KPLEX_RETURN_IF_ERROR(ValidateOptions(options));
   WallTimer timer;
   EnumResult result;
-  // Theorem 3.5: restrict to the (q - k)-core — or, when requested, the
-  // strictly stronger CTCP fixpoint — and order the survivors; both
-  // steps come from precomputed snapshot sections when available.
+  // Theorem 3.5: restrict to the (q - k)-core and order the survivors;
+  // both steps come from precomputed snapshot sections when available.
   const PreparedReduction prepared =
       PrepareReduction(graph, options, result.counters);
   result.total_seeds = prepared.core.graph.NumVertices();

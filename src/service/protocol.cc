@@ -909,7 +909,6 @@ const std::vector<Field>& QueryFields() {
       Opt<&QueryRequest::time_limit_seconds>("time-limit", "S", "time_limit",
                                              kEchoed),
       Opt<&QueryRequest::tau_ms>("tau-ms", "T", "tau_ms", kEchoed),
-      Opt<&QueryRequest::use_ctcp>("ctcp", "on|off", "ctcp", kEchoed),
       Opt<&QueryRequest::use_cache>("cache", "on|off", "cache", kEchoed),
       Span("seed-range", "B:E", "seed_begin", "seed_end", kSeedRange,
            kEchoed)
@@ -1031,8 +1030,7 @@ std::vector<Verb> BuildVerbs() {
        true, FinishQuery},
       {"plan", PlanRequest{},
        {Pos<&PlanRequest::graph>("NAME", "graph"),
-        Pos<&PlanRequest::k>("K", "k"), Pos<&PlanRequest::q>("Q", "q"),
-        Bare<&PlanRequest::use_ctcp>("ctcp")},
+        Pos<&PlanRequest::k>("K", "k"), Pos<&PlanRequest::q>("Q", "q")},
        "per-seed cost-estimate probe (degeneracy-\n"
        "order degrees + coreness); no enumeration"},
       {"shardsubmit", ShardSubmitRequest{}, shard_fields,

@@ -44,11 +44,11 @@
 // (breaking changes would require a new command name); unknown
 // *fields* in framed requests are rejected (typo safety), unknown
 // *commands* report INVALID_ARGUMENT. Clients ignore unknown keys in
-// response frames, since responses grow by adding keys. A verb with no
-// remaining sender may be removed without a version bump (v2's
-// `mineshard` was, once the coordinator probed with shardsubmit +
-// shardwait). See docs/SERVE.md for the full message reference and wire
-// examples.
+// response frames, since responses grow by adding keys. A verb or
+// option with no remaining sender may be removed without a version bump
+// (v2's `mineshard` verb was, and so was the `ctcp` option); a request
+// that still sends it gets INVALID_ARGUMENT. See docs/SERVE.md for the
+// full message reference and wire examples.
 
 #ifndef KPLEX_SERVICE_PROTOCOL_H_
 #define KPLEX_SERVICE_PROTOCOL_H_
@@ -146,7 +146,7 @@ struct SubmitRequest {
   QueryRequest query;
 };
 
-/// `plan NAME K Q [ctcp]` — the coordinator's cost-estimate probe (v5):
+/// `plan NAME K Q` — the coordinator's cost-estimate probe (v5):
 /// returns the seed-space size plus, per canonical seed index, the
 /// forward degree (neighbors later in degeneracy order — a proxy for
 /// the seed's candidate-pool size) and the coreness, both read from the
@@ -158,12 +158,6 @@ struct PlanRequest {
   std::string graph;
   uint32_t k = 2;
   uint32_t q = 4;
-  /// Mirrors QueryRequest::use_ctcp so the probe validates the same
-  /// option set a subsequent shardsubmit will carry. CTCP replaces the
-  /// core reduction (different seed order and count), so workers refuse
-  /// a ctcp plan with INVALID_ARGUMENT; coordinators fall back to
-  /// uniform chunking over an empty-range shardsubmit probe instead.
-  bool use_ctcp = false;
 };
 
 /// `shardsubmit NAME K Q [seed-range=B:E] [hash=0xH] [key=value ...]` —
@@ -178,9 +172,7 @@ struct PlanRequest {
 /// verified content hash immediately; `shardwait` delivers the result.
 /// The split round trip is what makes work-stealing possible: while the
 /// submitting connection waits in `shardwait`, a second connection can
-/// `shardstop` the job to make it yield. An empty range ([0:0)) followed
-/// by `shardwait` is the coordinator's ctcp planning probe: it reports
-/// the content hash and the seed-space size without enumerating.
+/// `shardstop` the job to make it yield.
 struct ShardSubmitRequest {
   QueryRequest query;
   uint64_t expected_hash = 0;  ///< 0 skips the admission check

@@ -100,17 +100,16 @@ const char* QueryAlgoName(QueryAlgo algo) {
 }
 
 std::string QueryEngine::CanonicalSignature(const QueryRequest& request) {
-  // `|ctcp=on` / `|seed=B:E` are appended only when set so every
-  // pre-existing signature (and the cache entries stored under it)
-  // stays byte-identical. A shard is a complete deterministic answer
-  // for its range, so it caches under its own key.
+  // `|seed=B:E` is appended only when set so every pre-existing
+  // signature (and the cache entries stored under it) stays
+  // byte-identical. A shard is a complete deterministic answer for its
+  // range, so it caches under its own key.
   // The v4 selection options follow the same append-only rule; note
   // chunk_size is absent on purpose (pure presentation).
   return request.graph + "|k=" + std::to_string(request.k) +
          "|q=" + std::to_string(request.q) + "|algo=" +
          QueryAlgoName(request.algo) +
          "|max=" + std::to_string(request.max_results) +
-         (request.use_ctcp ? "|ctcp=on" : "") +
          (request.HasSeedRange()
               ? "|seed=" + std::to_string(request.seed_begin) + ":" +
                     std::to_string(request.seed_end)
@@ -359,13 +358,11 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     // Usually resident (the signature resolution above materialized
     // it), in which case this records a near-zero span. A seed-ranged
     // query is one chunk of a coordinated mine: it asks for sections so
-    // the worker reduces the graph once, not once per chunk (ctcp is a
-    // different reduction and cannot use them).
+    // the worker reduces the graph once, not once per chunk.
     TraceSpan load_span(trace_id, "catalog_load", &CatalogLoadSeconds());
     load_span.AddAttr("graph", request.graph);
-    resolved = request.HasSeedRange() && !request.use_ctcp
-                   ? catalog_.GetWithSections(request.graph)
-                   : catalog_.GetFull(request.graph);
+    resolved = request.HasSeedRange() ? catalog_.GetWithSections(request.graph)
+                                      : catalog_.GetFull(request.graph);
   }
   if (!resolved.ok()) return resolved.status();
   // The graph and its sections stay alive for the whole run through
@@ -480,7 +477,6 @@ StatusOr<QueryResult> ExecuteQuery(const Graph& graph,
   }
   options.max_results = request.max_results;
   options.time_limit_seconds = request.time_limit_seconds;
-  options.use_ctcp_preprocess = request.use_ctcp;
   options.cancel = request.cancel;
   options.yield = request.yield;
   options.precompute = precompute;

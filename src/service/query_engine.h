@@ -69,12 +69,6 @@ struct QueryRequest {
   double tau_ms = 0.1;
   uint64_t max_results = 0;
   double time_limit_seconds = 0;
-  /// CTCP whole-graph preprocessing (EnumOptions::use_ctcp_preprocess):
-  /// sound with every variant, strictly stronger than the (q-k)-core
-  /// when q > 2k, and it disables precompute-section reuse (CTCP is a
-  /// different reduction). Part of the signature: same answer, but the
-  /// cached entry stays attributable to the pipeline that produced it.
-  bool use_ctcp = false;
   /// Bypass the result cache for this request (still records the miss).
   bool use_cache = true;
   /// Shard of the canonical seed space to enumerate, as a half-open

@@ -170,16 +170,6 @@ ResponsePayload ServiceApi::Handle(const MineRequest& mine) {
 }
 
 ResponsePayload ServiceApi::Handle(const PlanRequest& plan) {
-  if (plan.use_ctcp) {
-    // CTCP replaces the core reduction, so its seed order (and seed
-    // count) differ from the (q-k)-core ordering this probe reports.
-    // Serving core-order estimates for a ctcp mine would misalign the
-    // coordinator's chunk boundaries; refuse and let it fall back to
-    // uniform chunking over an empty-range shardsubmit probe.
-    return ErrorResponse{Status::InvalidArgument(
-        "plan does not support ctcp (its seed order differs from the "
-        "core ordering); probe with an empty-range shardsubmit instead")};
-  }
   auto resolved = catalog_.GetWithSections(plan.graph);
   if (!resolved.ok()) return ErrorResponse{resolved.status()};
   auto hash = catalog_.ContentHash(plan.graph);

@@ -93,17 +93,6 @@ TEST(PlanCostChunks, DegenerateInputs) {
   EXPECT_EQ(single.size(), 1u);
 }
 
-TEST(PlanUniformChunks, SplitsAndSkipsEmptyRanges) {
-  const auto chunks = PlanUniformChunks(10, 4);
-  ExpectExactPartition(chunks, 10);
-  EXPECT_EQ(chunks.size(), 4u);
-  // More chunks than seeds: one chunk per seed, none empty.
-  const auto tiny = PlanUniformChunks(3, 8);
-  ExpectExactPartition(tiny, 3);
-  EXPECT_EQ(tiny.size(), 3u);
-  EXPECT_TRUE(PlanUniformChunks(0, 4).empty());
-}
-
 TEST(WorkerPool, RegisterAssignsStableIdsAndRevives) {
   WorkerPool pool;
   const uint64_t a = pool.Register("127.0.0.1:7001");

@@ -98,40 +98,51 @@ CoordJobInfo SubmitAndWait(Coordinator& coordinator,
   return job.ok() ? *job : CoordJobInfo{};
 }
 
-/// Polls `worker` until it runs a real chunk (a non-empty seed range,
-/// not a planning probe); false after two minutes.
+/// Polls `worker` until it runs a chunk; false after two minutes.
 bool WaitForRunningChunk(const Worker& worker) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   while (std::chrono::steady_clock::now() < deadline) {
     for (const JobInfo& job : worker.api->dispatcher().Jobs()) {
-      if (job.state == JobState::kRunning &&
-          job.request.seed_end > job.request.seed_begin) {
-        return true;
-      }
+      if (job.state == JobState::kRunning) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return false;
 }
 
-/// A seed-cost adversary: a dense Erdos-Renyi block (expensive seeds,
-/// last in degeneracy order) glued to a long 4-regular ring whose seeds
-/// survive the (q-k)-core at q=5 but emit nothing — hundreds of
-/// near-free seeds followed by a block holding virtually all the work.
-Graph BuildSkewedGraph(std::size_t dense, std::size_t ring, uint64_t seed) {
+/// A seed-cost adversary: a dense Erdos-Renyi block (expensive seeds)
+/// glued to a long 4-regular ring whose seeds survive the (q-k)-core at
+/// q=5 but emit nothing — hundreds of near-free seeds and a block
+/// holding virtually all the work. `bicliques` disjoint K_{40,40}s add
+/// seeds that the planner's (deg+1) x (coreness+1) estimate prices like
+/// the block's but that cost nothing at k=2 q=5: a biclique has no
+/// triangle, so Corollary 5.2 rejects each of its seeds at the N1 peel.
+/// They draw the cost-planned cuts, so the block lands in about one
+/// chunk, and that chunk is the straggler.
+Graph BuildSkewedGraph(std::size_t dense, std::size_t ring, uint64_t seed,
+                       std::size_t bicliques = 0) {
+  constexpr VertexId kSide = 40;
   const Graph block = GenerateErdosRenyi(dense, 0.35, seed);
-  GraphBuilder builder(dense + ring);
+  GraphBuilder builder(dense + ring + bicliques * 2 * kSide);
   for (VertexId u = 0; u < block.NumVertices(); ++u) {
     for (VertexId v : block.Neighbors(u)) {
       if (u < v) builder.AddEdge(u, v);
     }
   }
-  const VertexId base = static_cast<VertexId>(dense);
+  VertexId base = static_cast<VertexId>(dense);
   const VertexId n = static_cast<VertexId>(ring);
   for (VertexId i = 0; i < n; ++i) {
     builder.AddEdge(base + i, base + (i + 1) % n);
     builder.AddEdge(base + i, base + (i + 2) % n);
+  }
+  base += n;
+  for (std::size_t b = 0; b < bicliques; ++b, base += 2 * kSide) {
+    for (VertexId i = 0; i < kSide; ++i) {
+      for (VertexId j = 0; j < kSide; ++j) {
+        builder.AddEdge(base + i, base + kSide + j);
+      }
+    }
   }
   return builder.Build();
 }
@@ -164,7 +175,6 @@ TEST(Coordinator, ChunkedMineMatchesSingleProcessRun) {
     EXPECT_EQ(job.num_plexes, reference.count);
     EXPECT_EQ(job.fingerprint, reference.fingerprint);
     EXPECT_EQ(job.max_plex_size, reference.max_size);
-    EXPECT_TRUE(job.cost_planned);
     EXPECT_NE(job.content_hash, 0u);
     // Two-level scheduling: many more chunks than workers.
     EXPECT_GT(job.chunks, 3u);
@@ -186,10 +196,11 @@ TEST(Coordinator, ChunkedMineMatchesSingleProcessRun) {
 }
 
 TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
-  // ctcp forces the uniform-chunk fallback, so the dense block lands in
-  // the last chunks and the ring lanes go idle early — the deterministic
-  // setup for a steal. The merged result must still be bit-exact.
-  const Graph graph = BuildSkewedGraph(95, 600, 17);
+  // The bicliques draw the cost-planned cuts, so the dense block lands
+  // in about one chunk and the other lanes go idle early — the
+  // deterministic setup for a steal. The merged result must still be
+  // bit-exact.
+  const Graph graph = BuildSkewedGraph(95, 600, 17, /*bicliques=*/4);
   const Reference reference = FullRun(graph, 2, 5);
 
   Worker a, b, c, d;
@@ -205,9 +216,7 @@ TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
     ASSERT_TRUE(coordinator.AddWorker(worker->endpoint()).ok());
   }
 
-  QueryRequest query = MakeQuery(2, 5);
-  query.use_ctcp = true;
-  auto id = coordinator.Submit(query);
+  auto id = coordinator.Submit(MakeQuery(2, 5));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   auto job = coordinator.Wait(*id);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
@@ -215,7 +224,6 @@ TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
   EXPECT_EQ(job->num_plexes, reference.count);
   EXPECT_EQ(job->fingerprint, reference.fingerprint);
   EXPECT_EQ(job->max_plex_size, reference.max_size);
-  EXPECT_FALSE(job->cost_planned);  // ctcp fell back to uniform chunks
   // Stealing split at least one straggler chunk: the yielded prefix
   // and its requeued tail both merged.
   EXPECT_GE(job->steals, 1u);
@@ -227,9 +235,10 @@ TEST(Coordinator, SkewedSeedCostsTriggerStealingAndStayExact) {
 }
 
 TEST(Coordinator, StealsLandingInTheReductionStillFinish) {
-  // Every chunk of a ctcp mine re-runs the CTCP reduction, which on a
-  // long ring outlasts a steal round trip. A steal that lands there
-  // covers no seed; stealing that range again would repeat it forever.
+  // Every chunk re-runs the reduction front half (a worker's first
+  // chunk also builds the order and coreness sections), which on a long
+  // ring outlasts a steal round trip. A steal that lands there covers
+  // no seed; stealing that range again would repeat it forever.
   const Graph graph = BuildSkewedGraph(95, 100000, 17);
   const Reference reference = FullRun(graph, 2, 5);
   Worker a, b, c, d;
@@ -243,9 +252,7 @@ TEST(Coordinator, StealsLandingInTheReductionStillFinish) {
   for (Worker* worker : {&a, &b, &c, &d}) {
     ASSERT_TRUE(coordinator.AddWorker(worker->endpoint()).ok());
   }
-  QueryRequest query = MakeQuery(2, 5);
-  query.use_ctcp = true;
-  auto id = coordinator.Submit(query);
+  auto id = coordinator.Submit(MakeQuery(2, 5));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   // The livelock shows as a job still running after two minutes; Stop
   // then fails it, so the test reports instead of hanging.
@@ -283,7 +290,7 @@ TEST(Coordinator, KilledWorkerMidChunkRequeuesOnTheSurvivor) {
   auto id = coordinator.Submit(MakeQuery(3, 6));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
-  // Kill B once it is running a real chunk (not the admission probe).
+  // Kill B once it is running a chunk.
   ASSERT_TRUE(WaitForRunningChunk(b)) << "worker B never picked up a chunk";
   b.server->Stop();
 

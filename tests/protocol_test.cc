@@ -59,10 +59,10 @@ const std::vector<GoldenPair>& GoldenPairs() {
        R"("precompute":true,"levels":[4,8,10]})"},
       {"mine web 2 12", R"({"cmd":"mine","graph":"web","k":2,"q":12})"},
       {"mine web 3 9 algo=listplex threads=8 max-results=1000 "
-       "time-limit=2.5 tau-ms=0.25 ctcp=on cache=off",
+       "time-limit=2.5 tau-ms=0.25 cache=off",
        R"({"cmd":"mine","graph":"web","k":3,"q":9,"algo":"listplex",)"
        R"("threads":8,"max_results":1000,"time_limit":2.5,"tau_ms":0.25,)"
-       R"("ctcp":true,"cache":false})"},
+       R"("cache":false})"},
       {"submit g 1 4 algo=fp",
        R"({"cmd":"submit","graph":"g","k":1,"q":4,"algo":"fp"})"},
       {"mine web 2 12 seed-range=100:250",
@@ -83,13 +83,11 @@ const std::vector<GoldenPair>& GoldenPairs() {
        R"({"cmd":"mine","graph":"web","k":2,"q":12,"max_results":7,)"
        R"("results":"stream","cursor":"17:4"})"},
       {"plan web 2 12", R"({"cmd":"plan","graph":"web","k":2,"q":12})"},
-      {"plan web 2 12 ctcp",
-       R"({"cmd":"plan","graph":"web","k":2,"q":12,"ctcp":true})"},
       {"shardsubmit web 2 12 threads=4 seed-range=0:1000 "
        "hash=0xbe7c0cfa5f1eee74",
        R"({"cmd":"shardsubmit","graph":"web","k":2,"q":12,"threads":4,)"
        R"("seed_begin":0,"seed_end":1000,"hash":"0xbe7c0cfa5f1eee74"})"},
-      {"shardsubmit web 2 12 seed-range=0:0",  // the coordinator's probe
+      {"shardsubmit web 2 12 seed-range=0:0",  // an empty range
        R"({"cmd":"shardsubmit","graph":"web","k":2,"q":12,"seed_begin":0,)"
        R"("seed_end":0})"},
       {"shardwait 7", R"({"cmd":"shardwait","job":7})"},
@@ -176,7 +174,7 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
                      "[levels=C1,C2,...]"},
       {"snapshot g p bogus", "unknown snapshot option 'bogus'"},
       {"mine", "usage: mine NAME K Q [algo=...] [threads=N] "
-               "[max-results=N] [time-limit=S] [tau-ms=T] [ctcp=on|off] "
+               "[max-results=N] [time-limit=S] [tau-ms=T] "
                "[cache=on|off] "
                "[seed-range=B:E] [results=stream|count] [chunk=N] "
                "[filter=size>=S,size<=T] [contain=V] [top=K] "
@@ -187,7 +185,8 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
        "malformed value for Q: '99999999999' (expected 0..4294967295)"},
       {"mine g 2 5 bogus=1", "unknown mine option 'bogus'"},
       {"mine g 2 5 cache=maybe", "cache must be on or off"},
-      {"mine g 2 5 ctcp=maybe", "ctcp must be on or off"},
+      {"mine g 2 5 ctcp=on", "unknown mine option 'ctcp'"},  // removed
+      {"plan web 2 12 ctcp", "usage: plan NAME K Q"},       // removed
       {"submit g 2 5 bogus=1", "unknown submit option 'bogus'"},
       {"mine g 2 5 seed-range=5",
        "seed-range must be BEGIN:END (half-open; END may be 'end'), "
@@ -256,6 +255,8 @@ TEST(ProtocolFramed, MalformedFramesAreStructuredErrorsNeverCrashes) {
        "field 'k' must be " + kUint32},
       {R"({"cmd":"mine","graph":"g","k":2,"q":5,"bogus":1})",
        "unknown field 'bogus' for 'mine'"},
+      {R"({"cmd":"mine","graph":"g","k":2,"q":5,"ctcp":true})",
+       "unknown field 'ctcp' for 'mine'"},  // removed
       {R"({"cmd":"mine","graph":"g","k":99999999999,"q":5})",
        "field 'k' must be " + kUint32},
       {R"({"cmd":"load","name":"g"})", "'load' requires fields name, path"},
@@ -1104,9 +1105,10 @@ const std::vector<FramedGolden>& FramedResponseGoldens() {
         R"(                        precompute stores reduction sections\n)"
         R"(  mine NAME K Q [algo=...] [threads=N] [max-results=N] [time-limit)"
         R"(=S]\n)"
-        R"(       [tau-ms=T] [ctcp=on|off] [cache=on|off] [seed-range=B:E]\n)"
-        R"(       [results=stream|count] [chunk=N] [filter=size>=S,size<=T]\n)"
-        R"(       [contain=V] [top=K] [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(       [tau-ms=T] [cache=on|off] [seed-range=B:E] [results=stream|)"
+        R"(count]\n)"
+        R"(       [chunk=N] [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
+        R"(       [mode=enumerate|maximum] [cursor=S:O]\n)"
         R"(                        run a query and wait for its answer; algo )"
         R"(is\n)"
         R"(                        one of ours, ours_p, basic, listplex, fp;\n)"
@@ -1117,19 +1119,19 @@ const std::vector<FramedGolden>& FramedResponseGoldens() {
         R"(                        reports a cursor to resume from\n)"
         R"(  submit NAME K Q [algo=...] [threads=N] [max-results=N] [time-lim)"
         R"(it=S]\n)"
-        R"(       [tau-ms=T] [ctcp=on|off] [cache=on|off] [seed-range=B:E]\n)"
-        R"(       [results=stream|count] [chunk=N] [filter=size>=S,size<=T]\n)"
-        R"(       [contain=V] [top=K] [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(       [tau-ms=T] [cache=on|off] [seed-range=B:E] [results=stream|)"
+        R"(count]\n)"
+        R"(       [chunk=N] [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
+        R"(       [mode=enumerate|maximum] [cursor=S:O]\n)"
         R"(                        run a mine asynchronously; prints a\n)"
         R"(                        job id immediately\n)"
-        R"(  plan NAME K Q [ctcp]  per-seed cost-estimate probe (degeneracy-\n)"
+        R"(  plan NAME K Q         per-seed cost-estimate probe (degeneracy-\n)"
         R"(                        order degrees + coreness); no enumeration\n)"
         R"(  shardsubmit NAME K Q [algo=...] [threads=N] [max-results=N]\n)"
-        R"(       [time-limit=S] [tau-ms=T] [ctcp=on|off] [cache=on|off]\n)"
-        R"(       [seed-range=B:E] [results=stream|count] [chunk=N]\n)"
-        R"(       [filter=size>=S,size<=T] [contain=V] [top=K]\n)"
-        R"(       [mode=enumerate|maximum] [cursor=S:O] [hash=0xH]\n)"
-        R"(                        mine one shard of the seed space: hash=\n)"
+        R"(       [time-limit=S] [tau-ms=T] [cache=on|off] [seed-range=B:E]\n)"
+        R"(       [results=stream|count] [chunk=N] [filter=size>=S,size<=T]\n)"
+        R"(       [contain=V] [top=K] [mode=enumerate|maximum] [cursor=S:O]\n)"
+        R"(       [hash=0xH]       mine one shard of the seed space: hash=\n)"
         R"(                        refuses a mismatched snapshot, then a job\n)"
         R"(                        id immediately (sharding, work-stealing)\n)"
         R"(  shardwait ID          block until shard job ID is terminal and\n)"

@@ -549,14 +549,10 @@ TEST(QueryEngine, SeedRangedQueriesReduceTheGraphOnce) {
   const std::size_t graph_bytes = catalog.ResidentBytes();
   QueryEngine engine(catalog, /*cache_capacity=*/0);
 
-  // A whole-graph query computes nothing, and neither does a ctcp
-  // chunk (CTCP is a different reduction and cannot use the sections).
+  // A whole-graph query computes nothing.
   auto whole = engine.Run(RangedQuery(0, UINT32_MAX));
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_FALSE(whole->reduction_precomputed);
-  QueryRequest ctcp = RangedQuery(0, 10);
-  ctcp.use_ctcp = true;
-  ASSERT_TRUE(engine.Run(ctcp).ok());
   EXPECT_EQ(catalog.ResidentBytes(), graph_bytes);
   EXPECT_EQ(catalog.GetFull("g")->precompute, nullptr);
 

@@ -110,19 +110,6 @@ TEST(Reduction, MismatchedPrecomputeFallsBackSilently) {
   EXPECT_EQ(prepared.core.to_original, recomputed.core.to_original);
 }
 
-TEST(Reduction, CtcpPreprocessIgnoresPrecompute) {
-  Graph graph = KarateGraph();
-  const GraphPrecompute pre = ComputeGraphPrecompute(graph, {});
-  EnumOptions options = EnumOptions::Ours(2, 6);
-  options.use_ctcp_preprocess = true;
-  options.precompute = &pre;
-  AlgoCounters counters;
-  const PreparedReduction prepared =
-      PrepareReduction(graph, options, counters);
-  EXPECT_FALSE(prepared.core_precomputed);
-  EXPECT_EQ(counters.core_reductions_precomputed, 0u);
-}
-
 TEST(Reduction, NonDegeneracyOrderingsRecomputeTheOrder) {
   Graph graph = KarateGraph();
   const GraphPrecompute pre = ComputeGraphPrecompute(graph, {});

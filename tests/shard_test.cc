@@ -1,8 +1,8 @@
 // Shard determinism suite: seed-range mining (EnumOptions::seed_range)
 // must partition the result set exactly — the union of N disjoint
 // shards equals one full run, set-for-set and fingerprint-for-
-// fingerprint, for both engines across a (k, q) grid, under precompute
-// sections, and under CTCP. Plus the MergeableResult algebra, range
+// fingerprint, for both engines across a (k, q) grid and under
+// precompute sections. Plus the MergeableResult algebra, range
 // clamping/validation, and the QueryEngine plumbing (signatures, cache
 // isolation, total_seeds/fingerprint_xor reporting).
 
@@ -175,17 +175,6 @@ TEST(ShardDeterminism, ShardsComposeUnderPrecomputeSections) {
   std::remove(path.c_str());
 }
 
-TEST(ShardDeterminism, ShardsComposeUnderCtcp) {
-  Graph graph = TestGraph(47);
-  EnumOptions options = EnumOptions::Ours(2, 7);
-  options.use_ctcp_preprocess = true;
-  const FullRun full = RunFull(graph, options);
-  const ShardedRun sharded =
-      RunSharded(graph, options, 4, full.total_seeds, 0);
-  EXPECT_EQ(sharded.merged.count, full.count);
-  EXPECT_EQ(sharded.merged.fingerprint(), full.fingerprint);
-}
-
 TEST(ShardRange, OutOfRangeClampsAndEmptyRangeIsEmpty) {
   Graph graph = TestGraph(5);
   EnumOptions options = EnumOptions::Ours(2, 4);
@@ -210,8 +199,8 @@ TEST(ShardRange, OutOfRangeClampsAndEmptyRangeIsEmpty) {
   EXPECT_EQ(run->num_plexes, 0u);
   EXPECT_EQ(run->total_seeds, full.total_seeds);
 
-  // The planning probe shape: [0, 0) enumerates nothing but still
-  // reports the seed-space size.
+  // An empty range [0, 0) enumerates nothing but still reports the
+  // seed-space size.
   EnumOptions probe = options;
   probe.seed_range.begin = 0;
   probe.seed_range.end = 0;
@@ -221,7 +210,7 @@ TEST(ShardRange, OutOfRangeClampsAndEmptyRangeIsEmpty) {
   EXPECT_EQ(run->num_plexes, 0u);
   EXPECT_EQ(run->total_seeds, full.total_seeds);
 
-  // Parallel engine honors the probe shape too.
+  // So does the parallel engine.
   ParallelOptions parallel;
   parallel.num_threads = 2;
   CountingSink par_empty;

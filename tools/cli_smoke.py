@@ -24,8 +24,8 @@ Checks (any failure exits non-zero):
      `--time-limit 0.05` reports the time limit;
   9. negative and non-finite flags, thread counts above the 1024 bound
      (local and --store), the removed `query`/`max` commands, the
-     removed `--coordinator`/`--chunk` flags and flags of another mine
-     mode all exit non-zero.
+     removed `--coordinator`/`--chunk`/`--ctcp` flags and flags of
+     another mine mode all exit non-zero.
 """
 
 import os
@@ -216,6 +216,7 @@ def main():
                          f"{stderr!r}")
     for args in (["query", *karate, "--q", "6"], ["max", *karate],
                  ["mine", *karate, "--q", "6", "--chunk", "4"],
+                 ["mine", *karate, "--q", "6", "--ctcp"],
                  ["mine", "--coordinator", "127.0.0.1:1", "--graph", "kc",
                   "--k", "2", "--q", "6"]):
         run(cli, *args, expect=2)

@@ -2,7 +2,7 @@
 //
 //   kplex_cli mine {--input G.txt | --dataset NAME} --k 2 --q 12
 //             [--algo ours|ours_p|basic|listplex|fp] [--threads N]
-//             [--tau-ms 0.1] [--max-results N] [--time-limit S] [--ctcp]
+//             [--tau-ms 0.1] [--max-results N] [--time-limit S]
 //             [--seed-range B:E] [selection] [--output F | --stream]
 //   kplex_cli mine --store DIR {--input G.txt | --dataset NAME} ...
 //   kplex_cli mine --endpoint host:port --graph NAME --k K --q Q ...
@@ -103,7 +103,7 @@ int Usage() {
                "            --k K --q Q [--io-timeout S] [options]\n"
                "  kplex_cli mine --endpoints host:port,... --graph NAME\n"
                "            --k K --q Q [--io-timeout S] [--algo A]\n"
-               "            [--threads N] [--tau-ms T] [--ctcp]\n"
+               "            [--threads N] [--tau-ms T]\n"
                "  kplex_cli report --input G.txt\n"
                "  kplex_cli snapshot --input G.txt --output G.kpx\n"
                "            [--precompute] [--core-levels C1,C2,...]\n"
@@ -134,8 +134,6 @@ int Usage() {
                "  --tau-ms T        straggler timeout (default 0.1; parallel only)\n"
                "  --max-results N   stop after N results\n"
                "  --time-limit S    soft wall-clock budget in seconds\n"
-               "  --ctcp            CTCP preprocessing instead of the "
-               "(q-k)-core\n"
                "  --seed-range B:E  mine one shard of the seed space "
                "(E may be 'end')\n"
                "  --output FILE     write each plex (one line each) to FILE\n"
@@ -246,9 +244,9 @@ const char* MineModeName(MineMode mode) {
 /// user should hear about, not a no-op. A coordinated mine is
 /// count-exact by construction, so it takes no selection flags.
 std::vector<std::string> MineFlags(MineMode mode) {
-  std::vector<std::string> flags = {"k",           "q",          "algo",
-                                    "threads",     "tau-ms",     "ctcp",
-                                    "max-results", "time-limit"};
+  std::vector<std::string> flags = {"k",       "q",      "algo",
+                                    "threads", "tau-ms", "max-results",
+                                    "time-limit"};
   flags.insert(flags.end(), GlobalFlags().begin(), GlobalFlags().end());
   if (mode != MineMode::kEndpoints) {
     flags.insert(flags.end(),
@@ -318,7 +316,6 @@ StatusOr<QueryRequest> BuildMineRequest(const FlagParser& flags,
   query.tau_ms = *tau;
   query.max_results = *max_results;
   query.time_limit_seconds = *time_limit;
-  query.use_ctcp = flags.Has("ctcp");
   query.top_k = *top;
   query.has_contain = flags.Has("contain");
   query.contain = static_cast<uint32_t>(*contain);
