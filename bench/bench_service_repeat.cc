@@ -1,6 +1,6 @@
 // Demonstrates what the service layer amortizes, in three stages:
-// (1) loading — SNAP edge-list parse vs v1 snapshot (buffered copy) vs
-// v2 snapshot (mmap zero-copy), (2) reduction — a cold mine that peels
+// (1) loading — SNAP edge-list parse vs a v2 snapshot (mmap zero-copy),
+// (2) reduction — a cold mine that peels
 // the (q-k)-core vs one served from precomputed snapshot sections (the
 // counters prove the skip and the fingerprints prove equality), and
 // (3) repeat queries — cold vs warm (result-cached) through the
@@ -44,7 +44,6 @@ int Run() {
   const std::string dir =
       "/tmp/kplex_service_bench_" + std::to_string(::getpid());
   const std::string edges_path = dir + "/graph.txt";
-  const std::string v1_path = dir + "/graph_v1.kpx";
   const std::string v2_path = dir + "/graph_v2.kpx";
   const std::string pre_path = dir + "/graph_pre.kpx";
   if (std::system(("mkdir -p " + dir).c_str()) != 0) {
@@ -56,13 +55,10 @@ int Run() {
   Graph graph = GenerateBarabasiAlbert(30000, 12, 7);
   std::printf("graph: %zu vertices, %zu edges\n\n", graph.NumVertices(),
               graph.NumEdges());
-  SnapshotWriteOptions v1;
-  v1.version = kSnapshotVersionLegacy;
   SnapshotWriteOptions with_pre;
   with_pre.include_precompute = true;
   with_pre.core_mask_levels = {kQ - kK};
   if (!SaveEdgeList(graph, edges_path).ok() ||
-      !SaveSnapshot(graph, v1_path, v1).ok() ||
       !SaveSnapshot(graph, v2_path).ok() ||
       !SaveSnapshot(graph, pre_path, with_pre).ok()) {
     std::fprintf(stderr, "cannot write graph files under %s\n", dir.c_str());
@@ -76,15 +72,11 @@ int Run() {
   auto parsed = LoadEdgeList(edges_path);
   const double parse_seconds = timer.ElapsedSeconds();
   timer.Restart();
-  auto snapped_v1 = LoadSnapshotFull(v1_path);
-  const double v1_seconds = timer.ElapsedSeconds();
-  timer.Restart();
   auto snapped_v2 = LoadSnapshotFull(v2_path);
   const double v2_seconds = timer.ElapsedSeconds();
-  if (!parsed.ok() || !snapped_v1.ok() || !snapped_v2.ok() ||
-      parsed->NumEdges() != snapped_v1->graph.NumEdges() ||
+  if (!parsed.ok() || !snapped_v2.ok() ||
       parsed->NumEdges() != snapped_v2->graph.NumEdges()) {
-    std::fprintf(stderr, "load mismatch between edge list and snapshots\n");
+    std::fprintf(stderr, "load mismatch between edge list and snapshot\n");
     return 1;
   }
   auto human_mib = [](std::size_t bytes) {
@@ -95,9 +87,6 @@ int Run() {
   };
   load_table.AddRow({"SNAP edge list", FormatSeconds(parse_seconds), "1.0",
                      human_mib(parsed->MemoryBytes()), "0"});
-  load_table.AddRow({"v1 snapshot (fread)", FormatSeconds(v1_seconds),
-                     FormatDouble(parse_seconds / v1_seconds, 1),
-                     human_mib(snapped_v1->graph.MemoryBytes()), "0"});
   load_table.AddRow(
       {snapped_v2->mapped ? "v2 snapshot (mmap)" : "v2 snapshot (buffered)",
        FormatSeconds(v2_seconds),

@@ -8,6 +8,7 @@
 
 #include "graph/csr_access.h"
 #include "graph/edge_list_io.h"
+#include "util/fnv1a.h"
 #include "util/mmap_file.h"
 
 namespace kplex {
@@ -76,30 +77,6 @@ std::size_t AlignUp(std::size_t offset) {
   return (offset + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-uint64_t SectionChecksum(const void* data, std::size_t bytes) {
-  return Fnv1a(kFnvBasis, data, bytes);
-}
-
-uint64_t ContentChecksumV1(const uint64_t* offsets, std::size_t offsets_bytes,
-                           const VertexId* adjacency,
-                           std::size_t adjacency_bytes) {
-  uint64_t hash = kFnvBasis;
-  hash = Fnv1a(hash, offsets, offsets_bytes);
-  hash = Fnv1a(hash, adjacency, adjacency_bytes);
-  return hash;
-}
-
 Status WritePadding(std::FILE* f, std::size_t bytes) {
   static constexpr char zeros[kSectionAlign] = {};
   if (bytes == 0) return Status::Ok();
@@ -109,24 +86,35 @@ Status WritePadding(std::FILE* f, std::size_t bytes) {
   return Status::Ok();
 }
 
+// The CSR arrays a decoder found in the file, checksums already
+// verified, before the structural checks.
+struct CsrView {
+  const uint64_t* offsets = nullptr;
+  const VertexId* adjacency = nullptr;
+  uint64_t num_vertices = 0;
+  uint64_t num_adjacency = 0;
+};
+
 // Structural CSR validation: monotone offsets bracketing the adjacency
 // array, and per-row neighbor lists that are strictly ascending, in
 // range, and self-loop free — the invariants Graph::HasEdge's binary
 // search and the enumerators rely on. (A checksum match already implies
 // an uncorrupted SaveSnapshot product; this rejects handcrafted files.
 // Row symmetry is the one invariant not checked — it would cost a
-// search per edge.)
-Status ValidateCsr(const uint64_t* offsets, uint64_t num_vertices,
-                   const VertexId* adjacency, uint64_t num_adjacency,
-                   const std::string& path) {
-  if (offsets[0] != 0 || offsets[num_vertices] != num_adjacency) {
+// search per edge.) Each row's end is bounded by the adjacency length
+// before the row is read.
+Status ValidateCsr(const CsrView& csr, const std::string& path) {
+  const uint64_t* offsets = csr.offsets;
+  const VertexId* adjacency = csr.adjacency;
+  const uint64_t num_vertices = csr.num_vertices;
+  if (offsets[0] != 0 || offsets[num_vertices] != csr.num_adjacency) {
     return Status::InvalidArgument("snapshot offsets do not bracket the "
                                    "adjacency array in '" + path + "'");
   }
   for (uint64_t v = 0; v < num_vertices; ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      return Status::InvalidArgument("non-monotone snapshot offsets in '" +
-                                     path + "'");
+    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > csr.num_adjacency) {
+      return Status::InvalidArgument(
+          "non-monotone or out-of-range snapshot offsets in '" + path + "'");
     }
     for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       if (adjacency[i] >= num_vertices ||
@@ -144,54 +132,6 @@ Status ValidateCsr(const uint64_t* offsets, uint64_t num_vertices,
 // The canonical offsets array of an empty (default-constructed) graph,
 // which has no owned offsets to serialize.
 constexpr uint64_t kEmptyOffsets[1] = {0};
-
-Status SaveSnapshotV1(const Graph& graph, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for writing");
-  }
-
-  const auto offsets = graph.RawOffsets();
-  const auto adjacency = graph.RawAdjacency();
-  const uint64_t* offsets_data = offsets.empty() ? kEmptyOffsets
-                                                 : offsets.data();
-  const std::size_t offsets_count = offsets.empty() ? 1 : offsets.size();
-
-  SnapshotHeaderV1 header = {};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kSnapshotVersionLegacy;
-  header.byte_order = kByteOrderTag;
-  header.num_vertices = offsets_count - 1;
-  header.num_adjacency = adjacency.size();
-  header.offsets_bytes = offsets_count * sizeof(uint64_t);
-  header.adjacency_bytes = adjacency.size() * sizeof(VertexId);
-  header.checksum = ContentChecksumV1(offsets_data, header.offsets_bytes,
-                                      adjacency.data(),
-                                      header.adjacency_bytes);
-
-  Status status = Status::Ok();
-  if (std::fwrite(&header, sizeof(header), 1, f) != 1) {
-    status = Status::IoError("short write of snapshot header");
-  }
-  if (status.ok() &&
-      std::fwrite(offsets_data, 1, header.offsets_bytes, f) !=
-          header.offsets_bytes) {
-    status = Status::IoError("short write of snapshot offsets");
-  }
-  if (status.ok()) {
-    const std::size_t end = sizeof(header) + header.offsets_bytes;
-    status = WritePadding(f, AlignUp(end) - end);
-  }
-  if (status.ok() && header.adjacency_bytes > 0 &&
-      std::fwrite(adjacency.data(), 1, header.adjacency_bytes, f) !=
-          header.adjacency_bytes) {
-    status = Status::IoError("short write of snapshot adjacency");
-  }
-  if (std::fclose(f) != 0 && status.ok()) {
-    status = Status::IoError("close failed for '" + path + "'");
-  }
-  return status;
-}
 
 Status SaveSnapshotV2(const Graph& graph, const std::string& path,
                       const SnapshotWriteOptions& options) {
@@ -246,11 +186,11 @@ Status SaveSnapshotV2(const Graph& graph, const std::string& path,
     table[i].param = blobs[i].param;
     table[i].offset = pos;
     table[i].length = blobs[i].bytes;
-    table[i].checksum = SectionChecksum(blobs[i].data, blobs[i].bytes);
+    table[i].checksum = Fnv1a(blobs[i].data, blobs[i].bytes);
     pos = AlignUp(pos + blobs[i].bytes);
   }
   header.table_checksum =
-      SectionChecksum(table.data(), table.size() * sizeof(SectionEntry));
+      Fnv1a(table.data(), table.size() * sizeof(SectionEntry));
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -282,22 +222,13 @@ Status SaveSnapshotV2(const Graph& graph, const std::string& path,
   return status;
 }
 
-// The original buffered v1 reader, kept verbatim as the legacy path.
-StatusOr<LoadedSnapshot> LoadSnapshotV1(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-
+// v1: the header, offsets at byte 64, adjacency at the next 64-byte
+// boundary, and one checksum over the offsets bytes, then the adjacency
+// bytes.
+StatusOr<CsrView> ParseSnapshotV1(const unsigned char* data,
+                                  std::size_t size, const std::string& path) {
   SnapshotHeaderV1 header;
-  if (std::fread(&header, sizeof(header), 1, f) != 1) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is too short for a snapshot header");
-  }
+  std::memcpy(&header, data, sizeof(header));  // caller checked size >= 64
   if (header.num_vertices > static_cast<uint64_t>(VertexId(-1)) ||
       header.num_adjacency > UINT64_MAX / sizeof(VertexId) ||
       header.offsets_bytes != (header.num_vertices + 1) * sizeof(uint64_t) ||
@@ -306,71 +237,30 @@ StatusOr<LoadedSnapshot> LoadSnapshotV1(const std::string& path) {
     return Status::InvalidArgument("inconsistent snapshot header in '" +
                                    path + "'");
   }
-
-  // Bound the declared sections by the actual file size *before*
-  // allocating anything: a crafted header claiming 2^60 entries must
-  // come back as InvalidArgument, not abort the process in bad_alloc.
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed in '" + path + "'");
-  }
-  const long file_size = std::ftell(f);
   const std::size_t adjacency_pos =
       AlignUp(sizeof(header) + header.offsets_bytes);
-  if (file_size < 0 ||
-      adjacency_pos + header.adjacency_bytes >
-          static_cast<uint64_t>(file_size)) {
+  if (adjacency_pos > size || header.adjacency_bytes > size - adjacency_pos) {
     return Status::InvalidArgument("snapshot '" + path +
                                    "' is shorter than its header declares");
   }
-
-  if (std::fseek(f, sizeof(header), SEEK_SET) != 0) {
-    return Status::IoError("seek failed in '" + path + "'");
-  }
-  std::vector<uint64_t> offsets(header.num_vertices + 1);
-  if (std::fread(offsets.data(), 1, header.offsets_bytes, f) !=
-      header.offsets_bytes) {
-    return Status::InvalidArgument("truncated snapshot offsets in '" + path +
-                                   "'");
-  }
-  if (std::fseek(f, static_cast<long>(adjacency_pos), SEEK_SET) != 0) {
-    return Status::IoError("seek failed in '" + path + "'");
-  }
-  std::vector<VertexId> adjacency(header.num_adjacency);
-  if (header.adjacency_bytes > 0 &&
-      std::fread(adjacency.data(), 1, header.adjacency_bytes, f) !=
-          header.adjacency_bytes) {
-    return Status::InvalidArgument("truncated snapshot adjacency in '" +
-                                   path + "'");
-  }
-
-  if (ContentChecksumV1(offsets.data(), header.offsets_bytes,
-                        adjacency.data(),
-                        header.adjacency_bytes) != header.checksum) {
+  const unsigned char* offsets = data + sizeof(header);
+  const unsigned char* adjacency = data + adjacency_pos;
+  if (Fnv1a(adjacency, header.adjacency_bytes,
+            Fnv1a(offsets, header.offsets_bytes)) != header.checksum) {
     return Status::InvalidArgument("snapshot checksum mismatch in '" + path +
                                    "' (corrupted content)");
   }
-
-  KPLEX_RETURN_IF_ERROR(ValidateCsr(offsets.data(), header.num_vertices,
-                                    adjacency.data(), header.num_adjacency,
-                                    path));
-
-  LoadedSnapshot loaded;
-  loaded.version = kSnapshotVersionLegacy;
-  if (header.num_vertices > 0) {
-    loaded.graph = CsrAccess::FromVectors(std::move(offsets),
-                                          std::move(adjacency));
-  }
-  return loaded;
+  return CsrView{reinterpret_cast<const uint64_t*>(offsets),
+                 reinterpret_cast<const VertexId*>(adjacency),
+                 header.num_vertices, header.num_adjacency};
 }
 
-// Decodes a v2 snapshot from `data`/`size` (an mmap'ed file or a loaded
-// buffer). On success the graph's CSR arrays are views into the buffer,
-// kept alive through `backing`.
-StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
-                                         std::size_t size,
-                                         std::shared_ptr<const void> backing,
-                                         bool mapped,
-                                         const std::string& path) {
+// v2: the header, a section table the header checksums, and 64-byte
+// aligned sections that each carry their own checksum. The optional
+// sections become views in `pre`.
+StatusOr<CsrView> ParseSnapshotV2(const unsigned char* data,
+                                  std::size_t size, GraphPrecompute& pre,
+                                  const std::string& path) {
   SnapshotHeaderV2 header;
   std::memcpy(&header, data, sizeof(header));  // caller checked size >= 64
 
@@ -394,17 +284,14 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
   }
   const auto* table =
       reinterpret_cast<const SectionEntry*>(data + sizeof(header));
-  if (SectionChecksum(table, table_bytes) != header.table_checksum) {
+  if (Fnv1a(table, table_bytes) != header.table_checksum) {
     return Status::InvalidArgument("snapshot section-table checksum "
                                    "mismatch in '" + path +
                                    "' (corrupted content)");
   }
 
-  LoadedSnapshot loaded;
-  loaded.version = kSnapshotVersion;
   const uint64_t* offsets = nullptr;
   const VertexId* adjacency = nullptr;
-  bool saw_adjacency = false;
 
   for (uint32_t i = 0; i < header.section_count; ++i) {
     const SectionEntry& entry = table[i];
@@ -415,7 +302,7 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
           "' declares a section outside the file or misaligned");
     }
     const unsigned char* payload = data + entry.offset;
-    if (SectionChecksum(payload, entry.length) != entry.checksum) {
+    if (Fnv1a(payload, entry.length) != entry.checksum) {
       return Status::InvalidArgument("snapshot checksum mismatch in '" +
                                      path + "' (corrupted content)");
     }
@@ -428,43 +315,40 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
         offsets = reinterpret_cast<const uint64_t*>(payload);
         break;
       case kSectionAdjacency:
-        if (saw_adjacency ||
+        if (adjacency != nullptr ||
             entry.length != header.num_adjacency * sizeof(VertexId)) {
           return Status::InvalidArgument(
               "duplicate or mis-sized adjacency section in '" + path + "'");
         }
         adjacency = reinterpret_cast<const VertexId*>(payload);
-        saw_adjacency = true;
         break;
       case kSectionOrder:
         // Sections are 64-byte aligned in the file, so reinterpreting
-        // the payload as its element type is well-defined; the views
-        // stay alive through the precompute's share of `backing`.
-        if (!loaded.precompute.order.empty() ||
+        // the payload as its element type is well-defined.
+        if (!pre.order.empty() ||
             entry.length != n * sizeof(VertexId)) {
           return Status::InvalidArgument(
               "duplicate or mis-sized order section in '" + path + "'");
         }
-        loaded.precompute.SetOrderView(
+        pre.SetOrderView(
             {reinterpret_cast<const VertexId*>(payload), n});
         break;
       case kSectionCoreness:
-        if (!loaded.precompute.coreness.empty() ||
+        if (!pre.coreness.empty() ||
             entry.length != n * sizeof(uint32_t)) {
           return Status::InvalidArgument(
               "duplicate or mis-sized coreness section in '" + path + "'");
         }
-        loaded.precompute.SetCorenessView(
-            {reinterpret_cast<const uint32_t*>(payload), n});
-        loaded.precompute.degeneracy = entry.param;
+        pre.SetCorenessView({reinterpret_cast<const uint32_t*>(payload), n});
+        pre.degeneracy = entry.param;
         break;
       case kSectionCoreMask: {
         if (entry.length != ((n + 63) / 64) * sizeof(uint64_t) ||
-            loaded.precompute.core_masks.count(entry.param) > 0) {
+            pre.core_masks.count(entry.param) > 0) {
           return Status::InvalidArgument(
               "duplicate or mis-sized core-mask section in '" + path + "'");
         }
-        loaded.precompute.AddMaskView(
+        pre.AddMaskView(
             entry.param,
             {reinterpret_cast<const uint64_t*>(payload), (n + 63) / 64});
         break;
@@ -474,19 +358,17 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
     }
   }
 
-  if (offsets == nullptr || !saw_adjacency) {
+  if (offsets == nullptr || adjacency == nullptr) {
     return Status::InvalidArgument("snapshot '" + path +
                                    "' is missing its CSR sections");
   }
-  KPLEX_RETURN_IF_ERROR(
-      ValidateCsr(offsets, n, adjacency, header.num_adjacency, path));
 
   // The order section indexes into per-vertex arrays downstream; a
   // checksum-valid handcrafted file must not smuggle in out-of-range
   // ids or duplicates, so require a permutation of [0, n).
-  if (!loaded.precompute.order.empty()) {
+  if (!pre.order.empty()) {
     std::vector<char> seen(n, 0);
-    for (VertexId v : loaded.precompute.order) {
+    for (VertexId v : pre.order) {
       if (v >= n || seen[v]) {
         return Status::InvalidArgument(
             "order section is not a permutation in '" + path + "'");
@@ -499,10 +381,9 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
   // scan, so an inconsistent handcrafted mask would silently drop
   // vertices from the survivor graph. Masks are only ever consumed
   // alongside coreness, so this check covers every consulted mask.
-  if (loaded.precompute.has_coreness()) {
-    for (const auto& [level, mask] : loaded.precompute.core_masks) {
-      const std::vector<uint64_t> expected =
-          PackCoreMask(loaded.precompute.coreness, level);
+  if (pre.has_coreness()) {
+    for (const auto& [level, mask] : pre.core_masks) {
+      const std::vector<uint64_t> expected = PackCoreMask(pre.coreness, level);
       if (mask.size() != expected.size() ||
           !std::equal(mask.begin(), mask.end(), expected.begin())) {
         return Status::InvalidArgument(
@@ -511,53 +392,7 @@ StatusOr<LoadedSnapshot> ParseSnapshotV2(const unsigned char* data,
       }
     }
   }
-
-  // The precompute views reference the same buffer as the CSR views;
-  // sharing the handle keeps them independently alive (zero-copy: no
-  // section is ever duplicated onto the heap).
-  if (!loaded.precompute.empty()) {
-    loaded.precompute.SetBacking(backing, mapped);
-  }
-  if (n > 0) {
-    loaded.graph = CsrAccess::FromView(offsets, n + 1, adjacency,
-                                       header.num_adjacency,
-                                       std::move(backing), size, mapped);
-    loaded.mapped = mapped;
-  }
-  return loaded;
-}
-
-// Buffered v2 fallback for platforms (or files) mmap cannot serve: read
-// the whole file into one uint64_t-aligned heap buffer and parse views
-// into it — still a single allocation and no per-section copies.
-StatusOr<LoadedSnapshot> LoadSnapshotV2Buffered(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{f};
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed in '" + path + "'");
-  }
-  const long file_size = std::ftell(f);
-  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::IoError("seek failed in '" + path + "'");
-  }
-  const std::size_t size = static_cast<std::size_t>(file_size);
-  if (size < sizeof(SnapshotHeaderV2)) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is too short for a snapshot header");
-  }
-  // uint64_t elements guarantee alignment for every section type.
-  auto buffer = std::make_shared<std::vector<uint64_t>>((size + 7) / 8);
-  if (size > 0 && std::fread(buffer->data(), 1, size, f) != size) {
-    return Status::IoError("short read of '" + path + "'");
-  }
-  const auto* data = reinterpret_cast<const unsigned char*>(buffer->data());
-  return ParseSnapshotV2(data, size, buffer, /*mapped=*/false, path);
+  return CsrView{offsets, adjacency, n, header.num_adjacency};
 }
 
 }  // namespace
@@ -592,16 +427,6 @@ StatusOr<std::vector<uint32_t>> ParseCoreLevelList(const std::string& list) {
 
 Status SaveSnapshot(const Graph& graph, const std::string& path,
                     const SnapshotWriteOptions& options) {
-  if (options.version != kSnapshotVersion &&
-      options.version != kSnapshotVersionLegacy) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(options.version));
-  }
-  if (options.version == kSnapshotVersionLegacy &&
-      (options.include_precompute || !options.core_mask_levels.empty())) {
-    return Status::InvalidArgument(
-        "v1 snapshots cannot carry precompute sections");
-  }
   // Write to a sibling temp file and rename into place. Two reasons:
   // a reader never sees a half-written snapshot, and — critically —
   // `graph` may be a zero-copy view of a mapping of `path` itself
@@ -611,9 +436,7 @@ Status SaveSnapshot(const Graph& graph, const std::string& path,
   // (Concurrent writers to one target path remain unsupported, as
   // before; the fixed suffix keeps crash leftovers discoverable.)
   const std::string tmp = path + ".tmp";
-  Status written = options.version == kSnapshotVersionLegacy
-                       ? SaveSnapshotV1(graph, tmp)
-                       : SaveSnapshotV2(graph, tmp, options);
+  Status written = SaveSnapshotV2(graph, tmp, options);
   if (!written.ok()) {
     std::remove(tmp.c_str());
     return written;
@@ -627,53 +450,51 @@ Status SaveSnapshot(const Graph& graph, const std::string& path,
 }
 
 StatusOr<LoadedSnapshot> LoadSnapshotFull(const std::string& path) {
-  // Sniff the header through buffered IO to pick the decode path; the
-  // v2 reader then maps the file (or falls back to one buffered read).
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for reading");
+  auto file = MappedFile::Open(path);
+  if (!file.ok()) return file.status();
+  const unsigned char* data = (*file)->data();
+  const std::size_t size = (*file)->size();
+  if (size >= sizeof(kMagic) &&
+      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("'" + path + "' is not a kplex snapshot");
   }
-  unsigned char sniff[16];
-  const bool have_sniff = std::fread(sniff, sizeof(sniff), 1, f) == 1;
-  std::fclose(f);
-  if (!have_sniff) {
+  if (size < kSectionAlign) {  // both versions' header size
     return Status::InvalidArgument("'" + path +
                                    "' is too short for a snapshot header");
   }
-  if (std::memcmp(sniff, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("'" + path + "' is not a kplex snapshot");
-  }
-  uint32_t version, byte_order;
-  std::memcpy(&version, sniff + 8, sizeof(version));
-  std::memcpy(&byte_order, sniff + 12, sizeof(byte_order));
+  uint32_t version = 0, byte_order = 0;
+  std::memcpy(&version, data + 8, sizeof(version));
+  std::memcpy(&byte_order, data + 12, sizeof(byte_order));
   if (byte_order != kByteOrderTag) {
     return Status::InvalidArgument(
         "'" + path + "' was written on a machine with different byte order");
   }
-  if (version == kSnapshotVersionLegacy) return LoadSnapshotV1(path);
-  if (version != kSnapshotVersion) {
+  if (version != kSnapshotVersion && version != kSnapshotVersionLegacy) {
     return Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(version) + " in '" +
         path + "' (expected <= " + std::to_string(kSnapshotVersion) + ")");
   }
 
-  auto mapping = MappedFile::Open(path);
-  if (mapping.ok()) {
-    const MappedFile& file = **mapping;
-    if (file.size() < sizeof(SnapshotHeaderV2)) {
-      return Status::InvalidArgument("'" + path +
-                                     "' is too short for a snapshot header");
-    }
-    return ParseSnapshotV2(file.data(), file.size(), *mapping,
-                           /*mapped=*/true, path);
-  }
-  return LoadSnapshotV2Buffered(path);
-}
+  LoadedSnapshot loaded;
+  loaded.version = version;
+  auto csr = version == kSnapshotVersion
+                 ? ParseSnapshotV2(data, size, loaded.precompute, path)
+                 : ParseSnapshotV1(data, size, path);
+  if (!csr.ok()) return csr.status();
+  KPLEX_RETURN_IF_ERROR(ValidateCsr(*csr, path));
 
-StatusOr<Graph> LoadSnapshot(const std::string& path) {
-  auto loaded = LoadSnapshotFull(path);
-  if (!loaded.ok()) return loaded.status();
-  return std::move(loaded->graph);
+  // The graph and the precompute each share the file handle, so either
+  // keeps the bytes alive without the other (zero-copy: no section is
+  // ever duplicated onto the heap).
+  const bool mapped = (*file)->mapped();
+  if (!loaded.precompute.empty()) loaded.precompute.SetBacking(*file, mapped);
+  if (csr->num_vertices > 0) {
+    loaded.graph = CsrAccess::FromView(
+        csr->offsets, csr->num_vertices + 1, csr->adjacency,
+        csr->num_adjacency, std::move(*file), size, mapped);
+    loaded.mapped = mapped;
+  }
+  return loaded;
 }
 
 bool LooksLikeSnapshot(const std::string& path) {
@@ -685,12 +506,6 @@ bool LooksLikeSnapshot(const std::string& path) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
   std::fclose(f);
   return match;
-}
-
-StatusOr<Graph> LoadGraphAuto(const std::string& path) {
-  auto loaded = LoadGraphAutoFull(path);
-  if (!loaded.ok()) return loaded.status();
-  return std::move(loaded->graph);
 }
 
 StatusOr<LoadedSnapshot> LoadGraphAutoFull(const std::string& path) {

@@ -1,19 +1,19 @@
 // Binary CSR snapshot format (.kpx). A snapshot is a byte-exact
 // serialization of a Graph's CSR arrays (plus, in v2, optional
 // precomputed reduction sections) behind a versioned header, so loading
-// skips the edge-list re-parse — and, for v2, skips copying entirely:
-// the 64-byte-aligned sections are mmap'ed and served as zero-copy
-// views. Validation still streams the file once (checksums + CSR
-// checks), but a load allocates no graph-sized heap and performs no
+// skips the edge-list re-parse and copying too: the file is mmap'ed
+// (util/mmap_file.h) and its 64-byte-aligned sections are served as
+// zero-copy views. Validation still streams the file once (checksums +
+// CSR checks), but a load allocates no graph-sized heap and performs no
 // memcpy, and resident mapped graphs cost reclaimable page cache —
 // many of them share one memory budget.
 //
-// Two on-disk versions coexist (full byte-level spec, compatibility
-// matrix, and worked examples in docs/SNAPSHOT_FORMAT.md):
+// Two on-disk versions are read; only v2 is written (full byte-level
+// spec, compatibility matrix, and worked examples in
+// docs/SNAPSHOT_FORMAT.md):
 //
 //   v1 (legacy)  fixed 64-byte header, offsets section, adjacency
-//                section, whole-content FNV-1a checksum. Loaded through
-//                the original buffered-read path into owned vectors.
+//                section, whole-content FNV-1a checksum.
 //   v2 (current) fixed 64-byte header + section table. Required
 //                sections: CSR offsets and adjacency. Optional
 //                sections: degeneracy order, coreness, per-level core
@@ -42,23 +42,19 @@ namespace kplex {
 
 /// Current snapshot format version (bumped on layout changes).
 inline constexpr uint32_t kSnapshotVersion = 2;
-/// The legacy pre-section-table version, still read (never written
-/// unless explicitly requested).
+/// The legacy pre-section-table version, still read, never written.
 inline constexpr uint32_t kSnapshotVersionLegacy = 1;
 
 /// Suggested file extension for snapshots.
 inline constexpr const char kSnapshotExtension[] = ".kpx";
 
 struct SnapshotWriteOptions {
-  /// On-disk format version: kSnapshotVersion (default) or
-  /// kSnapshotVersionLegacy for v1 compatibility output.
-  uint32_t version = kSnapshotVersion;
-  /// v2 only: also store the degeneracy order + coreness sections (one
+  /// Also store the degeneracy order + coreness sections (one
   /// degeneracy decomposition at write time buys every future `mine` a
   /// free reduction).
   bool include_precompute = false;
-  /// v2 only, implies include_precompute: additionally store a packed
-  /// (q-k)-core membership mask per listed level.
+  /// Implies include_precompute: additionally store a packed (q-k)-core
+  /// membership mask per listed level.
   std::vector<uint32_t> core_mask_levels;
 };
 
@@ -69,8 +65,8 @@ struct LoadedSnapshot {
   GraphPrecompute precompute;
   /// On-disk version the file was decoded from.
   uint32_t version = 0;
-  /// True when the graph's CSR views are mmap-backed (v2 via mmap);
-  /// false for legacy loads and the buffered v2 fallback.
+  /// True when the graph's CSR views are mmap-backed; false for the
+  /// buffered fallback and for an empty graph.
   bool mapped = false;
 };
 
@@ -81,28 +77,21 @@ struct LoadedSnapshot {
 /// trailing comma) and an empty list are rejected.
 StatusOr<std::vector<uint32_t>> ParseCoreLevelList(const std::string& list);
 
-/// Writes `graph` to `path` in snapshot format (overwrites).
+/// Writes `graph` to `path` as a v2 snapshot (overwrites).
 Status SaveSnapshot(const Graph& graph, const std::string& path,
                     const SnapshotWriteOptions& options = {});
 
-/// Reads a snapshot written by SaveSnapshot, decoding optional
-/// sections. Returns InvalidArgument for malformed or corrupted content
-/// and IoError for filesystem failures.
+/// Reads a v1 or v2 snapshot, decoding optional sections. Returns
+/// InvalidArgument for malformed or corrupted content and IoError for
+/// filesystem failures.
 StatusOr<LoadedSnapshot> LoadSnapshotFull(const std::string& path);
-
-/// Graph-only convenience wrapper around LoadSnapshotFull.
-StatusOr<Graph> LoadSnapshot(const std::string& path);
 
 /// True iff the file at `path` starts with the snapshot magic. Cheap
 /// sniff used to auto-detect snapshot vs edge-list inputs.
 bool LooksLikeSnapshot(const std::string& path);
 
 /// Loads `path` as a snapshot when it carries the snapshot magic and as
-/// a SNAP edge list otherwise.
-StatusOr<Graph> LoadGraphAuto(const std::string& path);
-
-/// LoadGraphAuto preserving snapshot precompute sections (edge lists
-/// yield an empty precompute).
+/// a SNAP edge list otherwise (with an empty precompute).
 StatusOr<LoadedSnapshot> LoadGraphAutoFull(const std::string& path);
 
 }  // namespace kplex

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 
+#include "util/json_escape.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -42,9 +43,9 @@ void RecordSpan(
   line = head;
   for (const auto& attr : attrs) {
     line += ",\"";
-    internal::AppendJsonEscaped(&line, attr.first);
+    AppendJsonEscaped(line, attr.first);
     line += "\":\"";
-    internal::AppendJsonEscaped(&line, attr.second);
+    AppendJsonEscaped(line, attr.second);
     line += "\"";
   }
   line += "}";

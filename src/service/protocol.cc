@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "bench_common/table_printer.h"
+#include "util/json_escape.h"
 
 namespace kplex {
 namespace {
@@ -356,29 +357,6 @@ void WriteStoreStatusLine(std::ostream& out, const StoreStatusInfo& info) {
 
 // ----------------------------------------------------------- JSON writing
 
-void JsonEscapeTo(std::string& out, std::string_view value) {
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Appends a JSON object or array under construction. Every value goes
 /// under `key` in the enclosing object; a null key writes an array
 /// element or the outermost value. Keeps the codec dependency-free.
@@ -398,7 +376,7 @@ class JsonWriter {
   void Add(const char* key, std::string_view value) {
     Key(key);
     out_ += '"';
-    JsonEscapeTo(out_, value);
+    AppendJsonEscaped(out_, value);
     out_ += '"';
   }
   // Without it a C string would convert to bool rather than to a view.
@@ -446,7 +424,7 @@ class JsonWriter {
     }
     if (key == nullptr) return;
     out_ += '"';
-    JsonEscapeTo(out_, key);
+    AppendJsonEscaped(out_, key);
     out_ += "\":";
   }
 

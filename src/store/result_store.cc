@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/fnv1a.h"
 #include "util/mmap_file.h"
 #include "util/timer.h"
 
@@ -63,20 +64,6 @@ Histogram& StoreWriteSeconds() {
   static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
       "kplex_stage_store_write_seconds");
   return histogram;
-}
-
-// FNV-1a, the same constants the snapshot section checksums use — one
-// hash family across every durable artifact in the tree.
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t Fnv1a(uint64_t hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
 }
 
 // ------------------------------------------------------------ file formats
@@ -336,47 +323,6 @@ Status WriteDurable(
   return Status::Ok();
 }
 
-/// Reads a whole file: mmap'ed when the platform supports it (the
-/// zero-copy warm-hit path), buffered otherwise. The mapping handle
-/// keeps the bytes alive for the view's lifetime.
-struct FileBytes {
-  std::shared_ptr<const MappedFile> mapping;  // null on the buffered path
-  std::vector<unsigned char> buffer;
-  const unsigned char* data = nullptr;
-  std::size_t size = 0;
-};
-
-bool ReadFileBytes(const std::string& path, FileBytes& out) {
-  auto mapped = MappedFile::Open(path);
-  if (mapped.ok()) {
-    out.mapping = *mapped;
-    out.data = out.mapping != nullptr
-                   ? static_cast<const unsigned char*>(out.mapping->data())
-                   : nullptr;
-    out.size = out.mapping != nullptr ? out.mapping->size() : 0;
-    return true;
-  }
-  if (mapped.status().code() != StatusCode::kUnimplemented) return false;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  std::fseek(file, 0, SEEK_END);
-  const long length = std::ftell(file);
-  if (length < 0) {
-    std::fclose(file);
-    return false;
-  }
-  std::fseek(file, 0, SEEK_SET);
-  out.buffer.resize(static_cast<std::size_t>(length));
-  const std::size_t read =
-      length > 0 ? std::fread(out.buffer.data(), 1, out.buffer.size(), file)
-                 : 0;
-  std::fclose(file);
-  if (read != out.buffer.size()) return false;
-  out.data = out.buffer.data();
-  out.size = out.buffer.size();
-  return true;
-}
-
 /// "<16 hex digits>" of a key hash, or nullopt for foreign filenames.
 std::optional<uint64_t> ParseEntryFileName(const std::string& name) {
   constexpr std::size_t kHexDigits = 16;
@@ -403,8 +349,8 @@ std::optional<uint64_t> ParseEntryFileName(const std::string& name) {
 }  // namespace
 
 uint64_t ResultStore::KeyHash(const StoreKey& key) {
-  uint64_t hash = Fnv1a(kFnvBasis, &key.graph_hash, sizeof(key.graph_hash));
-  return Fnv1a(hash, key.signature.data(), key.signature.size());
+  const uint64_t hash = Fnv1a(&key.graph_hash, sizeof(key.graph_hash));
+  return Fnv1a(key.signature.data(), key.signature.size(), hash);
 }
 
 std::string ResultStore::EntryFileName(uint64_t key_hash) {
@@ -489,21 +435,22 @@ Status ResultStore::Recover() {
 
 bool ResultStore::LoadIndex(std::map<uint64_t, IndexEntry>& loaded,
                             uint64_t& clock) {
-  FileBytes bytes;
-  if (!ReadFileBytes(directory_ + "/store.idx", bytes)) return false;
-  if (bytes.size < sizeof(IndexHeader)) return false;
+  auto file = MappedFile::Open(directory_ + "/store.idx");
+  if (!file.ok()) return false;
+  const MappedFile& bytes = **file;
+  if (bytes.size() < sizeof(IndexHeader)) return false;
   IndexHeader header;
-  std::memcpy(&header, bytes.data, sizeof(header));
+  std::memcpy(&header, bytes.data(), sizeof(header));
   if (std::memcmp(header.magic, kIndexMagic, sizeof(kIndexMagic)) != 0) {
     return false;
   }
   if (header.version != kFormatVersion) return false;
   if (header.byte_order != kByteOrderTag) return false;
-  const std::size_t row_bytes = bytes.size - sizeof(IndexHeader);
+  const std::size_t row_bytes = bytes.size() - sizeof(IndexHeader);
   if (row_bytes % sizeof(IndexRow) != 0) return false;
   if (header.entry_count != row_bytes / sizeof(IndexRow)) return false;
-  const unsigned char* rows = bytes.data + sizeof(IndexHeader);
-  if (Fnv1a(kFnvBasis, rows, row_bytes) != header.rows_checksum) return false;
+  const unsigned char* rows = bytes.data() + sizeof(IndexHeader);
+  if (Fnv1a(rows, row_bytes) != header.rows_checksum) return false;
   for (uint64_t i = 0; i < header.entry_count; ++i) {
     IndexRow row;
     std::memcpy(&row, rows + i * sizeof(IndexRow), sizeof(row));
@@ -525,7 +472,7 @@ Status ResultStore::RewriteIndex() {
   header.byte_order = kByteOrderTag;
   header.entry_count = index_.size();
   header.access_clock = access_clock_;
-  header.rows_checksum = Fnv1a(kFnvBasis, blob.data() + sizeof(IndexHeader),
+  header.rows_checksum = Fnv1a(blob.data() + sizeof(IndexHeader),
                                blob.size() - sizeof(IndexHeader));
   std::memcpy(blob.data(), &header, sizeof(header));
   return WriteDurable(directory_ + "/store.idx", directory_, blob.data(),
@@ -534,24 +481,25 @@ Status ResultStore::RewriteIndex() {
 
 std::optional<StoredResult> ResultStore::ReadEntry(uint64_t key_hash,
                                                    const StoreKey* key) {
-  FileBytes bytes;
-  if (!ReadFileBytes(EntryPath(key_hash), bytes)) return std::nullopt;
+  auto file = MappedFile::Open(EntryPath(key_hash));
+  if (!file.ok()) return std::nullopt;
+  const MappedFile& bytes = **file;
   bool corrupt = true;
   StoreKey stored_key;
   StoredResult result;
   do {
-    if (bytes.size < sizeof(EntryHeader)) break;
+    if (bytes.size() < sizeof(EntryHeader)) break;
     EntryHeader header;
-    std::memcpy(&header, bytes.data, sizeof(header));
+    std::memcpy(&header, bytes.data(), sizeof(header));
     if (std::memcmp(header.magic, kEntryMagic, sizeof(kEntryMagic)) != 0) {
       break;
     }
     if (header.version != kFormatVersion) break;
     if (header.byte_order != kByteOrderTag) break;
-    const unsigned char* payload = bytes.data + sizeof(EntryHeader);
-    const std::size_t payload_size = bytes.size - sizeof(EntryHeader);
+    const unsigned char* payload = bytes.data() + sizeof(EntryHeader);
+    const std::size_t payload_size = bytes.size() - sizeof(EntryHeader);
     if (header.payload_bytes != payload_size) break;
-    if (Fnv1a(kFnvBasis, payload, payload_size) != header.payload_checksum) {
+    if (Fnv1a(payload, payload_size) != header.payload_checksum) {
       break;
     }
     if (!ParsePayload(payload, payload_size, stored_key, result)) break;
@@ -628,7 +576,7 @@ Status ResultStore::Put(const StoreKey& key, const StoredResult& result) {
   header.version = kFormatVersion;
   header.byte_order = kByteOrderTag;
   header.payload_bytes = payload.size();
-  header.payload_checksum = Fnv1a(kFnvBasis, payload.data(), payload.size());
+  header.payload_checksum = Fnv1a(payload.data(), payload.size());
   std::vector<unsigned char> blob;
   blob.reserve(sizeof(header) + payload.size());
   AppendBytes(blob, &header, sizeof(header));

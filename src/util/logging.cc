@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include "util/json_escape.h"
+
 namespace kplex {
 namespace {
 
@@ -81,37 +83,6 @@ bool GetLogJson() { return g_log_json.load(std::memory_order_relaxed); }
 
 namespace internal {
 
-void AppendJsonEscaped(std::string* out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buffer;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void EmitRawLine(const std::string& line) {
   std::lock_guard<std::mutex> lock(g_log_mutex);
   std::fprintf(stderr, "%s\n", line.c_str());
@@ -139,12 +110,12 @@ LogMessage::~LogMessage() {
                   WallClockSeconds(), LevelNameLower(level_));
     line = head;
     line += "\"where\":\"";
-    AppendJsonEscaped(&line, base);
+    AppendJsonEscaped(line, base);
     char where_tail[16];
     std::snprintf(where_tail, sizeof(where_tail), ":%d", line_);
     line += where_tail;
     line += "\",\"msg\":\"";
-    AppendJsonEscaped(&line, stream_.str());
+    AppendJsonEscaped(line, stream_.str());
     line += "\"}";
   } else {
     char head[64];

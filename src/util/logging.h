@@ -13,7 +13,6 @@
 
 #include <sstream>
 #include <string>
-#include <string_view>
 
 namespace kplex {
 
@@ -33,10 +32,6 @@ void SetLogJson(bool enabled);
 bool GetLogJson();
 
 namespace internal {
-
-/// Appends `text` to `out` with JSON string escaping (quotes, backslash,
-/// control characters). Shared by the JSON log format and trace spans.
-void AppendJsonEscaped(std::string* out, std::string_view text);
 
 /// Writes one already-formatted line to stderr under the log mutex so it
 /// cannot interleave with a concurrent log message. Used by trace-span

@@ -1,8 +1,11 @@
-// Read-only memory-mapped file. Used by the snapshot loader to serve
-// CSR sections zero-copy: the kernel pages bytes in on demand and may
-// reclaim clean pages under pressure, so a mapped graph costs page-cache
-// residency rather than private heap. On platforms without mmap support
-// Open returns Unimplemented and callers fall back to buffered reads.
+// A whole file's bytes, read once: the one reader behind `.kpx`
+// snapshots, result-store entries and store.idx. Where the platform and
+// the file allow it the file is mapped read-only, so the kernel pages
+// bytes in on demand and may reclaim clean pages under pressure: a
+// mapped graph costs page-cache residency rather than private heap.
+// Otherwise the file is read into one 8-byte-aligned heap buffer. Either
+// way an 8-byte-aligned offset into data() may be read as a uint64_t,
+// and sharing the handle keeps the bytes alive.
 
 #ifndef KPLEX_UTIL_MMAP_FILE_H_
 #define KPLEX_UTIL_MMAP_FILE_H_
@@ -21,9 +24,10 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
   ~MappedFile();
 
-  /// Maps `path` read-only. Returns IoError when the file cannot be
-  /// opened or mapped and Unimplemented on platforms without mmap.
-  /// A zero-length file yields data() == nullptr, size() == 0.
+  /// Reads `path` whole: mapped when it can be, buffered otherwise.
+  /// Returns IoError when the file cannot be opened or read or is not a
+  /// regular file. A zero-length file yields data() == nullptr,
+  /// size() == 0.
   static StatusOr<std::shared_ptr<const MappedFile>> Open(
       const std::string& path);
 
@@ -32,13 +36,15 @@ class MappedFile {
 
   const unsigned char* data() const { return data_; }
   std::size_t size() const { return size_; }
+  /// True when data() points into a mapping rather than the heap.
+  bool mapped() const { return data_ != nullptr && buffer_ == nullptr; }
 
  private:
-  MappedFile(unsigned char* data, std::size_t size)
-      : data_(data), size_(size) {}
+  MappedFile() = default;
 
-  unsigned char* data_ = nullptr;
+  const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
+  std::unique_ptr<unsigned char[]> buffer_;  // the buffered read, if any
 };
 
 }  // namespace kplex

@@ -315,9 +315,9 @@ TEST(GraphCatalog, SaveSnapshotForRoundTrips) {
                   .ok());
   std::string path = TempPath("save");
   ASSERT_TRUE(catalog.SaveSnapshotFor("g", path).ok());
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->NumEdges(), (*catalog.Get("g"))->NumEdges());
+  EXPECT_EQ(loaded->graph.NumEdges(), (*catalog.Get("g"))->NumEdges());
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,6 @@
 // Tests for the remaining utility modules: timers, logging, memory
-// probes, graph statistics, the table printer and the bench harness.
+// probes, the file reader, FNV-1a, JSON escaping, graph statistics, the
+// table printer and the bench harness.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "util/fnv1a.h"
+#include "util/json_escape.h"
 #include "util/logging.h"
 #include "util/memory.h"
 #include "util/mmap_file.h"
@@ -54,6 +57,7 @@ TEST(MappedFile, OpensAndServesFileBytes) {
   auto mapped = MappedFile::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_EQ((*mapped)->size(), payload.size());
+  EXPECT_TRUE((*mapped)->mapped());
   EXPECT_EQ(std::string(reinterpret_cast<const char*>((*mapped)->data()),
                         (*mapped)->size()),
             payload);
@@ -75,6 +79,19 @@ TEST(MappedFile, EmptyFileMapsToNull) {
   EXPECT_EQ((*mapped)->size(), 0u);
   EXPECT_EQ((*mapped)->data(), nullptr);
   std::remove(path.c_str());
+}
+
+TEST(Fnv1a, MatchesPublishedVectorsAndChainsBlocks) {
+  EXPECT_EQ(Fnv1a(nullptr, 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a("foobar", 6), 0x85944171f73967e8ULL);
+  EXPECT_EQ(Fnv1a("bar", 3, Fnv1a("foo", 3)), Fnv1a("foobar", 6));
+}
+
+TEST(JsonEscape, PinsEverySpelling) {
+  std::string out;
+  AppendJsonEscaped(out, std::string_view("\"\\\b\f\n\x1f\r\ta", 9));
+  EXPECT_EQ(out, R"(\"\\\b\f\n\u001f\r\ta)");
 }
 
 TEST(Logging, LevelFiltering) {

@@ -1,6 +1,6 @@
 // Unit tests for the binary CSR snapshot format: round-trips, the
-// auto-detecting loader, and rejection of truncated/corrupted/alien
-// files.
+// auto-detecting loader, v1 files (written here, since the library
+// writes only v2), and rejection of truncated/corrupted/alien files.
 
 #include "graph/snapshot.h"
 
@@ -17,27 +17,20 @@
 #include "graph/degeneracy.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
+#include "tests/snapshot_files.h"
+#include "util/fnv1a.h"
 #include "util/mmap_file.h"
 
 namespace kplex {
 namespace {
 
+using testing_util::WriteV1Snapshot;
+using testing_util::WriteV2Snapshot;
+
 std::string TempPath(const std::string& tag) {
   static int counter = 0;
   return ::testing::TempDir() + "kplex_snapshot_test_" + tag + "_" +
          std::to_string(counter++);
-}
-
-// Mirrors the production snapshot checksum (FNV-1a 64) for tests that
-// corrupt a file and must re-checksum it to keep the tampering
-// detectable only by semantic validation.
-uint64_t Fnv1aOf(const unsigned char* data, std::size_t n) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 void ExpectSameGraph(const Graph& a, const Graph& b) {
@@ -52,9 +45,9 @@ TEST(Snapshot, RoundTripSmallGraph) {
                                         {4, 0}, {0, 2}});
   std::string path = TempPath("small");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameGraph(g, *loaded);
+  ExpectSameGraph(g, loaded->graph);
   std::remove(path.c_str());
 }
 
@@ -62,9 +55,9 @@ TEST(Snapshot, RoundTripGeneratedGraph) {
   Graph g = GenerateBarabasiAlbert(2000, 8, 11);
   std::string path = TempPath("generated");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameGraph(g, *loaded);
+  ExpectSameGraph(g, loaded->graph);
   std::remove(path.c_str());
 }
 
@@ -72,10 +65,10 @@ TEST(Snapshot, RoundTripEmptyGraph) {
   Graph g;
   std::string path = TempPath("empty");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumVertices(), 0u);
-  EXPECT_EQ(loaded->NumEdges(), 0u);
+  EXPECT_EQ(loaded->graph.NumVertices(), 0u);
+  EXPECT_EQ(loaded->graph.NumEdges(), 0u);
   std::remove(path.c_str());
 }
 
@@ -85,15 +78,15 @@ TEST(Snapshot, RoundTripIsolatedVertices) {
   Graph g = GraphBuilder::FromEdges(6, {{1, 3}});
   std::string path = TempPath("isolated");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->NumVertices(), 6u);
-  EXPECT_EQ(loaded->NumEdges(), 1u);
+  EXPECT_EQ(loaded->graph.NumVertices(), 6u);
+  EXPECT_EQ(loaded->graph.NumEdges(), 1u);
   std::remove(path.c_str());
 }
 
 TEST(Snapshot, MissingFileIsIoError) {
-  auto loaded = LoadSnapshot("/nonexistent/dir/graph.kpx");
+  auto loaded = LoadSnapshotFull("/nonexistent/dir/graph.kpx");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -104,7 +97,7 @@ TEST(Snapshot, EdgeListFileIsRejected) {
     std::ofstream out(path);
     out << "0 1\n1 2\n";
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -123,7 +116,7 @@ TEST(Snapshot, TruncatedFileIsRejected) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -140,7 +133,7 @@ TEST(Snapshot, CorruptedHeaderIsRejected) {
     char byte = 0x7f;
     f.write(&byte, 1);
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -163,7 +156,7 @@ TEST(Snapshot, CorruptedPayloadFailsChecksum) {
     f.seekp(static_cast<std::streamoff>(size) - 3);
     f.write(&byte, 1);
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos)
@@ -173,15 +166,12 @@ TEST(Snapshot, CorruptedPayloadFailsChecksum) {
 
 TEST(Snapshot, HugeDeclaredCountsAreRejectedWithoutAllocating) {
   // A v1 header claiming 2^60 adjacency entries must come back as
-  // InvalidArgument (the file is obviously shorter), not abort the
-  // process in bad_alloc. Pinned to v1: the fields poked below are
-  // legacy-header offsets, and v1 is the loader that reads into
-  // pre-sized vectors.
+  // InvalidArgument (the file is obviously shorter), not read past the
+  // end of the file. Pinned to v1: the fields poked below are
+  // legacy-header offsets.
   Graph g = GraphBuilder::FromEdges(3, {{0, 1}, {1, 2}});
   std::string path = TempPath("huge");
-  SnapshotWriteOptions v1;
-  v1.version = kSnapshotVersionLegacy;
-  ASSERT_TRUE(SaveSnapshot(g, path, v1).ok());
+  WriteV1Snapshot(path, g);
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     const uint64_t num_adjacency = uint64_t{1} << 60;
@@ -191,7 +181,7 @@ TEST(Snapshot, HugeDeclaredCountsAreRejectedWithoutAllocating) {
     f.seekp(40);  // adjacency_bytes field
     f.write(reinterpret_cast<const char*>(&adjacency_bytes), 8);
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -201,48 +191,11 @@ TEST(Snapshot, HandcraftedUnsortedRowIsRejected) {
   // A file with a *valid* checksum but an adjacency row violating the
   // sorted-simple-graph invariant (duplicate neighbor) must not load:
   // Graph::HasEdge binary-searches rows and would silently misbehave.
-  struct Header {
-    char magic[8];
-    uint32_t version;
-    uint32_t byte_order;
-    uint64_t num_vertices;
-    uint64_t num_adjacency;
-    uint64_t offsets_bytes;
-    uint64_t adjacency_bytes;
-    uint64_t checksum;
-    uint8_t pad[8];
-  } header = {};
   const uint64_t offsets[3] = {0, 2, 2};
-  const uint32_t adjacency[2] = {1, 1};  // duplicate in vertex 0's row
-  std::memcpy(header.magic, "KPXSNAP\0", 8);
-  header.version = kSnapshotVersionLegacy;
-  header.byte_order = 0x01020304u;
-  header.num_vertices = 2;
-  header.num_adjacency = 2;
-  header.offsets_bytes = sizeof(offsets);
-  header.adjacency_bytes = sizeof(adjacency);
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      hash ^= p[i];
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  mix(offsets, sizeof(offsets));
-  mix(adjacency, sizeof(adjacency));
-  header.checksum = hash;
-
+  const VertexId adjacency[2] = {1, 1};  // duplicate in vertex 0's row
   std::string path = TempPath("handcrafted");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
-    const char padding[64 - sizeof(offsets) % 64] = {};
-    out.write(padding, sizeof(padding));
-    out.write(reinterpret_cast<const char*>(adjacency), sizeof(adjacency));
-  }
-  auto loaded = LoadSnapshot(path);
+  WriteV1Snapshot(path, offsets, adjacency);
+  auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("adjacency row"),
@@ -251,37 +204,58 @@ TEST(Snapshot, HandcraftedUnsortedRowIsRejected) {
   std::remove(path.c_str());
 }
 
+// Offsets {0, 1000, 2, 2, 2} bracket a two-entry adjacency array, yet
+// row 0 claims 1000 entries. The loader must refuse the offsets before
+// it reads the row, or it walks past the adjacency array.
+const uint64_t kOffsetPastAdjacency[5] = {0, 1000, 2, 2, 2};
+const VertexId kTwoNeighbors[2] = {1, 2};
+
+TEST(Snapshot, InteriorOffsetPastTheAdjacencyIsRejected) {
+  std::string path = TempPath("v1offset");
+  WriteV1Snapshot(path, kOffsetPastAdjacency, kTwoNeighbors);
+  auto loaded = LoadSnapshotFull(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("out-of-range snapshot offsets"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 // ----------------------------------------------------------------------
 // v1 <-> v2 compatibility and the v2 section machinery.
 
+TEST(SnapshotV2, InteriorOffsetPastTheAdjacencyIsRejected) {
+  std::string path = TempPath("v2offset");
+  WriteV2Snapshot(path, kOffsetPastAdjacency, kTwoNeighbors, 2);
+  auto loaded = LoadSnapshotFull(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("out-of-range snapshot offsets"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotV2, V1FileLoadsThroughLegacyPath) {
-  // A pre-v2 snapshot (as every file written before this format bump)
-  // must keep loading: buffered reader, owned vectors, no precompute.
+  // A pre-v2 snapshot (as every file written before the v2 format)
+  // must keep loading, zero-copy like v2 and without precompute.
   Graph g = GenerateBarabasiAlbert(500, 6, 17);
   std::string path = TempPath("v1compat");
-  SnapshotWriteOptions v1;
-  v1.version = kSnapshotVersionLegacy;
-  ASSERT_TRUE(SaveSnapshot(g, path, v1).ok());
+  WriteV1Snapshot(path, g);
 
   auto loaded = LoadSnapshotFull(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->version, kSnapshotVersionLegacy);
-  EXPECT_FALSE(loaded->mapped);
-  EXPECT_FALSE(loaded->graph.IsMapped());
   EXPECT_TRUE(loaded->precompute.empty());
   ExpectSameGraph(g, loaded->graph);
-  EXPECT_GT(loaded->graph.MemoryBytes(), 0u);
-  EXPECT_EQ(loaded->graph.MappedBytes(), 0u);
+  if (MappedFile::Supported()) {
+    EXPECT_TRUE(loaded->mapped);
+    EXPECT_TRUE(loaded->graph.IsMapped());
+    EXPECT_GT(loaded->graph.MappedBytes(), 0u);
+    EXPECT_EQ(loaded->graph.MemoryBytes(), 0u);
+  }
   std::remove(path.c_str());
-}
-
-TEST(SnapshotV2, V1CannotCarryPrecompute) {
-  Graph g = GraphBuilder::FromEdges(3, {{0, 1}, {1, 2}});
-  SnapshotWriteOptions bad;
-  bad.version = kSnapshotVersionLegacy;
-  bad.include_precompute = true;
-  EXPECT_EQ(SaveSnapshot(g, TempPath("v1pre"), bad).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotV2, DefaultWriteIsZeroCopyV2) {
@@ -463,7 +437,7 @@ TEST(SnapshotV2, UnknownSectionTypesAreSkipped) {
   const uint32_t unknown_type = 0x7777u;
   std::memcpy(bytes.data() + entry2, &unknown_type, sizeof(unknown_type));
   const uint64_t table_checksum =
-      Fnv1aOf(bytes.data() + 64, section_count * 32);
+      Fnv1a(bytes.data() + 64, section_count * 32);
   std::memcpy(bytes.data() + 40, &table_checksum, sizeof(table_checksum));
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -498,12 +472,12 @@ TEST(SnapshotV2, NonPermutationOrderSectionIsRejected) {
   std::memcpy(&offset, bytes.data() + entry2 + 8, sizeof(offset));
   std::memcpy(&length, bytes.data() + entry2 + 16, sizeof(length));
   std::memcpy(bytes.data() + offset + 4, bytes.data() + offset, 4);
-  const uint64_t checksum = Fnv1aOf(bytes.data() + offset, length);
+  const uint64_t checksum = Fnv1a(bytes.data() + offset, length);
   std::memcpy(bytes.data() + entry2 + 24, &checksum, sizeof(checksum));
   uint32_t section_count = 0;
   std::memcpy(&section_count, bytes.data() + 32, sizeof(section_count));
   const uint64_t table_checksum =
-      Fnv1aOf(bytes.data() + 64, section_count * 32);
+      Fnv1a(bytes.data() + 64, section_count * 32);
   std::memcpy(bytes.data() + 40, &table_checksum, sizeof(table_checksum));
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -528,39 +502,8 @@ TEST(SnapshotV2, NonPermutationOrderSectionIsRejected) {
 TEST(SnapshotV2, OverflowingAdjacencyClaimIsRejected) {
   const uint64_t num_adjacency = uint64_t{1} << 62;
   const uint64_t offsets[2] = {0, num_adjacency};  // n = 1
-  struct Entry {
-    uint32_t type;
-    uint32_t param;
-    uint64_t offset;
-    uint64_t length;
-    uint64_t checksum;
-  } table[2] = {};
-  std::vector<unsigned char> bytes(256, 0);
-  std::memcpy(bytes.data(), "KPXSNAP\0", 8);
-  const uint32_t version = kSnapshotVersion, byte_order = 0x01020304u;
-  const uint64_t num_vertices = 1;
-  const uint32_t section_count = 2;
-  std::memcpy(bytes.data() + 8, &version, 4);
-  std::memcpy(bytes.data() + 12, &byte_order, 4);
-  std::memcpy(bytes.data() + 16, &num_vertices, 8);
-  std::memcpy(bytes.data() + 24, &num_adjacency, 8);
-  std::memcpy(bytes.data() + 32, &section_count, 4);
-  table[0] = {1, 0, 192, sizeof(offsets), 0};  // offsets section
-  table[0].checksum =
-      Fnv1aOf(reinterpret_cast<const unsigned char*>(offsets),
-              sizeof(offsets));
-  table[1] = {2, 0, 192 + 64, 0, Fnv1aOf(nullptr, 0)};  // empty adjacency
-  std::memcpy(bytes.data() + 64, table, sizeof(table));
-  const uint64_t table_checksum = Fnv1aOf(bytes.data() + 64, sizeof(table));
-  std::memcpy(bytes.data() + 40, &table_checksum, 8);
-  std::memcpy(bytes.data() + 192, offsets, sizeof(offsets));
-
   std::string path = TempPath("v2overflow");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  WriteV2Snapshot(path, offsets, {}, num_adjacency);  // empty adjacency
   auto loaded = LoadSnapshotFull(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
@@ -590,12 +533,12 @@ TEST(SnapshotV2, MaskContradictingCorenessIsRejected) {
   std::memcpy(&offset, bytes.data() + entry4 + 8, sizeof(offset));
   std::memcpy(&length, bytes.data() + entry4 + 16, sizeof(length));
   bytes[offset] ^= 1;  // flip vertex 0's membership bit
-  const uint64_t checksum = Fnv1aOf(bytes.data() + offset, length);
+  const uint64_t checksum = Fnv1a(bytes.data() + offset, length);
   std::memcpy(bytes.data() + entry4 + 24, &checksum, sizeof(checksum));
   uint32_t section_count = 0;
   std::memcpy(&section_count, bytes.data() + 32, sizeof(section_count));
   const uint64_t table_checksum =
-      Fnv1aOf(bytes.data() + 64, section_count * 32);
+      Fnv1a(bytes.data() + 64, section_count * 32);
   std::memcpy(bytes.data() + 40, &table_checksum, sizeof(table_checksum));
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -643,11 +586,11 @@ TEST(Snapshot, AutoLoaderDispatchesByMagic) {
   ASSERT_TRUE(SaveEdgeList(g, edges_path).ok());
   EXPECT_TRUE(LooksLikeSnapshot(snapshot_path));
   EXPECT_FALSE(LooksLikeSnapshot(edges_path));
-  auto from_snapshot = LoadGraphAuto(snapshot_path);
-  auto from_edges = LoadGraphAuto(edges_path);
+  auto from_snapshot = LoadGraphAutoFull(snapshot_path);
+  auto from_edges = LoadGraphAutoFull(edges_path);
   ASSERT_TRUE(from_snapshot.ok());
   ASSERT_TRUE(from_edges.ok());
-  EXPECT_EQ(from_snapshot->Edges(), from_edges->Edges());
+  EXPECT_EQ(from_snapshot->graph.Edges(), from_edges->graph.Edges());
   std::remove(snapshot_path.c_str());
   std::remove(edges_path.c_str());
 }

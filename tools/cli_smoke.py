@@ -24,8 +24,9 @@ Checks (any failure exits non-zero):
      `--time-limit 0.05` reports the time limit;
   9. negative and non-finite flags, thread counts above the 1024 bound
      (local and --store), the removed `query`/`max` commands, the
-     removed `--coordinator`/`--chunk`/`--ctcp` flags and flags of
-     another mine mode all exit non-zero.
+     removed `--coordinator`/`--chunk`/`--ctcp` flags, the removed
+     `snapshot --format` and flags of another mine mode all exit
+     non-zero.
 """
 
 import os
@@ -217,6 +218,8 @@ def main():
     for args in (["query", *karate, "--q", "6"], ["max", *karate],
                  ["mine", *karate, "--q", "6", "--chunk", "4"],
                  ["mine", *karate, "--q", "6", "--ctcp"],
+                 ["snapshot", "--dataset", "karate", "--output",
+                  os.devnull, "--format", "v1"],
                  ["mine", "--coordinator", "127.0.0.1:1", "--graph", "kc",
                   "--k", "2", "--q", "6"]):
         run(cli, *args, expect=2)

@@ -9,7 +9,7 @@
 //   kplex_cli mine --endpoints host:port,... --graph NAME --k K --q Q
 //   kplex_cli report --input G.txt
 //   kplex_cli snapshot --input G.txt --output G.kpx [--precompute]
-//             [--core-levels C1,C2,...] [--format v1|v2]
+//             [--core-levels C1,C2,...]
 //   kplex_cli serve [--script F] [--memory-budget-mb N] [--cache-capacity N]
 //             [--workers N] [--listen PORT] [--host H] [--max-connections N]
 //   kplex_cli coordinate --listen PORT [--host H]
@@ -45,9 +45,10 @@
 //
 // Graphs are SNAP-format edge lists ('#' comments, "u v" per line) or
 // binary CSR snapshots (auto-detected; see docs/SNAPSHOT_FORMAT.md).
-// Mining a v2 snapshot that carries precomputed reduction sections
-// (--precompute at snapshot time) skips the (q-k)-core peel and the
-// degeneracy ordering on every subsequent run.
+// `snapshot` writes v2; v1 files from older builds still load. Mining a
+// snapshot that carries precomputed reduction sections (--precompute at
+// snapshot time) skips the (q-k)-core peel and the degeneracy ordering
+// on every subsequent run.
 
 #include <cmath>
 #include <csignal>
@@ -107,7 +108,6 @@ int Usage() {
                "  kplex_cli report --input G.txt\n"
                "  kplex_cli snapshot --input G.txt --output G.kpx\n"
                "            [--precompute] [--core-levels C1,C2,...]\n"
-               "            [--format v1|v2]\n"
                "  kplex_cli serve [--script F] [--memory-budget-mb N]\n"
                "                  [--cache-capacity N] [--workers N] [--echo]\n"
                "                  [--listen PORT] [--host H]\n"
@@ -652,14 +652,6 @@ int RunSnapshot(const FlagParser& flags) {
   }
 
   SnapshotWriteOptions options;
-  const std::string format = flags.GetString("format", "v2");
-  if (format == "v1") {
-    options.version = kSnapshotVersionLegacy;
-  } else if (format != "v2") {
-    std::fprintf(stderr, "--format must be v1 or v2, got '%s'\n",
-                 format.c_str());
-    return 1;
-  }
   options.include_precompute = flags.Has("precompute");
   const std::string levels = flags.GetString("core-levels", "");
   if (!levels.empty()) {
@@ -677,8 +669,7 @@ int RunSnapshot(const FlagParser& flags) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;
   }
-  std::printf("snapshot (%s%s) of %zu vertices / %zu edges written to %s\n",
-              format.c_str(),
+  std::printf("snapshot (v2%s) of %zu vertices / %zu edges written to %s\n",
               options.include_precompute ? ", precompute sections" : "",
               graph->NumVertices(), graph->NumEdges(), output.c_str());
   return 0;
@@ -1061,8 +1052,7 @@ int Main(int argc, char** argv) {
     known = {"input", "dataset"};
     run = RunReport;
   } else if (command == "snapshot") {
-    known = {"input", "dataset", "output", "precompute", "core-levels",
-             "format"};
+    known = {"input", "dataset", "output", "precompute", "core-levels"};
     run = RunSnapshot;
   } else if (command == "serve") {
     known = {"script", "memory-budget-mb", "cache-capacity", "workers",
