@@ -6,7 +6,10 @@
 //
 // prints the named tables (all by default) in that order. A timed column
 // runs kRuns times per cell and prints `median [min, max]` of the seconds
-// the runs report. Every run's result set must hash to its row's first
+// the runs report, then `(N calls)`, the branch calls of its search, so a
+// gap in search size reads apart from a gap in time per call. A counted
+// baseline (reverse search, plain BK) reports no counters and prints no
+// calls. Every run's result set must hash to its row's first
 // column's fingerprint, or the program exits 1 once the tables are
 // printed. KPLEX_BENCH_THREADS sets the workers of Table 4 and Figure 13
 // (default: hardware concurrency). The inputs are the registry's stand-ins
@@ -17,6 +20,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,6 +85,7 @@ bool LoadGraph(const std::string& name, Graph& graph) {
 struct Column {
   std::string header;
   std::function<AlgoFn(uint32_t k, uint32_t q)> make;
+  bool counted = false;  // a Counted baseline: no search counters
 };
 
 Column Seq(const char* name) {
@@ -120,21 +125,27 @@ Column Counted(const char* header, Run run) {
               result.seconds = timer.ElapsedSeconds();
               return result;
             };
-          }};
+          },
+          /*counted=*/true};
 }
 
-// One column's readings on one cell, sorted, and its answer.
+// One column's readings on one cell, sorted, its answer and, unless it
+// is a counted baseline, the branch calls of its last run.
 struct Sample {
   std::vector<double> values;
   uint64_t num_plexes = 0;
   uint64_t fingerprint = 0;
+  std::optional<uint64_t> branch_calls;
 };
 
 double Median(const Sample& s) { return s.values[s.values.size() / 2]; }
 
 std::string Range(const Sample& s) {
-  return FormatSeconds(Median(s)) + " [" + FormatSeconds(s.values.front()) +
-         ", " + FormatSeconds(s.values.back()) + "]";
+  std::string cell = FormatSeconds(Median(s)) + " [" +
+                     FormatSeconds(s.values.front()) + ", " +
+                     FormatSeconds(s.values.back()) + "]";
+  if (s.branch_calls) cell += " (" + FormatCount(*s.branch_calls) + " calls)";
+  return cell;
 }
 
 std::string Ratio(const Sample& num, const Sample& den) {
@@ -160,7 +171,8 @@ struct Table {
 
 // kRuns timed runs of `algo`, or one memory reading; false if a run
 // fails or two runs disagree.
-bool Measure(const Table& t, const Graph& g, const AlgoFn& algo, Sample& s) {
+bool Measure(const Table& t, const Graph& g, const AlgoFn& algo,
+             bool counted, Sample& s) {
   if (t.memory) {
     const int64_t kib = MeasurePeakRssKib([&algo, &g] {
       CountingSink sink;
@@ -178,6 +190,7 @@ bool Measure(const Table& t, const Graph& g, const AlgoFn& algo, Sample& s) {
     }
     s.num_plexes = out.num_plexes;
     s.fingerprint = out.fingerprint;
+    if (!counted) s.branch_calls = out.branch_calls;
     s.values.push_back(out.seconds);
   }
   std::sort(s.values.begin(), s.values.end());
@@ -202,8 +215,10 @@ bool RunTable(const Table& t) {
     loaded = cell.graph;
     std::vector<Sample> samples(t.columns.size());
     for (std::size_t i = 0; i < t.columns.size(); ++i) {
-      const char* header = t.columns[i].header.c_str();
-      if (!Measure(t, graph, t.columns[i].make(cell.k, cell.q), samples[i])) {
+      const Column& column = t.columns[i];
+      const char* header = column.header.c_str();
+      if (!Measure(t, graph, column.make(cell.k, cell.q), column.counted,
+                   samples[i])) {
         std::fprintf(stderr, "%s: %s failed on %s k=%u q=%u\n", t.name,
                      header, cell.graph.c_str(), cell.k, cell.q);
         return false;

@@ -93,6 +93,7 @@ RunOutcome TimeAlgo(const Graph& graph, const AlgoFn& algo) {
   outcome.num_plexes = result->num_plexes;
   outcome.seconds = result->seconds;
   outcome.fingerprint = sink.fingerprint();
+  outcome.branch_calls = result->counters.branch_calls;
   return outcome;
 }
 

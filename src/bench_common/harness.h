@@ -38,9 +38,11 @@ struct RunOutcome {
   uint64_t num_plexes = 0;
   double seconds = 0.0;
   uint64_t fingerprint = 0;  ///< order-independent result-set hash
+  uint64_t branch_calls = 0;  ///< EnumResult::counters.branch_calls
 };
 
-/// Runs `algo` with a HashingSink and reports timing + fingerprint.
+/// Runs `algo` with a HashingSink and reports timing, fingerprint and
+/// branch calls.
 RunOutcome TimeAlgo(const Graph& graph, const AlgoFn& algo);
 
 /// Forks a child, runs `fn` there, and returns the child's peak RSS in

@@ -28,21 +28,23 @@ void FillSupport(const SeedGraph& sg, const TaskState& state, uint32_t k,
 
 // Algorithm 4 for one candidate w: w joins K unless its scarcest
 // non-neighbor in P has no support left; joining spends one unit of it.
+// The scarcest is the minimum of (sup << 32) | id over w's non-neighbors
+// in P, the first strict minimum in id order, found by conditional
+// selects. sup lies in [0, k]: P is a k-plex, and a unit is spent only
+// while some is left.
 template <std::size_t W>
 bool JoinsK(const SeedGraph& sg, const TaskState& state, uint32_t w,
             std::vector<int32_t>& sup) {
-  int32_t min_sup = INT32_MAX;
-  uint32_t argmin = UINT32_MAX;
-  kernels::ForEachAndNotBit(state.p.data(), sg.adj.Row(w).words,
-                            state.Words<W>(), [&](std::size_t u) {
-                              if (sup[u] < min_sup) {
-                                min_sup = sup[u];
-                                argmin = static_cast<uint32_t>(u);
-                              }
-                            });
-  if (argmin == UINT32_MAX) return true;  // w constrains nobody in P
-  if (min_sup <= 0) return false;
-  --sup[argmin];
+  uint64_t scarcest = UINT64_MAX;
+  kernels::ForEachAndNotBit(
+      state.p.data(), sg.adj.Row(w).words, state.Words<W>(),
+      [&](std::size_t u) {
+        scarcest = std::min(
+            scarcest, uint64_t{static_cast<uint32_t>(sup[u])} << 32 | u);
+      });
+  if (scarcest == UINT64_MAX) return true;  // w constrains nobody in P
+  if (scarcest >> 32 == 0) return false;
+  --sup[static_cast<uint32_t>(scarcest)];
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace kplex {
 namespace {
@@ -35,6 +36,11 @@ BranchEngine::BranchEngine(const SeedGraph& sg, const EnumOptions& options,
 }
 
 void BranchEngine::Retarget(const SeedGraph& sg) {
+  // The pivot key's fields (core/pivot.cc): local ids and d_{P∪C} below
+  // 2^24, and |P| below 2^16. P holds the seed and at most k - 1 of its
+  // non-neighbors, so |P| <= |N1| + k.
+  assert(sg.universe < (uint32_t{1} << 24) &&
+         sg.num_n1 + options_.k < (uint32_t{1} << 16));
   sg_ = &sg;
   words_ = (sg.universe + 63) / 64;
   pivot_.Retarget(sg);
@@ -107,9 +113,9 @@ bool BranchEngine::HasExtenderOfPc(const TaskState& state,
   Mask<W> sat_pc(AnyWidthMask(2));
   for (std::size_t i = 0; i < pc_words; ++i) sat_pc.get()[i] = 0;
   kernels::ForEachBit(pc, pc_words, [&](std::size_t u) {
-    if (pc_size - pivot_.DegreePc(static_cast<uint32_t>(u)) == k) {
-      sat_pc.get()[u >> 6] |= uint64_t{1} << (u & 63);
-    }
+    const bool saturated =
+        pc_size - pivot_.DegreePc(static_cast<uint32_t>(u)) == k;
+    sat_pc.get()[u >> 6] |= uint64_t{saturated} << (u & 63);
   });
   const std::size_t words = state.Words<W>();
   const uint64_t* x = state.x.data();
@@ -120,8 +126,11 @@ bool BranchEngine::HasExtenderOfPc(const TaskState& state,
               .words;
       const uint32_t dx =
           static_cast<uint32_t>(kernels::AndCount(row, pc, pc_words));
-      if (dx + k < pc_size + 1) continue;
-      if (kernels::IsSubset(sat_pc.get(), row, pc_words)) return true;
+      // x's own budget, and every saturated member of P ∪ C adjacent.
+      if ((dx + k >= pc_size + 1) &
+          kernels::IsSubset(sat_pc.get(), row, pc_words)) {
+        return true;
+      }
     }
   }
   return false;
@@ -151,14 +160,18 @@ void BranchEngine::Branch(TaskState& state) {
 
   // Alg. 3 Lines 2-3: keep only vertices that still combine with P.
   // Saturated members of P admit only their neighbors: one AND of their
-  // rows, applied to C and to X.
+  // rows, applied to C and to X. Every member's row is ANDed in, OR'd
+  // with all ones when the member is unsaturated, so no member takes a
+  // branch.
   if (state.p_size >= k) {  // else d̄_P <= |P| < k: nobody saturated
     Mask<W> allowed(AnyWidthMask(0));
     for (std::size_t i = 0; i < words; ++i) allowed.get()[i] = ~uint64_t{0};
     kernels::ForEachBit(p, words, [&](std::size_t u) {
-      if (state.p_size - state.dp[u] == k) {
-        kernels::AndInto(allowed.get(),
-                         sg_->adj.Row(static_cast<uint32_t>(u)).words, words);
+      const uint64_t unsaturated =
+          -uint64_t{state.p_size - state.dp[u] != k};
+      const uint64_t* row = sg_->adj.Row(static_cast<uint32_t>(u)).words;
+      for (std::size_t i = 0; i < words; ++i) {
+        allowed.get()[i] &= row[i] | unsaturated;
       }
     });
     kernels::AndInto(c, allowed.get(), words);
@@ -172,7 +185,7 @@ void BranchEngine::Branch(TaskState& state) {
       uint64_t drop = 0;
       for (uint64_t w = c[i] | x[i]; w != 0; w &= w - 1) {
         const int bit = std::countr_zero(w);
-        if (state.dp[(i << 6) + bit] < need) drop |= uint64_t{1} << bit;
+        drop |= uint64_t{state.dp[(i << 6) + bit] < need} << bit;
       }
       c[i] &= ~drop;
       x[i] &= ~drop;

@@ -4,6 +4,9 @@
 // saturation, which in turn prunes more candidates), then by smallest
 // local id for determinism. When the winner lies in P, the paper's
 // default re-picks among its non-neighbors in C with the same rules.
+// Both picks rank each member by one 64-bit key that orders by all three
+// rules at once and keep the minimum, with no branch per member
+// (pivot.cc).
 //
 // Select and RepickFromC are written once, over raw words at the branch
 // body's width W (core/task_state.h); pivot.cc instantiates them for
@@ -35,9 +38,9 @@ class PivotSelector {
   /// false, ties are broken by smallest local id only. Retarget before
   /// the first Select.
   explicit PivotSelector(bool saturation_tiebreak)
-      : saturation_tiebreak_(saturation_tiebreak) {}
+      : nn_mask_(saturation_tiebreak ? 0xffff : 0) {}
   explicit PivotSelector(const SeedGraph& sg, bool saturation_tiebreak = true)
-      : saturation_tiebreak_(saturation_tiebreak) {
+      : PivotSelector(saturation_tiebreak) {
     Retarget(sg);
   }
 
@@ -67,7 +70,9 @@ class PivotSelector {
 
  private:
   const SeedGraph* sg_ = nullptr;
-  bool saturation_tiebreak_;
+  /// Masks d̄_P in the pivot key (pivot.cc): 0xffff with the tie-break,
+  /// 0 without.
+  uint32_t nn_mask_;
   std::vector<uint32_t> degree_pc_;
 };
 

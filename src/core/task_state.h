@@ -83,7 +83,7 @@ struct TaskState {
     for (std::size_t i = 0; i < n; ++i) saturated[i] = 0;
     if (p_size < k) return;  // d̄_P <= |P| < k: nobody saturated
     kernels::ForEachBit(p.data(), n, [&](std::size_t u) {
-      if (p_size - dp[u] == k) saturated[u >> 6] |= uint64_t{1} << (u & 63);
+      saturated[u >> 6] |= uint64_t{p_size - dp[u] == k} << (u & 63);
     });
   }
 

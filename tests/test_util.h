@@ -18,9 +18,11 @@
 #include "core/reduction.h"
 #include "core/seed_graph.h"
 #include "core/sink.h"
+#include "core/task_state.h"
 #include "graph/builder.h"
 #include "graph/degeneracy.h"
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace kplex {
 namespace testing_util {
@@ -50,27 +52,92 @@ inline void VerifyResultSet(const Graph& graph, const ResultSet& results,
   }
 }
 
-/// Expects the seed graphs a run of `options` on `graph` builds to span
-/// every width from one word up to `widest` (3: three or more words).
-/// The branch body runs at that width (core/branch.h).
-inline void ExpectWidthsUpTo(const Graph& graph, const EnumOptions& options,
-                             uint32_t widest) {
+/// Calls fn(seed_graph) for every seed graph a run of `options` on
+/// `graph` builds, in seed order.
+template <typename Fn>
+void ForEachSeedGraph(const Graph& graph, const EnumOptions& options,
+                      Fn&& fn) {
   AlgoCounters counters;
   const PreparedReduction prepared =
       PrepareReduction(graph, options, counters);
-  std::array<uint32_t, 3> built{};  // one word, two, three or more
   for (uint32_t i = 0; i < prepared.core.graph.NumVertices(); ++i) {
-    const auto sg = BuildSeedGraph(prepared.core.graph,
-                                   prepared.core.to_original,
-                                   prepared.ordering,
-                                   prepared.ordering.order[i], options,
-                                   nullptr);
-    if (!sg.has_value()) continue;
-    ++built[std::min<std::size_t>((sg->universe + 63) / 64, 3) - 1];
+    auto sg = BuildSeedGraph(prepared.core.graph, prepared.core.to_original,
+                             prepared.ordering, prepared.ordering.order[i],
+                             options, nullptr);
+    if (sg.has_value()) fn(std::move(*sg));
   }
+}
+
+/// The branch body's width for `sg` (core/branch.h): 1 or 2 words, or 3
+/// for three or more.
+inline uint32_t WidthClass(const SeedGraph& sg) {
+  return std::min<uint32_t>((sg.universe + 63) / 64, 3);
+}
+
+/// Expects the seed graphs a run of `options` on `graph` builds to span
+/// every width from one word up to `widest` (3: three or more words).
+inline void ExpectWidthsUpTo(const Graph& graph, const EnumOptions& options,
+                             uint32_t widest) {
+  std::array<uint32_t, 3> built{};  // one word, two, three or more
+  ForEachSeedGraph(graph, options, [&](SeedGraph&& sg) {
+    ++built[WidthClass(sg) - 1];
+  });
   for (uint32_t w = 1; w <= widest; ++w) {
     EXPECT_GT(built[w - 1], 0u) << "no seed graph of width " << w;
   }
+}
+
+/// Up to `per_width` of the seed graphs a run of `options` on `graph`
+/// builds at each width class, in seed order.
+inline std::vector<SeedGraph> SeedGraphsByWidth(const Graph& graph,
+                                                const EnumOptions& options,
+                                                uint32_t per_width) {
+  std::array<uint32_t, 3> taken{};
+  std::vector<SeedGraph> out;
+  ForEachSeedGraph(graph, options, [&](SeedGraph&& sg) {
+    if (taken[WidthClass(sg) - 1]++ < per_width) out.push_back(std::move(sg));
+  });
+  return out;
+}
+
+/// A state of `sg` of the kind the branch body meets: P is a k-plex
+/// grown from the seed by CanAdd over the rest of V_i, in random order,
+/// up to a random size. Each other V_i vertex that P admits goes to C
+/// (3 in 4) or X; every other vertex, fringe included, goes to X (1 in
+/// 3) or nowhere.
+inline TaskState RandomKPlexState(const SeedGraph& sg, uint32_t k, Rng& rng) {
+  TaskState st = TaskState::MakeEmpty(sg);
+  st.AddToP(sg, SeedGraph::kSeed);
+  std::vector<uint32_t> rest;
+  for (uint32_t v = 1; v < sg.num_vi; ++v) rest.push_back(v);
+  for (std::size_t i = rest.size(); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng.NextBounded(i)]);
+  }
+  const uint64_t target = 1 + rng.NextBounded(sg.num_vi);
+  std::vector<uint64_t> saturated(st.p.num_words());
+  for (uint32_t v : rest) {
+    if (st.p_size == target) break;
+    st.Saturated(k, saturated.data());
+    if (st.CanAdd(sg, saturated.data(), v, k)) st.AddToP(sg, v);
+  }
+  st.Saturated(k, saturated.data());
+  for (uint32_t v = 1; v < sg.universe; ++v) {
+    if (st.p.Test(v)) continue;
+    if (v < sg.num_vi && st.CanAdd(sg, saturated.data(), v, k)) {
+      (rng.NextBounded(4) != 0 ? st.c : st.x).Set(v);
+    } else if (rng.NextBounded(3) == 0) {
+      st.x.Set(v);
+    }
+  }
+  return st;
+}
+
+/// The local id of input vertex `global` in `sg`, or UINT32_MAX.
+inline uint32_t LocalIdOf(const SeedGraph& sg, VertexId global) {
+  for (uint32_t v = 0; v < sg.universe; ++v) {
+    if (sg.to_global[v] == global) return v;
+  }
+  return UINT32_MAX;
 }
 
 /// Expects got's orientation to be the one `rank` induces: for every
